@@ -109,7 +109,7 @@ class AuditLog:
         return record
 
     def verify(self) -> VerifyResult:
-        return verify_records(self.records)
+        return verify_lines(self.to_lines())
 
     def to_lines(self) -> list:
         return [r.to_line() for r in self.records]
@@ -119,18 +119,6 @@ class AuditLog:
         log = cls()
         log.records = [AuditRecord.from_line(line) for line in lines]
         return log
-
-
-def verify_records(records) -> VerifyResult:
-    prev = ZERO_HASH
-    for i, record in enumerate(records):
-        if record.seq != i or record.prev_hash != prev:
-            return VerifyResult(ok=False, first_bad_index=i)
-        expected = _record_hash(record.seq, record.op.value, record.payload_digest, record.prev_hash)
-        if record.record_hash != expected:
-            return VerifyResult(ok=False, first_bad_index=i)
-        prev = record.record_hash
-    return VerifyResult(ok=True)
 
 
 def verify_lines(lines) -> VerifyResult:
@@ -149,10 +137,6 @@ def verify_lines(lines) -> VerifyResult:
             return VerifyResult(ok=False, first_bad_index=i)
         prev = record.record_hash
     return VerifyResult(ok=True)
-
-
-class StorageFailure(RuntimeError):
-    """Raised when persisting an update fails; pre-call state is preserved."""
 
 
 class Blocklist:

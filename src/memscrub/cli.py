@@ -2,25 +2,21 @@
 
 Subcommands: gen-corpus, store, query, unlearn, probe, audit-verify,
 train, eval, run-loop. All output is machine-parseable line-delimited
-JSON; exit status is nonzero on error or tamper detection. A lock file
-ensures one process owns a store directory at a time.
+JSON; exit status is nonzero on error or tamper detection. Store-directory
+files, their headers and the lock that gives one process the directory at
+a time belong to ``memscrub.store``.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
-import os
 import sys
-from dataclasses import fields
 from pathlib import Path
-
-import numpy as np
 
 from . import corpus as corpus_mod
 from .audit import verify_lines
-from .config import RunConfig, load_config
+from .config import RunConfig, load_config, save_config_snapshot
 from .corpus import Provenance, split_items, to_dataset
 from .evaluation import (
     LoopScenario,
@@ -32,70 +28,30 @@ from .evaluation import (
 )
 from .graph import ForgetRequest
 from .protocol import AgentState, backflow_probe, run_protocol
-from .store import FILE_HEADERS, MemoryStore
-from .training import Dataset, ModelState, model_accuracy, pretrain, train_unlearn
+from .store import (
+    FILE_HEADERS,
+    PROVENANCE_HEADER,
+    MemoryStore,
+    load_model,
+    read_lines,
+    save_model,
+    store_lock,
+    write_lines,
+)
+from .training import ModelState, model_accuracy, pretrain, train_unlearn
 
-MODEL_HEADER = "memscrub-model v1"
-PROVENANCE_HEADER = "memscrub-provenance v1"
-CONFIG_HEADER = "# memscrub config v1"
+
+def _json(record: dict) -> str:
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
 def _emit(record: dict) -> None:
-    sys.stdout.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
-
-
-@contextlib.contextmanager
-def store_lock(store_dir: Path):
-    store_dir.mkdir(parents=True, exist_ok=True)
-    lock_path = store_dir / "lock"
-    try:
-        fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise SystemExit(f"store {store_dir} is locked by another process "
-                         f"(remove {lock_path} if stale)")
-    try:
-        os.write(fd, str(os.getpid()).encode())
-        os.close(fd)
-        yield
-    finally:
-        lock_path.unlink(missing_ok=True)
+    sys.stdout.write(_json(record) + "\n")
 
 
 # ---------------------------------------------------------------------------
-# Store-directory helpers
+# Store-directory context
 # ---------------------------------------------------------------------------
-
-def _write_lines(path: Path, header, lines) -> None:
-    body = ([header] if header else []) + list(lines)
-    path.write_text("\n".join(body) + "\n", encoding="utf-8")
-
-
-def _read_lines(path: Path, header=None) -> list:
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if header is not None:
-        if not lines or lines[0] != header:
-            raise SystemExit(f"{path}: missing or wrong version header")
-        return lines[1:]
-    return lines
-
-
-def save_model(store_dir: Path, model: ModelState) -> None:
-    line = json.dumps(model.to_record(), sort_keys=True, separators=(",", ":"))
-    _write_lines(store_dir / "model.jsonl", MODEL_HEADER, [line])
-
-
-def load_model(store_dir: Path) -> ModelState:
-    (line,) = _read_lines(store_dir / "model.jsonl", MODEL_HEADER)
-    return ModelState.from_record(json.loads(line))
-
-
-def save_config_snapshot(store_dir: Path, cfg: RunConfig) -> None:
-    lines = [CONFIG_HEADER]
-    for f in fields(RunConfig):
-        value = getattr(cfg, f.name)
-        lines.append(f"{f.name} = {'none' if value is None else value}")
-    (store_dir / "config.cfg").write_text("\n".join(lines) + "\n", encoding="utf-8")
-
 
 def _resolve_config(args) -> RunConfig:
     overrides = {
@@ -114,8 +70,8 @@ def _resolve_config(args) -> RunConfig:
 def _load_store_context(store_dir: Path, cfg: RunConfig):
     store = MemoryStore.load(store_dir, settings=cfg.retrieval_settings())
     model = load_model(store_dir)
-    items = corpus_mod.corpus_from_lines(_read_lines(store_dir / "corpus.jsonl"))
-    prov = Provenance.from_lines(_read_lines(store_dir / "provenance.jsonl", PROVENANCE_HEADER))
+    items = corpus_mod.corpus_from_lines(read_lines(store_dir / "corpus.jsonl"))
+    prov = Provenance.from_lines(read_lines(store_dir / "provenance.jsonl", PROVENANCE_HEADER))
     agent = AgentState(store=store, model=model, feature_dim=cfg.feature_dim,
                        confidence_threshold=cfg.confidence_threshold)
     return agent, items, prov
@@ -124,6 +80,15 @@ def _load_store_context(store_dir: Path, cfg: RunConfig):
 def _save_store_context(store_dir: Path, agent: AgentState) -> None:
     agent.store.save(store_dir)
     save_model(store_dir, agent.model)
+
+
+def _write_metrics(store_dir: Path, name: str, records) -> list:
+    """Write ``records`` as ``metrics/<name>`` in the store; returns the JSON lines."""
+    lines = [_json(r) for r in records]
+    metrics_dir = store_dir / "metrics"
+    metrics_dir.mkdir(exist_ok=True)
+    write_lines(metrics_dir / name, None, lines)
+    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +103,7 @@ def cmd_gen_corpus(args) -> int:
     )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    _write_lines(out, None, corpus_mod.corpus_lines(items))
+    write_lines(out, None, corpus_mod.corpus_lines(items))
     _emit({"command": "gen-corpus", "items": len(items), "out": str(args.out)})
     return 0
 
@@ -146,7 +111,7 @@ def cmd_gen_corpus(args) -> int:
 def cmd_store(args) -> int:
     cfg = _resolve_config(args)
     store_dir = Path(args.store)
-    items = corpus_mod.corpus_from_lines(_read_lines(Path(args.corpus)))
+    items = corpus_mod.corpus_from_lines(read_lines(args.corpus))
     with store_lock(store_dir):
         store = MemoryStore(settings=cfg.retrieval_settings())
         prov = corpus_mod.populate_store(store, items)
@@ -156,8 +121,8 @@ def cmd_store(args) -> int:
         pretrain(to_dataset(trained, cfg.feature_dim), model, cfg.pretrain_config())
         store.save(store_dir)
         save_model(store_dir, model)
-        _write_lines(store_dir / "corpus.jsonl", None, corpus_mod.corpus_lines(items))
-        _write_lines(store_dir / "provenance.jsonl", PROVENANCE_HEADER, prov.to_lines())
+        write_lines(store_dir / "corpus.jsonl", None, corpus_mod.corpus_lines(items))
+        write_lines(store_dir / "provenance.jsonl", PROVENANCE_HEADER, prov.to_lines())
         save_config_snapshot(store_dir, cfg)
     _emit({
         "command": "store",
@@ -200,12 +165,7 @@ def cmd_unlearn(args) -> int:
         retain = to_dataset(split_items(items, "retain"), cfg.feature_dim)
         report = run_protocol(agent, request, retain, cfg.unlearn_config())
         _save_store_context(store_dir, agent)
-        metrics_dir = store_dir / "metrics"
-        metrics_dir.mkdir(exist_ok=True)
-        _write_lines(
-            metrics_dir / f"unlearn_{request.request_id}.jsonl", None,
-            [json.dumps(m, sort_keys=True, separators=(",", ":")) for m in report.training],
-        )
+        _write_metrics(store_dir, f"unlearn_{request.request_id}.jsonl", report.training)
     _emit({"command": "unlearn", **report.to_record()})
     return 0
 
@@ -229,15 +189,15 @@ def cmd_probe(args) -> int:
 
 
 def cmd_audit_verify(args) -> int:
-    path = Path(args.store) / "audit.jsonl"
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != FILE_HEADERS["audit.jsonl"]:
+    try:
+        lines = read_lines(Path(args.store) / "audit.jsonl", FILE_HEADERS["audit.jsonl"])
+    except ValueError:
         _emit({"command": "audit-verify", "ok": False, "first_bad_index": 0,
                "reason": "bad header"})
         return 1
-    result = verify_lines(lines[1:])
+    result = verify_lines(lines)
     _emit({"command": "audit-verify", "ok": result.ok,
-           "first_bad_index": result.first_bad_index, "records": len(lines) - 1})
+           "first_bad_index": result.first_bad_index, "records": len(lines)})
     return 0 if result.ok else 1
 
 
@@ -250,10 +210,7 @@ def cmd_train(args) -> int:
         forget = to_dataset(split_items(items, "forget"), cfg.feature_dim)
         history = train_unlearn(retain, forget, agent.model, cfg.unlearn_config())
         save_model(store_dir, agent.model)
-        metrics_dir = store_dir / "metrics"
-        metrics_dir.mkdir(exist_ok=True)
-        _write_lines(metrics_dir / "train.jsonl", None,
-                     [json.dumps(m, sort_keys=True, separators=(",", ":")) for m in history])
+        _write_metrics(store_dir, "train.jsonl", history)
     for m in history:
         _emit(m)
     return 0
@@ -290,11 +247,7 @@ def cmd_eval(args) -> int:
                                        feature_dim=cfg.feature_dim):
             rows.append(report.to_record())
 
-    lines = [json.dumps(r, sort_keys=True, separators=(",", ":")) for r in rows]
-    metrics_dir = store_dir / "metrics"
-    metrics_dir.mkdir(exist_ok=True)
-    _write_lines(metrics_dir / "eval.jsonl", None, lines)
-    for line in lines:
+    for line in _write_metrics(store_dir, "eval.jsonl", rows):
         sys.stdout.write(line + "\n")
     return 0
 

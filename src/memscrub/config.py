@@ -1,17 +1,19 @@
 """Flat key-value configuration with documented defaults.
 
-Precedence: command-line flags > config file > defaults. Unknown keys in
-a config file are rejected. All randomness in a run flows from the
-single ``seed`` key.
+Precedence: command-line flags > one config file > defaults. The CLI
+reads the ``--config`` file if one is given and otherwise the store's
+``config.cfg`` snapshot: a ``--config`` file replaces the snapshot, it
+does not layer over it. Unknown keys in a config file are rejected. All
+randomness in a run flows from the single ``seed`` key.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
 
-from .store import RetrievalSettings
+from .store import CONFIG_HEADER, RetrievalSettings, write_lines
 from .training import UnlearnConfig
 
 
@@ -24,7 +26,6 @@ class RunConfig:
     w_kw: float = 0.3
     tau: int = 100
     embed_dim: int = 256
-    provider: str = "hash"
     # Parameter unlearning
     lambda_f: float = 1.5
     temperature: float = 2.0
@@ -120,3 +121,12 @@ def load_config(path=None, overrides: Optional[dict] = None) -> RunConfig:
             raise ValueError(f"unknown config key {key!r}")
         values[key] = value
     return RunConfig(**values)
+
+
+def save_config_snapshot(store_dir, cfg: RunConfig) -> None:
+    """Write every key of ``cfg`` to ``store_dir/config.cfg`` in load_config's format."""
+    lines = []
+    for f in fields(RunConfig):
+        value = getattr(cfg, f.name)
+        lines.append(f"{f.name} = {'none' if value is None else value}")
+    write_lines(Path(store_dir) / "config.cfg", CONFIG_HEADER, lines)

@@ -159,6 +159,18 @@ def answer_idx_of(content: str):
     return CHOICES.index(word) if word in CHOICES else None
 
 
+def choice_in(content: str):
+    """Choice a memory names: its answer marker, else the first choice token."""
+    idx = answer_idx_of(content)
+    if idx is not None:
+        return idx
+    tokens = content.lower().split()
+    for i, choice in enumerate(CHOICES):
+        if choice in tokens:
+            return i
+    return None
+
+
 @dataclass
 class Provenance:
     """Maps corpus items to their episodic node ids (and back)."""

@@ -13,15 +13,9 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .corpus import (
-    CHOICES,
-    QAItem,
-    Provenance,
-    populate_store,
-    split_items,
-    to_dataset,
-)
+from .corpus import QAItem, Provenance, populate_store, split_items
 from .graph import ForgetRequest, Status
+from .protocol import AgentState
 from .store import MemoryStore
 from .training import Dataset, ModelState, temperature_softmax
 
@@ -67,46 +61,16 @@ def model_item_losses(model: ModelState, ds: Dataset) -> np.ndarray:
 # Retrieval-grounded answering
 # ---------------------------------------------------------------------------
 
-def memory_answer(store: MemoryStore, item: QAItem):
-    """Choice named by the best retrieved node mentioning the item's topic, if any."""
-    from .corpus import answer_idx_of
-
-    for hit in store.search(item.question):
-        content = store.content(hit.node_id)
-        if item.topic not in content:
-            continue
-        idx = answer_idx_of(content)
-        if idx is None:
-            tokens = content.lower().split()
-            for i, choice in enumerate(CHOICES):
-                if choice in tokens:
-                    idx = i
-                    break
-        if idx is not None:
-            return idx
-    return None
-
-
-def memory_accuracy(agent, forget_items, retain_items) -> dict:
-    """Retrieval-grounded accuracy; items without a memory hit fall back to the model."""
+def memory_accuracy(agent: AgentState, forget_items, retain_items) -> dict:
+    """The agent's accuracy: answers from retrieved memory, else from the model."""
 
     def predict(item: QAItem) -> int:
-        idx = memory_answer(agent.store, item)
-        if idx is not None:
-            return idx
-        return int(agent.model.predict(
-            np.atleast_2d(_features(agent, item)))[0])
+        return agent.answer(item.question).answer_idx
 
     return {
         "forget_acc": accuracy(predict, forget_items),
         "retain_acc": accuracy(predict, retain_items),
     }
-
-
-def _features(agent, item: QAItem):
-    from .corpus import featurize
-
-    return featurize(item.question, agent.feature_dim)
 
 
 def memory_item_losses(store: MemoryStore, items: Iterable[QAItem]) -> np.ndarray:
@@ -294,13 +258,8 @@ def memory_baselines(store: MemoryStore, prov: Provenance, items,
 
     reindex = store.copy()
     _naive_delete(reindex, targets)
-    purged = [i for i in reindex.index.live_ids()
-              if reindex.graph.nodes[i].status is not Status.ACTIVE]
-    for i in list(reindex.index._tombstones) + purged:
-        reindex.index._vectors.pop(i, None)
-        reindex.index._tokens.pop(i, None)
-    reindex.index._tombstones.clear()
-    reindex.index.generation += 1
+    reindex.index.purge([i for i in reindex.index.live_ids()
+                         if reindex.graph.nodes[i].status is not Status.ACTIVE])
     variants["reindexing"] = reindex
 
     oracle, _ = build_oracle_store(items, settings=store.settings,
@@ -313,7 +272,7 @@ def memory_baselines(store: MemoryStore, prov: Provenance, items,
 
     reports = []
     for method, variant in variants.items():
-        agent = _EvalAgent(variant, model, feature_dim)
+        agent = AgentState(store=variant, model=model, feature_dim=feature_dim)
         accs = memory_accuracy(agent, forget_items, retain_items)
         member = memory_item_losses(variant, forget_items)
         nonmember = memory_item_losses(variant, holdout_items)
@@ -330,10 +289,3 @@ def memory_baselines(store: MemoryStore, prov: Provenance, items,
             dangling_artifacts=dangling_artifact_count(variant, dangling_targets),
         ))
     return reports
-
-
-@dataclass
-class _EvalAgent:
-    store: MemoryStore
-    model: ModelState
-    feature_dim: int = 256

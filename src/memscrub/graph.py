@@ -13,7 +13,7 @@ import enum
 import json
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator
 
 
 class Layer(str, enum.Enum):
@@ -87,12 +87,10 @@ class MemoryNode:
 class ForgetRequest:
     request_id: str
     targets: frozenset
-    issued_seq: int = 0
 
     @classmethod
-    def of(cls, request_id: str, targets: Iterable[int], issued_seq: int = 0) -> "ForgetRequest":
-        return cls(request_id=request_id, targets=frozenset(int(t) for t in targets),
-                   issued_seq=issued_seq)
+    def of(cls, request_id: str, targets: Iterable[int]) -> "ForgetRequest":
+        return cls(request_id=request_id, targets=frozenset(int(t) for t in targets))
 
 
 @dataclass
@@ -191,10 +189,6 @@ class MemoryGraph:
     def parents_of(self, node_id: int) -> list:
         self.node(node_id)
         return list(self._parents[node_id])
-
-    def children_of(self, node_id: int) -> list:
-        self.node(node_id)
-        return list(self._children[node_id])
 
     def active_view(self) -> Iterator[int]:
         """Ids of Active nodes, ascending. Outdated and Deleted are excluded."""
@@ -361,8 +355,11 @@ class MemoryGraph:
             graph._parents[node.id] = []
         for line in edge_lines:
             rec = json.loads(line)
-            graph._parents[rec["child"]].append(rec["parent"])
-            graph._children[rec["parent"]].append(rec["child"])
+            child, parent = rec["child"], rec["parent"]
+            if child not in graph.nodes or parent not in graph.nodes:
+                raise UnknownNodeError(f"edge {parent} -> {child} names an unknown node")
+            graph._parents[child].append(parent)
+            graph._children[parent].append(child)
         for child in graph._parents:
             graph._parents[child].sort()
         for parent in graph._children:

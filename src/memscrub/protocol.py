@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .audit import AuditOp
-from .corpus import CHOICES, answer_idx_of, featurize, question_of
+from .corpus import CHOICES, answer_idx_of, choice_in, featurize, question_of
 from .graph import ForgetRequest, Layer
 from .store import MemoryPhaseReport, MemoryStore
 from .training import (
@@ -54,7 +54,7 @@ class AgentState:
         hits = self.store.search(question)
         for hit in hits:
             content = self.store.content(hit.node_id)
-            idx = _choice_in(content)
+            idx = choice_in(content)
             if idx is not None and _mentions_question(content, question):
                 return AgentAnswer(answer_idx=idx, source="memory", confidence=1.0,
                                    hit_ids=[h.node_id for h in hits])
@@ -65,17 +65,6 @@ class AgentState:
             confidence=float(np.max(p)),
             hit_ids=[h.node_id for h in hits],
         )
-
-
-def _choice_in(content: str):
-    idx = answer_idx_of(content)
-    if idx is not None:
-        return idx
-    tokens = content.lower().split()
-    for i, choice in enumerate(CHOICES):
-        if choice in tokens:
-            return i
-    return None
 
 
 @dataclass

@@ -10,9 +10,10 @@ blocklist outgrows a threshold.
 from __future__ import annotations
 
 import hashlib
+import json
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Protocol
+from typing import Callable, Protocol
 
 import numpy as np
 
@@ -36,7 +37,6 @@ def keyword_score(query_tokens, doc_tokens) -> float:
 
 class EmbeddingProvider(Protocol):
     dim: int
-    kind: str
 
     def embed(self, text: str) -> np.ndarray: ...
 
@@ -47,8 +47,6 @@ class HashingEmbedder:
     Identical text always maps to the identical vector, independent of
     process or platform, which keeps stores byte-reproducible.
     """
-
-    kind = "deterministic-hash"
 
     def __init__(self, dim: int = 256):
         self.dim = dim
@@ -72,22 +70,6 @@ class HashingEmbedder:
             vec = self._token_vector("<degenerate>").copy()
             norm = np.linalg.norm(vec)
         return vec / norm
-
-
-class ExternalServiceEmbedder:
-    """Adapter for a pluggable external embedding service."""
-
-    kind = "external-service"
-
-    def __init__(self, dim: int, embed_fn: Callable[[str], np.ndarray]):
-        self.dim = dim
-        self._embed_fn = embed_fn
-
-    def embed(self, text: str) -> np.ndarray:
-        vec = np.asarray(self._embed_fn(text), dtype=float)
-        if vec.shape != (self.dim,):
-            raise ValueError(f"provider returned shape {vec.shape}, expected ({self.dim},)")
-        return vec
 
 
 @dataclass
@@ -142,8 +124,19 @@ class HybridIndex:
     def live_ids(self) -> list:
         return sorted(i for i in self._vectors if i not in self._tombstones)
 
+    def copy(self) -> "HybridIndex":
+        """Independent copy. Stored vectors are read-only, so copies share them."""
+        clone = HybridIndex(self.embedder, tau=self.tau)
+        clone.generation = self.generation
+        clone._vectors = dict(self._vectors)
+        clone._tokens = dict(self._tokens)
+        clone._tombstones = set(self._tombstones)
+        return clone
+
     def insert(self, node_id: int, text: str) -> None:
-        self._vectors[node_id] = self.embedder.embed(text)
+        vec = self.embedder.embed(text)
+        vec.flags.writeable = False
+        self._vectors[node_id] = vec
         self._tokens[node_id] = frozenset(tokenize(text))
         self._tombstones.discard(node_id)
 
@@ -152,6 +145,14 @@ class HybridIndex:
         if node_id not in self._vectors or node_id in self._tombstones:
             raise UnknownNodeError(f"id {node_id} not in index")
         self._tombstones.add(node_id)
+
+    def purge(self, ids) -> None:
+        """Physically drop ``ids`` and every tombstoned entry; bumps the generation."""
+        for node_id in set(ids) | self._tombstones:
+            self._vectors.pop(node_id, None)
+            self._tokens.pop(node_id, None)
+        self._tombstones.clear()
+        self.generation += 1
 
     def search(self, query: HybridQuery, allowed: Callable[[int], bool]) -> list:
         """Top-k allowed hits by combined score, ties broken by ascending id.
@@ -191,25 +192,18 @@ class HybridIndex:
             i for i in self._vectors
             if i in self._tombstones or blocklist.is_blocked(i) or not keep(i)
         )
-        new_generation = self.generation + 1
         audit.append(AuditOp.REBUILD, {
-            "generation": new_generation,
+            "generation": self.generation + 1,
             "purged": purged,
             "size": len(self._vectors) - len(purged),
         })
-        for node_id in purged:
-            self._vectors.pop(node_id, None)
-            self._tokens.pop(node_id, None)
-        self._tombstones.clear()
-        self.generation = new_generation
-        blocklist.compact(purged, new_generation, audit)
-        return RebuildResult(rebuilt=True, generation=new_generation, purged=purged)
+        self.purge(purged)
+        blocklist.compact(purged, self.generation, audit)
+        return RebuildResult(rebuilt=True, generation=self.generation, purged=purged)
 
     # Persistence: membership only; vectors are recomputed from content on load.
 
     def to_lines(self) -> list:
-        import json
-
         lines = [json.dumps({"generation": self.generation},
                             sort_keys=True, separators=(",", ":"))]
         for node_id in sorted(self._vectors):
@@ -221,8 +215,6 @@ class HybridIndex:
     @classmethod
     def from_lines(cls, lines, embedder: EmbeddingProvider, tau: int,
                    content_for: Callable[[int], str]) -> "HybridIndex":
-        import json
-
         lines = list(lines)
         index = cls(embedder, tau=tau)
         index.generation = json.loads(lines[0])["generation"]

@@ -2,15 +2,18 @@
 
 The store owns the retrieval boundary (blocklist and status filtering)
 and the memory half of the unlearning protocol: block, closure prune,
-vector removal, threshold-triggered rebuild, archive record. Persistence
-is line-delimited files with a version header per file; reload
+vector removal, threshold-triggered rebuild, archive record.
+
+This module also owns the store-directory layout: the line-delimited
+files and their version headers, the model file and the lock. Reload
 reproduces ref_counts, statuses and search behavior exactly.
 """
 
 from __future__ import annotations
 
-import copy as _copy
+import contextlib
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional
@@ -23,8 +26,10 @@ from .graph import (
     PruneReport,
     Status,
 )
-from .retrieval import HashingEmbedder, HybridIndex, HybridQuery, ScoredHit
+from .retrieval import HashingEmbedder, HybridIndex, HybridQuery
+from .training import ModelState
 
+# The files MemoryStore.save writes, with their version headers.
 FILE_HEADERS = {
     "nodes.jsonl": "memscrub-nodes v1",
     "edges.jsonl": "memscrub-edges v1",
@@ -32,6 +37,54 @@ FILE_HEADERS = {
     "audit.jsonl": "memscrub-audit v1",
     "index.jsonl": "memscrub-index v1",
 }
+MODEL_HEADER = "memscrub-model v1"
+PROVENANCE_HEADER = "memscrub-provenance v1"
+CONFIG_HEADER = "# memscrub config v1"
+
+
+def write_lines(path: Path, header, lines) -> None:
+    """Write ``lines`` newline-terminated, after ``header`` unless it is None."""
+    body = ([header] if header else []) + list(lines)
+    Path(path).write_text("\n".join(body) + "\n", encoding="utf-8")
+
+
+def read_lines(path: Path, header=None) -> list:
+    """Lines of a file; with ``header``, check and strip it (ValueError if wrong)."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    if header is None:
+        return lines
+    if not lines or lines[0] != header:
+        raise ValueError(f"{path}: missing or wrong version header")
+    return lines[1:]
+
+
+def save_model(store_dir: Path, model: ModelState) -> None:
+    line = json.dumps(model.to_record(), sort_keys=True, separators=(",", ":"))
+    write_lines(Path(store_dir) / "model.jsonl", MODEL_HEADER, [line])
+
+
+def load_model(store_dir: Path) -> ModelState:
+    (line,) = read_lines(Path(store_dir) / "model.jsonl", MODEL_HEADER)
+    return ModelState.from_record(json.loads(line))
+
+
+@contextlib.contextmanager
+def store_lock(store_dir: Path):
+    """Hold the store directory's lock file; SystemExit if another process holds it."""
+    store_dir = Path(store_dir)
+    store_dir.mkdir(parents=True, exist_ok=True)
+    lock_path = store_dir / "lock"
+    try:
+        fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+    except FileExistsError:
+        raise SystemExit(f"store {store_dir} is locked by another process "
+                         f"(remove {lock_path} if stale)")
+    try:
+        os.write(fd, str(os.getpid()).encode())
+        os.close(fd)
+        yield
+    finally:
+        lock_path.unlink(missing_ok=True)
 
 
 class BlockedContentError(ValueError):
@@ -187,9 +240,7 @@ class MemoryStore:
             "index.jsonl": self.index.to_lines(),
         }
         for name, lines in payloads.items():
-            path = directory / name
-            text = "\n".join([FILE_HEADERS[name]] + lines) + "\n"
-            path.write_text(text, encoding="utf-8")
+            write_lines(directory / name, FILE_HEADERS[name], lines)
 
     @classmethod
     def load(cls, directory, settings: Optional[RetrievalSettings] = None,
@@ -197,20 +248,23 @@ class MemoryStore:
         directory = Path(directory)
         store = cls(settings=settings, embedder=embedder)
 
-        def read(name):
-            lines = (directory / name).read_text(encoding="utf-8").splitlines()
-            if not lines or lines[0] != FILE_HEADERS[name]:
-                raise ValueError(f"{name}: missing or wrong version header")
-            return lines[1:]
+        def parse(names, build):
+            # A truncated or inconsistent file is a ValueError naming the file.
+            lines = [read_lines(directory / name, FILE_HEADERS[name]) for name in names]
+            try:
+                return build(*lines)
+            except (IndexError, KeyError, TypeError, ValueError) as exc:
+                files = ", ".join(str(directory / name) for name in names)
+                raise ValueError(f"{files}: malformed store file: {exc!r}") from exc
 
-        store.audit = AuditLog.from_lines(read("audit.jsonl"))
-        store.graph = MemoryGraph.from_lines(read("nodes.jsonl"), read("edges.jsonl"),
-                                             audit=store.audit)
-        store.blocklist = Blocklist.from_lines(read("blocklist.jsonl"))
-        store.index = HybridIndex.from_lines(
-            read("index.jsonl"), store.embedder, tau=store.settings.tau,
+        store.audit = parse(["audit.jsonl"], AuditLog.from_lines)
+        store.graph = parse(["nodes.jsonl", "edges.jsonl"], lambda nodes, edges:
+                            MemoryGraph.from_lines(nodes, edges, audit=store.audit))
+        store.blocklist = parse(["blocklist.jsonl"], Blocklist.from_lines)
+        store.index = parse(["index.jsonl"], lambda index: HybridIndex.from_lines(
+            index, store.embedder, tau=store.settings.tau,
             content_for=lambda i: store.graph.node(i).content,
-        )
+        ))
         return store
 
     def copy(self) -> "MemoryStore":
@@ -220,9 +274,5 @@ class MemoryStore:
         clone.graph = MemoryGraph.from_lines(self.graph.node_lines(),
                                              self.graph.edge_lines(), audit=clone.audit)
         clone.blocklist = Blocklist.from_lines(self.blocklist.to_lines())
-        clone.index = HybridIndex(self.embedder, tau=self.settings.tau)
-        clone.index.generation = self.index.generation
-        clone.index._vectors = {k: v for k, v in self.index._vectors.items()}
-        clone.index._tokens = dict(self.index._tokens)
-        clone.index._tombstones = set(self.index._tombstones)
+        clone.index = self.index.copy()
         return clone

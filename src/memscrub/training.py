@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -59,9 +59,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.x.shape[0]
-
-    def subset(self, idx) -> "Dataset":
-        return Dataset(self.x[idx], self.y[idx])
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -45,6 +46,19 @@ class TestAuditChain:
         rec["payload_digest"] = ("0" if digest[0] != "0" else "1") + digest[1:]
         lines[bad_index] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
         result = verify_lines(lines)
+        assert not result.ok
+        assert result.first_bad_index == bad_index
+
+    @pytest.mark.parametrize("bad_index", [0, 17, 39])
+    def test_tampered_in_memory_record_reports_first_bad_index(self, bad_index):
+        log = AuditLog()
+        for i in range(40):
+            log.append(AuditOp.WRITE, {"i": i})
+        record = log.records[bad_index]
+        digest = record.payload_digest
+        flipped = ("0" if digest[0] != "0" else "1") + digest[1:]
+        log.records[bad_index] = dataclasses.replace(record, payload_digest=flipped)
+        result = log.verify()
         assert not result.ok
         assert result.first_bad_index == bad_index
 

@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -128,6 +129,25 @@ class TestAuditVerify:
             audit.write_text(original)
 
 
+class TestDamagedStore:
+    @pytest.mark.parametrize("name, damage", [
+        ("blocklist.jsonl", lambda lines: lines[:1]),
+        ("index.jsonl", lambda lines: lines[:1]),
+        ("edges.jsonl", lambda lines: lines + ['{"child":9999,"parent":0}']),
+        ("model.jsonl", lambda lines: ["memscrub-model v0"] + lines[1:]),
+    ])
+    def test_load_error_names_the_file(self, pipeline, tmp_path, capsys, name, damage):
+        _, store = pipeline
+        copy = tmp_path / "store"
+        shutil.copytree(store, copy)
+        path = copy / name
+        path.write_text("\n".join(damage(path.read_text().splitlines())) + "\n")
+        code = main(["query", "--store", str(copy), "--text", "what remedy"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and name in err
+
+
 @pytest.fixture(scope="module")
 def unlearned(tmp_path_factory):
     root = tmp_path_factory.mktemp("unlearn")
@@ -221,7 +241,7 @@ class TestConfig:
             load_config(path)
 
     def test_snapshot_round_trip(self, tmp_path):
-        from memscrub.cli import save_config_snapshot
+        from memscrub.config import save_config_snapshot
 
         cfg = RunConfig(lambda_f=3.0, tau=42, h_min=None)
         save_config_snapshot(tmp_path, cfg)

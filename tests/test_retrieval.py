@@ -67,6 +67,40 @@ class TestIndexMembership:
         assert index.search(HybridQuery("anything"), allow_all) == []
 
 
+class TestCopyAndPurge:
+    def test_copy_shares_no_mutable_state(self, index):
+        for i in range(6):
+            index.insert(i, f"doc {i} river")
+        index.remove(2)
+        clone = index.copy()
+        assert clone.to_lines() == index.to_lines()
+        assert clone.live_ids() == index.live_ids()
+
+        clone.insert(9, "doc 9 river")
+        clone.remove(0)
+        clone.purge([1])
+        assert index.live_ids() == [0, 1, 3, 4, 5]
+        assert 2 not in index and index.generation == 0
+        index.remove(3)
+        assert clone.live_ids() == [3, 4, 5, 9]
+        with pytest.raises(ValueError):
+            clone._vectors[4][0] = 1.0  # stored vectors are read-only
+
+    def test_purge_drops_ids_and_every_tombstone(self, index):
+        for i in range(8):
+            index.insert(i, f"doc {i} river")
+        index.remove(1)
+        index.remove(5)
+        generation = index.generation
+        index.purge([2, 3])
+        assert index.live_ids() == [0, 4, 6, 7]
+        assert len(index) == 4
+        assert all('"tombstone":true' not in line for line in index.to_lines())
+        assert index.generation == generation + 1
+        hits = index.search(HybridQuery("doc river", top_k=8), allow_all)
+        assert sorted(h.node_id for h in hits) == [0, 4, 6, 7]
+
+
 class TestSearch:
     def test_weight_fusion_arithmetic(self, index):
         # Construct sem=1/kw=0 vs sem=0/kw=1 by querying with matching text.
