@@ -32,9 +32,13 @@ def content_digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def canonical_json(value) -> str:
+    """The one JSON form of store files, metrics and audit digests: sorted keys, no spaces."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
 def payload_digest(payload: dict) -> str:
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
 
 def _record_hash(seq: int, op: str, digest: str, prev_hash: str) -> str:
@@ -56,13 +60,13 @@ class AuditRecord:
     record_hash: str
 
     def to_line(self) -> str:
-        return json.dumps({
+        return canonical_json({
             "seq": self.seq,
             "op": self.op.value,
             "payload_digest": self.payload_digest,
             "prev_hash": self.prev_hash,
             "record_hash": self.record_hash,
-        }, sort_keys=True, separators=(",", ":"))
+        })
 
     @classmethod
     def from_line(cls, line: str) -> "AuditRecord":
@@ -208,13 +212,11 @@ class Blocklist:
     # Line-delimited persistence -------------------------------------------------
 
     def to_lines(self) -> list:
-        lines = [json.dumps({"generation": self.generation},
-                            sort_keys=True, separators=(",", ":"))]
+        lines = [canonical_json({"generation": self.generation})]
         for t in sorted(self._entries):
-            lines.append(json.dumps({"id": t, "index_generation": self._entries[t]},
-                                    sort_keys=True, separators=(",", ":")))
+            lines.append(canonical_json({"id": t, "index_generation": self._entries[t]}))
         for d in sorted(self.digests):
-            lines.append(json.dumps({"digest": d}, sort_keys=True, separators=(",", ":")))
+            lines.append(canonical_json({"digest": d}))
         return lines
 
     @classmethod

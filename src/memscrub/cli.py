@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import corpus as corpus_mod
-from .audit import verify_lines
+from .audit import canonical_json, verify_lines
 from .config import RunConfig, load_config, save_config_snapshot
 from .corpus import Provenance, split_items, to_dataset
 from .evaluation import (
@@ -33,6 +33,7 @@ from .store import (
     PROVENANCE_HEADER,
     MemoryStore,
     load_model,
+    parse_lines,
     read_lines,
     save_model,
     store_lock,
@@ -41,12 +42,8 @@ from .store import (
 from .training import ModelState, model_accuracy, pretrain, train_unlearn
 
 
-def _json(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
-
-
 def _emit(record: dict) -> None:
-    sys.stdout.write(_json(record) + "\n")
+    sys.stdout.write(canonical_json(record) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -68,23 +65,19 @@ def _resolve_config(args) -> RunConfig:
 
 
 def _load_store_context(store_dir: Path, cfg: RunConfig):
-    store = MemoryStore.load(store_dir, settings=cfg.retrieval_settings())
+    store = MemoryStore.load(store_dir, settings=cfg)
     model = load_model(store_dir)
-    items = corpus_mod.corpus_from_lines(read_lines(store_dir / "corpus.jsonl"))
-    prov = Provenance.from_lines(read_lines(store_dir / "provenance.jsonl", PROVENANCE_HEADER))
+    items = parse_lines(corpus_mod.corpus_from_lines, (store_dir / "corpus.jsonl", None))
+    prov = parse_lines(Provenance.from_lines,
+                       (store_dir / "provenance.jsonl", PROVENANCE_HEADER))
     agent = AgentState(store=store, model=model, feature_dim=cfg.feature_dim,
                        confidence_threshold=cfg.confidence_threshold)
     return agent, items, prov
 
 
-def _save_store_context(store_dir: Path, agent: AgentState) -> None:
-    agent.store.save(store_dir)
-    save_model(store_dir, agent.model)
-
-
 def _write_metrics(store_dir: Path, name: str, records) -> list:
     """Write ``records`` as ``metrics/<name>`` in the store; returns the JSON lines."""
-    lines = [_json(r) for r in records]
+    lines = [canonical_json(r) for r in records]
     metrics_dir = store_dir / "metrics"
     metrics_dir.mkdir(exist_ok=True)
     write_lines(metrics_dir / name, None, lines)
@@ -111,9 +104,9 @@ def cmd_gen_corpus(args) -> int:
 def cmd_store(args) -> int:
     cfg = _resolve_config(args)
     store_dir = Path(args.store)
-    items = corpus_mod.corpus_from_lines(read_lines(args.corpus))
+    items = parse_lines(corpus_mod.corpus_from_lines, (args.corpus, None))
     with store_lock(store_dir):
-        store = MemoryStore(settings=cfg.retrieval_settings())
+        store = MemoryStore(settings=cfg)
         prov = corpus_mod.populate_store(store, items)
         model = ModelState.init(cfg.feature_dim, cfg.hidden_dim, len(corpus_mod.CHOICES),
                                 seed=cfg.seed, ref_seed=cfg.seed + 7919)
@@ -135,7 +128,7 @@ def cmd_store(args) -> int:
 def cmd_query(args) -> int:
     cfg = _resolve_config(args)
     agent, _, _ = _load_store_context(Path(args.store), cfg)
-    hits = agent.store.search(args.text, top_k=args.top_k)
+    hits = agent.store.search(args.text)
     for hit in hits:
         _emit({
             "id": hit.node_id,
@@ -163,8 +156,9 @@ def cmd_unlearn(args) -> int:
     with store_lock(store_dir):
         agent, items, _ = _load_store_context(store_dir, cfg)
         retain = to_dataset(split_items(items, "retain"), cfg.feature_dim)
-        report = run_protocol(agent, request, retain, cfg.unlearn_config())
-        _save_store_context(store_dir, agent)
+        report = run_protocol(agent, request, retain, cfg)
+        agent.store.save(store_dir)
+        save_model(store_dir, agent.model)
         _write_metrics(store_dir, f"unlearn_{request.request_id}.jsonl", report.training)
     _emit({"command": "unlearn", **report.to_record()})
     return 0
@@ -208,7 +202,7 @@ def cmd_train(args) -> int:
         agent, items, _ = _load_store_context(store_dir, cfg)
         retain = to_dataset(split_items(items, "retain"), cfg.feature_dim)
         forget = to_dataset(split_items(items, "forget"), cfg.feature_dim)
-        history = train_unlearn(retain, forget, agent.model, cfg.unlearn_config())
+        history = train_unlearn(retain, forget, agent.model, cfg)
         save_model(store_dir, agent.model)
         _write_metrics(store_dir, "train.jsonl", history)
     for m in history:
@@ -242,10 +236,8 @@ def cmd_eval(args) -> int:
     }]
     mem = memory_accuracy(agent, forget, retain)
     rows.append({"method": "memory_grounded", **mem})
-    if not args.skip_baselines:
-        for report in memory_baselines(agent.store, prov, items, agent.model,
-                                       feature_dim=cfg.feature_dim):
-            rows.append(report.to_record())
+    rows.extend(report.to_record() for report in memory_baselines(
+        agent.store, prov, items, agent.model, feature_dim=cfg.feature_dim))
 
     for line in _write_metrics(store_dir, "eval.jsonl", rows):
         sys.stdout.write(line + "\n")
@@ -258,7 +250,7 @@ def cmd_run_loop(args) -> int:
         seed=cfg.seed, n_topics=cfg.n_topics, items_per_topic=cfg.items_per_topic,
         forget_fraction=cfg.forget_fraction, holdout_per_topic=cfg.holdout_per_topic,
     )
-    store = MemoryStore(settings=cfg.retrieval_settings())
+    store = MemoryStore(settings=cfg)
     scenario = LoopScenario(
         forget_items=split_items(items, "forget"),
         retain_items=split_items(items, "retain"),
@@ -330,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", parents=[common])
     p.add_argument("--store", type=Path, required=True)
-    p.add_argument("--skip-baselines", action="store_true")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("run-loop", parents=[common])

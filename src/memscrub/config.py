@@ -1,9 +1,13 @@
 """Flat key-value configuration with documented defaults.
 
-Precedence: command-line flags > one config file > defaults. The CLI
-reads the ``--config`` file if one is given and otherwise the store's
-``config.cfg`` snapshot: a ``--config`` file replaces the snapshot, it
-does not layer over it. Unknown keys in a config file are rejected. All
+The config keys are the fields of ``RetrievalSettings`` (memory pathway)
+and ``UnlearnConfig`` (parameter pathway), declared once there, plus the
+model, corpus and agent keys declared here. Precedence: command-line
+flags > one config file > defaults. The CLI reads the ``--config`` file
+if one is given and otherwise the store's ``config.cfg`` snapshot: a
+``--config`` file replaces the snapshot, it does not layer over it.
+Unknown keys in a config file are rejected, and so are invalid training
+values (``UnlearnConfig`` checks them when the config is read). All
 randomness in a run flows from the single ``seed`` key.
 """
 
@@ -18,23 +22,8 @@ from .training import UnlearnConfig
 
 
 @dataclass
-class RunConfig:
-    # Retrieval
-    top_k: int = 5
-    oversample_r: int = 3
-    w_sem: float = 0.7
-    w_kw: float = 0.3
-    tau: int = 100
-    embed_dim: int = 256
-    # Parameter unlearning
-    lambda_f: float = 1.5
-    temperature: float = 2.0
-    lr: float = 0.5
-    epochs: int = 40
-    entropy_fallback: bool = True
-    h_min: Optional[float] = None
-    batch_size: int = 16
-    # Model / corpus
+class RunConfig(UnlearnConfig, RetrievalSettings):
+    # Fields: RetrievalSettings', UnlearnConfig's, then model / corpus / agent (config.cfg order)
     feature_dim: int = 256
     hidden_dim: int = 64
     pretrain_epochs: int = 120
@@ -44,29 +33,10 @@ class RunConfig:
     forget_fraction: float = 0.25
     holdout_per_topic: int = 4
     confidence_threshold: float = 0.5
-    seed: int = 0
 
     def retrieval_settings(self) -> RetrievalSettings:
-        return RetrievalSettings(
-            top_k=self.top_k,
-            oversample_r=self.oversample_r,
-            w_sem=self.w_sem,
-            w_kw=self.w_kw,
-            tau=self.tau,
-            embed_dim=self.embed_dim,
-        )
-
-    def unlearn_config(self) -> UnlearnConfig:
-        return UnlearnConfig(
-            lambda_f=self.lambda_f,
-            temperature=self.temperature,
-            lr=self.lr,
-            epochs=self.epochs,
-            entropy_fallback=self.entropy_fallback,
-            h_min=self.h_min,
-            batch_size=self.batch_size,
-            seed=self.seed,
-        )
+        return RetrievalSettings(**{f.name: getattr(self, f.name)
+                                    for f in fields(RetrievalSettings)})
 
     def pretrain_config(self) -> UnlearnConfig:
         return UnlearnConfig(
@@ -79,7 +49,7 @@ class RunConfig:
         )
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+_KEYS = {f.name for f in fields(RunConfig)}
 
 
 def _coerce(key: str, raw: str):
@@ -111,13 +81,13 @@ def load_config(path=None, overrides: Optional[dict] = None) -> RunConfig:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, _, raw = line.partition("=")
             key = key.strip()
-            if key not in _FIELD_TYPES:
+            if key not in _KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             values[key] = _coerce(key, raw.strip())
     for key, value in (overrides or {}).items():
         if value is None:
             continue
-        if key not in _FIELD_TYPES:
+        if key not in _KEYS:
             raise ValueError(f"unknown config key {key!r}")
         values[key] = value
     return RunConfig(**values)

@@ -21,7 +21,9 @@ from typing import Iterable
 
 import numpy as np
 
+from .audit import canonical_json
 from .graph import Layer
+from .retrieval import tokenize
 from .training import Dataset
 
 CHOICES = ("alder", "briar", "cedar", "damson")
@@ -106,9 +108,7 @@ def _token_slot(token: str, dim: int) -> int:
     return int.from_bytes(hashlib.sha256(token.encode("utf-8")).digest()[:8], "big") % dim
 
 
-def featurize(text: str, dim: int = 256) -> np.ndarray:
-    from .retrieval import tokenize
-
+def featurize(text: str, dim: int) -> np.ndarray:
     vec = np.zeros(dim)
     for token in tokenize(text):
         vec[_token_slot(token, dim)] += 1.0
@@ -116,7 +116,7 @@ def featurize(text: str, dim: int = 256) -> np.ndarray:
     return vec / norm if norm else vec
 
 
-def to_dataset(items: Iterable[QAItem], dim: int = 256) -> Dataset:
+def to_dataset(items: Iterable[QAItem], dim: int) -> Dataset:
     items = list(items)
     x = np.stack([featurize(it.question, dim) for it in items]) if items else np.zeros((0, dim))
     y = np.array([it.answer_idx for it in items], dtype=int)
@@ -128,7 +128,7 @@ def to_dataset(items: Iterable[QAItem], dim: int = 256) -> Dataset:
 # ---------------------------------------------------------------------------
 
 def corpus_lines(items: Iterable[QAItem]) -> list:
-    return [json.dumps(it.to_record(), sort_keys=True, separators=(",", ":")) for it in items]
+    return [canonical_json(it.to_record()) for it in items]
 
 
 def corpus_from_lines(lines: Iterable[str]) -> list:
@@ -184,7 +184,7 @@ class Provenance:
 
     def to_lines(self) -> list:
         return [
-            json.dumps({"item_id": k, "node_id": v}, sort_keys=True, separators=(",", ":"))
+            canonical_json({"item_id": k, "node_id": v})
             for k, v in sorted(self.item_to_node.items())
         ]
 

@@ -233,7 +233,7 @@ def _naive_delete(store: MemoryStore, targets) -> None:
             )
 
 
-def build_oracle_store(items, settings=None, embedder=None) -> "tuple[MemoryStore, Provenance]":
+def build_oracle_store(items, settings, embedder) -> "tuple[MemoryStore, Provenance]":
     """Retraining oracle: a store reconstructed from the retain split only."""
     store = MemoryStore(settings=settings, embedder=embedder)
     retained = [it for it in items if it.split == "retain"]

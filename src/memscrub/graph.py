@@ -15,6 +15,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
+from .audit import AuditOp, canonical_json, content_digest
+
 
 class Layer(str, enum.Enum):
     EPISODIC = "episodic"
@@ -150,8 +152,6 @@ class MemoryGraph:
         self._next_seq += 1
 
         if self.audit is not None:
-            from .audit import AuditOp, content_digest
-
             self.audit.append(AuditOp.WRITE, {
                 "id": node_id,
                 "layer": layer.value,
@@ -333,7 +333,7 @@ class MemoryGraph:
 
     def node_lines(self) -> list:
         return [
-            json.dumps(self.nodes[i].to_record(), sort_keys=True, separators=(",", ":"))
+            canonical_json(self.nodes[i].to_record())
             for i in sorted(self.nodes)
         ]
 
@@ -341,8 +341,7 @@ class MemoryGraph:
         lines = []
         for child in sorted(self._parents):
             for parent in self._parents[child]:
-                lines.append(json.dumps({"child": child, "parent": parent},
-                                        sort_keys=True, separators=(",", ":")))
+                lines.append(canonical_json({"child": child, "parent": parent}))
         return lines
 
     @classmethod

@@ -18,6 +18,7 @@ import numpy as np
 from .audit import AuditOp
 from .corpus import CHOICES, answer_idx_of, choice_in, featurize, question_of
 from .graph import ForgetRequest, Layer
+from .retrieval import tokenize
 from .store import MemoryPhaseReport, MemoryStore
 from .training import (
     Dataset,
@@ -42,7 +43,7 @@ class AgentState:
 
     store: MemoryStore
     model: ModelState
-    feature_dim: int = 256
+    feature_dim: int
     confidence_threshold: float = 0.5
 
     def parametric_distribution(self, question: str) -> np.ndarray:
@@ -177,8 +178,6 @@ def _exposing_hits(agent: AgentState, question: str, answer_text: str) -> set:
 
 
 def _mentions_question(content: str, question: str) -> bool:
-    from .retrieval import tokenize
-
     qtokens = set(tokenize(question))
     ctokens = set(tokenize(content))
     # Strict majority: stock phrasing shared by every question is not

@@ -13,11 +13,11 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Protocol
+from typing import Callable
 
 import numpy as np
 
-from .audit import AuditLog, AuditOp, Blocklist
+from .audit import AuditLog, AuditOp, Blocklist, canonical_json
 from .graph import UnknownNodeError
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
@@ -35,12 +35,6 @@ def keyword_score(query_tokens, doc_tokens) -> float:
     return len(qset & set(doc_tokens)) / len(qset)
 
 
-class EmbeddingProvider(Protocol):
-    dim: int
-
-    def embed(self, text: str) -> np.ndarray: ...
-
-
 class HashingEmbedder:
     """Deterministic embedder: per-token SHA-seeded gaussian vectors, unit norm.
 
@@ -48,7 +42,7 @@ class HashingEmbedder:
     process or platform, which keeps stores byte-reproducible.
     """
 
-    def __init__(self, dim: int = 256):
+    def __init__(self, dim: int):
         self.dim = dim
         self._token_cache: dict[str, np.ndarray] = {}
 
@@ -107,7 +101,7 @@ class RebuildResult:
 class HybridIndex:
     """Exact-scoring hybrid index over memory contents."""
 
-    def __init__(self, embedder: EmbeddingProvider, tau: int = 100):
+    def __init__(self, embedder: HashingEmbedder, tau: int):
         self.embedder = embedder
         self.tau = tau
         self.generation = 0
@@ -204,16 +198,13 @@ class HybridIndex:
     # Persistence: membership only; vectors are recomputed from content on load.
 
     def to_lines(self) -> list:
-        lines = [json.dumps({"generation": self.generation},
-                            sort_keys=True, separators=(",", ":"))]
+        lines = [canonical_json({"generation": self.generation})]
         for node_id in sorted(self._vectors):
-            lines.append(json.dumps(
-                {"id": node_id, "tombstone": node_id in self._tombstones},
-                sort_keys=True, separators=(",", ":")))
+            lines.append(canonical_json({"id": node_id, "tombstone": node_id in self._tombstones}))
         return lines
 
     @classmethod
-    def from_lines(cls, lines, embedder: EmbeddingProvider, tau: int,
+    def from_lines(cls, lines, embedder: HashingEmbedder, tau: int,
                    content_for: Callable[[int], str]) -> "HybridIndex":
         lines = list(lines)
         index = cls(embedder, tau=tau)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .audit import AuditLog, AuditOp, Blocklist, content_digest
+from .audit import AuditLog, AuditOp, Blocklist, canonical_json, content_digest
 from .graph import (
     ForgetRequest,
     Layer,
@@ -29,7 +29,8 @@ from .graph import (
 from .retrieval import HashingEmbedder, HybridIndex, HybridQuery
 from .training import ModelState
 
-# The files MemoryStore.save writes, with their version headers.
+# The files MemoryStore.save writes, with their version headers, in the
+# order MemoryStore.load unpacks them.
 FILE_HEADERS = {
     "nodes.jsonl": "memscrub-nodes v1",
     "edges.jsonl": "memscrub-edges v1",
@@ -58,14 +59,31 @@ def read_lines(path: Path, header=None) -> list:
     return lines[1:]
 
 
+def parse_lines(build, *files):
+    """``build(*lines)`` over the ``(path, header)`` pairs in ``files``.
+
+    A wrong header, or a record ``build`` cannot parse, is a ValueError
+    naming the file, which the CLI reports as ``error: <file>: …``.
+    """
+    lines = [read_lines(path, header) for path, header in files]
+    try:
+        return build(*lines)
+    except (IndexError, KeyError, TypeError, ValueError) as exc:
+        names = ", ".join(str(path) for path, _ in files)
+        raise ValueError(f"{names}: malformed file: {exc!r}") from exc
+
+
 def save_model(store_dir: Path, model: ModelState) -> None:
-    line = json.dumps(model.to_record(), sort_keys=True, separators=(",", ":"))
-    write_lines(Path(store_dir) / "model.jsonl", MODEL_HEADER, [line])
+    write_lines(Path(store_dir) / "model.jsonl", MODEL_HEADER,
+                [canonical_json(model.to_record())])
 
 
 def load_model(store_dir: Path) -> ModelState:
-    (line,) = read_lines(Path(store_dir) / "model.jsonl", MODEL_HEADER)
-    return ModelState.from_record(json.loads(line))
+    def build(lines):
+        (line,) = lines
+        return ModelState.from_record(json.loads(line))
+
+    return parse_lines(build, (Path(store_dir) / "model.jsonl", MODEL_HEADER))
 
 
 @contextlib.contextmanager
@@ -151,12 +169,11 @@ class MemoryStore:
         node = self.graph.nodes.get(node_id)
         return node is not None and node.status is Status.ACTIVE
 
-    def search(self, text: str, top_k: Optional[int] = None,
-               oversample_r: Optional[int] = None) -> list:
+    def search(self, text: str) -> list:
         query = HybridQuery(
             text=text,
-            top_k=top_k if top_k is not None else self.settings.top_k,
-            oversample_r=oversample_r if oversample_r is not None else self.settings.oversample_r,
+            top_k=self.settings.top_k,
+            oversample_r=self.settings.oversample_r,
             w_sem=self.settings.w_sem,
             w_kw=self.settings.w_kw,
         )
@@ -243,28 +260,18 @@ class MemoryStore:
             write_lines(directory / name, FILE_HEADERS[name], lines)
 
     @classmethod
-    def load(cls, directory, settings: Optional[RetrievalSettings] = None,
-             embedder=None) -> "MemoryStore":
-        directory = Path(directory)
-        store = cls(settings=settings, embedder=embedder)
-
-        def parse(names, build):
-            # A truncated or inconsistent file is a ValueError naming the file.
-            lines = [read_lines(directory / name, FILE_HEADERS[name]) for name in names]
-            try:
-                return build(*lines)
-            except (IndexError, KeyError, TypeError, ValueError) as exc:
-                files = ", ".join(str(directory / name) for name in names)
-                raise ValueError(f"{files}: malformed store file: {exc!r}") from exc
-
-        store.audit = parse(["audit.jsonl"], AuditLog.from_lines)
-        store.graph = parse(["nodes.jsonl", "edges.jsonl"], lambda nodes, edges:
-                            MemoryGraph.from_lines(nodes, edges, audit=store.audit))
-        store.blocklist = parse(["blocklist.jsonl"], Blocklist.from_lines)
-        store.index = parse(["index.jsonl"], lambda index: HybridIndex.from_lines(
-            index, store.embedder, tau=store.settings.tau,
+    def load(cls, directory, settings: Optional[RetrievalSettings] = None) -> "MemoryStore":
+        store = cls(settings=settings)
+        nodes, edges, blocklist, audit, index = (
+            (Path(directory) / name, header) for name, header in FILE_HEADERS.items())
+        store.audit = parse_lines(AuditLog.from_lines, audit)
+        store.graph = parse_lines(lambda node_lines, edge_lines: MemoryGraph.from_lines(
+            node_lines, edge_lines, audit=store.audit), nodes, edges)
+        store.blocklist = parse_lines(Blocklist.from_lines, blocklist)
+        store.index = parse_lines(lambda lines: HybridIndex.from_lines(
+            lines, store.embedder, tau=store.settings.tau,
             content_for=lambda i: store.graph.node(i).content,
-        ))
+        ), index)
         return store
 
     def copy(self) -> "MemoryStore":

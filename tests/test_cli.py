@@ -86,6 +86,15 @@ class TestQuery:
         assert rows
         assert all({"id", "combined", "content"} <= set(r) for r in rows)
 
+    def test_top_k_flag_limits_hits(self, pipeline, capsys):
+        _, store = pipeline
+        items, _ = load_context(store)
+        question = next(it["question"] for it in items if it["split"] == "retain")
+        code, rows = run_cli(capsys, "query", "--store", str(store), "--text", question,
+                             "--top-k", "2")
+        assert code == 0
+        assert len(rows) == 2 and all("id" in r for r in rows)
+
     def test_no_hits_emits_empty_marker(self, tmp_path, pipeline, capsys):
         _, store = pipeline
         code, rows = run_cli(capsys, "query", "--store", str(store),
@@ -135,6 +144,12 @@ class TestDamagedStore:
         ("index.jsonl", lambda lines: lines[:1]),
         ("edges.jsonl", lambda lines: lines + ['{"child":9999,"parent":0}']),
         ("model.jsonl", lambda lines: ["memscrub-model v0"] + lines[1:]),
+        pytest.param("corpus.jsonl", lambda lines: ['{"item_id":"x"}'] + lines[1:],
+                     id="corpus.jsonl-missing-fields"),
+        pytest.param("provenance.jsonl", lambda lines: lines + ['{"item_id":"x"}'],
+                     id="provenance.jsonl-no-node-id"),
+        pytest.param("model.jsonl", lambda lines: lines[:1] + ['{"params":{},"ref_params":{}}'],
+                     id="model.jsonl-no-w1"),
     ])
     def test_load_error_names_the_file(self, pipeline, tmp_path, capsys, name, damage):
         _, store = pipeline
@@ -146,6 +161,14 @@ class TestDamagedStore:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: ") and name in err
+
+    def test_store_rejects_malformed_corpus(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text('{"item_id":"x"}\n')
+        code = main(["store", "--corpus", str(corpus), "--store", str(tmp_path / "store")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "corpus.jsonl" in err
 
 
 @pytest.fixture(scope="module")
@@ -239,6 +262,16 @@ class TestConfig:
         path.write_text("just words\n")
         with pytest.raises(ValueError):
             load_config(path)
+
+    def test_zero_temperature_in_file_rejected(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("temperature = 0\n")
+        with pytest.raises(ValueError, match="temperature"):
+            load_config(path)
+
+    def test_negative_epochs_flag_rejected(self):
+        with pytest.raises(ValueError, match="epochs"):
+            load_config(None, {"epochs": -1})
 
     def test_snapshot_round_trip(self, tmp_path):
         from memscrub.config import save_config_snapshot
