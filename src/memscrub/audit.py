@@ -9,12 +9,14 @@ so the log cannot re-expose forgotten text.
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Optional
 
 ZERO_HASH = "0" * 64
+_fields_of = functools.cache(fields)  # per-record ``fields`` tuples pile up on the tuple free list
 
 
 class AuditOp(str, enum.Enum):
@@ -35,6 +37,14 @@ def content_digest(text: str) -> str:
 def canonical_json(value) -> str:
     """The one JSON form of store files, metrics and audit digests: sorted keys, no spaces."""
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def record_of(obj) -> dict:
+    """A dataclass's fields as a dict, the schema of its stored record.
+
+    No value is copied (``asdict`` deep-copies every value) and no
+    ``__dict__`` is materialized on the instance (``vars`` does)."""
+    return {f.name: getattr(obj, f.name) for f in _fields_of(type(obj))}
 
 
 def payload_digest(payload: dict) -> str:
@@ -60,24 +70,12 @@ class AuditRecord:
     record_hash: str
 
     def to_line(self) -> str:
-        return canonical_json({
-            "seq": self.seq,
-            "op": self.op.value,
-            "payload_digest": self.payload_digest,
-            "prev_hash": self.prev_hash,
-            "record_hash": self.record_hash,
-        })
+        return canonical_json(record_of(self))
 
     @classmethod
     def from_line(cls, line: str) -> "AuditRecord":
         rec = json.loads(line)
-        return cls(
-            seq=rec["seq"],
-            op=AuditOp(rec["op"]),
-            payload_digest=rec["payload_digest"],
-            prev_hash=rec["prev_hash"],
-            record_hash=rec["record_hash"],
-        )
+        return cls(**{**rec, "op": AuditOp(rec["op"])})
 
 
 @dataclass(frozen=True)

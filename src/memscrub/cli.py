@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import corpus as corpus_mod
-from .audit import canonical_json, verify_lines
+from .audit import canonical_json, record_of, verify_lines
 from .config import RunConfig, load_config, save_config_snapshot
 from .corpus import Provenance, split_items, to_dataset
 from .evaluation import (
@@ -84,16 +84,19 @@ def _write_metrics(store_dir: Path, name: str, records) -> list:
     return lines
 
 
+def _generate_corpus(cfg: RunConfig) -> list:
+    return corpus_mod.generate_corpus(
+        seed=cfg.seed, n_topics=cfg.n_topics, items_per_topic=cfg.items_per_topic,
+        forget_fraction=cfg.forget_fraction, holdout_per_topic=cfg.holdout_per_topic,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 def cmd_gen_corpus(args) -> int:
-    cfg = _resolve_config(args)
-    items = corpus_mod.generate_corpus(
-        seed=cfg.seed, n_topics=cfg.n_topics, items_per_topic=cfg.items_per_topic,
-        forget_fraction=cfg.forget_fraction, holdout_per_topic=cfg.holdout_per_topic,
-    )
+    items = _generate_corpus(_resolve_config(args))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_lines(out, None, corpus_mod.corpus_lines(items))
@@ -143,10 +146,13 @@ def cmd_query(args) -> int:
 
 
 def _read_request(path: Path) -> ForgetRequest:
-    rec = json.loads(Path(path).read_text(encoding="utf-8"))
-    if "request_id" not in rec or "targets" not in rec:
-        raise SystemExit(f"{path}: request file needs 'request_id' and 'targets'")
-    return ForgetRequest.of(rec["request_id"], rec["targets"])
+    def build(lines):
+        rec = json.loads("\n".join(lines))
+        if not isinstance(rec["targets"], list):
+            raise TypeError("'targets' must be a JSON list of node ids")
+        return ForgetRequest.of(rec["request_id"], rec["targets"])
+
+    return parse_lines(build, (path, None))
 
 
 def cmd_unlearn(args) -> int:
@@ -236,7 +242,7 @@ def cmd_eval(args) -> int:
     }]
     mem = memory_accuracy(agent, forget, retain)
     rows.append({"method": "memory_grounded", **mem})
-    rows.extend(report.to_record() for report in memory_baselines(
+    rows.extend(record_of(report) for report in memory_baselines(
         agent.store, prov, items, agent.model, feature_dim=cfg.feature_dim))
 
     for line in _write_metrics(store_dir, "eval.jsonl", rows):
@@ -246,10 +252,7 @@ def cmd_eval(args) -> int:
 
 def cmd_run_loop(args) -> int:
     cfg = _resolve_config(args)
-    items = corpus_mod.generate_corpus(
-        seed=cfg.seed, n_topics=cfg.n_topics, items_per_topic=cfg.items_per_topic,
-        forget_fraction=cfg.forget_fraction, holdout_per_topic=cfg.holdout_per_topic,
-    )
+    items = _generate_corpus(cfg)
     store = MemoryStore(settings=cfg)
     scenario = LoopScenario(
         forget_items=split_items(items, "forget"),
@@ -257,12 +260,7 @@ def cmd_run_loop(args) -> int:
     )
     timeline = run_agent_loop(store, scenario)
     for stage in timeline.stages:
-        _emit({
-            "stage": stage.stage,
-            "label": stage.label,
-            "forget_hit_rate": stage.forget_hit_rate,
-            "retain_hit_rate": stage.retain_hit_rate,
-        })
+        _emit(record_of(stage))
     _emit({
         "summary_updates": timeline.summary_updates,
         "cleanup_ratio": timeline.cleanup_ratio,
@@ -285,43 +283,39 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--temperature", type=float, default=None)
     common.add_argument("--tau", type=int, default=None)
 
+    store_arg = argparse.ArgumentParser(add_help=False)
+    store_arg.add_argument("--store", type=Path, required=True)
+
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-corpus", parents=[common])
     p.add_argument("--out", type=Path, required=True)
     p.set_defaults(func=cmd_gen_corpus)
 
-    p = sub.add_parser("store", parents=[common])
+    p = sub.add_parser("store", parents=[common, store_arg])
     p.add_argument("--corpus", type=Path, required=True)
-    p.add_argument("--store", type=Path, required=True)
     p.set_defaults(func=cmd_store)
 
-    p = sub.add_parser("query", parents=[common])
-    p.add_argument("--store", type=Path, required=True)
+    p = sub.add_parser("query", parents=[common, store_arg])
     p.add_argument("--text", required=True)
     p.add_argument("--top-k", dest="top_k", type=int, default=None)
     p.set_defaults(func=cmd_query)
 
-    p = sub.add_parser("unlearn", parents=[common])
-    p.add_argument("--store", type=Path, required=True)
+    p = sub.add_parser("unlearn", parents=[common, store_arg])
     p.add_argument("--request", type=Path, required=True)
     p.set_defaults(func=cmd_unlearn)
 
-    p = sub.add_parser("probe", parents=[common])
-    p.add_argument("--store", type=Path, required=True)
+    p = sub.add_parser("probe", parents=[common, store_arg])
     p.add_argument("--id", type=int, required=True)
     p.set_defaults(func=cmd_probe)
 
-    p = sub.add_parser("audit-verify", parents=[common])
-    p.add_argument("--store", type=Path, required=True)
+    p = sub.add_parser("audit-verify", parents=[common, store_arg])
     p.set_defaults(func=cmd_audit_verify)
 
-    p = sub.add_parser("train", parents=[common])
-    p.add_argument("--store", type=Path, required=True)
+    p = sub.add_parser("train", parents=[common, store_arg])
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", parents=[common])
-    p.add_argument("--store", type=Path, required=True)
+    p = sub.add_parser("eval", parents=[common, store_arg])
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("run-loop", parents=[common])

@@ -7,8 +7,9 @@ flags > one config file > defaults. The CLI reads the ``--config`` file
 if one is given and otherwise the store's ``config.cfg`` snapshot: a
 ``--config`` file replaces the snapshot, it does not layer over it.
 Unknown keys in a config file are rejected, and so are invalid training
-values (``UnlearnConfig`` checks them when the config is read). All
-randomness in a run flows from the single ``seed`` key.
+and retrieval values (``UnlearnConfig`` and ``RetrievalSettings`` check
+them when the config is read). All randomness in a run flows from the
+single ``seed`` key.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
 
+from .audit import record_of
 from .store import CONFIG_HEADER, RetrievalSettings, write_lines
 from .training import UnlearnConfig
 
@@ -33,6 +35,11 @@ class RunConfig(UnlearnConfig, RetrievalSettings):
     forget_fraction: float = 0.25
     holdout_per_topic: int = 4
     confidence_threshold: float = 0.5
+
+    def __post_init__(self):
+        # A dataclass calls only the first __post_init__ in the MRO.
+        UnlearnConfig.__post_init__(self)
+        RetrievalSettings.__post_init__(self)
 
     def retrieval_settings(self) -> RetrievalSettings:
         return RetrievalSettings(**{f.name: getattr(self, f.name)
@@ -95,8 +102,6 @@ def load_config(path=None, overrides: Optional[dict] = None) -> RunConfig:
 
 def save_config_snapshot(store_dir, cfg: RunConfig) -> None:
     """Write every key of ``cfg`` to ``store_dir/config.cfg`` in load_config's format."""
-    lines = []
-    for f in fields(RunConfig):
-        value = getattr(cfg, f.name)
-        lines.append(f"{f.name} = {'none' if value is None else value}")
+    lines = [f"{key} = {'none' if value is None else value}"
+             for key, value in record_of(cfg).items()]
     write_lines(Path(store_dir) / "config.cfg", CONFIG_HEADER, lines)

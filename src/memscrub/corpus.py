@@ -21,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .audit import canonical_json
+from .audit import canonical_json, record_of
 from .graph import Layer
 from .retrieval import tokenize
 from .training import Dataset
@@ -43,19 +43,6 @@ class QAItem:
     def answer_text(self) -> str:
         return CHOICES[self.answer_idx]
 
-    def to_record(self) -> dict:
-        return {
-            "item_id": self.item_id,
-            "split": self.split,
-            "topic": self.topic,
-            "question": self.question,
-            "answer_idx": self.answer_idx,
-        }
-
-    @classmethod
-    def from_record(cls, rec: dict) -> "QAItem":
-        return cls(**rec)
-
 
 def _phrase_tokens(rng: np.random.Generator, count: int = 3) -> list:
     return [f"case{rng.integers(0, 10 ** 6):06d}" for _ in range(count)]
@@ -71,28 +58,19 @@ def generate_corpus(seed: int = 0, n_topics: int = 12, items_per_topic: int = 6,
         topic = f"topic{t:03d}"
         answer_idx = int(rng.integers(0, len(CHOICES)))
         forget_topic = t < n_forget_topics
-        for i in range(items_per_topic):
-            phrases = " ".join(_phrase_tokens(rng))
-            question = f"what remedy suits {topic} presentation {phrases}"
-            split = "forget" if forget_topic else "retain"
-            items.append(QAItem(
-                item_id=f"{topic}-i{i:02d}",
-                split=split,
-                topic=topic,
-                question=question,
-                answer_idx=answer_idx,
-            ))
-        for i in range(holdout_per_topic):
-            phrases = " ".join(_phrase_tokens(rng))
-            question = f"what remedy suits {topic} presentation {phrases}"
-            split = "forget_holdout" if forget_topic else "test"
-            items.append(QAItem(
-                item_id=f"{topic}-h{i:02d}",
-                split=split,
-                topic=topic,
-                question=question,
-                answer_idx=answer_idx,
-            ))
+        for letter, count, split in (
+            ("i", items_per_topic, "forget" if forget_topic else "retain"),
+            ("h", holdout_per_topic, "forget_holdout" if forget_topic else "test"),
+        ):
+            for i in range(count):
+                phrases = " ".join(_phrase_tokens(rng))
+                items.append(QAItem(
+                    item_id=f"{topic}-{letter}{i:02d}",
+                    split=split,
+                    topic=topic,
+                    question=f"what remedy suits {topic} presentation {phrases}",
+                    answer_idx=answer_idx,
+                ))
     return items
 
 
@@ -128,34 +106,35 @@ def to_dataset(items: Iterable[QAItem], dim: int) -> Dataset:
 # ---------------------------------------------------------------------------
 
 def corpus_lines(items: Iterable[QAItem]) -> list:
-    return [canonical_json(it.to_record()) for it in items]
+    return [canonical_json(record_of(it)) for it in items]
 
 
 def corpus_from_lines(lines: Iterable[str]) -> list:
-    return [QAItem.from_record(json.loads(line)) for line in lines]
+    return [QAItem(**json.loads(line)) for line in lines]
 
 
 # ---------------------------------------------------------------------------
 # Store population
 # ---------------------------------------------------------------------------
 
+ANSWER_MARKER = " answer "
+
+
 def episodic_content(item: QAItem) -> str:
-    return f"{item.question} answer {item.answer_text}"
+    return f"{item.question}{ANSWER_MARKER}{item.answer_text}"
 
 
 def question_of(content: str) -> str:
     """Inverse of episodic_content for the question part."""
-    marker = " answer "
-    pos = content.rfind(marker)
+    pos = content.rfind(ANSWER_MARKER)
     return content[:pos] if pos >= 0 else content
 
 
 def answer_idx_of(content: str):
-    marker = " answer "
-    pos = content.rfind(marker)
+    pos = content.rfind(ANSWER_MARKER)
     if pos < 0:
         return None
-    word = content[pos + len(marker):].strip()
+    word = content[pos + len(ANSWER_MARKER):].strip()
     return CHOICES.index(word) if word in CHOICES else None
 
 

@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .corpus import QAItem, Provenance, populate_store, split_items
-from .graph import ForgetRequest, Status
+from .graph import DERIVED_LAYERS, ForgetRequest, Layer, Status
 from .protocol import AgentState
 from .store import MemoryStore
 from .training import Dataset, ModelState, temperature_softmax
@@ -141,41 +141,33 @@ def run_agent_loop(store: MemoryStore, scenario: LoopScenario) -> LoopTimeline:
     prov = populate_store(store, stored)
     timeline.summary_updates = sum(
         1 for i in store.graph.active_view()
-        if store.graph.nodes[i].layer.value == "semantic"
+        if store.graph.nodes[i].layer is Layer.SEMANTIC
     )
     timeline.stages.append(StageReport(stage="T1", label="store"))
     timeline.stages.append(StageReport(stage="T2", label="store"))
 
-    # T3: query both sets.
-    timeline.stages.append(StageReport(
-        stage="T3", label="query",
-        forget_hit_rate=_hit_rate(store, prov, scenario.forget_items),
-        retain_hit_rate=_hit_rate(store, prov, scenario.retain_items),
-    ))
-
-    # T4: deletion request over the forget items.
-    cleanup_ratio = 0.0
-    if scenario.delete:
-        targets = [prov.item_to_node[it.item_id] for it in scenario.forget_items]
-        request = ForgetRequest.of("loop-delete", targets)
-        closure = store.graph.dependency_closure(targets)
-        report = store.forget(request)
-        removed_from_closure = sum(1 for i in report.prune.removed_ids if i in closure)
-        cleanup_ratio = removed_from_closure / len(closure) if closure else 0.0
-    timeline.cleanup_ratio = cleanup_ratio
-    timeline.stages.append(StageReport(
-        stage="T4", label="delete",
-        forget_hit_rate=_hit_rate(store, prov, scenario.forget_items),
-        retain_hit_rate=_hit_rate(store, prov, scenario.retain_items),
-    ))
-
-    # T5-T6: probes.
-    for stage in ("T5", "T6"):
+    def measure(stage: str, label: str) -> None:
         timeline.stages.append(StageReport(
-            stage=stage, label="probe",
+            stage=stage, label=label,
             forget_hit_rate=_hit_rate(store, prov, scenario.forget_items),
             retain_hit_rate=_hit_rate(store, prov, scenario.retain_items),
         ))
+
+    # T3: query both sets.
+    measure("T3", "query")
+
+    # T4: deletion request over the forget items. Targets are never in their
+    # closure, so every node removed inside it is a zero-ref removal.
+    if scenario.delete:
+        targets = [prov.item_to_node[it.item_id] for it in scenario.forget_items]
+        report = store.forget(ForgetRequest.of("loop-delete", targets))
+        if report.closure_size:
+            timeline.cleanup_ratio = report.prune.zero_ref_removed / report.closure_size
+    measure("T4", "delete")
+
+    # T5-T6: probes.
+    measure("T5", "probe")
+    measure("T6", "probe")
     return timeline
 
 
@@ -192,23 +184,13 @@ class MethodReport:
     mia_score: float
     dangling_artifacts: int  # active derived nodes supported only by the forget set
 
-    def to_record(self) -> dict:
-        return {
-            "method": self.method,
-            "forget_acc": self.forget_acc,
-            "retain_acc": self.retain_acc,
-            "mia_auc": self.mia_auc,
-            "mia_score": self.mia_score,
-            "dangling_artifacts": self.dangling_artifacts,
-        }
-
 
 def dangling_artifact_count(store: MemoryStore, target_ids: set) -> int:
     """Active derived nodes whose episodic support lies entirely in the targets."""
     count = 0
     for node_id in store.graph.active_view():
         node = store.graph.nodes[node_id]
-        if node.layer.value not in ("semantic", "reflection", "kg_entity"):
+        if node.layer not in DERIVED_LAYERS:
             continue
         ancestors = store.graph.episodic_ancestors(node_id)
         if ancestors and ancestors <= target_ids:

@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
-from .audit import AuditOp, canonical_json, content_digest
+from .audit import AuditOp, canonical_json, content_digest, record_of
 
 
 class Layer(str, enum.Enum):
@@ -63,26 +63,9 @@ class MemoryNode:
     status: Status
     created_seq: int
 
-    def to_record(self) -> dict:
-        return {
-            "id": self.id,
-            "layer": self.layer.value,
-            "content": self.content,
-            "ref_count": self.ref_count,
-            "status": self.status.value,
-            "created_seq": self.created_seq,
-        }
-
     @classmethod
     def from_record(cls, rec: dict) -> "MemoryNode":
-        return cls(
-            id=rec["id"],
-            layer=Layer(rec["layer"]),
-            content=rec["content"],
-            ref_count=rec["ref_count"],
-            status=Status(rec["status"]),
-            created_seq=rec["created_seq"],
-        )
+        return cls(**{**rec, "layer": Layer(rec["layer"]), "status": Status(rec["status"])})
 
 
 @dataclass(frozen=True)
@@ -196,38 +179,29 @@ class MemoryGraph:
             if self.nodes[node_id].status is Status.ACTIVE:
                 yield node_id
 
+    def _reach(self, starts: Iterable[int], edges: dict) -> set:
+        """Nodes reachable from ``starts`` along ``edges`` (BFS), excluding the starts."""
+        starts = set(starts)
+        for start in starts:
+            self.node(start)
+        seen = set(starts)
+        queue = deque(starts)
+        while queue:
+            for nxt in edges[queue.popleft()]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+        return seen - starts
+
     def dependency_closure(self, targets: Iterable[int]) -> set:
         """Derived artifacts reachable from any target, excluding the targets."""
-        targets = set(targets)
-        for t in targets:
-            self.node(t)
-        seen: set = set()
-        queue = deque(sorted(targets))
-        while queue:
-            cur = queue.popleft()
-            for child in sorted(self._children[cur]):
-                if child not in seen and child not in targets:
-                    seen.add(child)
-                    queue.append(child)
-        return {v for v in seen if self.nodes[v].layer in DERIVED_LAYERS}
+        return {v for v in self._reach(targets, self._children)
+                if self.nodes[v].layer in DERIVED_LAYERS}
 
     def episodic_ancestors(self, node_id: int) -> set:
         """Episodic sources this node transitively derives from."""
-        self.node(node_id)
-        seen: set = set()
-        queue = deque([node_id])
-        visited = {node_id}
-        while queue:
-            cur = queue.popleft()
-            for pid in self._parents[cur]:
-                if pid in visited:
-                    continue
-                visited.add(pid)
-                if self.nodes[pid].layer is Layer.EPISODIC:
-                    seen.add(pid)
-                else:
-                    queue.append(pid)
-        return seen
+        return {v for v in self._reach([node_id], self._parents)
+                if self.nodes[v].layer is Layer.EPISODIC}
 
     # ------------------------------------------------------------------
     # Pruning
@@ -333,7 +307,7 @@ class MemoryGraph:
 
     def node_lines(self) -> list:
         return [
-            canonical_json(self.nodes[i].to_record())
+            canonical_json(record_of(self.nodes[i]))
             for i in sorted(self.nodes)
         ]
 

@@ -118,6 +118,12 @@ class RetrievalSettings:
     tau: int = 100
     embed_dim: int = 256
 
+    def __post_init__(self):
+        self.query("")  # HybridQuery checks the keys, so a bad config fails when it is read
+
+    def query(self, text: str) -> HybridQuery:
+        return HybridQuery(text, self.top_k, self.oversample_r, self.w_sem, self.w_kw)
+
 
 @dataclass
 class MemoryPhaseReport:
@@ -170,14 +176,7 @@ class MemoryStore:
         return node is not None and node.status is Status.ACTIVE
 
     def search(self, text: str) -> list:
-        query = HybridQuery(
-            text=text,
-            top_k=self.settings.top_k,
-            oversample_r=self.settings.oversample_r,
-            w_sem=self.settings.w_sem,
-            w_kw=self.settings.w_kw,
-        )
-        return self.index.search(query, allowed=self._allowed)
+        return self.index.search(self.settings.query(text), allowed=self._allowed)
 
     def content(self, node_id: int) -> str:
         return self.graph.node(node_id).content

@@ -346,14 +346,13 @@ def train_unlearn(retain: Dataset, forget: Dataset, state: ModelState,
         diverged = False
         for start in range(0, len(retain), half):
             idx = order[start:start + half]
+            forget_x = None
             if len(forget):
                 fidx = [forget_order[(fpos + j) % len(forget)] for j in range(len(idx))]
                 fpos += len(idx)
-                batch = LabeledBatch.of(retain_x=retain.x[idx], retain_y=retain.y[idx],
-                                        forget_x=forget.x[fidx], n_features=n_features)
-            else:
-                batch = LabeledBatch.of(retain_x=retain.x[idx], retain_y=retain.y[idx],
-                                        n_features=n_features)
+                forget_x = forget.x[fidx]
+            batch = LabeledBatch.of(retain_x=retain.x[idx], retain_y=retain.y[idx],
+                                    forget_x=forget_x, n_features=n_features)
             step = grad_step(batch, state, cfg)
             if step.aborted:
                 state.params = snapshot

@@ -126,6 +126,19 @@ class TestAuditVerify:
         finally:
             audit.write_text(original)
 
+    def test_extra_key_is_tamper(self, pipeline, tmp_path, capsys):
+        _, store = pipeline
+        copy = tmp_path / "store"
+        shutil.copytree(store, copy)
+        audit = copy / "audit.jsonl"
+        lines = audit.read_text().splitlines()
+        lines[3] = lines[3][:-1] + ',"x":1}'
+        audit.write_text("\n".join(lines) + "\n")
+        code, rows = run_cli(capsys, "audit-verify", "--store", str(copy))
+        assert code == 1
+        assert rows[-1]["ok"] is False
+        assert rows[-1]["first_bad_index"] == 2  # header line excluded
+
     def test_bad_header_fails(self, pipeline, capsys):
         _, store = pipeline
         audit = store / "audit.jsonl"
@@ -150,6 +163,8 @@ class TestDamagedStore:
                      id="provenance.jsonl-no-node-id"),
         pytest.param("model.jsonl", lambda lines: lines[:1] + ['{"params":{},"ref_params":{}}'],
                      id="model.jsonl-no-w1"),
+        pytest.param("nodes.jsonl", lambda lines: lines[:2] + [lines[2][:-1] + ',"x":1}'] + lines[3:],
+                     id="nodes.jsonl-extra-key"),
     ])
     def test_load_error_names_the_file(self, pipeline, tmp_path, capsys, name, damage):
         _, store = pipeline
@@ -161,6 +176,26 @@ class TestDamagedStore:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: ") and name in err
+
+    @pytest.mark.parametrize("body", [
+        pytest.param("", id="empty"),
+        pytest.param("5", id="not-an-object"),
+        pytest.param('{"request_id":"r","targets":5}', id="targets-number"),
+        pytest.param('{"request_id":"r","targets":["a"]}', id="targets-not-ids"),
+        pytest.param('{"request_id":"r","targets":"12"}', id="targets-string"),
+    ])
+    def test_bad_request_names_the_file(self, pipeline, tmp_path, capsys, body):
+        _, store = pipeline
+        copy = tmp_path / "store"
+        shutil.copytree(store, copy)
+        before = {p.name: p.read_bytes() for p in copy.iterdir()}
+        request = tmp_path / "request.json"
+        request.write_text(body)
+        code = main(["unlearn", "--store", str(copy), "--request", str(request)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {request}: malformed file")
+        assert {p.name: p.read_bytes() for p in copy.iterdir()} == before
 
     def test_store_rejects_malformed_corpus(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.jsonl"
@@ -268,6 +303,28 @@ class TestConfig:
         path.write_text("temperature = 0\n")
         with pytest.raises(ValueError, match="temperature"):
             load_config(path)
+
+    @pytest.mark.parametrize("line, key", [
+        ("top_k = 0", "top_k"),
+        ("oversample_r = 0", "oversample_r"),
+        ("w_sem = 0.5", "w_sem"),
+    ])
+    def test_bad_retrieval_key_in_file_rejected(self, tmp_path, line, key):
+        path = tmp_path / "run.cfg"
+        path.write_text(line + "\n")
+        with pytest.raises(ValueError, match=key):
+            load_config(path)
+
+    def test_store_with_zero_top_k_creates_no_store(self, pipeline, tmp_path, capsys):
+        corpus, _ = pipeline
+        path = tmp_path / "run.cfg"
+        path.write_text("top_k = 0\n")
+        store = tmp_path / "store"
+        code = main(["store", "--corpus", str(corpus), "--store", str(store),
+                     "--config", str(path)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: top_k must be >= 1\n"
+        assert not store.exists()
 
     def test_negative_epochs_flag_rejected(self):
         with pytest.raises(ValueError, match="epochs"):

@@ -1,0 +1,49 @@
+"""Golden bytes: the store files and run-loop output of a seeded CLI run.
+
+The sha256 of each file pins its bytes across commits, so a refactor that
+changes a record's serialization fails here. A change that alters these
+bytes on purpose updates the constants and says so in CHANGES.md.
+``model.jsonl`` is left out: its floats depend on the BLAS build.
+"""
+
+import hashlib
+
+import pytest
+
+from memscrub.cli import main
+
+STORE_SHA256 = {
+    "nodes.jsonl": "92377bc1ed3dac26d91d6839d4e93aa21008a41b39f70451e2e80220ae1ee5e2",
+    "edges.jsonl": "fe5476d016d92830c8e25462e6fa7d8c1c1e31ef28cf23dfbee2eadd90d1982d",
+    "blocklist.jsonl": "0514b6730952ee33c89a3fa825700a0d2d432938055491fffe97ca4f87e8853f",
+    "audit.jsonl": "85e6dcce30d35d266d12b1abb7da8738cdbcbbfcd509fdde47c4452ac0724efc",
+    "index.jsonl": "d09b8f397f09e6afb6e013627c67b8c4b1ed3218464f44730d0a672394928382",
+    "provenance.jsonl": "0eb948406a47411faa63d11e46755a4841cc27e11197f8082b23bdef7ec8db00",
+    "corpus.jsonl": "820bd9aa9ef41d5e12382f1c508cd4ff569cfe19d491f4e08e8f5c2410972ecf",
+    "config.cfg": "1f1bfface063fbc0ba4fe28d46488d9921b1d48a670033734a08823d37ed9a95",
+}
+RUN_LOOP_SHA256 = "c06ec9cc592efc67b24a0a9c4559b5025ac4f7a82cc0a9af81ec4411f0e5b2a6"
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def store(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    assert main(["gen-corpus", "--out", str(root / "corpus.jsonl"), "--seed", "0"]) == 0
+    assert main(["store", "--corpus", str(root / "corpus.jsonl"),
+                 "--store", str(root / "store")]) == 0
+    return root / "store"
+
+
+@pytest.mark.parametrize("name", sorted(STORE_SHA256))
+def test_store_file_bytes(store, name):
+    assert sha256((store / name).read_bytes()) == STORE_SHA256[name]
+
+
+def test_run_loop_output_bytes(capsys):
+    capsys.readouterr()
+    assert main(["run-loop", "--seed", "0"]) == 0
+    assert sha256(capsys.readouterr().out.encode("utf-8")) == RUN_LOOP_SHA256
