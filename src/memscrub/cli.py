@@ -113,8 +113,9 @@ def cmd_store(args) -> int:
         prov = corpus_mod.populate_store(store, items)
         model = ModelState.init(cfg.feature_dim, cfg.hidden_dim, len(corpus_mod.CHOICES),
                                 seed=cfg.seed, ref_seed=cfg.seed + 7919)
-        trained = split_items(items, "forget") + split_items(items, "retain")
-        pretrain(to_dataset(trained, cfg.feature_dim), model, cfg.pretrain_config())
+        trained = to_dataset(split_items(items, "forget") + split_items(items, "retain"),
+                             cfg.feature_dim)
+        pretrain(trained, model, cfg.pretrain_config())
         store.save(store_dir)
         save_model(store_dir, model)
         write_lines(store_dir / "corpus.jsonl", None, corpus_mod.corpus_lines(items))
@@ -123,7 +124,7 @@ def cmd_store(args) -> int:
     _emit({
         "command": "store",
         "nodes": len(store.graph.nodes),
-        "train_acc": model_accuracy(model, to_dataset(trained, cfg.feature_dim)),
+        "train_acc": model_accuracy(model, trained),
     })
     return 0
 

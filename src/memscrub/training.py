@@ -109,6 +109,19 @@ def _init_params(n_features: int, n_hidden: int, n_classes: int, seed: int) -> d
     }
 
 
+def _forward(p: dict, x: np.ndarray):
+    """Hidden activations and logits of x under parameters p."""
+    hidden = np.tanh(x @ p["w1"] + p["b1"])
+    return hidden, hidden @ p["w2"] + p["b2"]
+
+
+def _backprop(p: dict, x: np.ndarray, hidden: np.ndarray, dz: np.ndarray) -> dict:
+    """Parameter gradients from the logit gradient dz of rows x."""
+    dpre = (dz @ p["w2"].T) * (1.0 - hidden ** 2)
+    return {"w1": x.T @ dpre, "b1": dpre.sum(axis=0),
+            "w2": hidden.T @ dz, "b2": dz.sum(axis=0)}
+
+
 @dataclass
 class ModelState:
     """Student parameters plus the frozen random reference.
@@ -133,9 +146,7 @@ class ModelState:
         return self.params["b2"].shape[0]
 
     def logits(self, x: np.ndarray, reference: bool = False) -> np.ndarray:
-        p = self.ref_params if reference else self.params
-        hidden = np.tanh(x @ p["w1"] + p["b1"])
-        return hidden @ p["w2"] + p["b2"]
+        return _forward(self.ref_params if reference else self.params, x)[1]
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return np.argmax(self.logits(x), axis=-1)
@@ -231,34 +242,24 @@ def _loss_and_grads(batch: LabeledBatch, state: ModelState, cfg: UnlearnConfig,
     if len(batch) == 0:
         raise TrainingError("empty batch")
 
-    grads = {k: np.zeros_like(v) for k, v in state.params.items()} if want_grads else None
+    params = state.params
+    parts = []  # (rows, hidden, weighted dz) of each batch part
     ce_part = 0.0
     kl_part = 0.0
 
-    def backprop(x, dz):
-        p = state.params
-        pre = x @ p["w1"] + p["b1"]
-        hidden = np.tanh(pre)
-        grads["w2"] += hidden.T @ dz
-        grads["b2"] += dz.sum(axis=0)
-        dhidden = dz @ p["w2"].T
-        dpre = dhidden * (1.0 - hidden ** 2)
-        grads["w1"] += x.T @ dpre
-        grads["b1"] += dpre.sum(axis=0)
-
     if batch.n_retain:
-        z = state.logits(batch.retain_x)
+        hidden, z = _forward(params, batch.retain_x)
         p = temperature_softmax(z, 1.0)
-        picked = p[np.arange(batch.n_retain), batch.retain_y]
+        rows = np.arange(batch.n_retain)
+        picked = p[rows, batch.retain_y]
         ce_part = float(np.mean(-np.log(np.clip(picked, 1e-300, None))))
         if want_grads:
-            dz = p.copy()
-            dz[np.arange(batch.n_retain), batch.retain_y] -= 1.0
-            backprop(batch.retain_x, dz / batch.n_retain)
+            p[rows, batch.retain_y] -= 1.0
+            parts.append((batch.retain_x, hidden, p / batch.n_retain))
 
     if batch.n_forget:
         T = cfg.temperature
-        z = state.logits(batch.forget_x)
+        hidden, z = _forward(params, batch.forget_x)
         p = temperature_softmax(z, T)
         q = _forget_targets(state, batch.forget_x, cfg)
         log_ratio = np.log(np.clip(p, 1e-300, None)) - np.log(np.clip(q, 1e-300, None))
@@ -267,9 +268,18 @@ def _loss_and_grads(batch: LabeledBatch, state: ModelState, cfg: UnlearnConfig,
         if want_grads:
             # d KL / d z = p * (log_ratio - KL) / T, scaled by the batch weight.
             dz = p * (log_ratio - kl_rows[:, None]) / T
-            backprop(batch.forget_x, dz * (cfg.lambda_f * T ** 2 / batch.n_forget))
+            parts.append((batch.forget_x, hidden, dz * (cfg.lambda_f * T ** 2 / batch.n_forget)))
 
     total = ce_part + cfg.lambda_f * cfg.temperature ** 2 * kl_part
+    grads = None
+    if want_grads:
+        # Large rows or weights can overflow a gradient while the loss stays
+        # finite; grad_step's finiteness check aborts such a step.
+        with np.errstate(over="ignore", invalid="ignore"):
+            grads = _backprop(params, *parts[0])
+            for part in parts[1:]:
+                for key, g in _backprop(params, *part).items():
+                    grads[key] += g
     return LossReport(total=total, ce_part=ce_part, kl_part=kl_part), grads
 
 
@@ -280,13 +290,15 @@ class StepReport:
 
 
 def grad_step(batch: LabeledBatch, state: ModelState, cfg: UnlearnConfig) -> StepReport:
-    """One gradient-descent step in place. Non-finite loss aborts the step."""
+    """One gradient-descent step in place. A non-finite loss or gradient aborts the step."""
     report, grads = loss_and_grads(batch, state, cfg)
-    finite = math.isfinite(report.total) and all(np.all(np.isfinite(g)) for g in grads.values())
+    finite = math.isfinite(report.total) and all(np.isfinite(g).all() for g in grads.values())
     if not finite:
         return StepReport(loss=report, aborted=True)
     for key in PARAM_KEYS:
-        state.params[key] -= cfg.lr * grads[key]
+        g = grads[key]
+        g *= cfg.lr
+        state.params[key] -= g
     return StepReport(loss=report)
 
 
@@ -305,22 +317,18 @@ def mean_forget_entropy(state: ModelState, forget_x: np.ndarray) -> float:
     return float(np.mean(entropy(p)))
 
 
-def pretrain(retain: Dataset, state: ModelState, cfg: UnlearnConfig) -> list:
+def pretrain(retain: Dataset, state: ModelState, cfg: UnlearnConfig) -> None:
     """Plain cross-entropy fitting, used to build the pre-unlearning agent."""
-    history = []
     rng = np.random.default_rng(cfg.seed)
     n = len(retain)
-    for epoch in range(cfg.epochs):
+    no_forget = np.zeros((0, retain.x.shape[1]))
+    for _ in range(cfg.epochs):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            batch = LabeledBatch.of(retain_x=retain.x[idx], retain_y=retain.y[idx],
-                                    n_features=retain.x.shape[1])
-            step = grad_step(batch, state, cfg)
+            step = grad_step(LabeledBatch(retain.x[idx], retain.y[idx], no_forget), state, cfg)
             if step.aborted:
-                return history
-        history.append({"epoch": epoch, "retain_acc": model_accuracy(state, retain)})
-    return history
+                return
 
 
 def train_unlearn(retain: Dataset, forget: Dataset, state: ModelState,
@@ -333,27 +341,23 @@ def train_unlearn(retain: Dataset, forget: Dataset, state: ModelState,
     if len(retain) == 0:
         raise TrainingError("retain set must be nonempty")
     rng = np.random.default_rng(cfg.seed)
-    n_features = retain.x.shape[1]
+    no_forget = np.zeros((0, retain.x.shape[1]))
     history = []
     half = max(1, cfg.batch_size // 2)
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(retain))
-        forget_order = (
-            rng.permutation(len(forget)) if len(forget) else np.zeros(0, dtype=int)
+        # The forget draw paired with retain position i, cycling the forget order.
+        forget_cycle = (
+            rng.permutation(len(forget))[np.arange(len(retain)) % len(forget)]
+            if len(forget) else None
         )
-        fpos = 0
         snapshot = {k: v.copy() for k, v in state.params.items()}
         diverged = False
         for start in range(0, len(retain), half):
             idx = order[start:start + half]
-            forget_x = None
-            if len(forget):
-                fidx = [forget_order[(fpos + j) % len(forget)] for j in range(len(idx))]
-                fpos += len(idx)
-                forget_x = forget.x[fidx]
-            batch = LabeledBatch.of(retain_x=retain.x[idx], retain_y=retain.y[idx],
-                                    forget_x=forget_x, n_features=n_features)
-            step = grad_step(batch, state, cfg)
+            forget_x = (no_forget if forget_cycle is None
+                        else forget.x[forget_cycle[start:start + half]])
+            step = grad_step(LabeledBatch(retain.x[idx], retain.y[idx], forget_x), state, cfg)
             if step.aborted:
                 state.params = snapshot
                 diverged = True

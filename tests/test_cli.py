@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from memscrub import cli
 from memscrub.cli import main
 from memscrub.config import RunConfig, load_config
 
@@ -74,6 +75,21 @@ class TestStore:
                 main(["store", "--corpus", str(corpus), "--store", str(store)])
         finally:
             (store / "lock").unlink()
+
+    def test_featurizes_trained_split_once(self, pipeline, tmp_path, monkeypatch, capsys):
+        corpus, _ = pipeline
+        calls = []
+        featurize = cli.to_dataset
+
+        def counting(items, dim):
+            calls.append(len(items))
+            return featurize(items, dim)
+
+        monkeypatch.setattr(cli, "to_dataset", counting)
+        code, rows = run_cli(capsys, "store", "--corpus", str(corpus),
+                             "--store", str(tmp_path / "store"))
+        assert code == 0 and rows[0]["train_acc"] == 1.0
+        assert calls == [72]
 
 
 class TestQuery:

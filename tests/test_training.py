@@ -1,13 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from memscrub import training
 from memscrub.corpus import generate_corpus, split_items, to_dataset
 from memscrub.training import (
     PARAM_KEYS,
     Dataset,
     LabeledBatch,
+    LossReport,
     ModelState,
     TrainingError,
     UnlearnConfig,
@@ -19,6 +22,7 @@ from memscrub.training import (
     mean_forget_entropy,
     model_accuracy,
     pretrain,
+    _forget_targets,
     temperature_softmax,
     train_unlearn,
 )
@@ -196,6 +200,26 @@ class TestGradStep:
         assert step.aborted
         assert np.array_equal(state.params["b1"], before_b1)
 
+    def test_overflowing_gradient_aborts_without_warning(self):
+        # The loss stays finite (~690.78) but x.T @ dpre overflows in w1's gradient.
+        state = ModelState.init(6, 4, 3)
+        state.params["w1"][:] = 1e-300
+        state.params["w2"][:] = 1e10
+        state.params["w2"][:, 0] = -1e10
+        x = np.zeros((1, 6))
+        x[0, 0] = 1e300
+        batch = LabeledBatch.of(x, np.array([0]), n_features=6)
+        before = {k: v.copy() for k, v in state.params.items()}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report, grads = loss_and_grads(batch, state, UnlearnConfig())
+            step = grad_step(batch, state, UnlearnConfig())
+        assert math.isfinite(report.total)
+        assert not np.isfinite(grads["w1"]).all()
+        assert step.aborted
+        for key in PARAM_KEYS:
+            assert np.array_equal(state.params[key], before[key])
+
 
 class TestFiniteDifferences:
     def test_gradients_match_central_differences(self):
@@ -292,3 +316,173 @@ class TestTrainUnlearn:
             train_unlearn(Dataset(np.zeros((0, 6)), np.zeros(0, dtype=int)),
                           Dataset(np.zeros((0, 6)), np.zeros(0, dtype=int)),
                           tiny_state(), UnlearnConfig())
+
+
+# ---------------------------------------------------------------------------
+# Reference trainer: the original step and loops, kept as a bitwise oracle
+# ---------------------------------------------------------------------------
+
+def reference_loss_and_grads(batch, state, cfg):
+    """Loss and gradients with zero-filled buffers and a recomputed forward pass."""
+    grads = {k: np.zeros_like(v) for k, v in state.params.items()}
+    ce_part = 0.0
+    kl_part = 0.0
+
+    def backprop(x, dz):
+        p = state.params
+        pre = x @ p["w1"] + p["b1"]
+        hidden = np.tanh(pre)
+        grads["w2"] += hidden.T @ dz
+        grads["b2"] += dz.sum(axis=0)
+        dhidden = dz @ p["w2"].T
+        dpre = dhidden * (1.0 - hidden ** 2)
+        grads["w1"] += x.T @ dpre
+        grads["b1"] += dpre.sum(axis=0)
+
+    if batch.n_retain:
+        z = state.logits(batch.retain_x)
+        p = temperature_softmax(z, 1.0)
+        picked = p[np.arange(batch.n_retain), batch.retain_y]
+        ce_part = float(np.mean(-np.log(np.clip(picked, 1e-300, None))))
+        dz = p.copy()
+        dz[np.arange(batch.n_retain), batch.retain_y] -= 1.0
+        backprop(batch.retain_x, dz / batch.n_retain)
+
+    if batch.n_forget:
+        T = cfg.temperature
+        z = state.logits(batch.forget_x)
+        p = temperature_softmax(z, T)
+        q = _forget_targets(state, batch.forget_x, cfg)
+        log_ratio = np.log(np.clip(p, 1e-300, None)) - np.log(np.clip(q, 1e-300, None))
+        kl_rows = np.sum(p * log_ratio, axis=-1)
+        kl_part = float(np.mean(kl_rows))
+        dz = p * (log_ratio - kl_rows[:, None]) / T
+        backprop(batch.forget_x, dz * (cfg.lambda_f * T ** 2 / batch.n_forget))
+
+    total = ce_part + cfg.lambda_f * cfg.temperature ** 2 * kl_part
+    return LossReport(total=total, ce_part=ce_part, kl_part=kl_part), grads
+
+
+def reference_step(batch, state, cfg) -> bool:
+    """One reference update in place; returns whether the step aborted."""
+    report, grads = reference_loss_and_grads(batch, state, cfg)
+    finite = math.isfinite(report.total) and all(np.all(np.isfinite(g)) for g in grads.values())
+    if not finite:
+        return True
+    for key in PARAM_KEYS:
+        state.params[key] -= cfg.lr * grads[key]
+    return False
+
+
+def reference_pretrain(retain, state, cfg):
+    rng = np.random.default_rng(cfg.seed)
+    n = len(retain)
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            batch = LabeledBatch.of(retain_x=retain.x[idx], retain_y=retain.y[idx],
+                                    n_features=retain.x.shape[1])
+            if reference_step(batch, state, cfg):
+                return
+
+
+def reference_train_unlearn(retain, forget, state, cfg):
+    rng = np.random.default_rng(cfg.seed)
+    half = max(1, cfg.batch_size // 2)
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(retain))
+        forget_order = (
+            rng.permutation(len(forget)) if len(forget) else np.zeros(0, dtype=int)
+        )
+        fpos = 0
+        snapshot = {k: v.copy() for k, v in state.params.items()}
+        for start in range(0, len(retain), half):
+            idx = order[start:start + half]
+            forget_x = None
+            if len(forget):
+                fidx = [forget_order[(fpos + j) % len(forget)] for j in range(len(idx))]
+                fpos += len(idx)
+                forget_x = forget.x[fidx]
+            batch = LabeledBatch.of(retain_x=retain.x[idx], retain_y=retain.y[idx],
+                                    forget_x=forget_x, n_features=retain.x.shape[1])
+            if reference_step(batch, state, cfg):
+                state.params = snapshot
+                return
+
+
+def assert_params_equal(a: ModelState, b: ModelState):
+    for key in PARAM_KEYS:
+        assert np.array_equal(a.params[key], b.params[key]), key
+
+
+class TestBitwiseOracle:
+    @pytest.mark.parametrize("fallback", [True, False])
+    @pytest.mark.parametrize("n_retain,n_forget", [(7, 0), (0, 5), (8, 8)])
+    def test_step_matches_reference(self, n_retain, n_forget, fallback):
+        rng = np.random.default_rng(100 * n_retain + n_forget + fallback)
+        cfg = UnlearnConfig(lambda_f=1.5, temperature=2.0, lr=0.5, entropy_fallback=fallback)
+        for trial in range(20):
+            state = ModelState.init(12, 8, 4, seed=trial, ref_seed=trial + 500)
+            batch = LabeledBatch.of(
+                rng.normal(size=(n_retain, 12)) if n_retain else None,
+                rng.integers(0, 4, n_retain) if n_retain else None,
+                rng.normal(size=(n_forget, 12)) * 3 if n_forget else None,
+                n_features=12)
+            report, grads = loss_and_grads(batch, state, cfg)
+            ref_report, ref_grads = reference_loss_and_grads(batch, state, cfg)
+            assert report == ref_report
+            for key in PARAM_KEYS:
+                assert np.array_equal(grads[key], ref_grads[key]), key
+            expected = state.copy()
+            assert not reference_step(batch, expected, cfg)
+            assert not grad_step(batch, state, cfg).aborted
+            assert_params_equal(state, expected)
+
+    def test_training_matches_reference_loops(self, task):
+        data, _ = task
+        trained = Dataset(
+            x=np.vstack([data["forget"].x, data["retain"].x]),
+            y=np.concatenate([data["forget"].y, data["retain"].y]),
+        )
+        state = ModelState.init(256, 64, 4, seed=0, ref_seed=7919)
+        expected = state.copy()
+        cfg = UnlearnConfig(lambda_f=0.0, temperature=1.0, lr=0.5, epochs=30, seed=0)
+        pretrain(trained, state, cfg)
+        reference_pretrain(trained, expected, cfg)
+        assert_params_equal(state, expected)
+
+        # 54 retain rows in half-batches of 8 leave a short last batch, and
+        # the 18 forget rows wrap around twice inside every epoch.
+        cfg = UnlearnConfig(epochs=6, seed=3)
+        train_unlearn(data["retain"], data["forget"], state, cfg)
+        reference_train_unlearn(data["retain"], data["forget"], expected, cfg)
+        assert_params_equal(state, expected)
+
+
+class TestGradStepCalls:
+    """Every step goes through the module-level grad_step, so wrapping it counts them."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        counted = []
+        step = training.grad_step
+
+        def counting(*args):
+            counted.append(1)
+            return step(*args)
+
+        monkeypatch.setattr(training, "grad_step", counting)
+        return counted
+
+    def test_pretrain_calls(self, task, calls):
+        data, model = task
+        cfg = UnlearnConfig(lambda_f=0.0, temperature=1.0, epochs=3, batch_size=16)
+        pretrain(data["retain"], model.copy(), cfg)
+        assert len(calls) == 3 * math.ceil(len(data["retain"]) / 16)
+
+    def test_train_unlearn_calls(self, task, calls):
+        data, model = task
+        cfg = UnlearnConfig(epochs=2, batch_size=16)
+        train_unlearn(data["retain"], data["forget"], model.copy(), cfg)
+        assert len(calls) == 2 * math.ceil(len(data["retain"]) / 8)
