@@ -61,7 +61,7 @@ def _record_hash(seq: int, op: str, digest: str, prev_hash: str) -> str:
     return h.hexdigest()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuditRecord:
     seq: int
     op: AuditOp

@@ -8,6 +8,7 @@ losses are indistinguishable).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -120,6 +121,7 @@ def _hit_rate(store: MemoryStore, prov: Provenance, items) -> float:
     """Fraction of items whose retrieval surfaces a node tracing back to them."""
     if not items:
         return 0.0
+    ancestors_of = functools.cache(store.graph.episodic_ancestors)  # search leaves the graph as is
     hits = 0
     for item in items:
         origin = prov.item_to_node.get(item.item_id)
@@ -127,7 +129,7 @@ def _hit_rate(store: MemoryStore, prov: Provenance, items) -> float:
             continue
         for hit in store.search(item.question):
             node_id = hit.node_id
-            if node_id == origin or origin in store.graph.episodic_ancestors(node_id):
+            if node_id == origin or origin in ancestors_of(node_id):
                 hits += 1
                 break
     return hits / len(items)

@@ -54,7 +54,7 @@ class ProtocolOrderError(GraphError):
     """A prune was attempted before its targets were blocklisted."""
 
 
-@dataclass
+@dataclass(slots=True)
 class MemoryNode:
     id: int
     layer: Layer

@@ -40,18 +40,26 @@ class HashingEmbedder:
 
     Identical text always maps to the identical vector, independent of
     process or platform, which keeps stores byte-reproducible.
+
+    A token's vector is cached from its second sighting on: most tokens
+    of a store occur once, and a cached vector costs ``8 * dim`` bytes
+    where a remembered seed costs an int.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
         self._token_cache: dict[str, np.ndarray] = {}
+        self._seen: set[int] = set()  # seeds of every token embedded so far
 
     def _token_vector(self, token: str) -> np.ndarray:
         vec = self._token_cache.get(token)
         if vec is None:
             seed = int.from_bytes(hashlib.sha256(token.encode("utf-8")).digest()[:8], "big")
             vec = np.random.default_rng(seed).standard_normal(self.dim)
-            self._token_cache[token] = vec
+            if seed in self._seen:
+                self._token_cache[token] = vec
+            else:
+                self._seen.add(seed)
         return vec
 
     def embed(self, text: str) -> np.ndarray:

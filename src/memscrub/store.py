@@ -12,6 +12,7 @@ reproduces ref_counts, statuses and search behavior exactly.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import os
 from dataclasses import dataclass, field
@@ -44,14 +45,30 @@ CONFIG_HEADER = "# memscrub config v1"
 
 
 def write_lines(path: Path, header, lines) -> None:
-    """Write ``lines`` newline-terminated, after ``header`` unless it is None."""
-    body = ([header] if header else []) + list(lines)
-    Path(path).write_text("\n".join(body) + "\n", encoding="utf-8")
+    """Write ``lines`` newline-terminated, after ``header`` unless it is None.
+
+    Lines go to the open file one by one; with neither header nor lines
+    the file is one bare newline.
+    """
+    body = itertools.chain([header] if header else [], lines)
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(next(body, "") + "\n")
+        f.writelines(line + "\n" for line in body)
 
 
 def read_lines(path: Path, header=None) -> list:
-    """Lines of a file; with ``header``, check and strip it (ValueError if wrong)."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    """Lines of a file; with ``header``, check and strip it (ValueError if wrong).
+
+    The file is read line by line. With ``newline=""`` a line read ends in
+    at most one CR, LF or CRLF, untranslated, so splitting each one gives
+    the lines of ``read_text().splitlines()``. A file that is not UTF-8 is
+    a ValueError naming it.
+    """
+    try:
+        with open(path, encoding="utf-8", newline="") as f:
+            lines = [s for chunk in f for s in chunk.splitlines()]
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc.reason}") from exc
     if header is None:
         return lines
     if not lines or lines[0] != header:
@@ -248,15 +265,16 @@ class MemoryStore:
     def save(self, directory) -> None:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
+        # One file's lines are built at a time, so at most one list is resident.
         payloads = {
-            "nodes.jsonl": self.graph.node_lines(),
-            "edges.jsonl": self.graph.edge_lines(),
-            "blocklist.jsonl": self.blocklist.to_lines(),
-            "audit.jsonl": self.audit.to_lines(),
-            "index.jsonl": self.index.to_lines(),
+            "nodes.jsonl": self.graph.node_lines,
+            "edges.jsonl": self.graph.edge_lines,
+            "blocklist.jsonl": self.blocklist.to_lines,
+            "audit.jsonl": self.audit.to_lines,
+            "index.jsonl": self.index.to_lines,
         }
-        for name, lines in payloads.items():
-            write_lines(directory / name, FILE_HEADERS[name], lines)
+        for name, to_lines in payloads.items():
+            write_lines(directory / name, FILE_HEADERS[name], to_lines())
 
     @classmethod
     def load(cls, directory, settings: Optional[RetrievalSettings] = None) -> "MemoryStore":

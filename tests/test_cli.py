@@ -166,6 +166,16 @@ class TestAuditVerify:
         finally:
             audit.write_text(original)
 
+    def test_non_utf8_log_is_bad_header(self, pipeline, tmp_path, capsys):
+        _, store = pipeline
+        copy = tmp_path / "store"
+        shutil.copytree(store, copy)
+        with open(copy / "audit.jsonl", "ab") as f:
+            f.write(b"\xff\xfe")
+        code, rows = run_cli(capsys, "audit-verify", "--store", str(copy))
+        assert code == 1
+        assert rows[-1]["reason"] == "bad header"
+
 
 class TestDamagedStore:
     @pytest.mark.parametrize("name, damage", [
@@ -192,6 +202,17 @@ class TestDamagedStore:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: ") and name in err
+
+    def test_non_utf8_file_is_named(self, pipeline, tmp_path, capsys):
+        _, store = pipeline
+        copy = tmp_path / "store"
+        shutil.copytree(store, copy)
+        with open(copy / "nodes.jsonl", "ab") as f:
+            f.write(b"\xff\xfe")
+        code = main(["query", "--store", str(copy), "--text", "what remedy"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {copy / 'nodes.jsonl'}: not UTF-8 text")
 
     @pytest.mark.parametrize("body", [
         pytest.param("", id="empty"),

@@ -1,9 +1,12 @@
+import hashlib
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from memscrub.audit import AuditLog, Blocklist
-from memscrub.graph import UnknownNodeError
+from memscrub.graph import Layer, UnknownNodeError
 from memscrub.retrieval import (
     HashingEmbedder,
     HybridIndex,
@@ -11,6 +14,7 @@ from memscrub.retrieval import (
     keyword_score,
     tokenize,
 )
+from memscrub.store import MemoryStore
 
 
 def allow_all(_):
@@ -226,3 +230,35 @@ def test_blocked_ids_never_returned(docs, blocked, query):
         index.insert(i, doc)
     hits = index.search(HybridQuery(query, top_k=3), lambda i: i not in blocked)
     assert not {h.node_id for h in hits} & blocked
+
+
+def reference_embed(text, dim):
+    """The embedding without a cache: seeded token vectors summed in order, normalized."""
+    vec = np.zeros(dim)
+    for token in tokenize(text) or ["<empty>"]:
+        seed = int.from_bytes(hashlib.sha256(token.encode("utf-8")).digest()[:8], "big")
+        vec += np.random.default_rng(seed).standard_normal(dim)
+    return vec / np.linalg.norm(vec)
+
+
+# A few recurring words plus random one-off tokens.
+_words = st.sampled_from(["fever", "cough", "alder", "remedy", "topic001"]) | st.text(
+    alphabet="abcdefghijklmnop0123456789", min_size=1, max_size=10)
+
+
+class TestTokenCache:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(texts=st.lists(st.lists(_words, max_size=8).map(" ".join), min_size=1, max_size=6))
+    def test_embeddings_exact_and_only_recurring_tokens_cached(self, texts):
+        embedder = HashingEmbedder(32)
+        for text in texts:
+            assert np.array_equal(embedder.embed(text), reference_embed(text, 32))
+        sightings = Counter(t for text in texts for t in tokenize(text) or ["<empty>"])
+        assert set(embedder._token_cache) == {t for t, n in sightings.items() if n >= 2}
+
+    def test_store_copy_shares_the_embedder(self):
+        store = MemoryStore()
+        store.write(Layer.EPISODIC, "fever and cough, fever again")
+        clone = store.copy()
+        assert clone.embedder is store.embedder
+        assert clone.index.embedder is store.embedder
