@@ -73,8 +73,11 @@ class AuditRecord:
         return canonical_json(record_of(self))
 
     @classmethod
-    def from_line(cls, line: str) -> "AuditRecord":
+    def from_line(cls, line: str, head: str = ZERO_HASH) -> "AuditRecord":
+        """The record of ``line``; a ``prev_hash`` equal to ``head`` is kept as ``head`` itself."""
         rec = json.loads(line)
+        if rec.get("prev_hash") == head:
+            rec["prev_hash"] = head
         return cls(**{**rec, "op": AuditOp(rec["op"])})
 
 
@@ -119,7 +122,8 @@ class AuditLog:
     @classmethod
     def from_lines(cls, lines: Iterable[str]) -> "AuditLog":
         log = cls()
-        log.records = [AuditRecord.from_line(line) for line in lines]
+        for line in lines:
+            log.records.append(AuditRecord.from_line(line, log.head_hash()))
         return log
 
 

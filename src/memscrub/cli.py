@@ -149,9 +149,13 @@ def cmd_query(args) -> int:
 def _read_request(path: Path) -> ForgetRequest:
     def build(lines):
         rec = json.loads("\n".join(lines))
-        if not isinstance(rec["targets"], list):
-            raise TypeError("'targets' must be a JSON list of node ids")
-        return ForgetRequest.of(rec["request_id"], rec["targets"])
+        request_id, targets = rec["request_id"], rec["targets"]
+        if (not isinstance(request_id, str) or request_id in ("", ".", "..")
+                or set(request_id) & set("/\\\0")):
+            raise ValueError("'request_id' must be a non-empty string naming a plain file")
+        if not isinstance(targets, list) or any(type(t) is not int for t in targets):
+            raise TypeError("'targets' must be a JSON list of integer node ids")
+        return ForgetRequest.of(request_id, targets)
 
     return parse_lines(build, (path, None))
 

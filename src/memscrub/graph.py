@@ -23,13 +23,10 @@ class Layer(str, enum.Enum):
     SEMANTIC = "semantic"
     REFLECTION = "reflection"
     KG_ENTITY = "kg_entity"
-    PROCEDURAL = "procedural"
-    EXTERNAL = "external"
 
 
-# Layers that may appear as derivation targets (children) and sources (parents).
+# Layers that may appear as derivation targets (children); any layer may be a parent.
 DERIVED_LAYERS = frozenset({Layer.SEMANTIC, Layer.REFLECTION, Layer.KG_ENTITY})
-PARENT_LAYERS = frozenset({Layer.EPISODIC}) | DERIVED_LAYERS
 
 
 class Status(str, enum.Enum):
@@ -101,7 +98,8 @@ class MemoryGraph:
 
     ``ref_count`` of a node is the number of its direct parents that are
     still Active; a derived node whose count hits zero has lost every
-    supporting source and is batch-removed during pruning.
+    supporting source and is batch-removed during pruning. Only nodes with
+    edges have adjacency lists; a missing entry means no edges.
     """
 
     def __init__(self, audit=None):
@@ -124,8 +122,6 @@ class MemoryGraph:
                 raise UnknownNodeError(f"unknown parent id {pid}")
             if node.status is not Status.ACTIVE:
                 raise EdgeViolationError(f"parent {pid} is {node.status.value}, not active")
-            if node.layer not in PARENT_LAYERS:
-                raise EdgeViolationError(f"parent {pid} has layer {node.layer.value}, which cannot derive")
         if parent_ids and layer not in DERIVED_LAYERS:
             raise EdgeViolationError(f"layer {layer.value} cannot have derivation parents")
 
@@ -150,10 +146,10 @@ class MemoryGraph:
             status=Status.ACTIVE,
             created_seq=seq,
         )
-        self._children[node_id] = []
-        self._parents[node_id] = parent_ids
+        if parent_ids:
+            self._parents[node_id] = parent_ids
         for pid in parent_ids:
-            self._children[pid].append(node_id)
+            self._children.setdefault(pid, []).append(node_id)
         return node_id
 
     # ------------------------------------------------------------------
@@ -171,7 +167,7 @@ class MemoryGraph:
 
     def parents_of(self, node_id: int) -> list:
         self.node(node_id)
-        return list(self._parents[node_id])
+        return list(self._parents.get(node_id, ()))
 
     def active_view(self) -> Iterator[int]:
         """Ids of Active nodes, ascending. Outdated and Deleted are excluded."""
@@ -187,7 +183,7 @@ class MemoryGraph:
         seen = set(starts)
         queue = deque(starts)
         while queue:
-            for nxt in edges[queue.popleft()]:
+            for nxt in edges.get(queue.popleft(), ()):
                 if nxt not in seen:
                     seen.add(nxt)
                     queue.append(nxt)
@@ -249,7 +245,7 @@ class MemoryGraph:
         queue = deque(newly_gone)
         while queue:
             gone = queue.popleft()
-            for child in sorted(self._children[gone]):
+            for child in sorted(self._children.get(gone, ())):
                 cnode = self.nodes[child]
                 if cnode.status is not Status.ACTIVE:
                     continue
@@ -279,7 +275,7 @@ class MemoryGraph:
             if node.status is not Status.ACTIVE:
                 continue
             active_parents = sum(
-                1 for pid in self._parents[node_id]
+                1 for pid in self._parents.get(node_id, ())
                 if self.nodes[pid].status is Status.ACTIVE
             )
             assert node.ref_count == active_parents, (
@@ -320,25 +316,21 @@ class MemoryGraph:
 
     @classmethod
     def from_lines(cls, node_lines: Iterable[str], edge_lines: Iterable[str], audit=None) -> "MemoryGraph":
-        graph = cls(audit=None)
+        graph = cls(audit=audit)
         for line in node_lines:
             node = MemoryNode.from_record(json.loads(line))
             graph.nodes[node.id] = node
-            graph._children[node.id] = []
-            graph._parents[node.id] = []
         for line in edge_lines:
             rec = json.loads(line)
             child, parent = rec["child"], rec["parent"]
             if child not in graph.nodes or parent not in graph.nodes:
                 raise UnknownNodeError(f"edge {parent} -> {child} names an unknown node")
-            graph._parents[child].append(parent)
-            graph._children[parent].append(child)
-        for child in graph._parents:
-            graph._parents[child].sort()
-        for parent in graph._children:
-            graph._children[parent].sort()
+            graph._parents.setdefault(child, []).append(parent)
+            graph._children.setdefault(parent, []).append(child)
+        for adjacency in (graph._parents, graph._children):
+            for ids in adjacency.values():
+                ids.sort()
         if graph.nodes:
             graph._next_id = max(graph.nodes) + 1
             graph._next_seq = max(n.created_seq for n in graph.nodes.values()) + 1
-        graph.audit = audit
         return graph

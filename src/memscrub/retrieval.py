@@ -2,9 +2,9 @@
 
 Candidates are scored exactly (cosine similarity fused with token
 overlap), oversampled by a small factor, filtered against the blocklist
-and node status at the boundary, and truncated to top-k. Removals are
-logical tombstones until the index is rebuilt, which happens when the
-blocklist outgrows a threshold.
+and node status at the boundary, and truncated to top-k. A removal drops
+the entry's vector and leaves its id as a tombstone until the index is
+rebuilt, which happens when the blocklist outgrows a threshold.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ class RebuildResult:
 
 
 class HybridIndex:
-    """Exact-scoring hybrid index over memory contents."""
+    """Exact-scoring hybrid index; a removed entry keeps only its id until the next purge."""
 
     def __init__(self, embedder: HashingEmbedder, tau: int):
         self.embedder = embedder
@@ -118,13 +118,13 @@ class HybridIndex:
         self._tombstones: set = set()
 
     def __contains__(self, node_id: int) -> bool:
-        return node_id in self._vectors and node_id not in self._tombstones
+        return node_id in self._vectors
 
     def __len__(self) -> int:
-        return len(self._vectors) - len(self._tombstones)
+        return len(self._vectors)
 
     def live_ids(self) -> list:
-        return sorted(i for i in self._vectors if i not in self._tombstones)
+        return sorted(self._vectors)
 
     def copy(self) -> "HybridIndex":
         """Independent copy. Stored vectors are read-only, so copies share them."""
@@ -143,14 +143,15 @@ class HybridIndex:
         self._tombstones.discard(node_id)
 
     def remove(self, node_id: int) -> None:
-        """Logical removal; the vector is physically purged at rebuild."""
-        if node_id not in self._vectors or node_id in self._tombstones:
+        """Drop the entry's vector and tokens; its id stays a tombstone until purged."""
+        if node_id not in self._vectors:
             raise UnknownNodeError(f"id {node_id} not in index")
+        del self._vectors[node_id], self._tokens[node_id]
         self._tombstones.add(node_id)
 
     def purge(self, ids) -> None:
-        """Physically drop ``ids`` and every tombstoned entry; bumps the generation."""
-        for node_id in set(ids) | self._tombstones:
+        """Drop ``ids`` and forget every tombstone; bumps the generation."""
+        for node_id in ids:
             self._vectors.pop(node_id, None)
             self._tokens.pop(node_id, None)
         self._tombstones.clear()
@@ -190,24 +191,22 @@ class HybridIndex:
         """
         if len(blocklist) <= self.tau:
             return RebuildResult(rebuilt=False, generation=self.generation)
-        purged = sorted(
-            i for i in self._vectors
-            if i in self._tombstones or blocklist.is_blocked(i) or not keep(i)
-        )
+        purged = sorted(self._tombstones.union(
+            i for i in self._vectors if blocklist.is_blocked(i) or not keep(i)))
         audit.append(AuditOp.REBUILD, {
             "generation": self.generation + 1,
             "purged": purged,
-            "size": len(self._vectors) - len(purged),
+            "size": len(self._vectors) + len(self._tombstones) - len(purged),
         })
         self.purge(purged)
         blocklist.compact(purged, self.generation, audit)
         return RebuildResult(rebuilt=True, generation=self.generation, purged=purged)
 
-    # Persistence: membership only; vectors are recomputed from content on load.
+    # Persistence: membership only; live vectors are recomputed from content on load.
 
     def to_lines(self) -> list:
         lines = [canonical_json({"generation": self.generation})]
-        for node_id in sorted(self._vectors):
+        for node_id in sorted(self._tombstones.union(self._vectors)):
             lines.append(canonical_json({"id": node_id, "tombstone": node_id in self._tombstones}))
         return lines
 
@@ -219,7 +218,11 @@ class HybridIndex:
         index.generation = json.loads(lines[0])["generation"]
         for line in lines[1:]:
             rec = json.loads(line)
-            index.insert(rec["id"], content_for(rec["id"]))
+            if rec["id"] in index or rec["id"] in index._tombstones:
+                raise ValueError(f"id {rec['id']} is listed twice")
+            content = content_for(rec["id"])  # raises on an id the graph lacks
             if rec["tombstone"]:
                 index._tombstones.add(rec["id"])
+            else:
+                index.insert(rec["id"], content)
         return index

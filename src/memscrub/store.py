@@ -39,7 +39,7 @@ FILE_HEADERS = {
     "audit.jsonl": "memscrub-audit v1",
     "index.jsonl": "memscrub-index v1",
 }
-MODEL_HEADER = "memscrub-model v1"
+MODEL_HEADER = "memscrub-model v2"
 PROVENANCE_HEADER = "memscrub-provenance v1"
 CONFIG_HEADER = "# memscrub config v1"
 
@@ -226,11 +226,8 @@ class MemoryStore:
             "counts": report.counts(),
         })
         removed = [i for i in report.removed_ids if i in self.index]
-        for node_id in removed:
+        for node_id in removed + [i for i in report.outdated_ids if i in self.index]:
             self.index.remove(node_id)
-        for node_id in report.outdated_ids:
-            if node_id in self.index:
-                self.index.remove(node_id)
         if removed or report.outdated_ids:
             self.audit.append(AuditOp.DELETE, {
                 "request_id": request.request_id,

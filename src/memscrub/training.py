@@ -13,9 +13,10 @@ against central finite differences exactly.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -126,20 +127,25 @@ def _backprop(p: dict, x: np.ndarray, hidden: np.ndarray, dz: np.ndarray) -> dic
 class ModelState:
     """Student parameters plus the frozen random reference.
 
-    The reference is never touched by optimizer steps; ``ref_hash`` lets
-    callers assert bitwise frozenness.
+    The reference is drawn from ``ref_seed`` in the student's shapes and
+    is read-only, so no optimizer step can write it and copies share it;
+    ``ref_hash`` lets callers assert bitwise frozenness.
     """
 
     params: dict
-    ref_params: dict
+    ref_seed: int
+    ref_params: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n_features, n_hidden = self.params["w1"].shape
+        self.ref_params = _init_params(n_features, n_hidden, self.n_classes, self.ref_seed)
+        for value in self.ref_params.values():
+            value.flags.writeable = False
 
     @classmethod
     def init(cls, n_features: int, n_hidden: int, n_classes: int,
              seed: int = 0, ref_seed: int = 7919) -> "ModelState":
-        return cls(
-            params=_init_params(n_features, n_hidden, n_classes, seed),
-            ref_params=_init_params(n_features, n_hidden, n_classes, ref_seed),
-        )
+        return cls(params=_init_params(n_features, n_hidden, n_classes, seed), ref_seed=ref_seed)
 
     @property
     def n_classes(self) -> int:
@@ -158,22 +164,24 @@ class ModelState:
         return h.hexdigest()
 
     def copy(self) -> "ModelState":
-        return ModelState(
-            params={k: v.copy() for k, v in self.params.items()},
-            ref_params={k: v.copy() for k, v in self.ref_params.items()},
-        )
+        clone = copy.copy(self)
+        clone.params = {k: v.copy() for k, v in self.params.items()}
+        return clone
 
     def to_record(self) -> dict:
         return {
             "params": {k: self.params[k].tolist() for k in PARAM_KEYS},
-            "ref_params": {k: self.ref_params[k].tolist() for k in PARAM_KEYS},
+            "ref_seed": self.ref_seed,
         }
 
     @classmethod
     def from_record(cls, rec: dict) -> "ModelState":
+        ref_seed = rec["ref_seed"]
+        if type(ref_seed) is not int or ref_seed < 0:
+            raise ValueError(f"ref_seed must be a non-negative integer, not {ref_seed!r}")
         return cls(
             params={k: np.array(rec["params"][k], dtype=float) for k in PARAM_KEYS},
-            ref_params={k: np.array(rec["ref_params"][k], dtype=float) for k in PARAM_KEYS},
+            ref_seed=ref_seed,
         )
 
 
@@ -229,16 +237,10 @@ def _forget_targets(state: ModelState, forget_x: np.ndarray, cfg: UnlearnConfig)
 
 
 def loss_weight(batch: LabeledBatch, state: ModelState, cfg: UnlearnConfig) -> LossReport:
-    report, _ = _loss_and_grads(batch, state, cfg, want_grads=False)
-    return report
+    return loss_and_grads(batch, state, cfg)[0]
 
 
 def loss_and_grads(batch: LabeledBatch, state: ModelState, cfg: UnlearnConfig):
-    return _loss_and_grads(batch, state, cfg, want_grads=True)
-
-
-def _loss_and_grads(batch: LabeledBatch, state: ModelState, cfg: UnlearnConfig,
-                    want_grads: bool):
     if len(batch) == 0:
         raise TrainingError("empty batch")
 
@@ -253,9 +255,8 @@ def _loss_and_grads(batch: LabeledBatch, state: ModelState, cfg: UnlearnConfig,
         rows = np.arange(batch.n_retain)
         picked = p[rows, batch.retain_y]
         ce_part = float(np.mean(-np.log(np.clip(picked, 1e-300, None))))
-        if want_grads:
-            p[rows, batch.retain_y] -= 1.0
-            parts.append((batch.retain_x, hidden, p / batch.n_retain))
+        p[rows, batch.retain_y] -= 1.0
+        parts.append((batch.retain_x, hidden, p / batch.n_retain))
 
     if batch.n_forget:
         T = cfg.temperature
@@ -265,21 +266,18 @@ def _loss_and_grads(batch: LabeledBatch, state: ModelState, cfg: UnlearnConfig,
         log_ratio = np.log(np.clip(p, 1e-300, None)) - np.log(np.clip(q, 1e-300, None))
         kl_rows = np.sum(p * log_ratio, axis=-1)
         kl_part = float(np.mean(kl_rows))
-        if want_grads:
-            # d KL / d z = p * (log_ratio - KL) / T, scaled by the batch weight.
-            dz = p * (log_ratio - kl_rows[:, None]) / T
-            parts.append((batch.forget_x, hidden, dz * (cfg.lambda_f * T ** 2 / batch.n_forget)))
+        # d KL / d z = p * (log_ratio - KL) / T, scaled by the batch weight.
+        dz = p * (log_ratio - kl_rows[:, None]) / T
+        parts.append((batch.forget_x, hidden, dz * (cfg.lambda_f * T ** 2 / batch.n_forget)))
 
     total = ce_part + cfg.lambda_f * cfg.temperature ** 2 * kl_part
-    grads = None
-    if want_grads:
-        # Large rows or weights can overflow a gradient while the loss stays
-        # finite; grad_step's finiteness check aborts such a step.
-        with np.errstate(over="ignore", invalid="ignore"):
-            grads = _backprop(params, *parts[0])
-            for part in parts[1:]:
-                for key, g in _backprop(params, *part).items():
-                    grads[key] += g
+    # Large rows or weights can overflow a gradient while the loss stays
+    # finite; grad_step's finiteness check aborts such a step.
+    with np.errstate(over="ignore", invalid="ignore"):
+        grads = _backprop(params, *parts[0])
+        for part in parts[1:]:
+            for key, g in _backprop(params, *part).items():
+                grads[key] += g
     return LossReport(total=total, ce_part=ce_part, kl_part=kl_part), grads
 
 

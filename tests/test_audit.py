@@ -90,6 +90,28 @@ class TestAuditChain:
         assert reloaded.to_lines() == log.to_lines()
         assert reloaded.verify().ok
 
+    def test_loaded_links_share_the_previous_hash(self):
+        log = AuditLog()
+        for i in range(5):
+            log.append(AuditOp.COMPACT, {"i": i})
+        records = AuditLog.from_lines(log.to_lines()).records
+        assert records[0].prev_hash is ZERO_HASH
+        for prev, record in zip(records, records[1:]):
+            assert record.prev_hash is prev.record_hash
+
+    def test_tampered_link_survives_load_and_save(self):
+        log = AuditLog()
+        for i in range(6):
+            log.append(AuditOp.COMPACT, {"i": i})
+        lines = log.to_lines()
+        rec = json.loads(lines[3])
+        rec["prev_hash"] = "f" * 64
+        lines[3] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
+        reloaded = AuditLog.from_lines(lines)
+        assert reloaded.to_lines() == lines
+        assert reloaded.verify() == verify_lines(lines)
+        assert reloaded.verify().first_bad_index == 3
+
 
 class TestBlocklist:
     def test_block_empty_keeps_size(self):

@@ -220,6 +220,17 @@ class TestDamagedStore:
         pytest.param('{"request_id":"r","targets":5}', id="targets-number"),
         pytest.param('{"request_id":"r","targets":["a"]}', id="targets-not-ids"),
         pytest.param('{"request_id":"r","targets":"12"}', id="targets-string"),
+        pytest.param('{"request_id":"r","targets":[0.9,true,"2"]}', id="targets-coercible"),
+        pytest.param('{"request_id":"r","targets":[0.0]}', id="targets-float"),
+        pytest.param('{"request_id":"r","targets":[true]}', id="targets-bool"),
+        pytest.param('{"request_id":"r","targets":["2"]}', id="targets-digit-string"),
+        pytest.param('{"request_id":"a/b","targets":[0]}', id="request-id-slash"),
+        pytest.param('{"request_id":"a\\\\b","targets":[0]}', id="request-id-backslash"),
+        pytest.param('{"request_id":"a\\u0000b","targets":[0]}', id="request-id-nul"),
+        pytest.param('{"request_id":".","targets":[0]}', id="request-id-dot"),
+        pytest.param('{"request_id":"..","targets":[0]}', id="request-id-dotdot"),
+        pytest.param('{"request_id":"","targets":[0]}', id="request-id-empty"),
+        pytest.param('{"request_id":7,"targets":[0]}', id="request-id-number"),
     ])
     def test_bad_request_names_the_file(self, pipeline, tmp_path, capsys, body):
         _, store = pipeline
@@ -233,6 +244,39 @@ class TestDamagedStore:
         assert code == 1
         assert err.startswith(f"error: {request}: malformed file")
         assert {p.name: p.read_bytes() for p in copy.iterdir()} == before
+
+    @pytest.mark.parametrize("name, field, value", [
+        pytest.param("model.jsonl", "ref_seed", -1, id="ref-seed-negative"),
+        pytest.param("model.jsonl", "ref_seed", True, id="ref-seed-bool"),
+        pytest.param("model.jsonl", "ref_seed", 7919.0, id="ref-seed-float"),
+        pytest.param("model.jsonl", "ref_seed", "7919", id="ref-seed-string"),
+        pytest.param("nodes.jsonl", "layer", "procedural", id="layer-procedural"),
+        pytest.param("nodes.jsonl", "layer", "external", id="layer-external"),
+    ])
+    def test_bad_field_is_malformed(self, pipeline, tmp_path, capsys, name, field, value):
+        _, store = pipeline
+        copy = tmp_path / "store"
+        shutil.copytree(store, copy)
+        path = copy / name
+        lines = path.read_text().splitlines()
+        lines[1] = json.dumps({**json.loads(lines[1]), field: value})
+        path.write_text("\n".join(lines) + "\n")
+        code = main(["query", "--store", str(copy), "--text", "what remedy"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {path}") and ": malformed file: " in err
+
+    def test_v1_model_file_is_rejected(self, pipeline, tmp_path, capsys):
+        _, store = pipeline
+        copy = tmp_path / "store"
+        shutil.copytree(store, copy)
+        path = copy / "model.jsonl"
+        params = json.loads(path.read_text().splitlines()[1])["params"]
+        path.write_text("memscrub-model v1\n"
+                        + json.dumps({"params": params, "ref_params": params}) + "\n")
+        code = main(["query", "--store", str(copy), "--text", "what remedy"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {path}: missing or wrong version header\n"
 
     def test_store_rejects_malformed_corpus(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.jsonl"

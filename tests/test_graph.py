@@ -78,12 +78,6 @@ class TestAddMemory:
         with pytest.raises(EdgeViolationError):
             g.add_memory(Layer.EPISODIC, "derived episode", [m1])
 
-    def test_procedural_cannot_derive(self):
-        g = MemoryGraph()
-        p = g.add_memory(Layer.PROCEDURAL, "routine")
-        with pytest.raises(EdgeViolationError):
-            g.add_memory(Layer.SEMANTIC, "from routine", [p])
-
 
 class TestDependencyClosure:
     def test_empty_targets(self):
@@ -251,3 +245,26 @@ class TestPersistence:
             assert reloaded.node(node_id).ref_count == g.node(node_id).ref_count
             assert reloaded.node(node_id).status == g.node(node_id).status
         reloaded.check_consistency()
+
+    def test_adjacency_only_for_nodes_with_edges(self):
+        g = MemoryGraph()
+        m1, m2, lone = (g.add_memory(Layer.EPISODIC, f"m{i}") for i in range(3))
+        s1 = g.add_memory(Layer.SEMANTIC, "s1", [m1, m2])
+        reloaded = MemoryGraph.from_lines(g.node_lines(), g.edge_lines())
+        for graph in (g, reloaded):
+            assert graph._parents == {s1: [m1, m2]}
+            assert graph._children == {m1: [s1], m2: [s1]}
+            assert graph.parents_of(lone) == [] and graph.parents_of(s1) == [m1, m2]
+            assert graph.dependency_closure([lone]) == set()
+            assert graph.episodic_ancestors(s1) == {m1, m2}
+            report = graph.prune(ForgetRequest.of("r", [lone, m1]),
+                                 graph.dependency_closure([lone, m1]), always_blocked)
+            assert report.removed_ids == [m1, lone] and report.shared_decremented == 1
+            graph.check_consistency()
+
+    def test_removed_layer_is_a_malformed_record(self):
+        g = MemoryGraph()
+        g.add_memory(Layer.EPISODIC, "m1")
+        line = g.node_lines()[0].replace('"episodic"', '"procedural"')
+        with pytest.raises(ValueError):
+            MemoryGraph.from_lines([line], [])

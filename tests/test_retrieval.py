@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from memscrub.audit import AuditLog, Blocklist
+from memscrub.audit import AuditLog, Blocklist, payload_digest
 from memscrub.graph import Layer, UnknownNodeError
 from memscrub.retrieval import (
     HashingEmbedder,
@@ -69,6 +69,61 @@ class TestIndexMembership:
 
     def test_empty_index_returns_empty(self, index):
         assert index.search(HybridQuery("anything"), allow_all) == []
+
+    def test_removed_entry_keeps_only_its_id(self, index):
+        for i in range(3):
+            index.insert(i, f"doc {i}")
+        index.remove(1)
+        assert 1 not in index and len(index) == 2 and index.live_ids() == [0, 2]
+        assert sorted(index._vectors) == sorted(index._tokens) == [0, 2]
+        assert index.to_lines()[1:] == ['{"id":0,"tombstone":false}', '{"id":1,"tombstone":true}',
+                                        '{"id":2,"tombstone":false}']
+        with pytest.raises(UnknownNodeError):
+            index.remove(1)
+
+
+class TestPersistence:
+    def test_load_embeds_live_entries_only(self, index):
+        contents = {i: f"doc {i} river" for i in range(6)}
+        for i, text in contents.items():
+            index.insert(i, text)
+        index.remove(1)
+        index.remove(4)
+        asked, embedded = [], []
+
+        class CountingEmbedder(HashingEmbedder):
+            def embed(self, text):
+                embedded.append(text)
+                return super().embed(text)
+
+        def content_for(node_id):
+            asked.append(node_id)
+            return contents[node_id]
+
+        lines = index.to_lines()
+        reloaded = HybridIndex.from_lines(lines, CountingEmbedder(64), tau=100,
+                                          content_for=content_for)
+        assert asked == list(range(6))  # tombstones are checked against the graph too
+        assert embedded == [contents[i] for i in (0, 2, 3, 5)]
+        assert reloaded.to_lines() == lines
+        assert reloaded.live_ids() == index.live_ids()
+
+    def test_unknown_tombstone_rejected_on_load(self, tmp_path):
+        store = MemoryStore()
+        store.write(Layer.EPISODIC, "alpha river")
+        store.save(tmp_path)
+        with open(tmp_path / "index.jsonl", "a", encoding="utf-8") as f:
+            f.write('{"id":99,"tombstone":true}\n')
+        with pytest.raises(ValueError, match="index.jsonl: malformed file"):
+            MemoryStore.load(tmp_path)
+
+    @pytest.mark.parametrize("tombstone", [False, True])
+    def test_id_listed_twice_rejected_on_load(self, index, tombstone):
+        index.insert(0, "alpha river")
+        lines = index.to_lines() + [f'{{"id":0,"tombstone":{str(tombstone).lower()}}}']
+        with pytest.raises(ValueError, match="listed twice"):
+            HybridIndex.from_lines(lines, index.embedder, tau=100,
+                                   content_for=lambda i: "alpha river")
 
 
 class TestCopyAndPurge:
@@ -216,6 +271,21 @@ class TestRebuild:
             for q in queries
         ]
         assert before == after
+
+    def test_rebuild_record_counts_tombstones_as_entries(self, index):
+        for i in range(10):
+            index.insert(i, f"doc {i}")
+        for i in (0, 5, 7):
+            index.remove(i)
+        blocklist, log = self._blocked(3)
+        blocklist.block([8], log)
+        index.tau = 3
+        index.maybe_rebuild(blocklist, keep=lambda i: i != 9, audit=log)
+        rebuild = log.records[-2]
+        # Every entry counts, live or tombstoned: 10 entries, 7 purged.
+        expected = {"generation": 1, "purged": [0, 1, 2, 5, 7, 8, 9], "size": 3}
+        assert rebuild.payload_digest == payload_digest(expected)
+        assert index.live_ids() == [3, 4, 6]
 
 
 @settings(max_examples=40, deadline=None)

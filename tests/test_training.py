@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -316,6 +317,46 @@ class TestTrainUnlearn:
             train_unlearn(Dataset(np.zeros((0, 6)), np.zeros(0, dtype=int)),
                           Dataset(np.zeros((0, 6)), np.zeros(0, dtype=int)),
                           tiny_state(), UnlearnConfig())
+
+
+class TestReference:
+    def test_record_holds_the_seed_and_reloads_bit_for_bit(self):
+        state = tiny_state(seed=4)
+        grad_step(LabeledBatch.of(np.ones((1, 6)), [1], np.ones((1, 6)), n_features=6),
+                  state, UnlearnConfig())
+        record = json.loads(json.dumps(state.to_record()))
+        assert sorted(record) == ["params", "ref_seed"] and record["ref_seed"] == 104
+        loaded = ModelState.from_record(record)
+        fresh = tiny_state(seed=4)
+        for key in PARAM_KEYS:
+            assert np.array_equal(loaded.params[key], state.params[key])
+            assert np.array_equal(loaded.ref_params[key], fresh.ref_params[key])
+            assert loaded.ref_params[key].dtype == fresh.ref_params[key].dtype
+        assert loaded.ref_hash() == fresh.ref_hash()
+
+    @pytest.mark.parametrize("ref_seed", [-1, True, 7.0, "7", None])
+    def test_bad_ref_seed_rejected(self, ref_seed):
+        record = {**tiny_state().to_record(), "ref_seed": ref_seed}
+        with pytest.raises(ValueError, match="ref_seed"):
+            ModelState.from_record(record)
+
+    def test_reference_is_read_only(self):
+        state = tiny_state()
+        with pytest.raises(ValueError):
+            state.ref_params["w1"][0, 0] = 1.0
+        with pytest.raises(ValueError):
+            state.ref_params["b2"] += 1.0
+
+    def test_copy_shares_the_reference_only(self):
+        state = tiny_state()
+        clone = state.copy()
+        assert clone.ref_seed == state.ref_seed
+        for key in PARAM_KEYS:
+            assert clone.ref_params[key] is state.ref_params[key]
+            assert clone.params[key] is not state.params[key]
+        before = {k: v.copy() for k, v in state.params.items()}
+        grad_step(LabeledBatch.of(np.ones((2, 6)), [0, 2], n_features=6), clone, UnlearnConfig())
+        assert_params_equal(state, ModelState(params=before, ref_seed=state.ref_seed))
 
 
 # ---------------------------------------------------------------------------
