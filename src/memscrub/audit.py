@@ -178,13 +178,16 @@ class Blocklist:
         targets = sorted(set(targets))
         digests = list(digests)
         audit.append(AuditOp.BLOCK, {"ids": targets, "index_generation": index_generation})
-        before = dict(self._entries)
-        before_digests = set(self.digests)
+        # Undo exactly what this call may change, so no copy of the whole set is needed.
+        prior = {t: self._entries[t] for t in targets if t in self._entries}
+        added_digests = set(digests) - self.digests
         try:
             self._apply(targets, digests, index_generation)
         except Exception:
-            self._entries = before
-            self.digests = before_digests
+            for t in targets:
+                self._entries.pop(t, None)
+            self._entries.update(prior)
+            self.digests -= added_digests
             raise
         return len(self._entries)
 

@@ -319,6 +319,8 @@ class MemoryGraph:
         graph = cls(audit=audit)
         for line in node_lines:
             node = MemoryNode.from_record(json.loads(line))
+            if node.id in graph.nodes:
+                raise ValueError(f"node {node.id} is listed twice")
             graph.nodes[node.id] = node
         for line in edge_lines:
             rec = json.loads(line)

@@ -112,15 +112,34 @@ def _init_params(n_features: int, n_hidden: int, n_classes: int, seed: int) -> d
 
 def _forward(p: dict, x: np.ndarray):
     """Hidden activations and logits of x under parameters p."""
-    hidden = np.tanh(x @ p["w1"] + p["b1"])
-    return hidden, hidden @ p["w2"] + p["b2"]
+    hidden = x @ p["w1"]
+    hidden += p["b1"]
+    np.tanh(hidden, out=hidden)
+    z = hidden @ p["w2"]
+    z += p["b2"]
+    return hidden, z
 
 
-def _backprop(p: dict, x: np.ndarray, hidden: np.ndarray, dz: np.ndarray) -> dict:
-    """Parameter gradients from the logit gradient dz of rows x."""
-    dpre = (dz @ p["w2"].T) * (1.0 - hidden ** 2)
-    return {"w1": x.T @ dpre, "b1": dpre.sum(axis=0),
-            "w2": hidden.T @ dz, "b2": dz.sum(axis=0)}
+def _backprop(p: dict, x: np.ndarray, hidden: np.ndarray, dz: np.ndarray):
+    """Parameter gradients from the logit gradient dz of rows x.
+
+    Returns one new flat buffer and its views shaped like p; ``hidden``
+    is overwritten.
+    """
+    flat = np.empty(sum(v.size for v in p.values()))
+    grads, start = {}, 0
+    for key in PARAM_KEYS:
+        grads[key] = flat[start:start + p[key].size].reshape(p[key].shape)
+        start += p[key].size
+    np.matmul(hidden.T, dz, out=grads["w2"])
+    np.add.reduce(dz, axis=0, out=grads["b2"])
+    dpre = dz @ p["w2"].T
+    hidden *= hidden
+    np.subtract(1.0, hidden, out=hidden)
+    dpre *= hidden
+    np.matmul(x.T, dpre, out=grads["w1"])
+    np.add.reduce(dpre, axis=0, out=grads["b1"])
+    return flat, grads
 
 
 @dataclass
@@ -194,10 +213,15 @@ def temperature_softmax(z: np.ndarray, temperature: float) -> np.ndarray:
     if temperature <= 0:
         raise TrainingError("temperature must be > 0")
     with np.errstate(invalid="ignore"):
-        scaled = np.asarray(z, dtype=float) / temperature
-        scaled = scaled - np.max(scaled, axis=-1, keepdims=True)
-        exp = np.exp(scaled)
-        return exp / np.sum(exp, axis=-1, keepdims=True)
+        return _softmax_in_place(np.asarray(z, dtype=float) / temperature)
+
+
+def _softmax_in_place(z: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of z, written into z."""
+    z -= np.maximum.reduce(z, axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= np.add.reduce(z, axis=-1, keepdims=True)
+    return z
 
 
 def entropy(p: np.ndarray) -> np.ndarray:
@@ -241,44 +265,60 @@ def loss_weight(batch: LabeledBatch, state: ModelState, cfg: UnlearnConfig) -> L
 
 
 def loss_and_grads(batch: LabeledBatch, state: ModelState, cfg: UnlearnConfig):
+    report, _, grads = _loss_and_flat_grads(batch, state, cfg)
+    return report, grads
+
+
+def _loss_and_flat_grads(batch: LabeledBatch, state: ModelState, cfg: UnlearnConfig):
+    """Loss report, the gradient as one flat buffer, and its views by parameter."""
     if len(batch) == 0:
         raise TrainingError("empty batch")
 
     params = state.params
-    parts = []  # (rows, hidden, weighted dz) of each batch part
+    T = cfg.temperature
     ce_part = 0.0
     kl_part = 0.0
+    flat = grads = None
 
+    # The forward passes (the student's, and the reference's for forget
+    # rows) run outside the errstate blocks, so an overflow there still
+    # warns. Past them, large rows or weights can overflow a gradient while
+    # the loss stays finite; grad_step's finiteness check aborts such a step.
     if batch.n_retain:
-        hidden, z = _forward(params, batch.retain_x)
-        p = temperature_softmax(z, 1.0)
-        rows = np.arange(batch.n_retain)
-        picked = p[rows, batch.retain_y]
-        ce_part = float(np.mean(-np.log(np.clip(picked, 1e-300, None))))
-        p[rows, batch.retain_y] -= 1.0
-        parts.append((batch.retain_x, hidden, p / batch.n_retain))
+        n = batch.n_retain
+        hidden, p = _forward(params, batch.retain_x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _softmax_in_place(p)  # at T = 1, whose division is exact and so skipped
+            rows, y = np.arange(n), batch.retain_y
+            ce_part = float(np.add.reduce(-np.log(np.maximum(p[rows, y], 1e-300))) / n)
+            p[rows, y] -= 1.0
+            p /= n
+            flat, grads = _backprop(params, batch.retain_x, hidden, p)
 
     if batch.n_forget:
-        T = cfg.temperature
-        hidden, z = _forward(params, batch.forget_x)
-        p = temperature_softmax(z, T)
+        n = batch.n_forget
+        hidden, p = _forward(params, batch.forget_x)
+        p /= T
         q = _forget_targets(state, batch.forget_x, cfg)
-        log_ratio = np.log(np.clip(p, 1e-300, None)) - np.log(np.clip(q, 1e-300, None))
-        kl_rows = np.sum(p * log_ratio, axis=-1)
-        kl_part = float(np.mean(kl_rows))
-        # d KL / d z = p * (log_ratio - KL) / T, scaled by the batch weight.
-        dz = p * (log_ratio - kl_rows[:, None]) / T
-        parts.append((batch.forget_x, hidden, dz * (cfg.lambda_f * T ** 2 / batch.n_forget)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            _softmax_in_place(p)
+            dz = np.log(np.maximum(p, 1e-300))
+            dz -= np.log(np.maximum(q, 1e-300))  # log_ratio, turned into dz below
+            kl_rows = np.add.reduce(p * dz, axis=-1)
+            kl_part = float(np.add.reduce(kl_rows) / n)
+            # d KL / d z = p * (log_ratio - KL) / T, scaled by the batch weight.
+            dz -= kl_rows[:, None]
+            dz *= p
+            dz /= T
+            dz *= cfg.lambda_f * T ** 2 / n
+            forget_flat, forget_grads = _backprop(params, batch.forget_x, hidden, dz)
+            if flat is None:
+                flat, grads = forget_flat, forget_grads
+            else:
+                flat += forget_flat
 
-    total = ce_part + cfg.lambda_f * cfg.temperature ** 2 * kl_part
-    # Large rows or weights can overflow a gradient while the loss stays
-    # finite; grad_step's finiteness check aborts such a step.
-    with np.errstate(over="ignore", invalid="ignore"):
-        grads = _backprop(params, *parts[0])
-        for part in parts[1:]:
-            for key, g in _backprop(params, *part).items():
-                grads[key] += g
-    return LossReport(total=total, ce_part=ce_part, kl_part=kl_part), grads
+    total = ce_part + cfg.lambda_f * T ** 2 * kl_part
+    return LossReport(total=total, ce_part=ce_part, kl_part=kl_part), flat, grads
 
 
 @dataclass
@@ -289,14 +329,12 @@ class StepReport:
 
 def grad_step(batch: LabeledBatch, state: ModelState, cfg: UnlearnConfig) -> StepReport:
     """One gradient-descent step in place. A non-finite loss or gradient aborts the step."""
-    report, grads = loss_and_grads(batch, state, cfg)
-    finite = math.isfinite(report.total) and all(np.isfinite(g).all() for g in grads.values())
-    if not finite:
+    report, flat, grads = _loss_and_flat_grads(batch, state, cfg)
+    if not (math.isfinite(report.total) and np.isfinite(flat).all()):
         return StepReport(loss=report, aborted=True)
+    flat *= cfg.lr
     for key in PARAM_KEYS:
-        g = grads[key]
-        g *= cfg.lr
-        state.params[key] -= g
+        state.params[key] -= grads[key]
     return StepReport(loss=report)
 
 

@@ -158,6 +158,22 @@ class TestBlocklist:
         assert len(log) == 2
         assert log.verify().ok
 
+    def test_fault_midway_through_mutation_restores_state(self, monkeypatch):
+        blocklist, log = Blocklist(), AuditLog()
+        blocklist.block([1, 3], log, digests=["d1"], index_generation=0)
+        before = blocklist.to_lines()  # ids with their generations, then digests
+
+        def partial(targets, digests, index_generation):
+            for t in targets:
+                blocklist._entries[t] = index_generation  # also rewrites id 3's generation
+            blocklist.digests.update(digests)
+            raise RuntimeError("storage failure")
+
+        monkeypatch.setattr(blocklist, "_apply", partial)
+        with pytest.raises(RuntimeError):
+            blocklist.block([2, 3, 4], log, digests=["d1", "d2"], index_generation=5)
+        assert blocklist.to_lines() == before
+
     def test_compaction_respects_generation_gate(self):
         blocklist, log = Blocklist(), AuditLog()
         blocklist.block([1, 2], log, index_generation=0)

@@ -191,6 +191,8 @@ class TestDamagedStore:
                      id="model.jsonl-no-w1"),
         pytest.param("nodes.jsonl", lambda lines: lines[:2] + [lines[2][:-1] + ',"x":1}'] + lines[3:],
                      id="nodes.jsonl-extra-key"),
+        pytest.param("nodes.jsonl", lambda lines: lines + lines[2:3],
+                     id="nodes.jsonl-duplicate-id"),
     ])
     def test_load_error_names_the_file(self, pipeline, tmp_path, capsys, name, damage):
         _, store = pipeline

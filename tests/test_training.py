@@ -221,6 +221,28 @@ class TestGradStep:
         for key in PARAM_KEYS:
             assert np.array_equal(state.params[key], before[key])
 
+    def test_forward_overflow_still_warns(self):
+        # Only the backprop is silenced: an overflow in the forward pass surfaces.
+        state = ModelState.init(6, 4, 3)
+        state.params["w1"][:] = 1e200
+        batch = LabeledBatch.of(np.full((2, 6), 1e200), np.array([0, 1]), n_features=6)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            grad_step(batch, state, UnlearnConfig())
+        assert [str(w.message) for w in caught] == ["overflow encountered in matmul"]
+        assert all(w.category is RuntimeWarning for w in caught)
+
+    def test_successive_calls_share_no_gradient_memory(self):
+        state = tiny_state()
+        rng = np.random.default_rng(4)
+        batch = LabeledBatch.of(rng.normal(size=(3, 6)), rng.integers(0, 3, 3),
+                                rng.normal(size=(2, 6)), n_features=6)
+        _, first = loss_and_grads(batch, state, UnlearnConfig())
+        _, second = loss_and_grads(batch, state, UnlearnConfig())
+        for a in first.values():
+            for b in second.values():
+                assert not np.shares_memory(a, b)
+
 
 class TestFiniteDifferences:
     def test_gradients_match_central_differences(self):
