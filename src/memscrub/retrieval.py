@@ -2,9 +2,17 @@
 
 Candidates are scored exactly (cosine similarity fused with token
 overlap), oversampled by a small factor, filtered against the blocklist
-and node status at the boundary, and truncated to top-k. A removal drops
-the entry's vector and leaves its id as a tombstone until the index is
-rebuilt, which happens when the blocklist outgrows a threshold.
+and node status at the boundary, and truncated to top-k.
+
+The index keeps vectors as rows of zero-filled blocks of ``BLOCK_ROWS``
+rows, with a row -> id array, and keyword overlap as postings (token ->
+rows). A search runs one mat-vec over each whole block, so every row
+takes the same arithmetic and identical texts score bit-identically at
+any row, and adds one at each row in the postings of each query token.
+A removal takes the entry out of the live set at once and keeps its id
+as a tombstone; its dead row and postings stay until the next purge,
+which compacts blocks, ids and postings. The index is rebuilt (purged)
+when the blocklist outgrows a threshold.
 """
 
 from __future__ import annotations
@@ -12,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -22,17 +31,11 @@ from .graph import UnknownNodeError
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
+BLOCK_ROWS = 64
+
 
 def tokenize(text: str) -> list:
     return _TOKEN_RE.findall(text.lower())
-
-
-def keyword_score(query_tokens, doc_tokens) -> float:
-    """Normalized token overlap: |query ∩ doc| / |query|."""
-    if not query_tokens:
-        return 0.0
-    qset = set(query_tokens)
-    return len(qset & set(doc_tokens)) / len(qset)
 
 
 class HashingEmbedder:
@@ -107,53 +110,142 @@ class RebuildResult:
 
 
 class HybridIndex:
-    """Exact-scoring hybrid index; a removed entry keeps only its id until the next purge."""
+    """Exact-scoring hybrid index over row blocks and token postings.
+
+    ``copy`` shares the blocks read-only: it freezes them, and an insert
+    copies a frozen partial block before it writes. Rows are only ever
+    written into the partial block. The postings are shared with a copy
+    until either side inserts.
+    """
 
     def __init__(self, embedder: HashingEmbedder, tau: int):
         self.embedder = embedder
         self.tau = tau
         self.generation = 0
-        self._vectors: dict[int, np.ndarray] = {}
-        self._tokens: dict[int, frozenset] = {}
+        self._blocks: list = []  # (BLOCK_ROWS, dim) arrays
+        self._ids = np.zeros(0, dtype=np.int64)  # row -> id
+        self._live = np.zeros(0, dtype=bool)  # row holds its id's current entry
+        self._rows = 0  # rows filled, dead ones included
+        self._row_of: dict[int, int] = {}  # live id -> row
+        self._postings: dict[str, array] = {}  # token -> rows, dead ones included
+        self._postings_shared = False
         self._tombstones: set = set()
 
     def __contains__(self, node_id: int) -> bool:
-        return node_id in self._vectors
+        return node_id in self._row_of
 
     def __len__(self) -> int:
-        return len(self._vectors)
+        return len(self._row_of)
 
     def live_ids(self) -> list:
-        return sorted(self._vectors)
+        return sorted(self._row_of)
 
     def copy(self) -> "HybridIndex":
-        """Independent copy. Stored vectors are read-only, so copies share them."""
+        """Independent copy sharing the frozen blocks, and the postings until an insert."""
         clone = HybridIndex(self.embedder, tau=self.tau)
         clone.generation = self.generation
-        clone._vectors = dict(self._vectors)
-        clone._tokens = dict(self._tokens)
+        for block in self._blocks:
+            block.flags.writeable = False
+        clone._blocks = list(self._blocks)
+        clone._ids = self._ids.copy()
+        clone._live = self._live.copy()
+        clone._rows = self._rows
+        clone._row_of = dict(self._row_of)
+        clone._postings = self._postings
+        self._postings_shared = clone._postings_shared = True
         clone._tombstones = set(self._tombstones)
         return clone
 
     def insert(self, node_id: int, text: str) -> None:
         vec = self.embedder.embed(text)
-        vec.flags.writeable = False
-        self._vectors[node_id] = vec
-        self._tokens[node_id] = frozenset(tokenize(text))
+        old = self._row_of.get(node_id)
+        if old is not None:
+            self._live[old] = False
+        row, slot = self._rows, self._rows % BLOCK_ROWS
+        if slot == 0:
+            self._grow()
+        elif not self._blocks[-1].flags.writeable:
+            self._blocks[-1] = self._blocks[-1].copy()
+        self._blocks[-1][slot] = vec
+        self._rows += 1
+        self._ids[row] = node_id
+        self._live[row] = True
+        self._row_of[node_id] = row
         self._tombstones.discard(node_id)
+        if self._postings_shared:
+            self._postings = {t: array("q", rows) for t, rows in self._postings.items()}
+            self._postings_shared = False
+        for token in set(tokenize(text)):
+            rows = self._postings.get(token)
+            if rows is None:
+                self._postings[token] = array("q", (row,))
+            else:
+                rows.append(row)
+
+    def _grow(self) -> None:
+        """Add a zero-filled block, with ids and live flags for its rows."""
+        self._blocks.append(np.zeros((BLOCK_ROWS, self.embedder.dim)))
+        self._ids = np.concatenate([self._ids, np.zeros(BLOCK_ROWS, dtype=np.int64)])
+        self._live = np.concatenate([self._live, np.zeros(BLOCK_ROWS, dtype=bool)])
 
     def remove(self, node_id: int) -> None:
-        """Drop the entry's vector and tokens; its id stays a tombstone until purged."""
-        if node_id not in self._vectors:
+        """Take the entry out of the live set; its id stays a tombstone until purged."""
+        row = self._row_of.pop(node_id, None)
+        if row is None:
             raise UnknownNodeError(f"id {node_id} not in index")
-        del self._vectors[node_id], self._tokens[node_id]
+        self._live[row] = False
         self._tombstones.add(node_id)
 
     def purge(self, ids) -> None:
-        """Drop ``ids`` and forget every tombstone; bumps the generation."""
+        """Drop ``ids`` and every tombstone, compacting storage to the live rows.
+
+        A block whose rows are all live is kept as it is, still shared with
+        any copy; the live rows of the other blocks are packed into new
+        blocks after those. Bumps the generation.
+        """
         for node_id in ids:
-            self._vectors.pop(node_id, None)
-            self._tokens.pop(node_id, None)
+            row = self._row_of.pop(node_id, None)
+            if row is not None:
+                self._live[row] = False
+        keep = np.flatnonzero(self._live)
+        bounds = np.searchsorted(keep, np.arange(len(self._blocks) + 1) * BLOCK_ROWS)
+        whole = np.diff(bounds) == BLOCK_ROWS
+        in_whole = whole[keep // BLOCK_ROWS]
+        order = np.concatenate([keep[in_whole], keep[~in_whole]])  # old row of each new row
+        n, filled, blocks, kept_ids = len(order), self._rows, self._blocks, self._ids[order]
+        self._blocks = [block for block, kept in zip(blocks, whole) if kept]
+        self._rows = len(self._blocks) * BLOCK_ROWS
+        self._ids = np.zeros(self._rows, dtype=np.int64)
+        self._live = np.zeros(self._rows, dtype=bool)
+        # Pack the live rows of the other blocks after the kept ones.
+        for b in np.flatnonzero(~whole).tolist():
+            block, blocks[b] = blocks[b], None  # released once its live rows moved
+            moved = block[keep[bounds[b]:bounds[b + 1]] - b * BLOCK_ROWS]
+            while len(moved):
+                slot = self._rows % BLOCK_ROWS
+                if slot == 0:
+                    self._grow()
+                take = moved[:BLOCK_ROWS - slot]
+                self._blocks[-1][slot:slot + len(take)] = take
+                self._rows += len(take)
+                moved = moved[len(take):]
+        self._ids[:n] = kept_ids
+        self._live[:n] = True
+        new_row = np.full(filled, -1, dtype=np.int64)
+        new_row[order] = np.arange(n)
+        # Remap all postings at once, then cut them back into one array per token.
+        lengths = np.fromiter(map(len, self._postings.values()), np.int64, len(self._postings))
+        mapped = new_row[np.frombuffer(b"".join(self._postings.values()), dtype=np.int64)]
+        ends = np.cumsum(mapped >= 0)[np.cumsum(lengths) - 1].tolist()
+        data = mapped[mapped >= 0].tobytes()
+        postings, start = {}, 0
+        for token, end in zip(self._postings, ends):
+            if end > start:
+                postings[token] = array("q", data[start * 8:end * 8])
+            start = end
+        self._postings = postings
+        self._row_of = dict(zip(kept_ids.tolist(), range(n)))
+        self._postings_shared = False
         self._tombstones.clear()
         self.generation += 1
 
@@ -165,20 +257,30 @@ class HybridIndex:
         top_k * oversample_r before filtering; if fewer survive, the
         shorter list is returned.
         """
-        live = self.live_ids()
-        if not live:
+        if not self._row_of:
             return []
         qvec = self.embedder.embed(query.text)
-        qtokens = tokenize(query.text)
-        scored = []
-        for node_id in live:
-            sem = float(np.dot(qvec, self._vectors[node_id]))
-            kw = keyword_score(qtokens, self._tokens[node_id])
-            combined = query.w_sem * sem + query.w_kw * kw
-            scored.append(ScoredHit(node_id=node_id, sem_score=sem, kw_score=kw, combined=combined))
-        scored.sort(key=lambda h: (-h.combined, h.node_id))
-        candidates = scored[: query.top_k * query.oversample_r]
-        survivors = [h for h in candidates if allowed(h.node_id)]
+        qtokens = set(tokenize(query.text))
+        sem = np.empty(len(self._live))
+        for start, block in zip(range(0, len(sem), BLOCK_ROWS), self._blocks):
+            np.matmul(block, qvec, out=sem[start:start + BLOCK_ROWS])
+        kw = np.zeros(len(sem))
+        for token in qtokens:
+            rows = self._postings.get(token)
+            if rows is not None:
+                kw[np.frombuffer(rows, dtype=np.int64)] += 1.0
+        if qtokens:
+            kw /= len(qtokens)
+        combined = query.w_sem * sem + query.w_kw * kw
+        live = np.flatnonzero(self._live)
+        ranked = live[np.lexsort((self._ids[live], -combined[live]))]
+        candidates = ranked[: query.top_k * query.oversample_r].tolist()
+        survivors = [
+            ScoredHit(node_id=node_id, sem_score=float(sem[row]), kw_score=float(kw[row]),
+                      combined=float(combined[row]))
+            for row, node_id in zip(candidates, self._ids[candidates].tolist())
+            if allowed(node_id)
+        ]
         return survivors[: query.top_k]
 
     def maybe_rebuild(self, blocklist: Blocklist, keep: Callable[[int], bool],
@@ -192,11 +294,11 @@ class HybridIndex:
         if len(blocklist) <= self.tau:
             return RebuildResult(rebuilt=False, generation=self.generation)
         purged = sorted(self._tombstones.union(
-            i for i in self._vectors if blocklist.is_blocked(i) or not keep(i)))
+            i for i in self._row_of if blocklist.is_blocked(i) or not keep(i)))
         audit.append(AuditOp.REBUILD, {
             "generation": self.generation + 1,
             "purged": purged,
-            "size": len(self._vectors) + len(self._tombstones) - len(purged),
+            "size": len(self._row_of) + len(self._tombstones) - len(purged),
         })
         self.purge(purged)
         blocklist.compact(purged, self.generation, audit)
@@ -206,7 +308,7 @@ class HybridIndex:
 
     def to_lines(self) -> list:
         lines = [canonical_json({"generation": self.generation})]
-        for node_id in sorted(self._tombstones.union(self._vectors)):
+        for node_id in sorted(self._tombstones.union(self._row_of)):
             lines.append(canonical_json({"id": node_id, "tombstone": node_id in self._tombstones}))
         return lines
 

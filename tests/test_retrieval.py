@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 from memscrub.audit import AuditLog, Blocklist, payload_digest
 from memscrub.graph import Layer, UnknownNodeError
 from memscrub.retrieval import (
+    BLOCK_ROWS,
     HashingEmbedder,
     HybridIndex,
     HybridQuery,
-    keyword_score,
     tokenize,
 )
 from memscrub.store import MemoryStore
@@ -19,6 +19,29 @@ from memscrub.store import MemoryStore
 
 def allow_all(_):
     return True
+
+
+def keyword_score(query_tokens, doc_tokens) -> float:
+    """Normalized token overlap: |query ∩ doc| / |query|."""
+    if not query_tokens:
+        return 0.0
+    qset = set(query_tokens)
+    return len(qset & set(doc_tokens)) / len(qset)
+
+
+def oracle_search(docs, query, allowed, dim):
+    """Scalar reference for ``HybridIndex.search`` over ``docs`` (live id -> text):
+    one ``np.dot`` and one set overlap per entry, then a ``(-combined, id)`` sort."""
+    qvec = reference_embed(query.text, dim)
+    qtokens = tokenize(query.text)
+    scored = []
+    for node_id, text in docs.items():
+        sem = float(np.dot(qvec, reference_embed(text, dim)))
+        kw = keyword_score(qtokens, tokenize(text))
+        scored.append((node_id, sem, kw, query.w_sem * sem + query.w_kw * kw))
+    scored.sort(key=lambda h: (-h[3], h[0]))
+    candidates = scored[: query.top_k * query.oversample_r]
+    return [h for h in candidates if allowed(h[0])][: query.top_k]
 
 
 @pytest.fixture()
@@ -75,11 +98,19 @@ class TestIndexMembership:
             index.insert(i, f"doc {i}")
         index.remove(1)
         assert 1 not in index and len(index) == 2 and index.live_ids() == [0, 2]
-        assert sorted(index._vectors) == sorted(index._tokens) == [0, 2]
+        hits = index.search(HybridQuery("doc 1", top_k=3, oversample_r=3), allow_all)
+        assert [h.node_id for h in hits] == [0, 2]
         assert index.to_lines()[1:] == ['{"id":0,"tombstone":false}', '{"id":1,"tombstone":true}',
                                         '{"id":2,"tombstone":false}']
         with pytest.raises(UnknownNodeError):
             index.remove(1)
+        # The dead row and its postings stay until a purge compacts them away.
+        index.purge([])
+        assert index._rows == 2 and index._ids[:2].tolist() == [0, 2]
+        assert index._live.tolist() == [True, True] + [False] * (BLOCK_ROWS - 2)
+        assert "1" not in index._postings
+        assert {t: list(rows) for t, rows in index._postings.items()} == {
+            "doc": [0, 1], "0": [0], "2": [1]}
 
 
 class TestPersistence:
@@ -134,16 +165,32 @@ class TestCopyAndPurge:
         clone = index.copy()
         assert clone.to_lines() == index.to_lines()
         assert clone.live_ids() == index.live_ids()
+        query = HybridQuery("doc 9 river", top_k=8, oversample_r=2)
+        before = index.search(query, allow_all)
+        assert clone.search(query, allow_all) == before
 
-        clone.insert(9, "doc 9 river")
+        clone.insert(9, "doc 9 river")  # into the shared partial block
         clone.remove(0)
         clone.purge([1])
+        assert index.search(query, allow_all) == before
         assert index.live_ids() == [0, 1, 3, 4, 5]
         assert 2 not in index and index.generation == 0
+
+        clone_before = clone.search(query, allow_all)
+        sibling = index.copy()
+        for block in sibling._blocks:  # shared storage is read-only
+            with pytest.raises(ValueError):
+                block[0, 0] = 1.0
+        index.insert(7, "doc 9 river")  # into the partial block shared with ``sibling``
+        sibling.insert(8, "lake")  # the same row on the other side
+        assert [h.kw_score for h in sibling.search(query, allow_all) if h.node_id == 8] == [0.0]
+        assert index.search(query, allow_all)[0].node_id == 7
         index.remove(3)
+        index.purge([4])
+        sibling.remove(8)
+        assert clone.search(query, allow_all) == clone_before
         assert clone.live_ids() == [3, 4, 5, 9]
-        with pytest.raises(ValueError):
-            clone._vectors[4][0] = 1.0  # stored vectors are read-only
+        assert sibling.search(query, allow_all) == before
 
     def test_purge_drops_ids_and_every_tombstone(self, index):
         for i in range(8):
@@ -332,3 +379,83 @@ class TestTokenCache:
         clone = store.copy()
         assert clone.embedder is store.embedder
         assert clone.index.embedder is store.embedder
+
+
+# Distinct token sets, so distinct texts never tie to the last bit; a text
+# drawn twice gives the identical entries whose ties must break by id.
+_POOL = ["fever cough", "alder", "remedy for cough", "topic001 fever alder",
+         "cough cough remedy", "alder bark tea", "", "fever fever fever", "topic001"]
+_QUERIES = ["fever cough", "alder remedy", "topic001 bark", "nothing in common"]
+_ID = st.integers(min_value=0, max_value=4 * BLOCK_ROWS + 20)
+_op = st.one_of(
+    st.tuples(st.just("insert"), _ID, st.integers(0, len(_POOL) - 1)),
+    st.tuples(st.just("remove"), _ID),
+    st.tuples(st.just("purge"), st.sets(_ID, max_size=4)),
+    st.tuples(st.just("copy"), st.booleans(), st.integers(0, len(_POOL) - 1)),
+)
+
+
+class TestScalarOracle:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(prefill=st.integers(0, 4 * BLOCK_ROWS), seed=st.integers(0, 2 ** 16),
+           ops=st.lists(_op, max_size=30))
+    def test_search_matches_scalar_oracle(self, prefill, seed, ops):
+        dim = 32
+        index = HybridIndex(HashingEmbedder(dim), tau=100)
+        docs = {}
+        choices = np.random.default_rng(seed).integers(len(_POOL), size=prefill).tolist()
+        for node_id, choice in enumerate(choices):
+            index.insert(node_id, _POOL[choice])
+            docs[node_id] = _POOL[choice]
+        left = []  # each side a copy left behind, with its results at that moment
+        for op in ops:
+            if op[0] == "insert":
+                index.insert(op[1], _POOL[op[2]])  # re-inserts a live id too
+                docs[op[1]] = _POOL[op[2]]
+            elif op[0] == "remove":
+                if op[1] in docs:
+                    index.remove(op[1])
+                    del docs[op[1]]
+                else:
+                    with pytest.raises(UnknownNodeError):
+                        index.remove(op[1])
+            elif op[0] == "purge":
+                index.purge(op[1])
+                for node_id in op[1]:
+                    docs.pop(node_id, None)
+            else:
+                clone = index.copy()
+                kept, index = (index, clone) if op[1] else (clone, index)
+                kept.insert(1000 + len(left), _POOL[op[2]])  # a row the other side writes too
+                left.append((kept, self._results(kept)))
+                docs = dict(docs)
+        assert index.live_ids() == sorted(docs)
+
+        for text in _QUERIES:
+            for allowed in (allow_all, lambda i: i % 3 != 0):
+                query = HybridQuery(text, top_k=5, oversample_r=3)
+                hits = index.search(query, allowed)
+                expected = oracle_search(docs, query, allowed, dim)
+                assert [h.node_id for h in hits] == [e[0] for e in expected]
+                for hit, (_, sem, kw, combined) in zip(hits, expected):
+                    assert abs(hit.sem_score - sem) <= 1e-15
+                    assert hit.kw_score == kw
+                    assert abs(hit.combined - combined) <= 1e-15
+
+            if docs:
+                ranked = index.search(HybridQuery(text, top_k=len(docs), oversample_r=1), allow_all)
+                by_text = {}
+                for hit in ranked:
+                    by_text.setdefault(docs[hit.node_id], []).append(hit)
+                for same in by_text.values():
+                    assert len({h.combined for h in same}) == 1  # bit-identical at any row
+                    ids = [h.node_id for h in same]
+                    assert ids == sorted(ids)
+                    position = [ranked.index(h) for h in same]
+                    assert position == list(range(position[0], position[0] + len(same)))
+        for kept, results in left:
+            assert self._results(kept) == results
+
+    @staticmethod
+    def _results(index):
+        return [index.search(HybridQuery(text, top_k=5), allow_all) for text in _QUERIES]
