@@ -20,7 +20,7 @@ from typing import Optional
 
 from .audit import record_of
 from .store import CONFIG_HEADER, RetrievalSettings, write_lines
-from .training import UnlearnConfig
+from .training import TrainingError, UnlearnConfig
 
 
 @dataclass
@@ -40,6 +40,8 @@ class RunConfig(UnlearnConfig, RetrievalSettings):
         # A dataclass calls only the first __post_init__ in the MRO.
         UnlearnConfig.__post_init__(self)
         RetrievalSettings.__post_init__(self)
+        if self.pretrain_epochs < 0 or self.pretrain_lr < 0:
+            raise TrainingError("pretrain_epochs and pretrain_lr must be >= 0")
 
     def retrieval_settings(self) -> RetrievalSettings:
         return RetrievalSettings(**{f.name: getattr(self, f.name)

@@ -14,7 +14,6 @@ checks measure). Splits are disjoint by construction:
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -23,7 +22,7 @@ import numpy as np
 
 from .audit import canonical_json, record_of
 from .graph import Layer
-from .retrieval import tokenize
+from .retrieval import token_seed, tokenize
 from .training import Dataset
 
 CHOICES = ("alder", "briar", "cedar", "damson")
@@ -82,14 +81,10 @@ def split_items(items: Iterable[QAItem], split: str) -> list:
 # Featurization (token hashing, no vocabulary to maintain)
 # ---------------------------------------------------------------------------
 
-def _token_slot(token: str, dim: int) -> int:
-    return int.from_bytes(hashlib.sha256(token.encode("utf-8")).digest()[:8], "big") % dim
-
-
 def featurize(text: str, dim: int) -> np.ndarray:
     vec = np.zeros(dim)
     for token in tokenize(text):
-        vec[_token_slot(token, dim)] += 1.0
+        vec[token_seed(token) % dim] += 1.0
     norm = np.linalg.norm(vec)
     return vec / norm if norm else vec
 

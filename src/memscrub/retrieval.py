@@ -38,6 +38,11 @@ def tokenize(text: str) -> list:
     return _TOKEN_RE.findall(text.lower())
 
 
+def token_seed(token: str) -> int:
+    """A token's 64-bit hash: its embedding's RNG seed, and its featurizer slot mod dim."""
+    return int.from_bytes(hashlib.sha256(token.encode("utf-8")).digest()[:8], "big")
+
+
 class HashingEmbedder:
     """Deterministic embedder: per-token SHA-seeded gaussian vectors, unit norm.
 
@@ -57,7 +62,7 @@ class HashingEmbedder:
     def _token_vector(self, token: str) -> np.ndarray:
         vec = self._token_cache.get(token)
         if vec is None:
-            seed = int.from_bytes(hashlib.sha256(token.encode("utf-8")).digest()[:8], "big")
+            seed = token_seed(token)
             vec = np.random.default_rng(seed).standard_normal(self.dim)
             if seed in self._seen:
                 self._token_cache[token] = vec

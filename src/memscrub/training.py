@@ -44,6 +44,8 @@ class UnlearnConfig:
             raise TrainingError("temperature must be > 0")
         if self.epochs < 0 or self.lr < 0:
             raise TrainingError("epochs and lr must be >= 0")
+        if self.batch_size < 1:
+            raise TrainingError("batch_size must be >= 1")
 
     def h_min_for(self, n_classes: int) -> float:
         if self.h_min is not None:
@@ -64,11 +66,16 @@ class Dataset:
 
 @dataclass
 class LabeledBatch:
-    """Mixed batch: retain items carry labels, forget items need none."""
+    """Mixed batch: retain items carry labels, forget items need none.
+
+    ``forget_targets`` may carry the forget rows' reference targets when
+    the caller already has them; otherwise the step computes them.
+    """
 
     retain_x: np.ndarray
     retain_y: np.ndarray
     forget_x: np.ndarray
+    forget_targets: Optional[np.ndarray] = None
 
     @classmethod
     def of(cls, retain_x=None, retain_y=None, forget_x=None, n_features: int = 0):
@@ -198,10 +205,12 @@ class ModelState:
         ref_seed = rec["ref_seed"]
         if type(ref_seed) is not int or ref_seed < 0:
             raise ValueError(f"ref_seed must be a non-negative integer, not {ref_seed!r}")
-        return cls(
-            params={k: np.array(rec["params"][k], dtype=float) for k in PARAM_KEYS},
-            ref_seed=ref_seed,
-        )
+        params = {k: np.array(rec["params"][k], dtype=float) for k in PARAM_KEYS}
+        # A step runs layer 1 on its batch's columns only, so a non-finite
+        # w1 row would poison only the batches that use its column.
+        if not all(np.isfinite(v).all() for v in params.values()):
+            raise ValueError("model parameters must be finite")
+        return cls(params=params, ref_seed=ref_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -261,20 +270,35 @@ def _forget_targets(state: ModelState, forget_x: np.ndarray, cfg: UnlearnConfig)
 
 
 def loss_weight(batch: LabeledBatch, state: ModelState, cfg: UnlearnConfig) -> LossReport:
-    return loss_and_grads(batch, state, cfg)[0]
+    return _loss_and_flat_grads(batch, state, cfg)[0]
 
 
 def loss_and_grads(batch: LabeledBatch, state: ModelState, cfg: UnlearnConfig):
-    report, _, grads = _loss_and_flat_grads(batch, state, cfg)
-    return report, grads
+    """Loss report and full-shape gradients by parameter."""
+    report, _, grads, cols, _ = _loss_and_flat_grads(batch, state, cfg)
+    w1 = np.zeros_like(state.params["w1"])
+    w1[cols] = grads["w1"]
+    return report, {**grads, "w1": w1}
 
 
 def _loss_and_flat_grads(batch: LabeledBatch, state: ModelState, cfg: UnlearnConfig):
-    """Loss report, the gradient as one flat buffer, and its views by parameter."""
+    """Loss report, the gradient as one flat buffer, its views by parameter,
+    the batch's active feature columns, and a copy of their ``w1`` rows.
+
+    Layer 1 runs on the active columns only (those nonzero in some retain
+    or forget row), so the ``w1`` view holds just their rows. The gathered
+    products equal the dense ones bit for bit, except for a one-row part,
+    which numpy multiplies by gemv: its forward pass stays dense.
+    """
     if len(batch) == 0:
         raise TrainingError("empty batch")
 
     params = state.params
+    used = np.logical_or.reduce(batch.retain_x, axis=0)
+    if batch.n_forget:
+        used |= np.logical_or.reduce(batch.forget_x, axis=0)
+    cols = used.nonzero()[0]
+    active = {**params, "w1": params["w1"].take(cols, axis=0)}
     T = cfg.temperature
     ce_part = 0.0
     kl_part = 0.0
@@ -286,20 +310,23 @@ def _loss_and_flat_grads(batch: LabeledBatch, state: ModelState, cfg: UnlearnCon
     # the loss stays finite; grad_step's finiteness check aborts such a step.
     if batch.n_retain:
         n = batch.n_retain
-        hidden, p = _forward(params, batch.retain_x)
+        x = batch.retain_x.take(cols, axis=1)
+        hidden, p = _forward(params, batch.retain_x) if n == 1 else _forward(active, x)
         with np.errstate(over="ignore", invalid="ignore"):
             _softmax_in_place(p)  # at T = 1, whose division is exact and so skipped
             rows, y = np.arange(n), batch.retain_y
             ce_part = float(np.add.reduce(-np.log(np.maximum(p[rows, y], 1e-300))) / n)
             p[rows, y] -= 1.0
             p /= n
-            flat, grads = _backprop(params, batch.retain_x, hidden, p)
+            flat, grads = _backprop(active, x, hidden, p)
 
     if batch.n_forget:
         n = batch.n_forget
-        hidden, p = _forward(params, batch.forget_x)
+        x = batch.forget_x.take(cols, axis=1)
+        hidden, p = _forward(params, batch.forget_x) if n == 1 else _forward(active, x)
         p /= T
-        q = _forget_targets(state, batch.forget_x, cfg)
+        q = (_forget_targets(state, batch.forget_x, cfg) if batch.forget_targets is None
+             else batch.forget_targets)
         with np.errstate(over="ignore", invalid="ignore"):
             _softmax_in_place(p)
             dz = np.log(np.maximum(p, 1e-300))
@@ -311,14 +338,15 @@ def _loss_and_flat_grads(batch: LabeledBatch, state: ModelState, cfg: UnlearnCon
             dz *= p
             dz /= T
             dz *= cfg.lambda_f * T ** 2 / n
-            forget_flat, forget_grads = _backprop(params, batch.forget_x, hidden, dz)
+            forget_flat, forget_grads = _backprop(active, x, hidden, dz)
             if flat is None:
                 flat, grads = forget_flat, forget_grads
             else:
                 flat += forget_flat
 
     total = ce_part + cfg.lambda_f * T ** 2 * kl_part
-    return LossReport(total=total, ce_part=ce_part, kl_part=kl_part), flat, grads
+    report = LossReport(total=total, ce_part=ce_part, kl_part=kl_part)
+    return report, flat, grads, cols, active["w1"]
 
 
 @dataclass
@@ -328,12 +356,20 @@ class StepReport:
 
 
 def grad_step(batch: LabeledBatch, state: ModelState, cfg: UnlearnConfig) -> StepReport:
-    """One gradient-descent step in place. A non-finite loss or gradient aborts the step."""
-    report, flat, grads = _loss_and_flat_grads(batch, state, cfg)
+    """One gradient-descent step in place. A non-finite loss or gradient aborts the step.
+
+    Only the ``w1`` rows of the batch's active columns change. An inactive
+    row's dense gradient is zero unless some ``dpre`` entry is not finite,
+    and then the ``b1`` gradient is not finite either, so checking the
+    active rows aborts exactly the steps a dense check would.
+    """
+    report, flat, grads, cols, rows = _loss_and_flat_grads(batch, state, cfg)
     if not (math.isfinite(report.total) and np.isfinite(flat).all()):
         return StepReport(loss=report, aborted=True)
     flat *= cfg.lr
-    for key in PARAM_KEYS:
+    rows -= grads["w1"]
+    state.params["w1"][cols] = rows
+    for key in ("b1", "w2", "b2"):
         state.params[key] -= grads[key]
     return StepReport(loss=report)
 
@@ -378,6 +414,10 @@ def train_unlearn(retain: Dataset, forget: Dataset, state: ModelState,
         raise TrainingError("retain set must be nonempty")
     rng = np.random.default_rng(cfg.seed)
     no_forget = np.zeros((0, retain.x.shape[1]))
+    # The reference is frozen, so its targets are computed once. A one-row
+    # part (or set) keeps its own: numpy multiplies a single row by gemv,
+    # which rounds differently from the rows of a larger product.
+    targets = _forget_targets(state, forget.x, cfg) if len(forget) > 1 else None
     history = []
     half = max(1, cfg.batch_size // 2)
     for epoch in range(cfg.epochs):
@@ -391,9 +431,14 @@ def train_unlearn(retain: Dataset, forget: Dataset, state: ModelState,
         diverged = False
         for start in range(0, len(retain), half):
             idx = order[start:start + half]
-            forget_x = (no_forget if forget_cycle is None
-                        else forget.x[forget_cycle[start:start + half]])
-            step = grad_step(LabeledBatch(retain.x[idx], retain.y[idx], forget_x), state, cfg)
+            if forget_cycle is None:
+                forget_x, forget_q = no_forget, None
+            else:
+                fidx = forget_cycle[start:start + half]
+                forget_x = forget.x[fidx]
+                forget_q = targets[fidx] if targets is not None and len(fidx) > 1 else None
+            step = grad_step(LabeledBatch(retain.x[idx], retain.y[idx], forget_x, forget_q),
+                             state, cfg)
             if step.aborted:
                 state.params = snapshot
                 diverged = True

@@ -268,6 +268,22 @@ class TestDamagedStore:
         assert code == 1
         assert err.startswith(f"error: {path}") and ": malformed file: " in err
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_model_parameter_is_malformed(self, pipeline, tmp_path, capsys, value):
+        _, store = pipeline
+        copy = tmp_path / "store"
+        shutil.copytree(store, copy)
+        path = copy / "model.jsonl"
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[1])
+        record["params"]["w1"][3][5] = value
+        path.write_text("\n".join([lines[0], json.dumps(record)]) + "\n")
+        code = main(["train", "--store", str(copy), "--epochs", "1"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {path}: malformed file: ")
+        assert "model parameters must be finite" in err
+
     def test_v1_model_file_is_rejected(self, pipeline, tmp_path, capsys):
         _, store = pipeline
         copy = tmp_path / "store"
@@ -408,6 +424,24 @@ class TestConfig:
         assert code == 1
         assert capsys.readouterr().err == "error: top_k must be >= 1\n"
         assert not store.exists()
+
+    @pytest.mark.parametrize("line, message", [
+        ("batch_size = -16", "batch_size must be >= 1"),
+        ("batch_size = 0", "batch_size must be >= 1"),
+        ("pretrain_epochs = -1", "pretrain_epochs and pretrain_lr must be >= 0"),
+        ("pretrain_lr = -0.5", "pretrain_epochs and pretrain_lr must be >= 0"),
+    ])
+    def test_bad_training_key_stops_every_command_before_it_writes(
+            self, pipeline, tmp_path, capsys, line, message):
+        corpus, _ = pipeline
+        path = tmp_path / "run.cfg"
+        path.write_text(line + "\n")
+        out, store = tmp_path / "corpus.jsonl", tmp_path / "store"
+        for argv in (["gen-corpus", "--out", str(out)],
+                     ["store", "--corpus", str(corpus), "--store", str(store)]):
+            assert main(argv + ["--config", str(path)]) == 1
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists() and not store.exists()
 
     def test_negative_epochs_flag_rejected(self):
         with pytest.raises(ValueError, match="epochs"):

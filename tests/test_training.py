@@ -523,6 +523,140 @@ class TestBitwiseOracle:
         assert_params_equal(state, expected)
 
 
+# ---------------------------------------------------------------------------
+# The oracle on real inputs: hashed bags of words with a few nonzeros per row
+# ---------------------------------------------------------------------------
+
+def active_columns(*parts):
+    return set(np.flatnonzero(np.vstack(parts).any(axis=0)))
+
+
+def rows_of(data, split, idx):
+    return data[split].x[idx], data[split].y[idx]
+
+
+def assert_params_identical(a: ModelState, b: ModelState):
+    for key in PARAM_KEYS:
+        assert a.params[key].tobytes() == b.params[key].tobytes(), key
+
+
+class TestSparseOracle:
+    """Layer 1 runs on the batch's active columns; the dense reference must agree bit for bit."""
+
+    CFG = UnlearnConfig(lambda_f=1.5, temperature=2.0, lr=0.5)
+
+    @pytest.fixture()
+    def states(self, task):
+        _, pretrained = task
+        return [pretrained.copy()] + [ModelState.init(256, 64, 4, seed=s, ref_seed=s + 7919)
+                                      for s in (1, 2)]
+
+    def check_step(self, batch, state, cfg=CFG):
+        report, grads = loss_and_grads(batch, state, cfg)
+        ref_report, ref_grads = reference_loss_and_grads(batch, state, cfg)
+        assert report == ref_report
+        for key in PARAM_KEYS:
+            assert grads[key].shape == ref_grads[key].shape
+            assert np.array_equal(grads[key], ref_grads[key]), key
+        expected = state.copy()
+        before = state.params["w1"].copy()
+        assert not reference_step(batch, expected, cfg)
+        assert not grad_step(batch, state, cfg).aborted
+        assert_params_equal(state, expected)
+        inactive = sorted(set(range(256)) - active_columns(batch.retain_x, batch.forget_x))
+        assert inactive
+        assert state.params["w1"][inactive].tobytes() == before[inactive].tobytes()
+
+    def test_retain_batches_of_16(self, task, states):
+        data, _ = task
+        rng = np.random.default_rng(11)
+        for state in states:
+            for _ in range(10):
+                x, y = rows_of(data, "retain", rng.choice(len(data["retain"]), 16, replace=False))
+                self.check_step(LabeledBatch.of(x, y, n_features=256), state)
+
+    @pytest.mark.parametrize("fallback", [True, False])
+    def test_forget_only_batches(self, task, states, fallback):
+        data, _ = task
+        cfg = UnlearnConfig(lambda_f=1.5, temperature=2.0, lr=0.5, entropy_fallback=fallback)
+        rng = np.random.default_rng(12)
+        for state in states:
+            for n in range(2, 10):
+                x, _ = rows_of(data, "forget", rng.choice(len(data["forget"]), n, replace=False))
+                self.check_step(LabeledBatch.of(forget_x=x, n_features=256), state, cfg)
+
+    def test_mixed_batches_with_different_active_columns(self, task, states):
+        data, _ = task
+        rng = np.random.default_rng(13)
+        for state in states:
+            for _ in range(10):
+                rx, ry = rows_of(data, "retain", rng.choice(len(data["retain"]), 8, replace=False))
+                fx, _ = rows_of(data, "forget", rng.choice(len(data["forget"]), 8, replace=False))
+                retain_cols, forget_cols = active_columns(rx), active_columns(fx)
+                assert retain_cols - forget_cols and forget_cols - retain_cols
+                self.check_step(LabeledBatch.of(rx, ry, fx, n_features=256), state)
+
+    @pytest.mark.parametrize("n_retain,n_forget", [(1, 0), (0, 1), (1, 1), (1, 8), (8, 1)])
+    def test_one_row_parts(self, task, states, n_retain, n_forget):
+        data, _ = task
+        rng = np.random.default_rng(14)
+        for state in states:
+            for _ in range(10):
+                rx, ry = rows_of(data, "retain", rng.choice(len(data["retain"]), n_retain,
+                                                            replace=False))
+                fx, _ = rows_of(data, "forget", rng.choice(len(data["forget"]), n_forget,
+                                                           replace=False))
+                self.check_step(LabeledBatch.of(rx if n_retain else None, ry if n_retain else None,
+                                                fx if n_forget else None, n_features=256), state)
+
+    def test_pretrain_with_a_short_last_batch(self, task):
+        data, _ = task
+        trained = Dataset(
+            x=np.vstack([data["forget"].x, data["retain"].x]),
+            y=np.concatenate([data["forget"].y, data["retain"].y]),
+        )
+        assert len(trained) % 16 == 8
+        cfg = UnlearnConfig(lambda_f=0.0, temperature=1.0, lr=0.5, epochs=20, seed=5)
+        state = ModelState.init(256, 64, 4, seed=5, ref_seed=5 + 7919)
+        expected = state.copy()
+        pretrain(trained, state, cfg)
+        reference_pretrain(trained, expected, cfg)
+        assert_params_identical(state, expected)
+
+    @pytest.mark.parametrize("n_retain,n_forget", [(17, 18), (17, 2), (9, 1), (54, 1)])
+    def test_unlearning_with_one_row_parts(self, task, n_retain, n_forget):
+        # 17 and 9 retain rows in half-batches of 8 end in a one-row part.
+        data, pretrained = task
+        retain = Dataset(data["retain"].x[:n_retain], data["retain"].y[:n_retain])
+        forget = Dataset(data["forget"].x[:n_forget], data["forget"].y[:n_forget])
+        state, expected = pretrained.copy(), pretrained.copy()
+        cfg = UnlearnConfig(epochs=4, seed=6)
+        train_unlearn(retain, forget, state, cfg)
+        reference_train_unlearn(retain, forget, expected, cfg)
+        assert_params_identical(state, expected)
+
+    @pytest.mark.parametrize("n_retain,n_forget,rows", [
+        (54, 18, [18]),                   # once, for the whole forget set
+        (17, 18, [18, 1, 1, 1]),          # and again for each epoch's one-row part
+        (54, 1, ([8] * 6 + [6]) * 3),     # a one-row set: every part, its row repeated
+    ])
+    def test_reference_targets_once_per_forget_set(self, task, monkeypatch,
+                                                   n_retain, n_forget, rows):
+        data, pretrained = task
+        counted = []
+        targets = training._forget_targets
+
+        def counting(*args):
+            counted.append(len(args[1]))
+            return targets(*args)
+
+        monkeypatch.setattr(training, "_forget_targets", counting)
+        retain = Dataset(data["retain"].x[:n_retain], data["retain"].y[:n_retain])
+        forget = Dataset(data["forget"].x[:n_forget], data["forget"].y[:n_forget])
+        train_unlearn(retain, forget, pretrained.copy(), UnlearnConfig(epochs=3, seed=6))
+        assert counted == rows
+
+
 class TestGradStepCalls:
     """Every step goes through the module-level grad_step, so wrapping it counts them."""
 
