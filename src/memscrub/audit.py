@@ -232,7 +232,11 @@ class Blocklist:
         for line in lines[1:]:
             rec = json.loads(line)
             if "digest" in rec:
+                if rec["digest"] in blocklist.digests:
+                    raise ValueError(f"digest {rec['digest']} is listed twice")
                 blocklist.digests.add(rec["digest"])
+            elif rec["id"] in blocklist._entries:
+                raise ValueError(f"id {rec['id']} is listed twice")
             else:
                 blocklist._entries[rec["id"]] = rec["index_generation"]
         return blocklist

@@ -217,53 +217,26 @@ def _naive_delete(store: MemoryStore, targets) -> None:
             )
 
 
-def build_oracle_store(items, settings, embedder) -> "tuple[MemoryStore, Provenance]":
-    """Retraining oracle: a store reconstructed from the retain split only."""
-    store = MemoryStore(settings=settings, embedder=embedder)
-    retained = [it for it in items if it.split == "retain"]
-    prov = populate_store(store, retained)
-    return store, prov
-
-
 def memory_baselines(store: MemoryStore, prov: Provenance, items,
                      model: ModelState, feature_dim: int = 256) -> list:
-    """Compare Naive Deletion, Re-indexing, Retraining Oracle and Ours."""
+    """Compare Naive Deletion, Re-indexing, Retraining Oracle and Ours.
+
+    Each variant is built, evaluated and released before the next, so at
+    most one lives beside ``store``.
+    """
     forget_items = split_items(items, "forget")
     holdout_items = split_items(items, "forget_holdout")
     retain_items = split_items(items, "retain")
     targets = sorted(prov.item_to_node[it.item_id] for it in forget_items)
     target_set = set(targets)
-
-    variants = {}
-
-    naive = store.copy()
-    _naive_delete(naive, targets)
-    variants["naive_deletion"] = naive
-
-    reindex = store.copy()
-    _naive_delete(reindex, targets)
-    reindex.index.purge([i for i in reindex.index.live_ids()
-                         if reindex.graph.nodes[i].status is not Status.ACTIVE])
-    variants["reindexing"] = reindex
-
-    oracle, _ = build_oracle_store(items, settings=store.settings,
-                                   embedder=store.embedder)
-    variants["retraining_oracle"] = oracle
-
-    ours = store.copy()
-    ours.forget(ForgetRequest.of("baseline-ours", targets))
-    variants["ours"] = ours
-
     reports = []
-    for method, variant in variants.items():
+
+    def evaluate(method: str, variant: MemoryStore, dangling_targets: set) -> None:
         agent = AgentState(store=variant, model=model, feature_dim=feature_dim)
         accs = memory_accuracy(agent, forget_items, retain_items)
         member = memory_item_losses(variant, forget_items)
         nonmember = memory_item_losses(variant, holdout_items)
         result = mia(member, nonmember)
-        # Node ids are store-local; the oracle never stored the forget items,
-        # so its forget-target set is empty by construction.
-        dangling_targets = set() if method == "retraining_oracle" else target_set
         reports.append(MethodReport(
             method=method,
             forget_acc=accs["forget_acc"],
@@ -272,4 +245,25 @@ def memory_baselines(store: MemoryStore, prov: Provenance, items,
             mia_score=result.score,
             dangling_artifacts=dangling_artifact_count(variant, dangling_targets),
         ))
+
+    # Re-indexing is naive deletion followed by a purge of the index.
+    variant = store.copy()
+    _naive_delete(variant, targets)
+    evaluate("naive_deletion", variant, target_set)
+    variant.index.purge([i for i in variant.index.live_ids()
+                         if variant.graph.nodes[i].status is not Status.ACTIVE])
+    evaluate("reindexing", variant, target_set)
+
+    del variant
+    # Retraining oracle: a store rebuilt from the retain split only. Node ids
+    # are store-local and the oracle never stored the forget items, so its
+    # forget-target set is empty by construction.
+    variant = MemoryStore(settings=store.settings, embedder=store.embedder)
+    populate_store(variant, [it for it in items if it.split == "retain"])
+    evaluate("retraining_oracle", variant, set())
+
+    del variant
+    variant = store.copy()
+    variant.forget(ForgetRequest.of("baseline-ours", targets))
+    evaluate("ours", variant, target_set)
     return reports

@@ -12,7 +12,8 @@ any row, and adds one at each row in the postings of each query token.
 A removal takes the entry out of the live set at once and keeps its id
 as a tombstone; its dead row and postings stay until the next purge,
 which compacts blocks, ids and postings. The index is rebuilt (purged)
-when the blocklist outgrows a threshold.
+when the blocklist outgrows a threshold. A copy copies all of this and
+shares only the embedder.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import hashlib
 import json
 import re
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -110,17 +111,12 @@ class ScoredHit:
 @dataclass
 class RebuildResult:
     rebuilt: bool
-    generation: int
-    purged: list = field(default_factory=list)
 
 
 class HybridIndex:
     """Exact-scoring hybrid index over row blocks and token postings.
 
-    ``copy`` shares the blocks read-only: it freezes them, and an insert
-    copies a frozen partial block before it writes. Rows are only ever
-    written into the partial block. The postings are shared with a copy
-    until either side inserts.
+    Rows are only ever written into the last, partial block.
     """
 
     def __init__(self, embedder: HashingEmbedder, tau: int):
@@ -133,7 +129,6 @@ class HybridIndex:
         self._rows = 0  # rows filled, dead ones included
         self._row_of: dict[int, int] = {}  # live id -> row
         self._postings: dict[str, array] = {}  # token -> rows, dead ones included
-        self._postings_shared = False
         self._tombstones: set = set()
 
     def __contains__(self, node_id: int) -> bool:
@@ -146,18 +141,15 @@ class HybridIndex:
         return sorted(self._row_of)
 
     def copy(self) -> "HybridIndex":
-        """Independent copy sharing the frozen blocks, and the postings until an insert."""
+        """Independent copy: shares nothing with this index but the embedder."""
         clone = HybridIndex(self.embedder, tau=self.tau)
         clone.generation = self.generation
-        for block in self._blocks:
-            block.flags.writeable = False
-        clone._blocks = list(self._blocks)
+        clone._blocks = [block.copy() for block in self._blocks]
         clone._ids = self._ids.copy()
         clone._live = self._live.copy()
         clone._rows = self._rows
         clone._row_of = dict(self._row_of)
-        clone._postings = self._postings
-        self._postings_shared = clone._postings_shared = True
+        clone._postings = {t: array("q", rows) for t, rows in self._postings.items()}
         clone._tombstones = set(self._tombstones)
         return clone
 
@@ -169,17 +161,12 @@ class HybridIndex:
         row, slot = self._rows, self._rows % BLOCK_ROWS
         if slot == 0:
             self._grow()
-        elif not self._blocks[-1].flags.writeable:
-            self._blocks[-1] = self._blocks[-1].copy()
         self._blocks[-1][slot] = vec
         self._rows += 1
         self._ids[row] = node_id
         self._live[row] = True
         self._row_of[node_id] = row
         self._tombstones.discard(node_id)
-        if self._postings_shared:
-            self._postings = {t: array("q", rows) for t, rows in self._postings.items()}
-            self._postings_shared = False
         for token in set(tokenize(text)):
             rows = self._postings.get(token)
             if rows is None:
@@ -204,9 +191,9 @@ class HybridIndex:
     def purge(self, ids) -> None:
         """Drop ``ids`` and every tombstone, compacting storage to the live rows.
 
-        A block whose rows are all live is kept as it is, still shared with
-        any copy; the live rows of the other blocks are packed into new
-        blocks after those. Bumps the generation.
+        A block whose rows are all live is kept where it is, not copied;
+        the live rows of the other blocks are packed into new blocks after
+        those. Bumps the generation.
         """
         for node_id in ids:
             row = self._row_of.pop(node_id, None)
@@ -250,7 +237,6 @@ class HybridIndex:
             start = end
         self._postings = postings
         self._row_of = dict(zip(kept_ids.tolist(), range(n)))
-        self._postings_shared = False
         self._tombstones.clear()
         self.generation += 1
 
@@ -297,7 +283,7 @@ class HybridIndex:
         blocklist entries are handed to compaction afterwards.
         """
         if len(blocklist) <= self.tau:
-            return RebuildResult(rebuilt=False, generation=self.generation)
+            return RebuildResult(rebuilt=False)
         purged = sorted(self._tombstones.union(
             i for i in self._row_of if blocklist.is_blocked(i) or not keep(i)))
         audit.append(AuditOp.REBUILD, {
@@ -307,7 +293,7 @@ class HybridIndex:
         })
         self.purge(purged)
         blocklist.compact(purged, self.generation, audit)
-        return RebuildResult(rebuilt=True, generation=self.generation, purged=purged)
+        return RebuildResult(rebuilt=True)
 
     # Persistence: membership only; live vectors are recomputed from content on load.
 

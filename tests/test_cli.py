@@ -193,6 +193,11 @@ class TestDamagedStore:
                      id="nodes.jsonl-extra-key"),
         pytest.param("nodes.jsonl", lambda lines: lines + lines[2:3],
                      id="nodes.jsonl-duplicate-id"),
+        pytest.param("blocklist.jsonl", lambda lines: lines + [
+            '{"id":0,"index_generation":0}', '{"id":0,"index_generation":7}'],
+                     id="blocklist.jsonl-duplicate-id"),
+        pytest.param("blocklist.jsonl", lambda lines: lines + ['{"digest":"ab"}'] * 2,
+                     id="blocklist.jsonl-duplicate-digest"),
     ])
     def test_load_error_names_the_file(self, pipeline, tmp_path, capsys, name, damage):
         _, store = pipeline

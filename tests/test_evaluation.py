@@ -178,6 +178,21 @@ class TestBaselines:
         for r in reports.values():
             assert r.retain_acc == 1.0
 
+    def test_input_store_is_left_as_it_was(self, corpus_items, pretrained_model):
+        store = MemoryStore()
+        prov = populate_store(store, corpus_items)
+        questions = [it.question for split in ("forget", "retain")
+                     for it in split_items(corpus_items, split)[:3]]
+
+        def state():
+            return (store.graph.node_lines(), store.graph.edge_lines(),
+                    store.blocklist.to_lines(), store.audit.to_lines(),
+                    store.index.to_lines(), [store.search(q) for q in questions])
+
+        before = state()
+        memory_baselines(store, prov, corpus_items, pretrained_model.copy())
+        assert state() == before
+
     def test_dangling_count_matches_manual_scan(self, corpus_items, pretrained_model):
         from memscrub.evaluation import _naive_delete
         from memscrub.graph import Status

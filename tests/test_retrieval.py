@@ -169,7 +169,7 @@ class TestCopyAndPurge:
         before = index.search(query, allow_all)
         assert clone.search(query, allow_all) == before
 
-        clone.insert(9, "doc 9 river")  # into the shared partial block
+        clone.insert(9, "doc 9 river")  # into the copied partial block
         clone.remove(0)
         clone.purge([1])
         assert index.search(query, allow_all) == before
@@ -178,10 +178,12 @@ class TestCopyAndPurge:
 
         clone_before = clone.search(query, allow_all)
         sibling = index.copy()
-        for block in sibling._blocks:  # shared storage is read-only
-            with pytest.raises(ValueError):
-                block[0, 0] = 1.0
-        index.insert(7, "doc 9 river")  # into the partial block shared with ``sibling``
+        for mine, theirs in [(sibling._ids, index._ids), (sibling._live, index._live)] + [
+                (a, b) for a in sibling._blocks for b in index._blocks]:
+            assert not np.shares_memory(mine, theirs)
+        assert sibling._postings == index._postings
+        assert all(rows is not index._postings[t] for t, rows in sibling._postings.items())
+        index.insert(7, "doc 9 river")  # into the partial block ``sibling`` copied
         sibling.insert(8, "lake")  # the same row on the other side
         assert [h.kw_score for h in sibling.search(query, allow_all) if h.node_id == 8] == [0.0]
         assert index.search(query, allow_all)[0].node_id == 7
