@@ -58,7 +58,6 @@ class MemoryNode:
     content: str
     ref_count: int
     status: Status
-    created_seq: int
 
     @classmethod
     def from_record(cls, rec: dict) -> "MemoryNode":
@@ -107,7 +106,6 @@ class MemoryGraph:
         self._children: dict[int, list[int]] = {}
         self._parents: dict[int, list[int]] = {}
         self._next_id = 0
-        self._next_seq = 0
         self.audit = audit
 
     # ------------------------------------------------------------------
@@ -127,8 +125,6 @@ class MemoryGraph:
 
         node_id = self._next_id
         self._next_id += 1
-        seq = self._next_seq
-        self._next_seq += 1
 
         if self.audit is not None:
             self.audit.append(AuditOp.WRITE, {
@@ -144,7 +140,6 @@ class MemoryGraph:
             content=content,
             ref_count=len(parent_ids),
             status=Status.ACTIVE,
-            created_seq=seq,
         )
         if parent_ids:
             self._parents[node_id] = parent_ids
@@ -155,9 +150,6 @@ class MemoryGraph:
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
-
-    def __contains__(self, node_id: int) -> bool:
-        return node_id in self.nodes
 
     def node(self, node_id: int) -> MemoryNode:
         try:
@@ -334,5 +326,4 @@ class MemoryGraph:
                 ids.sort()
         if graph.nodes:
             graph._next_id = max(graph.nodes) + 1
-            graph._next_seq = max(n.created_seq for n in graph.nodes.values()) + 1
         return graph

@@ -33,7 +33,6 @@ from .training import (
 class AgentAnswer:
     answer_idx: int
     source: str  # "memory" or "parametric"
-    confidence: float
     hit_ids: list = field(default_factory=list)
 
 
@@ -52,20 +51,14 @@ class AgentState:
 
     def answer(self, question: str) -> AgentAnswer:
         """Answer from retrieved memory when it names a choice, else parametrically."""
-        hits = self.store.search(question)
-        for hit in hits:
-            content = self.store.content(hit.node_id)
+        hit_ids = [h.node_id for h in self.store.search(question)]
+        for node_id in hit_ids:
+            content = self.store.content(node_id)
             idx = choice_in(content)
             if idx is not None and _mentions_question(content, question):
-                return AgentAnswer(answer_idx=idx, source="memory", confidence=1.0,
-                                   hit_ids=[h.node_id for h in hits])
+                return AgentAnswer(answer_idx=idx, source="memory", hit_ids=hit_ids)
         p = self.parametric_distribution(question)
-        return AgentAnswer(
-            answer_idx=int(np.argmax(p)),
-            source="parametric",
-            confidence=float(np.max(p)),
-            hit_ids=[h.node_id for h in hits],
-        )
+        return AgentAnswer(answer_idx=int(np.argmax(p)), source="parametric", hit_ids=hit_ids)
 
 
 @dataclass

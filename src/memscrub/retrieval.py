@@ -12,8 +12,7 @@ any row, and adds one at each row in the postings of each query token.
 A removal takes the entry out of the live set at once and keeps its id
 as a tombstone; its dead row and postings stay until the next purge,
 which compacts blocks, ids and postings. The index is rebuilt (purged)
-when the blocklist outgrows a threshold. A copy copies all of this and
-shares only the embedder.
+when the blocklist outgrows a threshold.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import json
 import re
 from array import array
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Container, Iterable
 
 import numpy as np
 
@@ -139,19 +138,6 @@ class HybridIndex:
 
     def live_ids(self) -> list:
         return sorted(self._row_of)
-
-    def copy(self) -> "HybridIndex":
-        """Independent copy: shares nothing with this index but the embedder."""
-        clone = HybridIndex(self.embedder, tau=self.tau)
-        clone.generation = self.generation
-        clone._blocks = [block.copy() for block in self._blocks]
-        clone._ids = self._ids.copy()
-        clone._live = self._live.copy()
-        clone._rows = self._rows
-        clone._row_of = dict(self._row_of)
-        clone._postings = {t: array("q", rows) for t, rows in self._postings.items()}
-        clone._tombstones = set(self._tombstones)
-        return clone
 
     def insert(self, node_id: int, text: str) -> None:
         vec = self.embedder.embed(text)
@@ -295,27 +281,32 @@ class HybridIndex:
         blocklist.compact(purged, self.generation, audit)
         return RebuildResult(rebuilt=True)
 
-    # Persistence: membership only; live vectors are recomputed from content on load.
+    # Persistence: the generation and the tombstones. The live entries are
+    # the store's Active nodes, whose vectors are recomputed from content on load.
 
     def to_lines(self) -> list:
-        lines = [canonical_json({"generation": self.generation})]
-        for node_id in sorted(self._tombstones.union(self._row_of)):
-            lines.append(canonical_json({"id": node_id, "tombstone": node_id in self._tombstones}))
-        return lines
+        return [canonical_json({"generation": self.generation})] + [
+            canonical_json({"id": node_id}) for node_id in sorted(self._tombstones)]
 
     @classmethod
     def from_lines(cls, lines, embedder: HashingEmbedder, tau: int,
-                   content_for: Callable[[int], str]) -> "HybridIndex":
+                   live: Iterable[tuple], known: Container[int]) -> "HybridIndex":
+        """The saved index over ``live``, the (id, content) of every live entry.
+
+        Each tombstone must name an id in ``known`` that is not live, once.
+        """
         lines = list(lines)
         index = cls(embedder, tau=tau)
         index.generation = json.loads(lines[0])["generation"]
+        for node_id, content in live:
+            index.insert(node_id, content)
         for line in lines[1:]:
-            rec = json.loads(line)
-            if rec["id"] in index or rec["id"] in index._tombstones:
-                raise ValueError(f"id {rec['id']} is listed twice")
-            content = content_for(rec["id"])  # raises on an id the graph lacks
-            if rec["tombstone"]:
-                index._tombstones.add(rec["id"])
-            else:
-                index.insert(rec["id"], content)
+            node_id = json.loads(line)["id"]
+            if node_id not in known:
+                raise UnknownNodeError(f"tombstone {node_id} names an unknown node")
+            if node_id in index:
+                raise ValueError(f"tombstone {node_id} names a live entry")
+            if node_id in index._tombstones:
+                raise ValueError(f"tombstone {node_id} is listed twice")
+            index._tombstones.add(node_id)
         return index

@@ -6,15 +6,18 @@ vector removal, threshold-triggered rebuild, archive record.
 
 This module also owns the store-directory layout: the line-delimited
 files and their version headers, the model file and the lock. Reload
-reproduces ref_counts, statuses and search behavior exactly.
+reproduces ref_counts, statuses and search behavior exactly: the nodes
+file alone says which nodes are live, and the index file adds only its
+generation and tombstones.
 """
 
 from __future__ import annotations
 
 import contextlib
+import copy
+import fcntl
 import itertools
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional
@@ -33,11 +36,11 @@ from .training import ModelState
 # The files MemoryStore.save writes, with their version headers, in the
 # order MemoryStore.load unpacks them.
 FILE_HEADERS = {
-    "nodes.jsonl": "memscrub-nodes v1",
+    "nodes.jsonl": "memscrub-nodes v2",
     "edges.jsonl": "memscrub-edges v1",
     "blocklist.jsonl": "memscrub-blocklist v1",
     "audit.jsonl": "memscrub-audit v1",
-    "index.jsonl": "memscrub-index v1",
+    "index.jsonl": "memscrub-index v2",
 }
 MODEL_HEADER = "memscrub-model v2"
 PROVENANCE_HEADER = "memscrub-provenance v1"
@@ -105,21 +108,20 @@ def load_model(store_dir: Path) -> ModelState:
 
 @contextlib.contextmanager
 def store_lock(store_dir: Path):
-    """Hold the store directory's lock file; SystemExit if another process holds it."""
+    """Hold an exclusive flock on the store's lock file; SystemExit if another process holds it.
+
+    The kernel drops the lock when its holder exits, killed or not. The
+    empty file stays: unlinking a locked file would let the next two
+    processes lock different inodes.
+    """
     store_dir = Path(store_dir)
     store_dir.mkdir(parents=True, exist_ok=True)
-    lock_path = store_dir / "lock"
-    try:
-        fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise SystemExit(f"store {store_dir} is locked by another process "
-                         f"(remove {lock_path} if stale)")
-    try:
-        os.write(fd, str(os.getpid()).encode())
-        os.close(fd)
+    with open(store_dir / "lock", "a") as f:
+        try:
+            fcntl.flock(f, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise SystemExit(f"store {store_dir} is locked by another process") from None
         yield
-    finally:
-        lock_path.unlink(missing_ok=True)
 
 
 class BlockedContentError(ValueError):
@@ -284,16 +286,12 @@ class MemoryStore:
         store.blocklist = parse_lines(Blocklist.from_lines, blocklist)
         store.index = parse_lines(lambda lines: HybridIndex.from_lines(
             lines, store.embedder, tau=store.settings.tau,
-            content_for=lambda i: store.graph.node(i).content,
+            live=((i, store.graph.nodes[i].content) for i in store.graph.active_view()),
+            known=store.graph.nodes,
         ), index)
         return store
 
     def copy(self) -> "MemoryStore":
-        """Deep copy for baseline comparisons; shares nothing mutable."""
-        clone = MemoryStore(settings=self.settings, embedder=self.embedder)
-        clone.audit = AuditLog.from_lines(self.audit.to_lines())
-        clone.graph = MemoryGraph.from_lines(self.graph.node_lines(),
-                                             self.graph.edge_lines(), audit=clone.audit)
-        clone.blocklist = Blocklist.from_lines(self.blocklist.to_lines())
-        clone.index = self.index.copy()
-        return clone
+        """Deep copy for baseline comparisons; shares only the settings and the embedder."""
+        return copy.deepcopy(self, {id(self.settings): self.settings,
+                                    id(self.embedder): self.embedder})

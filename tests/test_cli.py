@@ -1,5 +1,10 @@
+import fcntl
 import json
+import os
 import shutil
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -65,16 +70,37 @@ class TestStore:
 
     def test_lock_released(self, pipeline):
         _, store = pipeline
-        assert not (store / "lock").exists()
+        with open(store / "lock", "a") as f:
+            fcntl.flock(f, fcntl.LOCK_EX | fcntl.LOCK_NB)
 
     def test_locked_store_refused(self, pipeline, tmp_path):
         corpus, store = pipeline
-        (store / "lock").write_text("999")
-        try:
-            with pytest.raises(SystemExit):
+        with open(store / "lock", "a") as f:
+            fcntl.flock(f, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            with pytest.raises(SystemExit, match="is locked by another process"):
                 main(["store", "--corpus", str(corpus), "--store", str(store)])
-        finally:
-            (store / "lock").unlink()
+
+    def test_killed_writer_leaves_no_stale_lock(self, pipeline, tmp_path, capsys):
+        _, store = pipeline
+        copy = tmp_path / "store"
+        shutil.copytree(store, copy)
+        holder = ("import sys, time\n"
+                  "from memscrub.store import store_lock\n"
+                  "with store_lock(sys.argv[1]):\n"
+                  "    print('locked', flush=True)\n"
+                  "    time.sleep(60)\n")
+        src = str(Path(cli.__file__).parents[1])
+        with subprocess.Popen([sys.executable, "-c", holder, str(copy)], stdout=subprocess.PIPE,
+                              text=True, env={**os.environ, "PYTHONPATH": src}) as proc:
+            assert proc.stdout.readline() == "locked\n"
+            proc.send_signal(signal.SIGKILL)
+            assert proc.wait() == -signal.SIGKILL
+        items, prov = load_context(copy)
+        request = tmp_path / "request.json"
+        write_request(request, items, prov)
+        code = main(["unlearn", "--store", str(copy), "--request", str(request), "--epochs", "1"])
+        capsys.readouterr()
+        assert code == 0
 
     def test_featurizes_trained_split_once(self, pipeline, tmp_path, monkeypatch, capsys):
         corpus, _ = pipeline
@@ -198,9 +224,20 @@ class TestDamagedStore:
                      id="blocklist.jsonl-duplicate-id"),
         pytest.param("blocklist.jsonl", lambda lines: lines + ['{"digest":"ab"}'] * 2,
                      id="blocklist.jsonl-duplicate-digest"),
+        # The store has forgotten the forget split, so its index holds tombstones.
+        pytest.param("index.jsonl", lambda lines: lines + ['{"id":107}'],  # an Active reflection
+                     id="index.jsonl-tombstone-names-active-node"),
+        pytest.param("index.jsonl", lambda lines: lines + ['{"id":9999}'],
+                     id="index.jsonl-tombstone-names-unknown-node"),
+        pytest.param("index.jsonl", lambda lines: lines + lines[2:3],
+                     id="index.jsonl-duplicate-tombstone"),
+        pytest.param("nodes.jsonl", lambda lines: ["memscrub-nodes v1"] + lines[1:],
+                     id="nodes.jsonl-v1-header"),
+        pytest.param("index.jsonl", lambda lines: ["memscrub-index v1"] + lines[1:],
+                     id="index.jsonl-v1-header"),
     ])
-    def test_load_error_names_the_file(self, pipeline, tmp_path, capsys, name, damage):
-        _, store = pipeline
+    def test_load_error_names_the_file(self, unlearned, tmp_path, capsys, name, damage):
+        store, _, _ = unlearned
         copy = tmp_path / "store"
         shutil.copytree(store, copy)
         path = copy / name

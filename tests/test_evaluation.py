@@ -187,7 +187,8 @@ class TestBaselines:
         def state():
             return (store.graph.node_lines(), store.graph.edge_lines(),
                     store.blocklist.to_lines(), store.audit.to_lines(),
-                    store.index.to_lines(), [store.search(q) for q in questions])
+                    store.index.to_lines(), store.index.live_ids(),
+                    [store.search(q) for q in questions])
 
         before = state()
         memory_baselines(store, prov, corpus_items, pretrained_model.copy())

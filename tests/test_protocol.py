@@ -5,7 +5,7 @@ from memscrub.audit import AuditOp
 from memscrub.corpus import split_items, to_dataset
 from memscrub.graph import ForgetRequest, Status
 from memscrub.protocol import Channel, backflow_probe, run_protocol
-from memscrub.store import BlockedContentError
+from memscrub.store import BlockedContentError, MemoryStore
 from memscrub.training import UnlearnConfig
 
 FAST_CFG = UnlearnConfig(lambda_f=1.5, temperature=2.0, lr=0.5, epochs=30, seed=0)
@@ -87,6 +87,21 @@ class TestMemoryPhase:
             agent.store.write(Layer.EPISODIC, episodic_content(item))
         # A paraphrase carries a fresh digest and is accepted.
         agent.store.write(Layer.EPISODIC, episodic_content(item) + " paraphrased")
+
+    def test_reload_indexes_exactly_the_active_nodes(self, fresh_agent, tmp_path):
+        agent, items, prov = fresh_agent
+        store = agent.store
+        store.forget(ForgetRequest.of("req-6", forget_targets(prov, items)[:6]))
+        assert store.index.to_lines()[1:]  # tombstones, not yet purged
+        questions = [it.question for split in ("forget", "retain")
+                     for it in split_items(items, split)[:3]]
+        before = [store.search(q) for q in questions]
+        store.save(tmp_path)
+        reloaded = MemoryStore.load(tmp_path)
+        assert reloaded.index.live_ids() == list(reloaded.graph.active_view())
+        assert reloaded.index.live_ids() == store.index.live_ids()
+        assert reloaded.index.to_lines() == store.index.to_lines()
+        assert [reloaded.search(q) for q in questions] == before
 
 
 class TestProtocolOrdering:

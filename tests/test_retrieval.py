@@ -1,3 +1,4 @@
+import copy
 import hashlib
 from collections import Counter
 
@@ -100,8 +101,7 @@ class TestIndexMembership:
         assert 1 not in index and len(index) == 2 and index.live_ids() == [0, 2]
         hits = index.search(HybridQuery("doc 1", top_k=3, oversample_r=3), allow_all)
         assert [h.node_id for h in hits] == [0, 2]
-        assert index.to_lines()[1:] == ['{"id":0,"tombstone":false}', '{"id":1,"tombstone":true}',
-                                        '{"id":2,"tombstone":false}']
+        assert index.to_lines()[1:] == ['{"id":1}']
         with pytest.raises(UnknownNodeError):
             index.remove(1)
         # The dead row and its postings stay until a purge compacts them away.
@@ -127,14 +127,16 @@ class TestPersistence:
                 embedded.append(text)
                 return super().embed(text)
 
-        def content_for(node_id):
-            asked.append(node_id)
-            return contents[node_id]
+        class Known(dict):
+            def __contains__(self, node_id):
+                asked.append(node_id)
+                return super().__contains__(node_id)
 
         lines = index.to_lines()
+        live = [(i, contents[i]) for i in index.live_ids()]
         reloaded = HybridIndex.from_lines(lines, CountingEmbedder(64), tau=100,
-                                          content_for=content_for)
-        assert asked == list(range(6))  # tombstones are checked against the graph too
+                                          live=live, known=Known(contents))
+        assert asked == [1, 4]  # tombstones are checked against the graph
         assert embedded == [contents[i] for i in (0, 2, 3, 5)]
         assert reloaded.to_lines() == lines
         assert reloaded.live_ids() == index.live_ids()
@@ -144,17 +146,20 @@ class TestPersistence:
         store.write(Layer.EPISODIC, "alpha river")
         store.save(tmp_path)
         with open(tmp_path / "index.jsonl", "a", encoding="utf-8") as f:
-            f.write('{"id":99,"tombstone":true}\n')
+            f.write('{"id":99}\n')
         with pytest.raises(ValueError, match="index.jsonl: malformed file"):
             MemoryStore.load(tmp_path)
 
     @pytest.mark.parametrize("tombstone", [False, True])
     def test_id_listed_twice_rejected_on_load(self, index, tombstone):
+        """A tombstone may name neither a live entry nor an id already tombstoned."""
         index.insert(0, "alpha river")
-        lines = index.to_lines() + [f'{{"id":0,"tombstone":{str(tombstone).lower()}}}']
-        with pytest.raises(ValueError, match="listed twice"):
-            HybridIndex.from_lines(lines, index.embedder, tau=100,
-                                   content_for=lambda i: "alpha river")
+        index.insert(1, "beta lake")
+        index.remove(1)
+        live = [(0, "alpha river")]
+        lines = index.to_lines() + ['{"id":1}' if tombstone else '{"id":0}']
+        with pytest.raises(ValueError, match="listed twice" if tombstone else "live entry"):
+            HybridIndex.from_lines(lines, index.embedder, tau=100, live=live, known={0, 1})
 
 
 class TestCopyAndPurge:
@@ -162,7 +167,7 @@ class TestCopyAndPurge:
         for i in range(6):
             index.insert(i, f"doc {i} river")
         index.remove(2)
-        clone = index.copy()
+        clone = copy.deepcopy(index)
         assert clone.to_lines() == index.to_lines()
         assert clone.live_ids() == index.live_ids()
         query = HybridQuery("doc 9 river", top_k=8, oversample_r=2)
@@ -177,7 +182,7 @@ class TestCopyAndPurge:
         assert 2 not in index and index.generation == 0
 
         clone_before = clone.search(query, allow_all)
-        sibling = index.copy()
+        sibling = copy.deepcopy(index)
         for mine, theirs in [(sibling._ids, index._ids), (sibling._live, index._live)] + [
                 (a, b) for a in sibling._blocks for b in index._blocks]:
             assert not np.shares_memory(mine, theirs)
@@ -203,7 +208,7 @@ class TestCopyAndPurge:
         index.purge([2, 3])
         assert index.live_ids() == [0, 4, 6, 7]
         assert len(index) == 4
-        assert all('"tombstone":true' not in line for line in index.to_lines())
+        assert index.to_lines()[1:] == []  # no tombstone left
         assert index.generation == generation + 1
         hits = index.search(HybridQuery("doc river", top_k=8), allow_all)
         assert sorted(h.node_id for h in hits) == [0, 4, 6, 7]
@@ -381,6 +386,8 @@ class TestTokenCache:
         clone = store.copy()
         assert clone.embedder is store.embedder
         assert clone.index.embedder is store.embedder
+        assert clone.settings is store.settings
+        assert clone.graph.audit is clone.audit and clone.audit is not store.audit
 
 
 # Distinct token sets, so distinct texts never tie to the last bit; a text
@@ -426,7 +433,7 @@ class TestScalarOracle:
                 for node_id in op[1]:
                     docs.pop(node_id, None)
             else:
-                clone = index.copy()
+                clone = copy.deepcopy(index)
                 kept, index = (index, clone) if op[1] else (clone, index)
                 kept.insert(1000 + len(left), _POOL[op[2]])  # a row the other side writes too
                 left.append((kept, self._results(kept)))
