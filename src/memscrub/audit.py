@@ -12,6 +12,7 @@ import enum
 import functools
 import hashlib
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from typing import Iterable, Optional
 
@@ -34,9 +35,15 @@ def content_digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(value) -> str:
-    """The one JSON form of store files, metrics and audit digests: sorted keys, no spaces."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+    """The one JSON form of store files, metrics and audit digests: sorted keys, no spaces.
+
+    One encoder serves every call; ``json.dumps`` with these arguments
+    builds a new one each time."""
+    return _CANONICAL.encode(value)
 
 
 def record_of(obj) -> dict:
@@ -73,11 +80,8 @@ class AuditRecord:
         return canonical_json(record_of(self))
 
     @classmethod
-    def from_line(cls, line: str, head: str = ZERO_HASH) -> "AuditRecord":
-        """The record of ``line``; a ``prev_hash`` equal to ``head`` is kept as ``head`` itself."""
+    def from_line(cls, line: str) -> "AuditRecord":
         rec = json.loads(line)
-        if rec.get("prev_hash") == head:
-            rec["prev_hash"] = head
         return cls(**{**rec, "op": AuditOp(rec["op"])})
 
 
@@ -87,44 +91,126 @@ class VerifyResult:
     first_bad_index: Optional[int] = None
 
 
+_OPS = tuple(AuditOp)
+_OP_CODE = {op: code for code, op in enumerate(_OPS)}
+_UNPACKED = bytes(64)  # column filler for a record kept whole
+
+
+def _packed(digest) -> Optional[bytes]:
+    """The 32 raw bytes of ``digest`` if it is 64 lowercase hex characters, else None."""
+    if type(digest) is not str or len(digest) != 64:
+        return None
+    try:
+        raw = bytes.fromhex(digest)
+    except ValueError:
+        return None
+    return raw if raw.hex() == digest else None
+
+
 class AuditLog:
-    """Append-only hash chain. The first record links to an all-zero sentinel."""
+    """Append-only hash chain. The first record links to an all-zero sentinel.
+
+    The chain is two packed columns: one op byte per record, and 64 bytes
+    per record holding its raw payload digest and raw record hash. A
+    record's ``seq`` is its position and its ``prev_hash`` the previous
+    record's hash. A loaded record the columns cannot reproduce exactly (a
+    tampered ``seq`` or ``prev_hash``, a digest that is not 64 lowercase
+    hex characters) and a record assigned through ``records`` are kept
+    whole, keyed by position, so a tampered log round-trips as it was.
+    """
 
     def __init__(self):
-        self.records: list[AuditRecord] = []
+        self._ops = bytearray()
+        self._hashes = bytearray()
+        self._whole: dict[int, AuditRecord] = {}
+        self._head = ZERO_HASH
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self._ops)
+
+    @property
+    def records(self) -> "AuditRecords":
+        return AuditRecords(self)
 
     def head_hash(self) -> str:
-        return self.records[-1].record_hash if self.records else ZERO_HASH
+        return self._head
 
     def append(self, op: AuditOp, payload: dict) -> AuditRecord:
-        seq = len(self.records)
+        seq = len(self._ops)
         digest = payload_digest(payload)
-        prev = self.head_hash()
-        record = AuditRecord(
-            seq=seq,
-            op=op,
-            payload_digest=digest,
-            prev_hash=prev,
-            record_hash=_record_hash(seq, op.value, digest, prev),
-        )
-        self.records.append(record)
-        return record
+        prev = self._head
+        record_hash = _record_hash(seq, op.value, digest, prev)
+        self._ops.append(_OP_CODE[op])
+        self._hashes += bytes.fromhex(digest)
+        self._hashes += bytes.fromhex(record_hash)
+        self._head = record_hash
+        return AuditRecord(seq, op, digest, prev, record_hash)
+
+    def _add(self, record: AuditRecord) -> None:
+        """Append a parsed record, packed if the columns reproduce it exactly."""
+        seq = len(self._ops)
+        digest, record_hash = _packed(record.payload_digest), _packed(record.record_hash)
+        self._ops.append(_OP_CODE[record.op])
+        if (type(record.seq) is int and record.seq == seq and type(record.prev_hash) is str
+                and record.prev_hash == self._head and digest is not None and record_hash is not None):
+            self._hashes += digest
+            self._hashes += record_hash
+        else:
+            self._hashes += _UNPACKED
+            self._whole[seq] = record
+        self._head = record.record_hash
+
+    def _hash_at(self, i: int) -> str:
+        if i < 0:
+            return ZERO_HASH
+        whole = self._whole.get(i)
+        return whole.record_hash if whole else self._hashes[64 * i + 32:64 * i + 64].hex()
+
+    def _record(self, i: int) -> AuditRecord:
+        whole = self._whole.get(i)
+        if whole:
+            return whole
+        at = 64 * i
+        return AuditRecord(i, _OPS[self._ops[i]], self._hashes[at:at + 32].hex(),
+                           self._hash_at(i - 1), self._hashes[at + 32:at + 64].hex())
+
+    def _replace(self, i: int, record: AuditRecord) -> None:
+        if i + 1 < len(self):
+            self._whole.setdefault(i + 1, self._record(i + 1))  # it links to the old hash
+        else:
+            self._head = record.record_hash
+        self._whole[i] = record
 
     def verify(self) -> VerifyResult:
         return verify_lines(self.to_lines())
 
     def to_lines(self) -> list:
-        return [r.to_line() for r in self.records]
+        return [self._record(i).to_line() for i in range(len(self))]
 
     @classmethod
     def from_lines(cls, lines: Iterable[str]) -> "AuditLog":
         log = cls()
         for line in lines:
-            log.records.append(AuditRecord.from_line(line, log.head_hash()))
+            log._add(AuditRecord.from_line(line))
         return log
+
+
+class AuditRecords(Sequence):
+    """The records of an ``AuditLog`` by position, each built on access."""
+
+    __slots__ = ("_log",)
+
+    def __init__(self, log: AuditLog):
+        self._log = log
+
+    def __len__(self) -> int:
+        return len(self._log)
+
+    def __getitem__(self, i: int) -> AuditRecord:
+        return self._log._record(range(len(self._log))[i])
+
+    def __setitem__(self, i: int, record: AuditRecord) -> None:
+        self._log._replace(range(len(self._log))[i], record)
 
 
 def verify_lines(lines) -> VerifyResult:
@@ -227,9 +313,9 @@ class Blocklist:
     @classmethod
     def from_lines(cls, lines: Iterable[str]) -> "Blocklist":
         blocklist = cls()
-        lines = list(lines)
-        blocklist.generation = json.loads(lines[0])["generation"]
-        for line in lines[1:]:
+        lines = iter(lines)
+        blocklist.generation = json.loads(next(lines))["generation"]
+        for line in lines:
             rec = json.loads(line)
             if "digest" in rec:
                 if rec["digest"] in blocklist.digests:

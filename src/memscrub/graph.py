@@ -157,6 +157,13 @@ class MemoryGraph:
         except KeyError:
             raise UnknownNodeError(f"unknown node id {node_id}") from None
 
+    def forget_target(self, node_id: int) -> MemoryNode:
+        """The node ``node_id`` if a forget request may target it; GraphError unless episodic."""
+        node = self.node(node_id)
+        if node.layer is not Layer.EPISODIC:
+            raise GraphError(f"forget target {node_id} is {node.layer.value}, only episodic nodes may be targeted")
+        return node
+
     def parents_of(self, node_id: int) -> list:
         self.node(node_id)
         return list(self._parents.get(node_id, ()))
@@ -205,9 +212,7 @@ class MemoryGraph:
         """
         targets = sorted(set(request.targets))
         for t in targets:
-            node = self.node(t)
-            if node.layer is not Layer.EPISODIC:
-                raise GraphError(f"forget target {t} is {node.layer.value}, only episodic nodes may be targeted")
+            self.forget_target(t)
             if not is_blocked(t):
                 raise ProtocolOrderError(f"target {t} is not blocklisted; block before pruning")
 

@@ -295,12 +295,12 @@ class HybridIndex:
 
         Each tombstone must name an id in ``known`` that is not live, once.
         """
-        lines = list(lines)
+        lines = iter(lines)
         index = cls(embedder, tau=tau)
-        index.generation = json.loads(lines[0])["generation"]
+        index.generation = json.loads(next(lines))["generation"]
         for node_id, content in live:
             index.insert(node_id, content)
-        for line in lines[1:]:
+        for line in lines:
             node_id = json.loads(line)["id"]
             if node_id not in known:
                 raise UnknownNodeError(f"tombstone {node_id} names an unknown node")

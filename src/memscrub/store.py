@@ -59,38 +59,55 @@ def write_lines(path: Path, header, lines) -> None:
         f.writelines(line + "\n" for line in body)
 
 
+class NotUTF8Error(ValueError):
+    """A file that is not UTF-8 text; reported as it is, not as a malformed record."""
+
+
+def _text_lines(f, path):
+    """The lines of the open text file ``f``.
+
+    With ``newline=""`` a line read ends in at most one CR, LF or CRLF,
+    untranslated, so splitting each one gives the lines of
+    ``read_text().splitlines()``.
+    """
+    try:
+        for chunk in f:
+            yield from chunk.splitlines()
+    except UnicodeDecodeError as exc:
+        raise NotUTF8Error(f"{path}: not UTF-8 text: {exc.reason}") from exc
+
+
 def read_lines(path: Path, header=None) -> list:
     """Lines of a file; with ``header``, check and strip it (ValueError if wrong).
 
-    The file is read line by line. With ``newline=""`` a line read ends in
-    at most one CR, LF or CRLF, untranslated, so splitting each one gives
-    the lines of ``read_text().splitlines()``. A file that is not UTF-8 is
-    a ValueError naming it.
+    A file that is not UTF-8 is a ValueError naming it.
     """
-    try:
-        with open(path, encoding="utf-8", newline="") as f:
-            lines = [s for chunk in f for s in chunk.splitlines()]
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not UTF-8 text: {exc.reason}") from exc
-    if header is None:
-        return lines
-    if not lines or lines[0] != header:
-        raise ValueError(f"{path}: missing or wrong version header")
-    return lines[1:]
+    return parse_lines(list, (path, header))
 
 
 def parse_lines(build, *files):
     """``build(*lines)`` over the ``(path, header)`` pairs in ``files``.
 
-    A wrong header, or a record ``build`` cannot parse, is a ValueError
-    naming the file, which the CLI reports as ``error: <file>: …``.
+    Every header is checked first; ``build`` then gets, for each file, an
+    iterator over its remaining lines, read as it advances. A wrong
+    header, or a record ``build`` cannot parse, is a ValueError naming
+    the file, which the CLI reports as ``error: <file>: …``.
     """
-    lines = [read_lines(path, header) for path, header in files]
-    try:
-        return build(*lines)
-    except (IndexError, KeyError, TypeError, ValueError) as exc:
-        names = ", ".join(str(path) for path, _ in files)
-        raise ValueError(f"{names}: malformed file: {exc!r}") from exc
+    with contextlib.ExitStack() as stack:
+        streams = []
+        for path, header in files:
+            f = stack.enter_context(open(path, encoding="utf-8", newline=""))
+            lines = _text_lines(f, path)
+            if header is not None and next(lines, None) != header:
+                raise ValueError(f"{path}: missing or wrong version header")
+            streams.append(lines)
+        try:
+            return build(*streams)
+        except NotUTF8Error:
+            raise
+        except (IndexError, KeyError, StopIteration, TypeError, ValueError) as exc:
+            names = ", ".join(str(path) for path, _ in files)
+            raise ValueError(f"{names}: malformed file: {exc!r}") from exc
 
 
 def save_model(store_dir: Path, model: ModelState) -> None:
@@ -214,7 +231,7 @@ class MemoryStore:
         captured = []
         digests = []
         for t in targets:
-            node = self.graph.node(t)
+            node = self.graph.forget_target(t)  # rejects the request before its BLOCK record
             if node.status is Status.ACTIVE:
                 captured.append((t, node.content))
                 digests.append(content_digest(node.content))

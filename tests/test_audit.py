@@ -1,13 +1,19 @@
 import dataclasses
+import gc
 import json
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from memscrub.audit import (
     ZERO_HASH,
     AuditLog,
     AuditOp,
+    AuditRecord,
     Blocklist,
+    VerifyResult,
+    canonical_json,
     verify_lines,
 )
 
@@ -62,6 +68,17 @@ class TestAuditChain:
         assert not result.ok
         assert result.first_bad_index == bad_index
 
+    @pytest.mark.parametrize("line", ["[1]", "5", '"op"', "null"])
+    def test_line_that_is_not_an_object_is_the_first_bad_index(self, line):
+        log = AuditLog()
+        for i in range(3):
+            log.append(AuditOp.WRITE, {"i": i})
+        lines = log.to_lines()
+        lines[1] = line
+        assert verify_lines(lines) == VerifyResult(ok=False, first_bad_index=1)
+        with pytest.raises(TypeError):  # a load reports it as a malformed file
+            AuditLog.from_lines(lines)
+
     def test_single_byte_flip_detected(self):
         log = AuditLog()
         for i in range(50):
@@ -90,14 +107,22 @@ class TestAuditChain:
         assert reloaded.to_lines() == log.to_lines()
         assert reloaded.verify().ok
 
-    def test_loaded_links_share_the_previous_hash(self):
+    def test_loaded_chain_takes_at_most_100_bytes_per_record(self):
         log = AuditLog()
-        for i in range(5):
-            log.append(AuditOp.COMPACT, {"i": i})
-        records = AuditLog.from_lines(log.to_lines()).records
-        assert records[0].prev_hash is ZERO_HASH
-        for prev, record in zip(records, records[1:]):
-            assert record.prev_hash is prev.record_hash
+        for i in range(10_000):
+            log.append(AuditOp.WRITE, {"i": i})
+        lines = log.to_lines()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            loaded = AuditLog.from_lines(lines)
+            gc.collect()
+            resident = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(loaded) == 10_000
+        assert resident <= 100 * 10_000
 
     def test_tampered_link_survives_load_and_save(self):
         log = AuditLog()
@@ -111,6 +136,45 @@ class TestAuditChain:
         assert reloaded.to_lines() == lines
         assert reloaded.verify() == verify_lines(lines)
         assert reloaded.verify().first_bad_index == 3
+
+
+def _tamper(rec: dict, other: dict, data) -> None:
+    """Change one field of the record ``rec``; ``other`` is another record of the chain."""
+    kind = data.draw(st.sampled_from(["flip", "upper", "seq", "prev_hash", "record_hash"]))
+    if kind in ("flip", "upper"):
+        name = data.draw(st.sampled_from(["payload_digest", "prev_hash", "record_hash"]))
+        digest = rec[name]
+        if kind == "upper":
+            rec[name] = digest.upper()
+        else:
+            pos = data.draw(st.integers(0, len(digest) - 1))
+            char = data.draw(st.sampled_from([c for c in "0123456789abcdefG " if c != digest[pos]]))
+            rec[name] = digest[:pos] + char + digest[pos + 1:]
+    elif kind == "seq":
+        seq = rec["seq"]
+        rec["seq"] = data.draw(st.sampled_from([seq + 1, seq - 1, float(seq), str(seq), seq == 1]))
+    else:
+        rec[kind] = data.draw(st.sampled_from([ZERO_HASH, "f" * 64, other["record_hash"],
+                                               other["prev_hash"]]))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(ops=st.lists(st.sampled_from(list(AuditOp)), min_size=1, max_size=12), data=st.data())
+def test_tampered_chain_loads_as_written_and_verifies_as_its_lines(ops, data):
+    log = AuditLog()
+    for i, op in enumerate(ops):
+        log.append(op, {"i": i})
+    lines = log.to_lines()
+    at = data.draw(st.integers(0, len(lines) - 1))
+    rec = json.loads(lines[at])
+    _tamper(rec, json.loads(lines[data.draw(st.integers(0, len(lines) - 1))]), data)
+    lines[at] = json.dumps(rec)
+    loaded = AuditLog.from_lines(lines)
+    assert loaded.to_lines() == [canonical_json(json.loads(line)) for line in lines]
+    assert loaded.verify() == verify_lines(lines)
+    log.records[at] = AuditRecord.from_line(lines[at])  # the same tamper in memory
+    assert log.to_lines() == loaded.to_lines()
+    assert log.head_hash() == loaded.head_hash()
 
 
 class TestBlocklist:

@@ -28,13 +28,14 @@ STORE_SHA256 = {
     "config.cfg": "1f1bfface063fbc0ba4fe28d46488d9921b1d48a670033734a08823d37ed9a95",
 }
 # After unlearning the first forget topic's 6 episodic ids. audit.jsonl is
-# left out: its TRAIN record carries a training result.
+# pinned without its last line, the TRAIN record, which carries a training result.
 UNLEARNED_SHA256 = {
     "nodes.jsonl": "2901b5e6c16110613bd420e6d1bc4bcd4a0f254b5339533b3e5315dc93bd1a25",
     "edges.jsonl": "fe5476d016d92830c8e25462e6fa7d8c1c1e31ef28cf23dfbee2eadd90d1982d",
     "blocklist.jsonl": "f36d2373dc020b88c2f942be973d5988720ea4607c51d85820bc3a31f30e6327",
     "index.jsonl": "e4bef67ad96d64beefd958b97cd2f8a84bc065c15de108fc6cb480c957cd7adf",
 }
+UNLEARNED_AUDIT_BEFORE_TRAIN_SHA256 = "c979dc98c16c2fa3d91a68d81d42c5709b0c925fb6450a6c7852dff77b5732b5"
 RUN_LOOP_SHA256 = "c06ec9cc592efc67b24a0a9c4559b5025ac4f7a82cc0a9af81ec4411f0e5b2a6"
 MODEL_REF_SEED = 7919
 MODEL_REF_HASH = "9d3ff8cfd33bb2b32f92cce40f7964e8c090a23acc8dd2902c7a5a4ceb082ec5"
@@ -72,6 +73,13 @@ def unlearned(store, tmp_path_factory):
 @pytest.mark.parametrize("name", sorted(UNLEARNED_SHA256))
 def test_unlearned_store_file_bytes(unlearned, name):
     assert sha256((unlearned / name).read_bytes()) == UNLEARNED_SHA256[name]
+
+
+def test_unlearned_audit_bytes_before_the_train_record(unlearned):
+    # The chain is loaded, appended to and saved again: every record but the last is pinned.
+    lines = (unlearned / "audit.jsonl").read_bytes().splitlines(keepends=True)
+    assert json.loads(lines[-1])["op"] == "train"
+    assert sha256(b"".join(lines[:-1])) == UNLEARNED_AUDIT_BEFORE_TRAIN_SHA256
 
 
 def test_model_reference(store):

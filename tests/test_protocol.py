@@ -3,9 +3,9 @@ import pytest
 
 from memscrub.audit import AuditOp
 from memscrub.corpus import split_items, to_dataset
-from memscrub.graph import ForgetRequest, Status
+from memscrub.graph import ForgetRequest, GraphError, Layer, Status
 from memscrub.protocol import Channel, backflow_probe, run_protocol
-from memscrub.store import BlockedContentError, MemoryStore
+from memscrub.store import BlockedContentError, MemoryStore, RetrievalSettings
 from memscrub.training import UnlearnConfig
 
 FAST_CFG = UnlearnConfig(lambda_f=1.5, temperature=2.0, lr=0.5, epochs=30, seed=0)
@@ -44,6 +44,20 @@ class TestMemoryPhase:
         }
         assert report.closure_size == 9
         agent.store.graph.check_consistency()
+
+    def test_non_episodic_target_rejected_before_its_block_record(self):
+        store = MemoryStore(settings=RetrievalSettings(tau=0))
+        first = store.write(Layer.EPISODIC, "alpha river stone")
+        second = store.write(Layer.EPISODIC, "beta forest wind")
+        summary = store.write(Layer.SEMANTIC, "summary of alpha and beta", [first, second])
+        records = len(store.audit)
+        with pytest.raises(GraphError, match=f"forget target {summary} is semantic, only episodic"):
+            store.forget(ForgetRequest.of("bad", [summary]))
+        assert len(store.audit) == records
+        assert not store.blocklist.is_blocked(summary)
+        assert store.forget(ForgetRequest.of("ok", [first])).rebuilt  # tau 0: every forget rebuilds
+        hits = [h.node_id for h in store.search("summary of alpha and beta")]
+        assert hits[0] == summary
 
     def test_idempotent(self, fresh_agent):
         agent, items, prov = fresh_agent

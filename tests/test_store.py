@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from memscrub.audit import Blocklist
 from memscrub.store import parse_lines, read_lines, write_lines
 
 TEXTS = {
@@ -50,3 +51,10 @@ def test_record_with_raw_u2028_is_rejected(tmp_path):
     path.write_text('{"a":"x\u2028y"}\n', encoding="utf-8")
     with pytest.raises(ValueError, match="records.jsonl: malformed file"):
         parse_lines(lambda lines: [json.loads(line) for line in lines], (path, None))
+
+
+def test_header_only_file_is_malformed(tmp_path):
+    path = tmp_path / "blocklist.jsonl"
+    path.write_text("h\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="blocklist.jsonl: malformed file: StopIteration"):
+        parse_lines(Blocklist.from_lines, (path, "h"))
