@@ -115,8 +115,8 @@ class AuditLog:
     record's ``seq`` is its position and its ``prev_hash`` the previous
     record's hash. A loaded record the columns cannot reproduce exactly (a
     tampered ``seq`` or ``prev_hash``, a digest that is not 64 lowercase
-    hex characters) and a record assigned through ``records`` are kept
-    whole, keyed by position, so a tampered log round-trips as it was.
+    hex characters) is kept whole, keyed by position, so a tampered log
+    round-trips as it was.
     """
 
     def __init__(self):
@@ -174,15 +174,8 @@ class AuditLog:
         return AuditRecord(i, _OPS[self._ops[i]], self._hashes[at:at + 32].hex(),
                            self._hash_at(i - 1), self._hashes[at + 32:at + 64].hex())
 
-    def _replace(self, i: int, record: AuditRecord) -> None:
-        if i + 1 < len(self):
-            self._whole.setdefault(i + 1, self._record(i + 1))  # it links to the old hash
-        else:
-            self._head = record.record_hash
-        self._whole[i] = record
-
     def verify(self) -> VerifyResult:
-        return verify_lines(self.to_lines())
+        return _verify_chain(self.records)
 
     def to_lines(self) -> list:
         return [self._record(i).to_line() for i in range(len(self))]
@@ -209,26 +202,39 @@ class AuditRecords(Sequence):
     def __getitem__(self, i: int) -> AuditRecord:
         return self._log._record(range(len(self._log))[i])
 
-    def __setitem__(self, i: int, record: AuditRecord) -> None:
-        self._log._replace(range(len(self._log))[i], record)
 
-
-def verify_lines(lines) -> VerifyResult:
-    """Verify serialized records; an unparseable line is the first bad index."""
+def _verify_chain(records) -> VerifyResult:
+    """Check the chain of ``records``; None stands for a record that did not parse."""
     prev = ZERO_HASH
-    for i, line in enumerate(lines):
+    for i, record in enumerate(records):
+        if record is None or record.seq != i or record.prev_hash != prev:
+            return VerifyResult(ok=False, first_bad_index=i)
         try:
-            record = AuditRecord.from_line(line)
-        except (ValueError, KeyError, TypeError):
+            expected = _record_hash(record.seq, record.op.value, record.payload_digest,
+                                    record.prev_hash)
+        except (AttributeError, UnicodeEncodeError):  # a digest that is not encodable text
             return VerifyResult(ok=False, first_bad_index=i)
-        if record.seq != i or record.prev_hash != prev:
-            return VerifyResult(ok=False, first_bad_index=i)
-        expected = _record_hash(record.seq, record.op.value, record.payload_digest,
-                                record.prev_hash)
         if record.record_hash != expected:
             return VerifyResult(ok=False, first_bad_index=i)
         prev = record.record_hash
     return VerifyResult(ok=True)
+
+
+def _parsed(lines):
+    for line in lines:
+        try:
+            yield AuditRecord.from_line(line)
+        except (ValueError, KeyError, TypeError):
+            yield None
+
+
+def verify_lines(lines) -> VerifyResult:
+    """Verify serialized records; an unparseable line is the first bad index.
+
+    ``lines`` may be any iterable of lines. It is read once, one line at a
+    time, and no further than the first bad index.
+    """
+    return _verify_chain(_parsed(lines))
 
 
 class Blocklist:

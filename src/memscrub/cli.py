@@ -34,7 +34,6 @@ from .store import (
     MemoryStore,
     load_model,
     parse_lines,
-    read_lines,
     save_model,
     store_lock,
     write_lines,
@@ -193,16 +192,40 @@ def cmd_probe(args) -> int:
     return 0
 
 
+class _CountedLines:
+    """A stream of lines, read once; ``len`` reads the rest of it and counts every line.
+
+    So the count is whole even after a reader stopped at a bad record.
+    """
+
+    def __init__(self, lines):
+        self._lines = iter(lines)
+        self._count = 0
+
+    def __iter__(self):
+        for line in self._lines:
+            self._count += 1
+            yield line
+
+    def __len__(self) -> int:
+        self._count += sum(1 for _ in self._lines)
+        return self._count
+
+
 def cmd_audit_verify(args) -> int:
+    def verify(lines):
+        lines = _CountedLines(lines)
+        return verify_lines(lines), len(lines)
+
     try:
-        lines = read_lines(Path(args.store) / "audit.jsonl", FILE_HEADERS["audit.jsonl"])
-    except ValueError:
+        result, records = parse_lines(
+            verify, (Path(args.store) / "audit.jsonl", FILE_HEADERS["audit.jsonl"]))
+    except ValueError:  # a wrong header, or a byte anywhere that is not UTF-8
         _emit({"command": "audit-verify", "ok": False, "first_bad_index": 0,
                "reason": "bad header"})
         return 1
-    result = verify_lines(lines)
     _emit({"command": "audit-verify", "ok": result.ok,
-           "first_bad_index": result.first_bad_index, "records": len(lines)})
+           "first_bad_index": result.first_bad_index, "records": records})
     return 0 if result.ok else 1
 
 

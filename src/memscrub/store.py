@@ -77,21 +77,14 @@ def _text_lines(f, path):
         raise NotUTF8Error(f"{path}: not UTF-8 text: {exc.reason}") from exc
 
 
-def read_lines(path: Path, header=None) -> list:
-    """Lines of a file; with ``header``, check and strip it (ValueError if wrong).
-
-    A file that is not UTF-8 is a ValueError naming it.
-    """
-    return parse_lines(list, (path, header))
-
-
 def parse_lines(build, *files):
     """``build(*lines)`` over the ``(path, header)`` pairs in ``files``.
 
     Every header is checked first; ``build`` then gets, for each file, an
     iterator over its remaining lines, read as it advances. A wrong
-    header, or a record ``build`` cannot parse, is a ValueError naming
-    the file, which the CLI reports as ``error: <file>: …``.
+    header, a byte that is not UTF-8, or a record ``build`` cannot parse
+    is a ValueError naming the file, which the CLI reports as
+    ``error: <file>: …``.
     """
     with contextlib.ExitStack() as stack:
         streams = []

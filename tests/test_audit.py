@@ -13,6 +13,7 @@ from memscrub.audit import (
     AuditRecord,
     Blocklist,
     VerifyResult,
+    _record_hash,
     canonical_json,
     verify_lines,
 )
@@ -60,11 +61,12 @@ class TestAuditChain:
         log = AuditLog()
         for i in range(40):
             log.append(AuditOp.WRITE, {"i": i})
-        record = log.records[bad_index]
+        lines = log.to_lines()
+        record = AuditRecord.from_line(lines[bad_index])
         digest = record.payload_digest
         flipped = ("0" if digest[0] != "0" else "1") + digest[1:]
-        log.records[bad_index] = dataclasses.replace(record, payload_digest=flipped)
-        result = log.verify()
+        lines[bad_index] = dataclasses.replace(record, payload_digest=flipped).to_line()
+        result = AuditLog.from_lines(lines).verify()
         assert not result.ok
         assert result.first_bad_index == bad_index
 
@@ -78,6 +80,48 @@ class TestAuditChain:
         assert verify_lines(lines) == VerifyResult(ok=False, first_bad_index=1)
         with pytest.raises(TypeError):  # a load reports it as a malformed file
             AuditLog.from_lines(lines)
+
+    @pytest.mark.parametrize("bad_index", [None, 0, 2, 19])
+    def test_generator_verifies_as_its_list(self, bad_index):
+        log = AuditLog()
+        for i in range(20):
+            log.append(AuditOp.WRITE, {"i": i})
+        lines = log.to_lines()
+        if bad_index is not None:
+            lines[bad_index] = lines[bad_index].replace('"op":"write"', '"op":"block"')
+        read = []
+
+        def stream():
+            for line in lines:
+                read.append(line)
+                yield line
+
+        assert verify_lines(stream()) == verify_lines(lines)
+        assert len(read) == (len(lines) if bad_index is None else bad_index + 1)
+
+    def test_relinked_record_with_matching_hash_is_the_first_bad_index(self):
+        log = AuditLog()
+        for i in range(6):
+            log.append(AuditOp.WRITE, {"i": i})
+        lines = log.to_lines()
+        rec = json.loads(lines[3])
+        rec["prev_hash"] = "f" * 64
+        rec["record_hash"] = _record_hash(3, rec["op"], rec["payload_digest"], rec["prev_hash"])
+        lines[3] = canonical_json(rec)
+        assert verify_lines(lines) == VerifyResult(ok=False, first_bad_index=3)
+        assert AuditLog.from_lines(lines).verify() == verify_lines(lines)
+
+    @pytest.mark.parametrize("digest", [5, None, ["a"], "\ud800" * 64])
+    def test_digest_that_is_not_text_is_the_first_bad_index(self, digest):
+        log = AuditLog()
+        for i in range(4):
+            log.append(AuditOp.WRITE, {"i": i})
+        lines = log.to_lines()
+        rec = json.loads(lines[1])
+        rec["payload_digest"] = digest
+        lines[1] = json.dumps(rec)
+        assert verify_lines(lines) == VerifyResult(ok=False, first_bad_index=1)
+        assert AuditLog.from_lines(lines).verify() == verify_lines(lines)
 
     def test_single_byte_flip_detected(self):
         log = AuditLog()
@@ -172,9 +216,6 @@ def test_tampered_chain_loads_as_written_and_verifies_as_its_lines(ops, data):
     loaded = AuditLog.from_lines(lines)
     assert loaded.to_lines() == [canonical_json(json.loads(line)) for line in lines]
     assert loaded.verify() == verify_lines(lines)
-    log.records[at] = AuditRecord.from_line(lines[at])  # the same tamper in memory
-    assert log.to_lines() == loaded.to_lines()
-    assert log.head_hash() == loaded.head_hash()
 
 
 class TestBlocklist:

@@ -1,17 +1,21 @@
 import fcntl
+import gc
 import json
 import os
 import shutil
 import signal
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from memscrub import cli
+from memscrub.audit import AuditLog, AuditOp
 from memscrub.cli import main
 from memscrub.config import RunConfig, load_config
+from memscrub.store import FILE_HEADERS, write_lines
 
 
 def run_cli(capsys, *argv):
@@ -201,6 +205,53 @@ class TestAuditVerify:
         code, rows = run_cli(capsys, "audit-verify", "--store", str(copy))
         assert code == 1
         assert rows[-1]["reason"] == "bad header"
+
+    def test_records_counts_every_line_past_the_first_bad_index(self, pipeline, tmp_path, capsys):
+        _, store = pipeline
+        copy = tmp_path / "store"
+        shutil.copytree(store, copy)
+        audit = copy / "audit.jsonl"
+        lines = audit.read_text().splitlines()
+        lines[3] = lines[3].replace('"op":"write"', '"op":"block"')
+        audit.write_text("\n".join(lines) + "\n")
+        code, rows = run_cli(capsys, "audit-verify", "--store", str(copy))
+        assert code == 1
+        assert rows == [{"command": "audit-verify", "ok": False, "first_bad_index": 2,
+                         "records": len(lines) - 1}]
+
+    def test_non_utf8_byte_mid_log_is_bad_header(self, pipeline, tmp_path, capsys):
+        _, store = pipeline
+        copy = tmp_path / "store"
+        shutil.copytree(store, copy)
+        audit = copy / "audit.jsonl"
+        data = audit.read_bytes()
+        middle = data.index(b"\n", len(data) // 2) + 1
+        audit.write_bytes(data[:middle] + b"\xff" + data[middle:])
+        code, rows = run_cli(capsys, "audit-verify", "--store", str(copy))
+        assert code == 1
+        assert rows == [{"command": "audit-verify", "ok": False, "first_bad_index": 0,
+                         "reason": "bad header"}]
+
+    def test_holds_one_record_at_a_time(self, tmp_path, capsys):
+        log = AuditLog()
+        for i in range(10_000):
+            log.append(AuditOp.WRITE, {"i": i})
+        write_lines(tmp_path / "audit.jsonl", FILE_HEADERS["audit.jsonl"], log.to_lines())
+        size = (tmp_path / "audit.jsonl").stat().st_size
+        del log
+        main(["audit-verify", "--store", str(tmp_path)])  # fills one-time caches (argparse, re)
+        capsys.readouterr()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            code = main(["audit-verify", "--store", str(tmp_path)])
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["records"] == 10_000
+        assert peak < size / 10
 
 
 class TestDamagedStore:

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from memscrub.audit import Blocklist
-from memscrub.store import parse_lines, read_lines, write_lines
+from memscrub.store import parse_lines, write_lines
 
 TEXTS = {
     "crlf": "h\r\na\r\nb\r\n",
@@ -23,9 +23,9 @@ def test_read_lines_equals_splitlines(tmp_path, text):
     path = tmp_path / "f.jsonl"
     path.write_bytes(text.encode("utf-8"))
     expected = path.read_text(encoding="utf-8").splitlines()
-    assert read_lines(path) == expected
+    assert parse_lines(list, (path, None)) == expected
     if expected[:1] == ["h"]:
-        assert read_lines(path, "h") == expected[1:]
+        assert parse_lines(list, (path, "h")) == expected[1:]
 
 
 @pytest.mark.parametrize("header", [None, "h"])
@@ -43,7 +43,7 @@ def test_non_utf8_file_is_a_value_error_naming_it(tmp_path):
     path = tmp_path / "nodes.jsonl"
     path.write_bytes(b"h\n{}\n\xff\xfe\n")
     with pytest.raises(ValueError, match="nodes.jsonl: not UTF-8"):
-        read_lines(path, "h")
+        parse_lines(list, (path, "h"))
 
 
 def test_record_with_raw_u2028_is_rejected(tmp_path):
