@@ -8,7 +8,7 @@ the deleted fact straight back into memory.
 """
 
 from memscrub import AgentState, ForgetRequest, MemoryStore, ModelState, UnlearnConfig
-from memscrub import backflow_probe, pretrain, run_protocol
+from memscrub import backflow_probe, pretrain, run_protocol, verify_lines
 from memscrub.corpus import generate_corpus, populate_store, split_items, to_dataset
 
 DIM = 256
@@ -55,7 +55,7 @@ def main():
     answer = agent.answer(retain_item.question)
     print(f"\nretain question still answered from {answer.source}: "
           f"choice {answer.answer_idx} (truth {retain_item.answer_idx})")
-    print(f"audit verifies: {agent.store.audit.verify().ok}")
+    print(f"audit verifies: {verify_lines(agent.store.audit.to_lines()).ok}")
 
 
 if __name__ == "__main__":

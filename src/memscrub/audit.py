@@ -1,9 +1,11 @@
 """Blocklist and tamper-evident audit log.
 
-Every deletion-related operation is appended to a hash-chained
-write-ahead log before the corresponding state mutation becomes visible.
-Records carry only digests of operation payloads, never memory content,
-so the log cannot re-expose forgotten text.
+Every deletion-related operation is appended to a hash-chained log.
+WRITE, BLOCK, REBUILD and COMPACT records are appended before the
+mutation they describe; PRUNE and DELETE records follow the graph prune
+and the index removal they report, and ARCHIVE and TRAIN close their
+phase. Records carry only digests of operation payloads, never memory
+content, so the log cannot re-expose forgotten text.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import enum
 import functools
 import hashlib
 import json
-from collections.abc import Sequence
+import re
 from dataclasses import dataclass, fields
 from typing import Iterable, Optional
 
@@ -54,6 +56,14 @@ def record_of(obj) -> dict:
     return {f.name: getattr(obj, f.name) for f in _fields_of(type(obj))}
 
 
+def json_field(rec: dict, key: str, kind: type):
+    """``rec[key]``, which must be exactly a ``kind``: for ``int``, a bool or a float is not."""
+    value = rec[key]
+    if type(value) is not kind:
+        raise ValueError(f"{key} {value!r} is not a JSON {kind.__name__}")
+    return value
+
+
 def payload_digest(payload: dict) -> str:
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
@@ -93,131 +103,22 @@ class VerifyResult:
 
 _OPS = tuple(AuditOp)
 _OP_CODE = {op: code for code, op in enumerate(_OPS)}
-_UNPACKED = bytes(64)  # column filler for a record kept whole
+_DIGEST = re.compile("[0-9a-f]{64}")
 
 
-def _packed(digest) -> Optional[bytes]:
-    """The 32 raw bytes of ``digest`` if it is 64 lowercase hex characters, else None."""
-    if type(digest) is not str or len(digest) != 64:
-        return None
-    try:
-        raw = bytes.fromhex(digest)
-    except ValueError:
-        return None
-    return raw if raw.hex() == digest else None
+def _links(i: int, record: Optional[AuditRecord], prev: str) -> bool:
+    """Whether ``record`` is record ``i`` of a chain whose record ``i - 1`` hashes to ``prev``.
 
-
-class AuditLog:
-    """Append-only hash chain. The first record links to an all-zero sentinel.
-
-    The chain is two packed columns: one op byte per record, and 64 bytes
-    per record holding its raw payload digest and raw record hash. A
-    record's ``seq`` is its position and its ``prev_hash`` the previous
-    record's hash. A loaded record the columns cannot reproduce exactly (a
-    tampered ``seq`` or ``prev_hash``, a digest that is not 64 lowercase
-    hex characters) is kept whole, keyed by position, so a tampered log
-    round-trips as it was.
+    The one chain check. It asks exactly what ``AuditLog``'s packed columns
+    can hold: ``seq`` is the int ``i``, ``prev_hash`` is ``prev``, both
+    digests are 64 lowercase hex characters, and ``record_hash``
+    recomputes (which makes it such a digest). None stands for a line
+    that did not parse.
     """
-
-    def __init__(self):
-        self._ops = bytearray()
-        self._hashes = bytearray()
-        self._whole: dict[int, AuditRecord] = {}
-        self._head = ZERO_HASH
-
-    def __len__(self) -> int:
-        return len(self._ops)
-
-    @property
-    def records(self) -> "AuditRecords":
-        return AuditRecords(self)
-
-    def head_hash(self) -> str:
-        return self._head
-
-    def append(self, op: AuditOp, payload: dict) -> AuditRecord:
-        seq = len(self._ops)
-        digest = payload_digest(payload)
-        prev = self._head
-        record_hash = _record_hash(seq, op.value, digest, prev)
-        self._ops.append(_OP_CODE[op])
-        self._hashes += bytes.fromhex(digest)
-        self._hashes += bytes.fromhex(record_hash)
-        self._head = record_hash
-        return AuditRecord(seq, op, digest, prev, record_hash)
-
-    def _add(self, record: AuditRecord) -> None:
-        """Append a parsed record, packed if the columns reproduce it exactly."""
-        seq = len(self._ops)
-        digest, record_hash = _packed(record.payload_digest), _packed(record.record_hash)
-        self._ops.append(_OP_CODE[record.op])
-        if (type(record.seq) is int and record.seq == seq and type(record.prev_hash) is str
-                and record.prev_hash == self._head and digest is not None and record_hash is not None):
-            self._hashes += digest
-            self._hashes += record_hash
-        else:
-            self._hashes += _UNPACKED
-            self._whole[seq] = record
-        self._head = record.record_hash
-
-    def _hash_at(self, i: int) -> str:
-        if i < 0:
-            return ZERO_HASH
-        whole = self._whole.get(i)
-        return whole.record_hash if whole else self._hashes[64 * i + 32:64 * i + 64].hex()
-
-    def _record(self, i: int) -> AuditRecord:
-        whole = self._whole.get(i)
-        if whole:
-            return whole
-        at = 64 * i
-        return AuditRecord(i, _OPS[self._ops[i]], self._hashes[at:at + 32].hex(),
-                           self._hash_at(i - 1), self._hashes[at + 32:at + 64].hex())
-
-    def verify(self) -> VerifyResult:
-        return _verify_chain(self.records)
-
-    def to_lines(self) -> list:
-        return [self._record(i).to_line() for i in range(len(self))]
-
-    @classmethod
-    def from_lines(cls, lines: Iterable[str]) -> "AuditLog":
-        log = cls()
-        for line in lines:
-            log._add(AuditRecord.from_line(line))
-        return log
-
-
-class AuditRecords(Sequence):
-    """The records of an ``AuditLog`` by position, each built on access."""
-
-    __slots__ = ("_log",)
-
-    def __init__(self, log: AuditLog):
-        self._log = log
-
-    def __len__(self) -> int:
-        return len(self._log)
-
-    def __getitem__(self, i: int) -> AuditRecord:
-        return self._log._record(range(len(self._log))[i])
-
-
-def _verify_chain(records) -> VerifyResult:
-    """Check the chain of ``records``; None stands for a record that did not parse."""
-    prev = ZERO_HASH
-    for i, record in enumerate(records):
-        if record is None or record.seq != i or record.prev_hash != prev:
-            return VerifyResult(ok=False, first_bad_index=i)
-        try:
-            expected = _record_hash(record.seq, record.op.value, record.payload_digest,
-                                    record.prev_hash)
-        except (AttributeError, UnicodeEncodeError):  # a digest that is not encodable text
-            return VerifyResult(ok=False, first_bad_index=i)
-        if record.record_hash != expected:
-            return VerifyResult(ok=False, first_bad_index=i)
-        prev = record.record_hash
-    return VerifyResult(ok=True)
+    return (record is not None and type(record.seq) is int and record.seq == i
+            and record.prev_hash == prev and type(record.payload_digest) is str
+            and _DIGEST.fullmatch(record.payload_digest) is not None
+            and record.record_hash == _record_hash(i, record.op.value, record.payload_digest, prev))
 
 
 def _parsed(lines):
@@ -234,7 +135,67 @@ def verify_lines(lines) -> VerifyResult:
     ``lines`` may be any iterable of lines. It is read once, one line at a
     time, and no further than the first bad index.
     """
-    return _verify_chain(_parsed(lines))
+    prev = ZERO_HASH
+    for i, record in enumerate(_parsed(lines)):
+        if not _links(i, record, prev):
+            return VerifyResult(ok=False, first_bad_index=i)
+        prev = record.record_hash
+    return VerifyResult(ok=True)
+
+
+class AuditLog:
+    """Append-only hash chain. The first record links to an all-zero sentinel.
+
+    The chain is two packed columns: one op byte per record, and 64 bytes
+    per record holding its raw payload digest and raw record hash. A
+    record's ``seq`` is its position and its ``prev_hash`` the previous
+    record's hash. A log is built only by ``append`` and by a load that
+    checks every record, so it always verifies.
+    """
+
+    def __init__(self):
+        self._ops = bytearray()
+        self._hashes = bytearray()
+        self._head = ZERO_HASH
+
+    def __len__(self) -> int:
+        return len(self._ops)
+
+    def head_hash(self) -> str:
+        return self._head
+
+    def append(self, op: AuditOp, payload: dict) -> AuditRecord:
+        seq = len(self._ops)
+        digest = payload_digest(payload)
+        prev = self._head
+        record_hash = _record_hash(seq, op.value, digest, prev)
+        self._add(op, digest, record_hash)
+        return AuditRecord(seq, op, digest, prev, record_hash)
+
+    def _add(self, op: AuditOp, digest: str, record_hash: str) -> None:
+        self._ops.append(_OP_CODE[op])
+        self._hashes += bytes.fromhex(digest)
+        self._hashes += bytes.fromhex(record_hash)
+        self._head = record_hash
+
+    def _record(self, i: int) -> AuditRecord:
+        at = 64 * i
+        prev = self._hashes[at - 32:at].hex() if i else ZERO_HASH
+        return AuditRecord(i, _OPS[self._ops[i]], self._hashes[at:at + 32].hex(), prev,
+                           self._hashes[at + 32:at + 64].hex())
+
+    def to_lines(self) -> list:
+        return [self._record(i).to_line() for i in range(len(self))]
+
+    @classmethod
+    def from_lines(cls, lines: Iterable[str]) -> "AuditLog":
+        """The log of serialized records; ValueError at the first record that does not verify."""
+        log = cls()
+        for i, record in enumerate(_parsed(lines)):
+            if not _links(i, record, log._head):
+                raise ValueError(f"audit record {i} does not verify")
+            log._add(record.op, record.payload_digest, record.record_hash)
+        return log
 
 
 class Blocklist:
@@ -320,15 +281,15 @@ class Blocklist:
     def from_lines(cls, lines: Iterable[str]) -> "Blocklist":
         blocklist = cls()
         lines = iter(lines)
-        blocklist.generation = json.loads(next(lines))["generation"]
+        blocklist.generation = json_field(json.loads(next(lines)), "generation", int)
         for line in lines:
             rec = json.loads(line)
             if "digest" in rec:
-                if rec["digest"] in blocklist.digests:
+                if json_field(rec, "digest", str) in blocklist.digests:
                     raise ValueError(f"digest {rec['digest']} is listed twice")
                 blocklist.digests.add(rec["digest"])
-            elif rec["id"] in blocklist._entries:
+            elif json_field(rec, "id", int) in blocklist._entries:
                 raise ValueError(f"id {rec['id']} is listed twice")
             else:
-                blocklist._entries[rec["id"]] = rec["index_generation"]
+                blocklist._entries[rec["id"]] = json_field(rec, "index_generation", int)
         return blocklist

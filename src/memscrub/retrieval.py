@@ -26,7 +26,7 @@ from typing import Callable, Container, Iterable
 
 import numpy as np
 
-from .audit import AuditLog, AuditOp, Blocklist, canonical_json
+from .audit import AuditLog, AuditOp, Blocklist, canonical_json, json_field
 from .graph import UnknownNodeError
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
@@ -297,11 +297,11 @@ class HybridIndex:
         """
         lines = iter(lines)
         index = cls(embedder, tau=tau)
-        index.generation = json.loads(next(lines))["generation"]
+        index.generation = json_field(json.loads(next(lines)), "generation", int)
         for node_id, content in live:
             index.insert(node_id, content)
         for line in lines:
-            node_id = json.loads(line)["id"]
+            node_id = json_field(json.loads(line), "id", int)
             if node_id not in known:
                 raise UnknownNodeError(f"tombstone {node_id} names an unknown node")
             if node_id in index:

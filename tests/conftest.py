@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from memscrub.audit import ZERO_HASH, _record_hash, canonical_json
 from memscrub.corpus import CHOICES, generate_corpus, populate_store, split_items, to_dataset
 from memscrub.store import MemoryStore, RetrievalSettings
 from memscrub.training import ModelState, UnlearnConfig, pretrain
@@ -45,6 +48,22 @@ def brute_force_closure(edges, targets, layer_of):
                 reach.add(child)
                 changed = True
     return {v for v in reach - set(targets) if layer_of(v) in DERIVED_LAYERS}
+
+
+def forge_chain(lines: list, at: int, change) -> list:
+    """Audit ``lines`` with record ``at`` updated by ``change(record)``, rehashed and relinked onward.
+
+    The result is a self-consistent chain: every ``prev_hash`` and
+    ``record_hash`` recomputes from the fields as they are written.
+    """
+    forged = lines[:at]
+    prev = json.loads(lines[at - 1])["record_hash"] if at else ZERO_HASH
+    for i in range(at, len(lines)):
+        rec = json.loads(lines[i])
+        rec.update(change(rec) if i == at else {}, prev_hash=prev)
+        rec["record_hash"] = prev = _record_hash(rec["seq"], rec["op"], rec["payload_digest"], prev)
+        forged.append(canonical_json(rec))
+    return forged
 
 
 @pytest.fixture(scope="session")

@@ -18,6 +18,8 @@ from memscrub.audit import (
     verify_lines,
 )
 
+from conftest import forge_chain
+
 
 class TestAuditChain:
     def test_genesis_links_to_zero_sentinel(self):
@@ -33,13 +35,12 @@ class TestAuditChain:
         assert second.prev_hash == first.record_hash
 
     def test_empty_log_verifies(self):
-        assert AuditLog().verify().ok
+        assert verify_lines(AuditLog().to_lines()).ok
 
     def test_untampered_100_records_verify(self):
         log = AuditLog()
         for i in range(100):
             log.append(AuditOp.WRITE, {"i": i})
-        assert log.verify().ok
         assert verify_lines(log.to_lines()).ok
 
     @pytest.mark.parametrize("bad_index", [0, 1, 42, 99])
@@ -66,9 +67,9 @@ class TestAuditChain:
         digest = record.payload_digest
         flipped = ("0" if digest[0] != "0" else "1") + digest[1:]
         lines[bad_index] = dataclasses.replace(record, payload_digest=flipped).to_line()
-        result = AuditLog.from_lines(lines).verify()
-        assert not result.ok
-        assert result.first_bad_index == bad_index
+        assert verify_lines(lines) == VerifyResult(ok=False, first_bad_index=bad_index)
+        with pytest.raises(ValueError, match=f"audit record {bad_index} does not verify"):
+            AuditLog.from_lines(lines)
 
     @pytest.mark.parametrize("line", ["[1]", "5", '"op"', "null"])
     def test_line_that_is_not_an_object_is_the_first_bad_index(self, line):
@@ -78,7 +79,7 @@ class TestAuditChain:
         lines = log.to_lines()
         lines[1] = line
         assert verify_lines(lines) == VerifyResult(ok=False, first_bad_index=1)
-        with pytest.raises(TypeError):  # a load reports it as a malformed file
+        with pytest.raises(ValueError, match="audit record 1 does not verify"):
             AuditLog.from_lines(lines)
 
     @pytest.mark.parametrize("bad_index", [None, 0, 2, 19])
@@ -109,7 +110,8 @@ class TestAuditChain:
         rec["record_hash"] = _record_hash(3, rec["op"], rec["payload_digest"], rec["prev_hash"])
         lines[3] = canonical_json(rec)
         assert verify_lines(lines) == VerifyResult(ok=False, first_bad_index=3)
-        assert AuditLog.from_lines(lines).verify() == verify_lines(lines)
+        with pytest.raises(ValueError, match="audit record 3 does not verify"):
+            AuditLog.from_lines(lines)
 
     @pytest.mark.parametrize("digest", [5, None, ["a"], "\ud800" * 64])
     def test_digest_that_is_not_text_is_the_first_bad_index(self, digest):
@@ -121,7 +123,34 @@ class TestAuditChain:
         rec["payload_digest"] = digest
         lines[1] = json.dumps(rec)
         assert verify_lines(lines) == VerifyResult(ok=False, first_bad_index=1)
-        assert AuditLog.from_lines(lines).verify() == verify_lines(lines)
+        with pytest.raises(ValueError, match="audit record 1 does not verify"):
+            AuditLog.from_lines(lines)
+
+    @pytest.mark.parametrize("seq", [1.0, True])
+    def test_seq_that_is_not_an_int_is_the_first_bad_index(self, seq):
+        log = AuditLog()
+        for i in range(3):
+            log.append(AuditOp.WRITE, {"i": i})
+        lines = log.to_lines()
+        lines[1] = canonical_json({**json.loads(lines[1]), "seq": seq})  # equal to 1, same hash
+        assert verify_lines(lines) == VerifyResult(ok=False, first_bad_index=1)
+        with pytest.raises(ValueError, match="audit record 1 does not verify"):
+            AuditLog.from_lines(lines)
+
+    @pytest.mark.parametrize("change", [
+        pytest.param(lambda rec: {"payload_digest": rec["payload_digest"].upper()},
+                     id="uppercase-digest"),
+        pytest.param(lambda rec: {"seq": True}, id="bool-seq"),
+        pytest.param(lambda rec: {"seq": float(rec["seq"])}, id="float-seq"),
+    ])
+    def test_forged_self_consistent_chain_is_the_first_bad_index(self, change):
+        log = AuditLog()
+        for i in range(5):
+            log.append(AuditOp.WRITE, {"i": i})
+        lines = forge_chain(log.to_lines(), 1, change)
+        assert verify_lines(lines) == VerifyResult(ok=False, first_bad_index=1)
+        with pytest.raises(ValueError, match="audit record 1 does not verify"):
+            AuditLog.from_lines(lines)
 
     def test_single_byte_flip_detected(self):
         log = AuditLog()
@@ -149,7 +178,7 @@ class TestAuditChain:
             log.append(AuditOp.COMPACT, {"i": i})
         reloaded = AuditLog.from_lines(log.to_lines())
         assert reloaded.to_lines() == log.to_lines()
-        assert reloaded.verify().ok
+        assert reloaded.head_hash() == log.head_hash()
 
     def test_loaded_chain_takes_at_most_100_bytes_per_record(self):
         log = AuditLog()
@@ -168,7 +197,7 @@ class TestAuditChain:
         assert len(loaded) == 10_000
         assert resident <= 100 * 10_000
 
-    def test_tampered_link_survives_load_and_save(self):
+    def test_tampered_link_is_a_load_error_at_its_index(self):
         log = AuditLog()
         for i in range(6):
             log.append(AuditOp.COMPACT, {"i": i})
@@ -176,10 +205,10 @@ class TestAuditChain:
         rec = json.loads(lines[3])
         rec["prev_hash"] = "f" * 64
         lines[3] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
-        reloaded = AuditLog.from_lines(lines)
-        assert reloaded.to_lines() == lines
-        assert reloaded.verify() == verify_lines(lines)
-        assert reloaded.verify().first_bad_index == 3
+        assert verify_lines(lines) == VerifyResult(ok=False, first_bad_index=3)
+        with pytest.raises(ValueError, match="audit record 3 does not verify"):
+            AuditLog.from_lines(lines)
+
 
 
 def _tamper(rec: dict, other: dict, data) -> None:
@@ -204,7 +233,7 @@ def _tamper(rec: dict, other: dict, data) -> None:
 
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(ops=st.lists(st.sampled_from(list(AuditOp)), min_size=1, max_size=12), data=st.data())
-def test_tampered_chain_loads_as_written_and_verifies_as_its_lines(ops, data):
+def test_tampered_chain_fails_to_load_where_it_fails_to_verify(ops, data):
     log = AuditLog()
     for i, op in enumerate(ops):
         log.append(op, {"i": i})
@@ -213,9 +242,12 @@ def test_tampered_chain_loads_as_written_and_verifies_as_its_lines(ops, data):
     rec = json.loads(lines[at])
     _tamper(rec, json.loads(lines[data.draw(st.integers(0, len(lines) - 1))]), data)
     lines[at] = json.dumps(rec)
-    loaded = AuditLog.from_lines(lines)
-    assert loaded.to_lines() == [canonical_json(json.loads(line)) for line in lines]
-    assert loaded.verify() == verify_lines(lines)
+    result = verify_lines(lines)
+    if result.ok:  # the tamper rewrote a field to its own value
+        assert AuditLog.from_lines(lines).to_lines() == log.to_lines()
+    else:
+        with pytest.raises(ValueError, match=f"audit record {result.first_bad_index} does not"):
+            AuditLog.from_lines(lines)
 
 
 class TestBlocklist:
@@ -245,7 +277,7 @@ class TestBlocklist:
         blocklist, log = Blocklist(), AuditLog()
         blocklist.block([1], log)
         assert len(log) == 1
-        assert log.records[0].op is AuditOp.BLOCK
+        assert AuditRecord.from_line(log.to_lines()[0]).op is AuditOp.BLOCK
 
     def test_fault_between_audit_and_mutation_preserves_state(self, monkeypatch):
         blocklist, log = Blocklist(), AuditLog()
@@ -261,7 +293,7 @@ class TestBlocklist:
         # pre-call set and the chain still verifies.
         assert blocklist.entries() == [1]
         assert len(log) == 2
-        assert log.verify().ok
+        assert verify_lines(log.to_lines()).ok
 
     def test_fault_midway_through_mutation_restores_state(self, monkeypatch):
         blocklist, log = Blocklist(), AuditLog()

@@ -17,6 +17,8 @@ from memscrub.cli import main
 from memscrub.config import RunConfig, load_config
 from memscrub.store import FILE_HEADERS, write_lines
 
+from conftest import forge_chain
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -42,6 +44,13 @@ def load_context(store):
         rec = json.loads(line)
         prov[rec["item_id"]] = rec["node_id"]
     return items, prov
+
+
+def flip_digest(line):
+    """The audit record ``line`` with the first character of its payload digest changed."""
+    rec = json.loads(line)
+    rec["payload_digest"] = ("0" if rec["payload_digest"][0] != "0" else "1") + rec["payload_digest"][1:]
+    return json.dumps(rec, sort_keys=True, separators=(",", ":"))
 
 
 def write_request(path, items, prov, request_id="req-cli"):
@@ -157,20 +166,16 @@ class TestAuditVerify:
 
     def test_tampered_log_fails(self, pipeline, tmp_path, capsys):
         _, store = pipeline
-        audit = store / "audit.jsonl"
-        original = audit.read_text()
-        lines = original.splitlines()
-        rec = json.loads(lines[3])
-        rec["payload_digest"] = ("0" if rec["payload_digest"][0] != "0" else "1") + rec["payload_digest"][1:]
-        lines[3] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
+        copy = tmp_path / "store"
+        shutil.copytree(store, copy)
+        audit = copy / "audit.jsonl"
+        lines = audit.read_text().splitlines()
+        lines[3] = flip_digest(lines[3])
         audit.write_text("\n".join(lines) + "\n")
-        try:
-            code, rows = run_cli(capsys, "audit-verify", "--store", str(store))
-            assert code == 1
-            assert rows[-1]["ok"] is False
-            assert rows[-1]["first_bad_index"] == 2  # header line excluded
-        finally:
-            audit.write_text(original)
+        code, rows = run_cli(capsys, "audit-verify", "--store", str(copy))
+        assert code == 1
+        assert rows[-1]["ok"] is False
+        assert rows[-1]["first_bad_index"] == 2  # header line excluded
 
     def test_extra_key_is_tamper(self, pipeline, tmp_path, capsys):
         _, store = pipeline
@@ -185,16 +190,14 @@ class TestAuditVerify:
         assert rows[-1]["ok"] is False
         assert rows[-1]["first_bad_index"] == 2  # header line excluded
 
-    def test_bad_header_fails(self, pipeline, capsys):
+    def test_bad_header_fails(self, pipeline, tmp_path, capsys):
         _, store = pipeline
-        audit = store / "audit.jsonl"
-        original = audit.read_text()
-        audit.write_text("wrong header\n" + original)
-        try:
-            code, rows = run_cli(capsys, "audit-verify", "--store", str(store))
-            assert code == 1
-        finally:
-            audit.write_text(original)
+        copy = tmp_path / "store"
+        shutil.copytree(store, copy)
+        audit = copy / "audit.jsonl"
+        audit.write_text("wrong header\n" + audit.read_text())
+        code, rows = run_cli(capsys, "audit-verify", "--store", str(copy))
+        assert code == 1
 
     def test_non_utf8_log_is_bad_header(self, pipeline, tmp_path, capsys):
         _, store = pipeline
@@ -286,6 +289,29 @@ class TestDamagedStore:
                      id="nodes.jsonl-v1-header"),
         pytest.param("index.jsonl", lambda lines: ["memscrub-index v1"] + lines[1:],
                      id="index.jsonl-v1-header"),
+        # Ids and generations must be JSON integers, and digests strings.
+        # `lines[2]` of each file is id 0, which a bool or float 0 replaces, not duplicates.
+        pytest.param("blocklist.jsonl", lambda lines: lines + ['{"id":"3","index_generation":0}'],
+                     id="blocklist.jsonl-string-id"),
+        pytest.param("blocklist.jsonl",
+                     lambda lines: lines[:2] + ['{"id":false,"index_generation":0}'] + lines[3:],
+                     id="blocklist.jsonl-bool-id"),
+        pytest.param("blocklist.jsonl",
+                     lambda lines: lines[:2] + ['{"id":0.0,"index_generation":0}'] + lines[3:],
+                     id="blocklist.jsonl-float-id"),
+        pytest.param("blocklist.jsonl",
+                     lambda lines: lines[:2] + ['{"id":0,"index_generation":"0"}'] + lines[3:],
+                     id="blocklist.jsonl-string-index-generation"),
+        pytest.param("blocklist.jsonl", lambda lines: lines[:1] + ['{"generation":0.0}'] + lines[2:],
+                     id="blocklist.jsonl-float-generation"),
+        pytest.param("blocklist.jsonl", lambda lines: lines + ['{"digest":5}'],
+                     id="blocklist.jsonl-number-digest"),
+        pytest.param("index.jsonl", lambda lines: lines[:2] + ['{"id":false}'] + lines[3:],
+                     id="index.jsonl-bool-tombstone"),
+        pytest.param("index.jsonl", lambda lines: lines[:2] + ['{"id":0.0}'] + lines[3:],
+                     id="index.jsonl-float-tombstone"),
+        pytest.param("index.jsonl", lambda lines: lines[:1] + ['{"generation":"0"}'] + lines[2:],
+                     id="index.jsonl-string-generation"),
     ])
     def test_load_error_names_the_file(self, unlearned, tmp_path, capsys, name, damage):
         store, _, _ = unlearned
@@ -297,6 +323,35 @@ class TestDamagedStore:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: ") and name in err
+
+    @pytest.mark.parametrize("name, damage", [
+        pytest.param("audit.jsonl", lambda lines: lines[:3] + [flip_digest(lines[3])] + lines[4:],
+                     id="audit.jsonl-flipped-digest"),
+        pytest.param("audit.jsonl", lambda lines: lines[:1] + forge_chain(
+            lines[1:], 2, lambda rec: {"payload_digest": rec["payload_digest"].upper()}),
+                     id="audit.jsonl-forged-uppercase-digest"),
+        pytest.param("blocklist.jsonl", lambda lines: lines + ['{"id":"3","index_generation":0}'],
+                     id="blocklist.jsonl-string-id"),
+        pytest.param("blocklist.jsonl", lambda lines: lines + ['{"digest":5}'],
+                     id="blocklist.jsonl-number-digest"),
+    ])
+    def test_damaged_store_is_refused_before_it_is_touched(self, pipeline, tmp_path, capsys,
+                                                           name, damage):
+        _, store = pipeline
+        copy = tmp_path / "store"
+        shutil.copytree(store, copy)
+        path = copy / name
+        path.write_text("\n".join(damage(path.read_text().splitlines())) + "\n")
+        items, prov = load_context(copy)
+        request = tmp_path / "request.json"
+        write_request(request, items, prov)
+        before = {p.name: p.read_bytes() for p in copy.iterdir()}
+        for argv in (["query", "--store", str(copy), "--text", "what remedy"],
+                     ["unlearn", "--store", str(copy), "--request", str(request), "--epochs", "1"]):
+            code = main(argv)
+            assert code == 1
+            assert capsys.readouterr().err.startswith(f"error: {path}: malformed file: ")
+        assert {p.name: p.read_bytes() for p in copy.iterdir()} == before
 
     def test_non_utf8_file_is_named(self, pipeline, tmp_path, capsys):
         _, store = pipeline

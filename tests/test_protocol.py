@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from memscrub.audit import AuditOp
+from memscrub.audit import AuditOp, AuditRecord, verify_lines
 from memscrub.corpus import split_items, to_dataset
 from memscrub.graph import ForgetRequest, GraphError, Layer, Status
 from memscrub.protocol import Channel, backflow_probe, run_protocol
@@ -125,14 +125,15 @@ class TestProtocolOrdering:
         run_protocol(agent, ForgetRequest.of("req-1", forget_targets(prov, items)),
                      retain, FAST_CFG)
         seqs = {}
-        for rec in agent.store.audit.records:
+        lines = agent.store.audit.to_lines()
+        for rec in map(AuditRecord.from_line, lines):
             seqs.setdefault(rec.op, []).append(rec.seq)
         for op in (AuditOp.BLOCK, AuditOp.PRUNE, AuditOp.DELETE, AuditOp.ARCHIVE):
             assert op in seqs
             assert max(seqs[op]) < min(seqs[AuditOp.TRAIN])
         assert max(seqs[AuditOp.BLOCK]) < min(seqs[AuditOp.PRUNE])
         assert max(seqs[AuditOp.PRUNE]) < min(seqs[AuditOp.ARCHIVE])
-        assert agent.store.audit.verify().ok
+        assert verify_lines(lines).ok
 
     def test_ephemeral_buffer_wiped(self, fresh_agent):
         agent, items, prov = fresh_agent

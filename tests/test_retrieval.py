@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from memscrub.audit import AuditLog, Blocklist, payload_digest
+from memscrub.audit import AuditLog, AuditRecord, Blocklist, payload_digest
 from memscrub.graph import Layer, UnknownNodeError
 from memscrub.retrieval import (
     BLOCK_ROWS,
@@ -335,7 +335,7 @@ class TestRebuild:
         blocklist.block([8], log)
         index.tau = 3
         index.maybe_rebuild(blocklist, keep=lambda i: i != 9, audit=log)
-        rebuild = log.records[-2]
+        rebuild = AuditRecord.from_line(log.to_lines()[-2])
         # Every entry counts, live or tombstoned: 10 entries, 7 purged.
         expected = {"generation": 1, "purged": [0, 1, 2, 5, 7, 8, 9], "size": 3}
         assert rebuild.payload_digest == payload_digest(expected)
