@@ -20,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .audit import canonical_json, record_of
+from .audit import canonical_json, json_field, record_of
 from .graph import Layer
 from .retrieval import token_seed, tokenize
 from .training import Dataset
@@ -43,10 +43,6 @@ class QAItem:
         return CHOICES[self.answer_idx]
 
 
-def _phrase_tokens(rng: np.random.Generator, count: int = 3) -> list:
-    return [f"case{rng.integers(0, 10 ** 6):06d}" for _ in range(count)]
-
-
 def generate_corpus(seed: int = 0, n_topics: int = 12, items_per_topic: int = 6,
                     forget_fraction: float = 0.25, holdout_per_topic: int = 4) -> list:
     """Deterministic corpus; the first ``forget_fraction`` of topics are forgettable."""
@@ -57,12 +53,14 @@ def generate_corpus(seed: int = 0, n_topics: int = 12, items_per_topic: int = 6,
         topic = f"topic{t:03d}"
         answer_idx = int(rng.integers(0, len(CHOICES)))
         forget_topic = t < n_forget_topics
+        # Three phrase codes per item, the topic's items first, then its holdouts.
+        codes = iter(rng.integers(0, 10 ** 6, size=(items_per_topic + holdout_per_topic, 3)).tolist())
         for letter, count, split in (
             ("i", items_per_topic, "forget" if forget_topic else "retain"),
             ("h", holdout_per_topic, "forget_holdout" if forget_topic else "test"),
         ):
             for i in range(count):
-                phrases = " ".join(_phrase_tokens(rng))
+                phrases = " ".join(f"case{code:06d}" for code in next(codes))
                 items.append(QAItem(
                     item_id=f"{topic}-{letter}{i:02d}",
                     split=split,
@@ -105,7 +103,18 @@ def corpus_lines(items: Iterable[QAItem]) -> list:
 
 
 def corpus_from_lines(lines: Iterable[str]) -> list:
-    return [QAItem(**json.loads(line)) for line in lines]
+    items = []
+    for line in lines:
+        rec = json.loads(line)
+        item = QAItem(**rec)  # a missing or unknown field is a TypeError
+        for key in ("item_id", "split", "topic", "question"):
+            json_field(rec, key, str)
+        if item.split not in SPLITS:
+            raise ValueError(f"split {item.split!r} is not one of {', '.join(SPLITS)}")
+        if json_field(rec, "answer_idx", int) not in range(len(CHOICES)):
+            raise ValueError(f"answer_idx {item.answer_idx} is not a choice index")
+        items.append(item)
+    return items
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +176,7 @@ class Provenance:
         prov = cls()
         for line in lines:
             rec = json.loads(line)
-            prov.record(rec["item_id"], rec["node_id"])
+            prov.record(json_field(rec, "item_id", str), json_field(rec, "node_id", int))
         return prov
 
 

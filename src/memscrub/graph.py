@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
-from .audit import AuditOp, canonical_json, content_digest, record_of
+from .audit import AuditOp, canonical_json, content_digest, json_field, record_of
 
 
 class Layer(str, enum.Enum):
@@ -61,6 +61,8 @@ class MemoryNode:
 
     @classmethod
     def from_record(cls, rec: dict) -> "MemoryNode":
+        for key, kind in (("id", int), ("content", str), ("ref_count", int)):
+            json_field(rec, key, kind)
         return cls(**{**rec, "layer": Layer(rec["layer"]), "status": Status(rec["status"])})
 
 
@@ -321,7 +323,7 @@ class MemoryGraph:
             graph.nodes[node.id] = node
         for line in edge_lines:
             rec = json.loads(line)
-            child, parent = rec["child"], rec["parent"]
+            child, parent = json_field(rec, "child", int), json_field(rec, "parent", int)
             if child not in graph.nodes or parent not in graph.nodes:
                 raise UnknownNodeError(f"edge {parent} -> {child} names an unknown node")
             graph._parents.setdefault(child, []).append(parent)

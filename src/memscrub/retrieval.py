@@ -1,5 +1,7 @@
 """Hybrid dense+keyword retrieval with blocklist enforcement.
 
+A text's vector is the normalized sum of its tokens' vectors; each token
+vector is drawn from a PCG64 whose state is the token's SHA-256 digest.
 Candidates are scored exactly (cosine similarity fused with token
 overlap), oversampled by a small factor, filtered against the blocklist
 and node status at the boundary, and truncated to top-k.
@@ -39,15 +41,24 @@ def tokenize(text: str) -> list:
 
 
 def token_seed(token: str) -> int:
-    """A token's 64-bit hash: its embedding's RNG seed, and its featurizer slot mod dim."""
+    """A token's 64-bit hash; the featurizer's slot for it is this mod dim."""
     return int.from_bytes(hashlib.sha256(token.encode("utf-8")).digest()[:8], "big")
 
 
 class HashingEmbedder:
-    """Deterministic embedder: per-token SHA-seeded gaussian vectors, unit norm.
+    """Deterministic embedder: per-token gaussian vectors summed, unit norm.
 
-    Identical text always maps to the identical vector, independent of
-    process or platform, which keeps stores byte-reproducible.
+    A token's vector is ``dim`` standard normals drawn from a PCG64 whose
+    state is the token's SHA-256 digest: the first 16 bytes are the
+    128-bit state, the last 16 the increment, with its low bit set. Any
+    such pair is a valid PCG64 stream, so the digest is set directly,
+    without numpy's seed-spreading pass. Identical text therefore maps to
+    the identical vector, independent of process or platform, which keeps
+    stores byte-reproducible.
+
+    One bit generator serves every draw, its state set before each one.
+    That is safe because an embedder serves one single-threaded store
+    writer (and its copies), so no two draws interleave.
 
     A token's vector is cached from its second sighting on: most tokens
     of a store occur once, and a cached vector costs ``8 * dim`` bytes
@@ -57,13 +68,23 @@ class HashingEmbedder:
     def __init__(self, dim: int):
         self.dim = dim
         self._token_cache: dict[str, np.ndarray] = {}
-        self._seen: set[int] = set()  # seeds of every token embedded so far
+        self._seen: set[int] = set()  # token_seed of every token embedded so far
+        self._bits = np.random.PCG64(0)  # its state is set before each draw
+        self._rng = np.random.Generator(self._bits)
 
     def _token_vector(self, token: str) -> np.ndarray:
         vec = self._token_cache.get(token)
         if vec is None:
-            seed = token_seed(token)
-            vec = np.random.default_rng(seed).standard_normal(self.dim)
+            digest = hashlib.sha256(token.encode("utf-8")).digest()
+            self._bits.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": int.from_bytes(digest[:16], "big"),
+                          "inc": int.from_bytes(digest[16:], "big") | 1},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            vec = self._rng.standard_normal(self.dim)
+            seed = int.from_bytes(digest[:8], "big")  # token_seed(token)
             if seed in self._seen:
                 self._token_cache[token] = vec
             else:

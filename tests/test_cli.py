@@ -46,6 +46,19 @@ def load_context(store):
     return items, prov
 
 
+def with_fields(line, **fields):
+    """The JSON record ``line`` with ``fields`` set."""
+    return json.dumps({**json.loads(line), **fields})
+
+
+# Corpus records that parse as JSON but name no valid item.
+BAD_CORPUS_FIELDS = {
+    "answer-idx-out-of-range": {"answer_idx": 9},
+    "answer-idx-bool": {"answer_idx": True},
+    "unknown-split": {"split": "retian"},
+}
+
+
 def flip_digest(line):
     """The audit record ``line`` with the first character of its payload digest changed."""
     rec = json.loads(line)
@@ -312,6 +325,18 @@ class TestDamagedStore:
                      id="index.jsonl-float-tombstone"),
         pytest.param("index.jsonl", lambda lines: lines[:1] + ['{"generation":"0"}'] + lines[2:],
                      id="index.jsonl-string-generation"),
+        # Node ids, ref_counts and edge ends must be JSON integers, contents strings.
+        # The last node record is node 107, an Active reflection; edge line 1 is 0 -> 6.
+        pytest.param("nodes.jsonl", lambda lines: lines[:-1] + [with_fields(lines[-1], id=107.0)],
+                     id="nodes.jsonl-float-id"),
+        pytest.param("nodes.jsonl", lambda lines: lines[:-1] + [with_fields(lines[-1], ref_count="1")],
+                     id="nodes.jsonl-string-ref-count"),
+        pytest.param("edges.jsonl", lambda lines: lines[:1] + [with_fields(lines[1], parent=False)]
+                     + lines[2:], id="edges.jsonl-bool-parent"),
+        pytest.param("provenance.jsonl", lambda lines: lines[:1] + [with_fields(lines[1], node_id="3")]
+                     + lines[2:], id="provenance.jsonl-string-node-id"),
+        *[pytest.param("corpus.jsonl", lambda lines, bad=bad: [with_fields(lines[0], **bad)] + lines[1:],
+                       id=f"corpus.jsonl-{name}") for name, bad in BAD_CORPUS_FIELDS.items()],
     ])
     def test_load_error_names_the_file(self, unlearned, tmp_path, capsys, name, damage):
         store, _, _ = unlearned
@@ -451,6 +476,17 @@ class TestDamagedStore:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: ") and "corpus.jsonl" in err
+
+    @pytest.mark.parametrize("bad", BAD_CORPUS_FIELDS.values(), ids=BAD_CORPUS_FIELDS.keys())
+    def test_store_rejects_bad_corpus_record(self, pipeline, tmp_path, capsys, bad):
+        source, _ = pipeline
+        corpus = tmp_path / "corpus.jsonl"
+        lines = source.read_text().splitlines()
+        corpus.write_text("\n".join([with_fields(lines[0], **bad)] + lines[1:]) + "\n")
+        code = main(["store", "--corpus", str(corpus), "--store", str(tmp_path / "store")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {corpus}: malformed file: ")
+        assert not (tmp_path / "store").exists()
 
 
 @pytest.fixture(scope="module")

@@ -4,6 +4,7 @@ import pytest
 from memscrub.corpus import (
     CHOICES,
     SPLITS,
+    QAItem,
     answer_idx_of,
     corpus_from_lines,
     corpus_lines,
@@ -50,6 +51,37 @@ class TestGeneration:
 
     def test_round_trip(self, corpus_items):
         assert corpus_from_lines(corpus_lines(corpus_items)) == corpus_items
+
+    @pytest.mark.parametrize("seed, n_topics, items_per_topic, holdout_per_topic", [
+        (0, 12, 6, 4), (1, 48, 6, 4), (3, 120, 6, 4), (4242, 48, 6, 4),
+        (0, 12, 1, 0), (7, 48, 1, 0), (0, 12, 9, 7), (3, 120, 9, 7),
+    ])
+    def test_matches_one_draw_per_phrase_token(self, seed, n_topics, items_per_topic,
+                                               holdout_per_topic):
+        expected = reference_corpus(seed, n_topics, items_per_topic, holdout_per_topic)
+        assert generate_corpus(seed=seed, n_topics=n_topics, items_per_topic=items_per_topic,
+                               holdout_per_topic=holdout_per_topic) == expected
+
+
+def reference_corpus(seed, n_topics, items_per_topic, holdout_per_topic, forget_fraction=0.25):
+    """The corpus drawn one ``rng.integers`` call per phrase token, in item order."""
+    rng = np.random.default_rng(seed)
+    n_forget_topics = max(1, int(round(n_topics * forget_fraction)))
+    items = []
+    for t in range(n_topics):
+        topic = f"topic{t:03d}"
+        answer_idx = int(rng.integers(0, len(CHOICES)))
+        forget_topic = t < n_forget_topics
+        for letter, count, split in (
+            ("i", items_per_topic, "forget" if forget_topic else "retain"),
+            ("h", holdout_per_topic, "forget_holdout" if forget_topic else "test"),
+        ):
+            for i in range(count):
+                phrases = " ".join(f"case{rng.integers(0, 10 ** 6):06d}" for _ in range(3))
+                items.append(QAItem(item_id=f"{topic}-{letter}{i:02d}", split=split, topic=topic,
+                                    question=f"what remedy suits {topic} presentation {phrases}",
+                                    answer_idx=answer_idx))
+    return items
 
 
 class TestFeaturize:

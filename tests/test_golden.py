@@ -37,6 +37,9 @@ UNLEARNED_SHA256 = {
 }
 UNLEARNED_AUDIT_BEFORE_TRAIN_SHA256 = "c979dc98c16c2fa3d91a68d81d42c5709b0c925fb6450a6c7852dff77b5732b5"
 RUN_LOOP_SHA256 = "c06ec9cc592efc67b24a0a9c4559b5025ac4f7a82cc0a9af81ec4411f0e5b2a6"
+# The printed scores pin the token vectors, each drawn from a PCG64 keyed by the token's digest.
+QUERY_TEXT = "what remedy suits topic001 presentation"
+QUERY_SHA256 = "8e6026d28373641a9aea61a45451c6a3e2b288c1817554182640f360ec33fdbf"
 MODEL_REF_SEED = 7919
 MODEL_REF_HASH = "9d3ff8cfd33bb2b32f92cce40f7964e8c090a23acc8dd2902c7a5a4ceb082ec5"
 
@@ -92,3 +95,9 @@ def test_run_loop_output_bytes(capsys):
     capsys.readouterr()
     assert main(["run-loop", "--seed", "0"]) == 0
     assert sha256(capsys.readouterr().out.encode("utf-8")) == RUN_LOOP_SHA256
+
+
+def test_query_output_bytes(store, capsys):
+    capsys.readouterr()
+    assert main(["query", "--store", str(store), "--text", QUERY_TEXT]) == 0
+    assert sha256(capsys.readouterr().out.encode("utf-8")) == QUERY_SHA256

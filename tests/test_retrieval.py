@@ -1,11 +1,16 @@
 import copy
 import hashlib
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from memscrub import retrieval
 from memscrub.audit import AuditLog, AuditRecord, Blocklist, payload_digest
 from memscrub.graph import Layer, UnknownNodeError
 from memscrub.retrieval import (
@@ -72,6 +77,24 @@ class TestEmbedder:
         b = HashingEmbedder(64).embed("reproducible")
         assert np.array_equal(a, b)
 
+    def test_independent_of_process(self):
+        # Recurring tokens take the cached path, one-off tokens the drawn one.
+        texts = ["fever and cough", "fever again", "", "topic001 remedy fever"]
+        script = ("import sys\n"
+                  "from memscrub.retrieval import HashingEmbedder\n"
+                  "e = HashingEmbedder(64)\n"
+                  "for text in sys.argv[1:]:\n"
+                  "    print(e.embed(text).tobytes().hex())\n")
+        embedder = HashingEmbedder(64)
+        expected = "".join(embedder.embed(text).tobytes().hex() + "\n" for text in texts)
+        src = str(Path(retrieval.__file__).parents[1])
+        for hash_seed in ("0", "4242"):
+            env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed}
+            result = subprocess.run([sys.executable, "-c", script, *texts], env=env,
+                                    capture_output=True, text=True, timeout=60)
+            assert result.returncode == 0, result.stderr
+            assert result.stdout == expected
+
 
 class TestKeywordScore:
     def test_overlap_fraction(self):
@@ -99,8 +122,10 @@ class TestIndexMembership:
             index.insert(i, f"doc {i}")
         index.remove(1)
         assert 1 not in index and len(index) == 2 and index.live_ids() == [0, 2]
-        hits = index.search(HybridQuery("doc 1", top_k=3, oversample_r=3), allow_all)
-        assert [h.node_id for h in hits] == [0, 2]
+        query = HybridQuery("doc 1", top_k=3, oversample_r=3)
+        hits = index.search(query, allow_all)
+        expected = oracle_search({0: "doc 0", 2: "doc 2"}, query, allow_all, 64)
+        assert [h.node_id for h in hits] == [e[0] for e in expected]
         assert index.to_lines()[1:] == ['{"id":1}']
         with pytest.raises(UnknownNodeError):
             index.remove(1)
@@ -357,11 +382,21 @@ def test_blocked_ids_never_returned(docs, blocked, query):
 
 
 def reference_embed(text, dim):
-    """The embedding without a cache: seeded token vectors summed in order, normalized."""
+    """The embedding without a cache or a shared generator: token vectors summed in order,
+    normalized; each is ``dim`` standard normals from a fresh PCG64 whose state is the
+    token's SHA-256 digest (state the first 16 bytes, inc the last 16 with the low bit set)."""
     vec = np.zeros(dim)
     for token in tokenize(text) or ["<empty>"]:
-        seed = int.from_bytes(hashlib.sha256(token.encode("utf-8")).digest()[:8], "big")
-        vec += np.random.default_rng(seed).standard_normal(dim)
+        digest = hashlib.sha256(token.encode("utf-8")).digest()
+        bits = np.random.PCG64()
+        bits.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": int.from_bytes(digest[:16], "big"),
+                      "inc": int.from_bytes(digest[16:], "big") | 1},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        vec += np.random.Generator(bits).standard_normal(dim)
     return vec / np.linalg.norm(vec)
 
 
