@@ -67,7 +67,7 @@ def _load_store_context(store_dir: Path, cfg: RunConfig):
     store = MemoryStore.load(store_dir, settings=cfg)
     model = load_model(store_dir)
     items = parse_lines(corpus_mod.corpus_from_lines, (store_dir / "corpus.jsonl", None))
-    prov = parse_lines(Provenance.from_lines,
+    prov = parse_lines(lambda lines: Provenance.from_lines(lines).checked(store.graph, items),
                        (store_dir / "provenance.jsonl", PROVENANCE_HEADER))
     agent = AgentState(store=store, model=model, feature_dim=cfg.feature_dim,
                        confidence_threshold=cfg.confidence_threshold)

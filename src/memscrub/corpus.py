@@ -28,6 +28,7 @@ from .training import Dataset
 CHOICES = ("alder", "briar", "cedar", "damson")
 
 SPLITS = ("forget", "forget_holdout", "retain", "test")
+STORED_SPLITS = ("forget", "retain")  # the splits written to memory and trained on
 
 
 @dataclass(frozen=True)
@@ -103,7 +104,7 @@ def corpus_lines(items: Iterable[QAItem]) -> list:
 
 
 def corpus_from_lines(lines: Iterable[str]) -> list:
-    items = []
+    items, seen = [], set()
     for line in lines:
         rec = json.loads(line)
         item = QAItem(**rec)  # a missing or unknown field is a TypeError
@@ -113,6 +114,9 @@ def corpus_from_lines(lines: Iterable[str]) -> list:
             raise ValueError(f"split {item.split!r} is not one of {', '.join(SPLITS)}")
         if json_field(rec, "answer_idx", int) not in range(len(CHOICES)):
             raise ValueError(f"answer_idx {item.answer_idx} is not a choice index")
+        if item.item_id in seen:
+            raise ValueError(f"item_id {item.item_id!r} is listed twice")
+        seen.add(item.item_id)
         items.append(item)
     return items
 
@@ -176,8 +180,26 @@ class Provenance:
         prov = cls()
         for line in lines:
             rec = json.loads(line)
-            prov.record(json_field(rec, "item_id", str), json_field(rec, "node_id", int))
+            item_id, node_id = json_field(rec, "item_id", str), json_field(rec, "node_id", int)
+            if item_id in prov.item_to_node:
+                raise ValueError(f"item_id {item_id!r} is listed twice")
+            if node_id in prov.node_to_item:
+                raise ValueError(f"node_id {node_id} is listed twice")
+            prov.record(item_id, node_id)
         return prov
+
+    def checked(self, graph, items: Iterable[QAItem]) -> "Provenance":
+        """Itself, if it maps the stored ``items`` one to one onto episodic nodes of ``graph``."""
+        for node_id in self.node_to_item:
+            node = graph.nodes.get(node_id)
+            if node is None or node.layer is not Layer.EPISODIC:
+                raise ValueError(f"node_id {node_id} names no episodic node")
+        stored = {it.item_id for it in items if it.split in STORED_SPLITS}
+        item_id = min(stored ^ self.item_to_node.keys(), default=None)  # the first unmatched
+        if item_id is not None:
+            state = "has no record" if item_id in stored else "names no stored corpus item"
+            raise ValueError(f"item_id {item_id!r} {state}")
+        return self
 
 
 def populate_store(store, items: Iterable[QAItem]) -> Provenance:
@@ -191,7 +213,7 @@ def populate_store(store, items: Iterable[QAItem]) -> Provenance:
     prov = Provenance()
     by_topic: dict[str, list[QAItem]] = {}
     for item in items:
-        if item.split not in ("forget", "retain"):
+        if item.split not in STORED_SPLITS:
             continue
         by_topic.setdefault(item.topic, []).append(item)
     for topic in sorted(by_topic):

@@ -13,8 +13,9 @@ takes the same arithmetic and identical texts score bit-identically at
 any row, and adds one at each row in the postings of each query token.
 A removal takes the entry out of the live set at once and keeps its id
 as a tombstone; its dead row and postings stay until the next purge,
-which compacts blocks, ids and postings. The index is rebuilt (purged)
-when the blocklist outgrows a threshold.
+which drops the dead rows' postings and frees their rows for reuse. A
+live entry never moves, and blocks never shrink in process. The index is
+rebuilt (purged) when the blocklist outgrows a threshold.
 """
 
 from __future__ import annotations
@@ -136,7 +137,8 @@ class RebuildResult:
 class HybridIndex:
     """Exact-scoring hybrid index over row blocks and token postings.
 
-    Rows are only ever written into the last, partial block.
+    An entry keeps its row from insert to removal. A new entry takes the
+    lowest row a purge freed, else the next row of the last block.
     """
 
     def __init__(self, embedder: HashingEmbedder, tau: int):
@@ -146,9 +148,10 @@ class HybridIndex:
         self._blocks: list = []  # (BLOCK_ROWS, dim) arrays
         self._ids = np.zeros(0, dtype=np.int64)  # row -> id
         self._live = np.zeros(0, dtype=bool)  # row holds its id's current entry
-        self._rows = 0  # rows filled, dead ones included
+        self._rows = 0  # rows filled, dead and freed ones included
+        self._free: list = []  # purged rows below _rows, highest first
         self._row_of: dict[int, int] = {}  # live id -> row
-        self._postings: dict[str, array] = {}  # token -> rows, dead ones included
+        self._postings: dict[str, array] = {}  # token -> rows, unpurged dead ones included
         self._tombstones: set = set()
 
     def __contains__(self, node_id: int) -> bool:
@@ -165,11 +168,16 @@ class HybridIndex:
         old = self._row_of.get(node_id)
         if old is not None:
             self._live[old] = False
-        row, slot = self._rows, self._rows % BLOCK_ROWS
-        if slot == 0:
-            self._grow()
-        self._blocks[-1][slot] = vec
-        self._rows += 1
+        if self._free:
+            row = self._free.pop()
+        else:
+            row = self._rows
+            if row % BLOCK_ROWS == 0:  # a zero-filled block, with ids and live flags for its rows
+                self._blocks.append(np.zeros((BLOCK_ROWS, self.embedder.dim)))
+                self._ids = np.concatenate([self._ids, np.zeros(BLOCK_ROWS, dtype=np.int64)])
+                self._live = np.concatenate([self._live, np.zeros(BLOCK_ROWS, dtype=bool)])
+            self._rows += 1
+        self._blocks[row // BLOCK_ROWS][row % BLOCK_ROWS] = vec
         self._ids[row] = node_id
         self._live[row] = True
         self._row_of[node_id] = row
@@ -181,12 +189,6 @@ class HybridIndex:
             else:
                 rows.append(row)
 
-    def _grow(self) -> None:
-        """Add a zero-filled block, with ids and live flags for its rows."""
-        self._blocks.append(np.zeros((BLOCK_ROWS, self.embedder.dim)))
-        self._ids = np.concatenate([self._ids, np.zeros(BLOCK_ROWS, dtype=np.int64)])
-        self._live = np.concatenate([self._live, np.zeros(BLOCK_ROWS, dtype=bool)])
-
     def remove(self, node_id: int) -> None:
         """Take the entry out of the live set; its id stays a tombstone until purged."""
         row = self._row_of.pop(node_id, None)
@@ -196,54 +198,27 @@ class HybridIndex:
         self._tombstones.add(node_id)
 
     def purge(self, ids) -> None:
-        """Drop ``ids`` and every tombstone, compacting storage to the live rows.
+        """Drop ``ids`` and every tombstone, freeing their rows for reuse.
 
-        A block whose rows are all live is kept where it is, not copied;
-        the live rows of the other blocks are packed into new blocks after
-        those. Bumps the generation.
+        Live rows stay where they are. Bumps the generation.
         """
         for node_id in ids:
             row = self._row_of.pop(node_id, None)
             if row is not None:
                 self._live[row] = False
-        keep = np.flatnonzero(self._live)
-        bounds = np.searchsorted(keep, np.arange(len(self._blocks) + 1) * BLOCK_ROWS)
-        whole = np.diff(bounds) == BLOCK_ROWS
-        in_whole = whole[keep // BLOCK_ROWS]
-        order = np.concatenate([keep[in_whole], keep[~in_whole]])  # old row of each new row
-        n, filled, blocks, kept_ids = len(order), self._rows, self._blocks, self._ids[order]
-        self._blocks = [block for block, kept in zip(blocks, whole) if kept]
-        self._rows = len(self._blocks) * BLOCK_ROWS
-        self._ids = np.zeros(self._rows, dtype=np.int64)
-        self._live = np.zeros(self._rows, dtype=bool)
-        # Pack the live rows of the other blocks after the kept ones.
-        for b in np.flatnonzero(~whole).tolist():
-            block, blocks[b] = blocks[b], None  # released once its live rows moved
-            moved = block[keep[bounds[b]:bounds[b + 1]] - b * BLOCK_ROWS]
-            while len(moved):
-                slot = self._rows % BLOCK_ROWS
-                if slot == 0:
-                    self._grow()
-                take = moved[:BLOCK_ROWS - slot]
-                self._blocks[-1][slot:slot + len(take)] = take
-                self._rows += len(take)
-                moved = moved[len(take):]
-        self._ids[:n] = kept_ids
-        self._live[:n] = True
-        new_row = np.full(filled, -1, dtype=np.int64)
-        new_row[order] = np.arange(n)
-        # Remap all postings at once, then cut them back into one array per token.
+        # Drop dead rows from all postings at once, then cut them back into one array per token.
         lengths = np.fromiter(map(len, self._postings.values()), np.int64, len(self._postings))
-        mapped = new_row[np.frombuffer(b"".join(self._postings.values()), dtype=np.int64)]
-        ends = np.cumsum(mapped >= 0)[np.cumsum(lengths) - 1].tolist()
-        data = mapped[mapped >= 0].tobytes()
+        rows = np.frombuffer(b"".join(self._postings.values()), dtype=np.int64)
+        kept = self._live[rows]
+        ends = np.cumsum(kept)[np.cumsum(lengths) - 1].tolist()
+        data = rows[kept].tobytes()
         postings, start = {}, 0
         for token, end in zip(self._postings, ends):
             if end > start:
                 postings[token] = array("q", data[start * 8:end * 8])
             start = end
         self._postings = postings
-        self._row_of = dict(zip(kept_ids.tolist(), range(n)))
+        self._free = np.flatnonzero(~self._live[:self._rows])[::-1].tolist()
         self._tombstones.clear()
         self.generation += 1
 

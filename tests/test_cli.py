@@ -337,6 +337,19 @@ class TestDamagedStore:
                      + lines[2:], id="provenance.jsonl-string-node-id"),
         *[pytest.param("corpus.jsonl", lambda lines, bad=bad: [with_fields(lines[0], **bad)] + lines[1:],
                        id=f"corpus.jsonl-{name}") for name, bad in BAD_CORPUS_FIELDS.items()],
+        pytest.param("corpus.jsonl", lambda lines: lines + lines[:1], id="corpus.jsonl-duplicate-item-id"),
+        # Provenance line 1 maps topic000-i00 to node 0; each stored item has one record,
+        # on an episodic node.
+        pytest.param("provenance.jsonl", lambda lines: lines + [with_fields(lines[1], node_id=9999)],
+                     id="provenance.jsonl-duplicate-item-id"),
+        pytest.param("provenance.jsonl", lambda lines: lines + [with_fields(lines[1], item_id="topic000-h00")],
+                     id="provenance.jsonl-duplicate-node-id"),
+        pytest.param("provenance.jsonl", lambda lines: lines[:1] + lines[2:],
+                     id="provenance.jsonl-missing-record"),
+        pytest.param("provenance.jsonl", lambda lines: lines[:1] + [with_fields(lines[1], node_id=9999)]
+                     + lines[2:], id="provenance.jsonl-unknown-node"),
+        pytest.param("provenance.jsonl", lambda lines: lines[:1] + [with_fields(lines[1], node_id=107)]
+                     + lines[2:], id="provenance.jsonl-non-episodic-node"),
     ])
     def test_load_error_names_the_file(self, unlearned, tmp_path, capsys, name, damage):
         store, _, _ = unlearned
@@ -348,6 +361,23 @@ class TestDamagedStore:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: ") and name in err
+
+    @pytest.mark.parametrize("command, damage, reason", [
+        (["eval"], lambda lines: lines[:1] + lines[2:], "item_id 'topic000-i00' has no record"),
+        (["probe", "--id", "9999"], lambda lines: lines[:1] + [with_fields(lines[1], node_id=9999)]
+         + lines[2:], "node_id 9999 names no episodic node"),
+    ], ids=["eval-missing-record", "probe-unknown-node"])
+    def test_provenance_is_checked_on_load(self, pipeline, tmp_path, capsys, command, damage, reason):
+        _, store = pipeline
+        copy = tmp_path / "store"
+        shutil.copytree(store, copy)
+        path = copy / "provenance.jsonl"
+        path.write_text("\n".join(damage(path.read_text().splitlines())) + "\n")
+        code = main([*command, "--store", str(copy)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {path}: malformed file: ") and reason in err
+        assert not (copy / "metrics").exists()
 
     @pytest.mark.parametrize("name, damage", [
         pytest.param("audit.jsonl", lambda lines: lines[:3] + [flip_digest(lines[3])] + lines[4:],
@@ -476,6 +506,19 @@ class TestDamagedStore:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: ") and "corpus.jsonl" in err
+
+    def test_store_rejects_item_id_listed_twice(self, pipeline, tmp_path, capsys):
+        source, _ = pipeline
+        corpus = tmp_path / "corpus.jsonl"
+        lines = source.read_text().splitlines()
+        corpus.write_text("\n".join(lines[:1] + [with_fields(lines[1], item_id="topic000-i00")]
+                                    + lines[2:]) + "\n")
+        code = main(["store", "--corpus", str(corpus), "--store", str(tmp_path / "store")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {corpus}: malformed file: ")
+        assert "item_id 'topic000-i00' is listed twice" in err
+        assert not (tmp_path / "store").exists()
 
     @pytest.mark.parametrize("bad", BAD_CORPUS_FIELDS.values(), ids=BAD_CORPUS_FIELDS.keys())
     def test_store_rejects_bad_corpus_record(self, pipeline, tmp_path, capsys, bad):

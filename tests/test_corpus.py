@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from memscrub.corpus import (
     CHOICES,
     SPLITS,
+    Provenance,
     QAItem,
     answer_idx_of,
     corpus_from_lines,
@@ -51,6 +54,12 @@ class TestGeneration:
 
     def test_round_trip(self, corpus_items):
         assert corpus_from_lines(corpus_lines(corpus_items)) == corpus_items
+
+    def test_item_id_listed_twice_rejected(self, corpus_items):
+        lines = corpus_lines(corpus_items)
+        twin = json.dumps({**json.loads(lines[1]), "item_id": corpus_items[0].item_id})
+        with pytest.raises(ValueError, match="item_id 'topic000-i00' is listed twice"):
+            corpus_from_lines(lines[:1] + [twin] + lines[2:])
 
     @pytest.mark.parametrize("seed, n_topics, items_per_topic, holdout_per_topic", [
         (0, 12, 6, 4), (1, 48, 6, 4), (3, 120, 6, 4), (4242, 48, 6, 4),
@@ -139,10 +148,46 @@ class TestPopulateStore:
                 assert node.ref_count == 6  # items_per_topic
 
     def test_provenance_round_trip(self, corpus_items):
-        from memscrub.corpus import Provenance
-
         store = MemoryStore()
         prov = populate_store(store, corpus_items)
         reloaded = Provenance.from_lines(prov.to_lines())
         assert reloaded.item_to_node == prov.item_to_node
         assert reloaded.node_to_item == prov.node_to_item
+        assert reloaded.checked(store.graph, corpus_items) is reloaded
+
+    @pytest.mark.parametrize("twin, reason", [
+        ('{"item_id":"topic000-i01","node_id":9999}', "item_id 'topic000-i01' is listed twice"),
+        ('{"item_id":"topic000-h00","node_id":1}', "node_id 1 is listed twice"),
+    ])
+    def test_provenance_id_listed_twice_rejected(self, corpus_items, twin, reason):
+        lines = populate_store(MemoryStore(), corpus_items).to_lines()
+        assert json.loads(lines[1]) == {"item_id": "topic000-i01", "node_id": 1}
+        with pytest.raises(ValueError, match=reason):
+            Provenance.from_lines(lines + [twin])
+
+    @pytest.mark.parametrize("damage, reason", [
+        (lambda lines: lines[1:], "item_id 'topic000-i00' has no record"),
+        (lambda lines: lines[:-1] + [with_node(lines[-1], 9999)], "node_id 9999 names no episodic node"),
+        (lambda lines: lines[:-1] + [with_node(lines[-1], 6)], "node_id 6 names no episodic node"),
+        (lambda lines: lines + ['{"item_id":"topic000-h00","node_id":9999}'],
+         "node_id 9999 names no episodic node"),
+    ])
+    def test_provenance_checked_against_graph_and_corpus(self, corpus_items, damage, reason):
+        store = MemoryStore()
+        lines = populate_store(store, corpus_items).to_lines()
+        assert store.graph.nodes[6].layer is Layer.SEMANTIC  # topic000's summary
+        prov = Provenance.from_lines(damage(lines))
+        with pytest.raises(ValueError, match=reason):
+            prov.checked(store.graph, corpus_items)
+
+    def test_provenance_of_an_unstored_item_rejected(self, corpus_items):
+        store = MemoryStore()
+        prov = populate_store(store, corpus_items)
+        node_id = prov.item_to_node.pop("topic000-i00")
+        prov.record("topic000-h00", node_id)  # a holdout item, never stored
+        with pytest.raises(ValueError, match="item_id 'topic000-h00' names no stored corpus item"):
+            prov.checked(store.graph, corpus_items)
+
+
+def with_node(line, node_id):
+    return json.dumps({**json.loads(line), "node_id": node_id})

@@ -129,13 +129,38 @@ class TestIndexMembership:
         assert index.to_lines()[1:] == ['{"id":1}']
         with pytest.raises(UnknownNodeError):
             index.remove(1)
-        # The dead row and its postings stay until a purge compacts them away.
+        # The dead row keeps its postings until a purge drops them and frees the row.
         index.purge([])
-        assert index._rows == 2 and index._ids[:2].tolist() == [0, 2]
-        assert index._live.tolist() == [True, True] + [False] * (BLOCK_ROWS - 2)
-        assert "1" not in index._postings
+        assert index._rows == 3 and index._ids[[0, 2]].tolist() == [0, 2]
+        assert index._live.tolist() == [True, False, True] + [False] * (BLOCK_ROWS - 3)
         assert {t: list(rows) for t, rows in index._postings.items()} == {
-            "doc": [0, 1], "0": [0], "2": [1]}
+            "doc": [0, 2], "0": [0], "2": [2]}
+        index.insert(5, "doc 5")  # into the freed row, not the next one
+        assert index._rows == 3 and len(index._blocks) == 1 and index._free == []
+        assert index._ids[:3].tolist() == [0, 5, 2]
+        assert index._live.tolist() == [True] * 3 + [False] * (BLOCK_ROWS - 3)
+        assert {t: list(rows) for t, rows in index._postings.items()} == {
+            "doc": [0, 2, 1], "0": [0], "2": [2], "5": [1]}
+
+    def test_purge_keeps_live_rows_and_reuses_freed_ones(self, index):
+        n = 3 * BLOCK_ROWS
+        for i in range(n):
+            index.insert(i, f"doc {i} river")
+        for i in range(0, n, 3):
+            index.remove(i)
+        index.purge([1, BLOCK_ROWS + 1])
+        survivors = index.live_ids()
+        rows = {i: index._row_of[i] for i in survivors}
+        assert rows == {i: i for i in survivors}  # every entry kept its insert row
+        assert index._ids[survivors].tolist() == survivors
+        freed = sorted(set(range(n)) - set(survivors))
+        for k in range(len(freed)):  # no new block while a freed row remains
+            index.insert(n + k, f"doc {n + k} lake")
+            assert index._row_of[n + k] == freed[k]
+            assert len(index._blocks) == 3 and index._rows == n
+        assert {index._row_of[i] for i in survivors} == set(survivors)
+        index.insert(2 * n, "doc lake")
+        assert index._row_of[2 * n] == n and len(index._blocks) == 4
 
 
 class TestPersistence:
@@ -474,11 +499,15 @@ class TestScalarOracle:
                 left.append((kept, self._results(kept)))
                 docs = dict(docs)
         assert index.live_ids() == sorted(docs)
+        fresh = HybridIndex(HashingEmbedder(dim), tau=100)  # the survivors, rows in id order
+        for node_id in sorted(docs):
+            fresh.insert(node_id, docs[node_id])
 
         for text in _QUERIES:
             for allowed in (allow_all, lambda i: i % 3 != 0):
                 query = HybridQuery(text, top_k=5, oversample_r=3)
                 hits = index.search(query, allowed)
+                assert self._bits(hits) == self._bits(fresh.search(query, allowed))
                 expected = oracle_search(docs, query, allowed, dim)
                 assert [h.node_id for h in hits] == [e[0] for e in expected]
                 for hit, (_, sem, kw, combined) in zip(hits, expected):
@@ -499,6 +528,10 @@ class TestScalarOracle:
                     assert position == list(range(position[0], position[0] + len(same)))
         for kept, results in left:
             assert self._results(kept) == results
+
+    @staticmethod
+    def _bits(hits):
+        return [(h.node_id, h.sem_score.hex(), h.kw_score.hex(), h.combined.hex()) for h in hits]
 
     @staticmethod
     def _results(index):
