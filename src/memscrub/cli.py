@@ -2,9 +2,9 @@
 
 Subcommands: gen-corpus, store, query, unlearn, probe, audit-verify,
 train, eval, run-loop. All output is machine-parseable line-delimited
-JSON; exit status is nonzero on error or tamper detection. Store-directory
-files, their headers and the lock that gives one process the directory at
-a time belong to ``memscrub.store``.
+JSON; exit status is nonzero on error or tamper detection. The store's own
+files, every header and the lock belong to ``memscrub.store``; this module
+names ``corpus.jsonl``, ``provenance.jsonl`` and ``metrics/``.
 """
 
 from __future__ import annotations
@@ -107,6 +107,7 @@ def cmd_store(args) -> int:
     cfg = _resolve_config(args)
     store_dir = Path(args.store)
     items = parse_lines(corpus_mod.corpus_from_lines, (args.corpus, None))
+    store_dir.mkdir(parents=True, exist_ok=True)
     with store_lock(store_dir):
         store = MemoryStore(settings=cfg)
         prov = corpus_mod.populate_store(store, items)
@@ -152,8 +153,8 @@ def _read_request(path: Path) -> ForgetRequest:
         if (not isinstance(request_id, str) or request_id in ("", ".", "..")
                 or set(request_id) & set("/\\\0")):
             raise ValueError("'request_id' must be a non-empty string naming a plain file")
-        if not isinstance(targets, list) or any(type(t) is not int for t in targets):
-            raise TypeError("'targets' must be a JSON list of integer node ids")
+        if not isinstance(targets, list) or not targets or any(type(t) is not int for t in targets):
+            raise TypeError("'targets' must be a non-empty JSON list of integer node ids")
         return ForgetRequest.of(request_id, targets)
 
     return parse_lines(build, (path, None))
@@ -247,33 +248,33 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _resolve_config(args)
     store_dir = Path(args.store)
-    agent, items, prov = _load_store_context(store_dir, cfg)
-    forget = split_items(items, "forget")
-    holdout = split_items(items, "forget_holdout")
-    retain = split_items(items, "retain")
-    test = split_items(items, "test")
+    with store_lock(store_dir):
+        agent, items, prov = _load_store_context(store_dir, cfg)
+        forget = split_items(items, "forget")
+        holdout = split_items(items, "forget_holdout")
+        retain = split_items(items, "retain")
+        test = split_items(items, "test")
 
-    forget_ds = to_dataset(forget, cfg.feature_dim)
-    retain_ds = to_dataset(retain, cfg.feature_dim)
-    test_ds = to_dataset(test, cfg.feature_dim)
-    holdout_ds = to_dataset(holdout, cfg.feature_dim)
+        forget_ds = to_dataset(forget, cfg.feature_dim)
+        retain_ds = to_dataset(retain, cfg.feature_dim)
+        test_ds = to_dataset(test, cfg.feature_dim)
+        holdout_ds = to_dataset(holdout, cfg.feature_dim)
 
-    param_mia = mia(model_item_losses(agent.model, forget_ds),
-                    model_item_losses(agent.model, holdout_ds))
-    rows = [{
-        "method": "parameter_model",
-        "forget_acc": model_accuracy(agent.model, forget_ds),
-        "retain_acc": model_accuracy(agent.model, retain_ds),
-        "test_acc": model_accuracy(agent.model, test_ds),
-        "mia_auc": param_mia.auc,
-        "mia_score": param_mia.score,
-    }]
-    mem = memory_accuracy(agent, forget, retain)
-    rows.append({"method": "memory_grounded", **mem})
-    rows.extend(record_of(report) for report in memory_baselines(
-        agent.store, prov, items, agent.model, feature_dim=cfg.feature_dim))
-
-    for line in _write_metrics(store_dir, "eval.jsonl", rows):
+        param_mia = mia(model_item_losses(agent.model, forget_ds),
+                        model_item_losses(agent.model, holdout_ds))
+        rows = [{
+            "method": "parameter_model",
+            "forget_acc": model_accuracy(agent.model, forget_ds),
+            "retain_acc": model_accuracy(agent.model, retain_ds),
+            "test_acc": model_accuracy(agent.model, test_ds),
+            "mia_auc": param_mia.auc,
+            "mia_score": param_mia.score,
+        }]
+        mem = memory_accuracy(agent, forget, retain)
+        rows.append({"method": "memory_grounded", **mem})
+        rows.extend(record_of(report) for report in memory_baselines(agent, prov, items))
+        lines = _write_metrics(store_dir, "eval.jsonl", rows)
+    for line in lines:
         sys.stdout.write(line + "\n")
     return 0
 

@@ -151,7 +151,7 @@ def choice_in(content: str):
     idx = answer_idx_of(content)
     if idx is not None:
         return idx
-    tokens = content.lower().split()
+    tokens = tokenize(content)
     for i, choice in enumerate(CHOICES):
         if choice in tokens:
             return i

@@ -1,15 +1,17 @@
 """Evaluation harness: accuracy, membership inference, agent loop, baselines.
 
-Membership inference uses the exact pairwise (Mann-Whitney) AUC over
-per-item losses, members scored as the positive class by lower loss, and
-the normalized score 1 - 2|auc - 0.5| (1.0 means member and non-member
-losses are indistinguishable).
+Each distinct memory state is measured once: the agent loop's T4-T6 share
+one measurement, and the baselines are naive deletion, a retraining
+oracle and ours. Membership inference uses the exact pairwise
+(Mann-Whitney) AUC over per-item losses, members scored as the positive
+class by lower loss, and the normalized score 1 - 2|auc - 0.5| (1.0 means
+member and non-member losses are indistinguishable).
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -17,6 +19,7 @@ import numpy as np
 from .corpus import QAItem, Provenance, populate_store, split_items
 from .graph import DERIVED_LAYERS, ForgetRequest, Layer, Status
 from .protocol import AgentState
+from .retrieval import tokenize
 from .store import MemoryStore
 from .training import Dataset, ModelState, temperature_softmax
 
@@ -80,8 +83,8 @@ def memory_item_losses(store: MemoryStore, items: Iterable[QAItem]) -> np.ndarra
     for item in items:
         best = 1.0
         for hit in store.search(item.question):
-            content = store.content(hit.node_id)
-            if item.topic in content and item.answer_text in content.lower().split():
+            tokens = tokenize(store.content(hit.node_id))
+            if item.topic in tokens and item.answer_text in tokens:
                 best = min(best, 1.0 - hit.combined)
         losses.append(best)
     return np.asarray(losses)
@@ -136,6 +139,7 @@ def _hit_rate(store: MemoryStore, prov: Provenance, items) -> float:
 
 
 def run_agent_loop(store: MemoryStore, scenario: LoopScenario) -> LoopTimeline:
+    """Store, query, delete, probe; T4-T6 share one measurement, as nothing writes after T4."""
     timeline = LoopTimeline()
     stored = scenario.forget_items + scenario.retain_items
 
@@ -145,31 +149,25 @@ def run_agent_loop(store: MemoryStore, scenario: LoopScenario) -> LoopTimeline:
         1 for i in store.graph.active_view()
         if store.graph.nodes[i].layer is Layer.SEMANTIC
     )
-    timeline.stages.append(StageReport(stage="T1", label="store"))
-    timeline.stages.append(StageReport(stage="T2", label="store"))
+    timeline.stages += [StageReport("T1", "store"), StageReport("T2", "store")]
 
-    def measure(stage: str, label: str) -> None:
-        timeline.stages.append(StageReport(
-            stage=stage, label=label,
-            forget_hit_rate=_hit_rate(store, prov, scenario.forget_items),
-            retain_hit_rate=_hit_rate(store, prov, scenario.retain_items),
-        ))
+    def measure(*stages) -> None:
+        forget = _hit_rate(store, prov, scenario.forget_items)
+        retain = _hit_rate(store, prov, scenario.retain_items)
+        timeline.stages.extend(StageReport(stage, label, forget, retain) for stage, label in stages)
 
     # T3: query both sets.
-    measure("T3", "query")
+    measure(("T3", "query"))
 
     # T4: deletion request over the forget items. Targets are never in their
-    # closure, so every node removed inside it is a zero-ref removal.
+    # closure, so every node removed inside it is a zero-ref removal. T5-T6
+    # probe the state T4 left.
     if scenario.delete:
         targets = [prov.item_to_node[it.item_id] for it in scenario.forget_items]
         report = store.forget(ForgetRequest.of("loop-delete", targets))
         if report.closure_size:
             timeline.cleanup_ratio = report.prune.zero_ref_removed / report.closure_size
-    measure("T4", "delete")
-
-    # T5-T6: probes.
-    measure("T5", "probe")
-    measure("T6", "probe")
+    measure(("T4", "delete"), ("T5", "probe"), ("T6", "probe"))
     return timeline
 
 
@@ -206,24 +204,17 @@ def _naive_delete(store: MemoryStore, targets) -> None:
         node = store.graph.nodes[t]
         node.status = Status.DELETED
         node.content = ""
-        node.ref_count = 0
         if t in store.index:
             store.index.remove(t)
-    for node_id, node in store.graph.nodes.items():
-        if node.status is Status.ACTIVE:
-            node.ref_count = sum(
-                1 for pid in store.graph.parents_of(node_id)
-                if store.graph.nodes[pid].status is Status.ACTIVE
-            )
 
 
-def memory_baselines(store: MemoryStore, prov: Provenance, items,
-                     model: ModelState, feature_dim: int = 256) -> list:
-    """Compare Naive Deletion, Re-indexing, Retraining Oracle and Ours.
+def memory_baselines(agent: AgentState, prov: Provenance, items) -> list:
+    """Compare Naive Deletion, Retraining Oracle and Ours on copies of ``agent``'s store.
 
     Each variant is built, evaluated and released before the next, so at
-    most one lives beside ``store``.
+    most one lives beside the agent's store.
     """
+    store = agent.store
     forget_items = split_items(items, "forget")
     holdout_items = split_items(items, "forget_holdout")
     retain_items = split_items(items, "retain")
@@ -232,8 +223,7 @@ def memory_baselines(store: MemoryStore, prov: Provenance, items,
     reports = []
 
     def evaluate(method: str, variant: MemoryStore, dangling_targets: set) -> None:
-        agent = AgentState(store=variant, model=model, feature_dim=feature_dim)
-        accs = memory_accuracy(agent, forget_items, retain_items)
+        accs = memory_accuracy(replace(agent, store=variant), forget_items, retain_items)
         member = memory_item_losses(variant, forget_items)
         nonmember = memory_item_losses(variant, holdout_items)
         result = mia(member, nonmember)
@@ -246,13 +236,9 @@ def memory_baselines(store: MemoryStore, prov: Provenance, items,
             dangling_artifacts=dangling_artifact_count(variant, dangling_targets),
         ))
 
-    # Re-indexing is naive deletion followed by a purge of the index.
     variant = store.copy()
     _naive_delete(variant, targets)
     evaluate("naive_deletion", variant, target_set)
-    variant.index.purge([i for i in variant.index.live_ids()
-                         if variant.graph.nodes[i].status is not Status.ACTIVE])
-    evaluate("reindexing", variant, target_set)
 
     del variant
     # Retraining oracle: a store rebuilt from the retain split only. Node ids

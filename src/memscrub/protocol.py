@@ -165,7 +165,7 @@ def _exposing_hits(agent: AgentState, question: str, answer_text: str) -> set:
     exposing = set()
     for hit in hits:
         content = agent.store.content(hit.node_id)
-        if answer_text in content.lower().split() and _mentions_question(content, question):
+        if answer_text in tokenize(content) and _mentions_question(content, question):
             exposing.add(hit.node_id)
     return exposing
 

@@ -120,13 +120,12 @@ def load_model(store_dir: Path) -> ModelState:
 def store_lock(store_dir: Path):
     """Hold an exclusive flock on the store's lock file; SystemExit if another process holds it.
 
-    The kernel drops the lock when its holder exits, killed or not. The
-    empty file stays: unlinking a locked file would let the next two
-    processes lock different inodes.
+    The store directory must exist, so a mistyped path fails here and
+    creates nothing. The kernel drops the lock when its holder exits,
+    killed or not. The empty file stays: unlinking a locked file would let
+    the next two processes lock different inodes.
     """
-    store_dir = Path(store_dir)
-    store_dir.mkdir(parents=True, exist_ok=True)
-    with open(store_dir / "lock", "a") as f:
+    with open(Path(store_dir) / "lock", "a") as f:
         try:
             fcntl.flock(f, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except BlockingIOError:

@@ -106,6 +106,27 @@ class TestStore:
             with pytest.raises(SystemExit, match="is locked by another process"):
                 main(["store", "--corpus", str(corpus), "--store", str(store)])
 
+    def test_locked_store_refuses_eval(self, pipeline, tmp_path):
+        _, store = pipeline
+        copy = tmp_path / "store"
+        shutil.copytree(store, copy)
+        with open(copy / "lock", "a") as f:
+            fcntl.flock(f, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            with pytest.raises(SystemExit, match="is locked by another process"):
+                main(["eval", "--store", str(copy)])
+        assert not (copy / "metrics" / "eval.jsonl").exists()
+
+    @pytest.mark.parametrize("command", ["unlearn", "train", "eval"])
+    def test_missing_store_is_not_created(self, tmp_path, capsys, command):
+        request = tmp_path / "request.json"
+        request.write_text('{"request_id":"r","targets":[0]}')
+        argv = [command, "--store", str(tmp_path / "nostore" / "typo")]
+        if command == "unlearn":
+            argv += ["--request", str(request)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["request.json"]
+
     def test_killed_writer_leaves_no_stale_lock(self, pipeline, tmp_path, capsys):
         _, store = pipeline
         copy = tmp_path / "store"
@@ -423,6 +444,7 @@ class TestDamagedStore:
         pytest.param("", id="empty"),
         pytest.param("5", id="not-an-object"),
         pytest.param('{"request_id":"r","targets":5}', id="targets-number"),
+        pytest.param('{"request_id":"empty","targets":[]}', id="targets-empty"),
         pytest.param('{"request_id":"r","targets":["a"]}', id="targets-not-ids"),
         pytest.param('{"request_id":"r","targets":"12"}', id="targets-string"),
         pytest.param('{"request_id":"r","targets":[0.9,true,"2"]}', id="targets-coercible"),
@@ -581,7 +603,7 @@ class TestUnlearnPipeline:
         assert code == 0
         methods = [r["method"] for r in rows]
         assert methods == ["parameter_model", "memory_grounded", "naive_deletion",
-                           "reindexing", "retraining_oracle", "ours"]
+                           "retraining_oracle", "ours"]
         assert (store / "metrics" / "eval.jsonl").exists()
 
 

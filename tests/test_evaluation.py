@@ -1,18 +1,21 @@
 import numpy as np
 import pytest
 
-from memscrub.corpus import populate_store, split_items, to_dataset
+from memscrub.corpus import QAItem, populate_store, split_items, to_dataset
 from memscrub.evaluation import (
     LoopScenario,
     accuracy,
     dangling_artifact_count,
     memory_accuracy,
     memory_baselines,
+    memory_item_losses,
     mia,
     model_item_losses,
     pairwise_auc,
     run_agent_loop,
 )
+from memscrub.graph import Layer
+from memscrub.protocol import AgentState
 from memscrub.store import MemoryStore
 from memscrub.training import UnlearnConfig, train_unlearn
 
@@ -123,6 +126,13 @@ class TestMemoryAccuracy:
         assert accs["retain_acc"] == 1.0
 
 
+def test_item_loss_matches_the_topic_as_a_token():
+    store = MemoryStore()
+    store.write(Layer.EPISODIC, "what remedy suits topic1000 presentation answer alder")
+    item = QAItem("topic100-i00", "forget", "topic100", "what remedy suits topic100 presentation", 0)
+    assert memory_item_losses(store, [item]).tolist() == [1.0]
+
+
 class TestAgentLoop:
     def test_timeline_shape(self, corpus_items):
         store = MemoryStore()
@@ -156,13 +166,14 @@ class TestAgentLoop:
 def reports(corpus_items, pretrained_model):
     store = MemoryStore()
     prov = populate_store(store, corpus_items)
-    rows = memory_baselines(store, prov, corpus_items, pretrained_model.copy())
+    agent = AgentState(store=store, model=pretrained_model.copy(), feature_dim=256)
+    rows = memory_baselines(agent, prov, corpus_items)
     return {r.method: r for r in rows}
 
 
 class TestBaselines:
     def test_all_methods_present(self, reports):
-        assert set(reports) == {"naive_deletion", "reindexing", "retraining_oracle", "ours"}
+        assert set(reports) == {"naive_deletion", "retraining_oracle", "ours"}
 
     def test_naive_leaves_dangling_artifacts(self, reports):
         assert reports["naive_deletion"].dangling_artifacts >= 1
@@ -171,8 +182,8 @@ class TestBaselines:
         assert reports["ours"].dangling_artifacts == 0
         assert reports["retraining_oracle"].dangling_artifacts == 0
 
-    def test_ours_forget_acc_not_above_reindexing(self, reports):
-        assert reports["ours"].forget_acc <= reports["reindexing"].forget_acc
+    def test_ours_forget_acc_not_above_naive_deletion(self, reports):
+        assert reports["ours"].forget_acc <= reports["naive_deletion"].forget_acc
 
     def test_retain_acc_preserved_everywhere(self, reports):
         for r in reports.values():
@@ -191,7 +202,8 @@ class TestBaselines:
                     [store.search(q) for q in questions])
 
         before = state()
-        memory_baselines(store, prov, corpus_items, pretrained_model.copy())
+        agent = AgentState(store=store, model=pretrained_model.copy(), feature_dim=256)
+        memory_baselines(agent, prov, corpus_items)
         assert state() == before
 
     def test_dangling_count_matches_manual_scan(self, corpus_items, pretrained_model):

@@ -40,6 +40,15 @@ RUN_LOOP_SHA256 = "c06ec9cc592efc67b24a0a9c4559b5025ac4f7a82cc0a9af81ec4411f0e5b
 # The printed scores pin the token vectors, each drawn from a PCG64 keyed by the token's digest.
 QUERY_TEXT = "what remedy suits topic001 presentation"
 QUERY_SHA256 = "8e6026d28373641a9aea61a45451c6a3e2b288c1817554182640f360ec33fdbf"
+# The memory-side rows of `eval` on the store come from the graph and retrieval
+# alone, so unlike the model's they do not depend on the BLAS build.
+EVAL_METHODS = ["parameter_model", "memory_grounded", "naive_deletion", "retraining_oracle",
+                "ours"]
+EVAL_BASELINES = {  # method: (dangling_artifacts, mia_auc)
+    "naive_deletion": (9, 0.5),
+    "retraining_oracle": (0, 0.5),
+    "ours": (0, 0.5),
+}
 MODEL_REF_SEED = 7919
 MODEL_REF_HASH = "9d3ff8cfd33bb2b32f92cce40f7964e8c090a23acc8dd2902c7a5a4ceb082ec5"
 
@@ -101,3 +110,14 @@ def test_query_output_bytes(store, capsys):
     capsys.readouterr()
     assert main(["query", "--store", str(store), "--text", QUERY_TEXT]) == 0
     assert sha256(capsys.readouterr().out.encode("utf-8")) == QUERY_SHA256
+
+
+def test_eval_memory_rows(store, tmp_path, capsys):
+    copy = tmp_path / "store"
+    shutil.copytree(store, copy)
+    capsys.readouterr()
+    assert main(["eval", "--store", str(copy)]) == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [row["method"] for row in rows] == EVAL_METHODS
+    assert {row["method"]: (row["dangling_artifacts"], row["mia_auc"])
+            for row in rows if "dangling_artifacts" in row} == EVAL_BASELINES

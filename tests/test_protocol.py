@@ -4,7 +4,7 @@ import pytest
 from memscrub.audit import AuditOp, AuditRecord, verify_lines
 from memscrub.corpus import split_items, to_dataset
 from memscrub.graph import ForgetRequest, GraphError, Layer, Status
-from memscrub.protocol import Channel, backflow_probe, run_protocol
+from memscrub.protocol import AgentState, Channel, _exposing_hits, backflow_probe, run_protocol
 from memscrub.store import BlockedContentError, MemoryStore, RetrievalSettings
 from memscrub.training import UnlearnConfig
 
@@ -29,6 +29,15 @@ class TestAgentAnswers:
         item = split_items(items, "forget")[0]
         ans = agent.answer(item.question)
         assert ans.source == "parametric"
+
+    def test_punctuated_memory_is_read_with_the_index_tokenizer(self, pretrained_model):
+        question = "what remedy suits topic001 presentation case1 case2 case3"
+        store = MemoryStore()
+        node = store.write(Layer.EPISODIC, f"{question}, answer: alder.")
+        agent = AgentState(store=store, model=pretrained_model.copy(), feature_dim=256)
+        assert _exposing_hits(agent, question, "alder") == {node}
+        ans = agent.answer(question)
+        assert (ans.source, ans.answer_idx) == ("memory", 0)
 
 
 class TestMemoryPhase:
