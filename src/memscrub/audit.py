@@ -15,11 +15,11 @@ import functools
 import hashlib
 import json
 import re
-from dataclasses import dataclass, fields
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from typing import Iterable, Optional, get_type_hints
 
 ZERO_HASH = "0" * 64
-_fields_of = functools.cache(fields)  # per-record ``fields`` tuples pile up on the tuple free list
+_schema_of = functools.cache(get_type_hints)  # a dataclass's {field: type}, resolved once per class
 
 
 class AuditOp(str, enum.Enum):
@@ -53,15 +53,23 @@ def record_of(obj) -> dict:
 
     No value is copied (``asdict`` deep-copies every value) and no
     ``__dict__`` is materialized on the instance (``vars`` does)."""
-    return {f.name: getattr(obj, f.name) for f in _fields_of(type(obj))}
+    return {name: getattr(obj, name) for name in _schema_of(type(obj))}
 
 
-def json_field(rec: dict, key: str, kind: type):
-    """``rec[key]``, which must be exactly a ``kind``: for ``int``, a bool or a float is not."""
-    value = rec[key]
-    if type(value) is not kind:
-        raise ValueError(f"{key} {value!r} is not a JSON {kind.__name__}")
-    return value
+def json_record(value, schema: dict) -> list:
+    """The values of the JSON object ``value``, in ``schema`` (key: type) order; ValueError
+    unless its keys are the schema's and each value is exactly its type or a value of its enum."""
+    if type(value) is not dict or value.keys() != schema.keys():
+        raise ValueError(f"not a JSON object with exactly the keys {', '.join(schema)}")
+    for key, kind in schema.items():  # exact types: a bool or a float is not an int
+        if type(value[key]) is not kind and not issubclass(kind, enum.Enum):
+            raise ValueError(f"{key} {value[key]!r:.40} is not a JSON {kind.__name__}")
+    return [kind(value[key]) for key, kind in schema.items()]
+
+
+def from_record(cls, value):
+    """The dataclass ``cls`` read from its stored record: the inverse of ``record_of``."""
+    return cls(*json_record(value, _schema_of(cls)))
 
 
 def payload_digest(payload: dict) -> str:
@@ -91,8 +99,7 @@ class AuditRecord:
 
     @classmethod
     def from_line(cls, line: str) -> "AuditRecord":
-        rec = json.loads(line)
-        return cls(**{**rec, "op": AuditOp(rec["op"])})
+        return from_record(cls, json.loads(line))
 
 
 @dataclass(frozen=True)
@@ -109,14 +116,13 @@ _DIGEST = re.compile("[0-9a-f]{64}")
 def _links(i: int, record: Optional[AuditRecord], prev: str) -> bool:
     """Whether ``record`` is record ``i`` of a chain whose record ``i - 1`` hashes to ``prev``.
 
-    The one chain check. It asks exactly what ``AuditLog``'s packed columns
-    can hold: ``seq`` is the int ``i``, ``prev_hash`` is ``prev``, both
-    digests are 64 lowercase hex characters, and ``record_hash``
-    recomputes (which makes it such a digest). None stands for a line
-    that did not parse.
+    The one chain check. The record schema fixes the field types; this asks
+    the rest of what ``AuditLog``'s packed columns can hold: ``seq`` is ``i``,
+    ``prev_hash`` is ``prev``, both digests are 64 lowercase hex characters,
+    and ``record_hash`` recomputes (which makes it such a digest). None
+    stands for a line that did not parse, its types included.
     """
-    return (record is not None and type(record.seq) is int and record.seq == i
-            and record.prev_hash == prev and type(record.payload_digest) is str
+    return (record is not None and record.seq == i and record.prev_hash == prev
             and _DIGEST.fullmatch(record.payload_digest) is not None
             and record.record_hash == _record_hash(i, record.op.value, record.payload_digest, prev))
 
@@ -125,7 +131,7 @@ def _parsed(lines):
     for line in lines:
         try:
             yield AuditRecord.from_line(line)
-        except (ValueError, KeyError, TypeError):
+        except ValueError:
             yield None
 
 
@@ -281,15 +287,19 @@ class Blocklist:
     def from_lines(cls, lines: Iterable[str]) -> "Blocklist":
         blocklist = cls()
         lines = iter(lines)
-        blocklist.generation = json_field(json.loads(next(lines)), "generation", int)
+        (blocklist.generation,) = json_record(json.loads(next(lines)), {"generation": int})
         for line in lines:
             rec = json.loads(line)
-            if "digest" in rec:
-                if json_field(rec, "digest", str) in blocklist.digests:
-                    raise ValueError(f"digest {rec['digest']} is listed twice")
-                blocklist.digests.add(rec["digest"])
-            elif json_field(rec, "id", int) in blocklist._entries:
-                raise ValueError(f"id {rec['id']} is listed twice")
+            if type(rec) is dict and "digest" in rec:
+                (digest,) = json_record(rec, {"digest": str})
+                if _DIGEST.fullmatch(digest) is None:
+                    raise ValueError(f"digest {digest!r:.70} is not 64 lowercase hex characters")
+                if digest in blocklist.digests:
+                    raise ValueError(f"digest {digest} is listed twice")
+                blocklist.digests.add(digest)
             else:
-                blocklist._entries[rec["id"]] = json_field(rec, "index_generation", int)
+                node_id, index_generation = json_record(rec, {"id": int, "index_generation": int})
+                if node_id in blocklist._entries:
+                    raise ValueError(f"id {node_id} is listed twice")
+                blocklist._entries[node_id] = index_generation
         return blocklist

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import corpus as corpus_mod
-from .audit import canonical_json, record_of, verify_lines
+from .audit import canonical_json, json_record, record_of, verify_lines
 from .config import RunConfig, load_config, save_config_snapshot
 from .corpus import Provenance, split_items, to_dataset
 from .evaluation import (
@@ -149,12 +149,11 @@ def cmd_query(args) -> int:
 def _read_request(path: Path) -> ForgetRequest:
     def build(lines):
         rec = json.loads("\n".join(lines))
-        request_id, targets = rec["request_id"], rec["targets"]
-        if (not isinstance(request_id, str) or request_id in ("", ".", "..")
-                or set(request_id) & set("/\\\0")):
+        request_id, targets = json_record(rec, {"request_id": str, "targets": list})
+        if request_id in ("", ".", "..") or set(request_id) & set("/\\\0"):
             raise ValueError("'request_id' must be a non-empty string naming a plain file")
-        if not isinstance(targets, list) or not targets or any(type(t) is not int for t in targets):
-            raise TypeError("'targets' must be a non-empty JSON list of integer node ids")
+        if not targets or any(type(t) is not int for t in targets):
+            raise ValueError("'targets' must be a non-empty JSON list of integer node ids")
         return ForgetRequest.of(request_id, targets)
 
     return parse_lines(build, (path, None))

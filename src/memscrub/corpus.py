@@ -20,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .audit import canonical_json, json_field, record_of
+from .audit import canonical_json, from_record, json_record, record_of
 from .graph import Layer
 from .retrieval import token_seed, tokenize
 from .training import Dataset
@@ -106,13 +106,10 @@ def corpus_lines(items: Iterable[QAItem]) -> list:
 def corpus_from_lines(lines: Iterable[str]) -> list:
     items, seen = [], set()
     for line in lines:
-        rec = json.loads(line)
-        item = QAItem(**rec)  # a missing or unknown field is a TypeError
-        for key in ("item_id", "split", "topic", "question"):
-            json_field(rec, key, str)
+        item = from_record(QAItem, json.loads(line))
         if item.split not in SPLITS:
             raise ValueError(f"split {item.split!r} is not one of {', '.join(SPLITS)}")
-        if json_field(rec, "answer_idx", int) not in range(len(CHOICES)):
+        if item.answer_idx not in range(len(CHOICES)):
             raise ValueError(f"answer_idx {item.answer_idx} is not a choice index")
         if item.item_id in seen:
             raise ValueError(f"item_id {item.item_id!r} is listed twice")
@@ -179,8 +176,7 @@ class Provenance:
     def from_lines(cls, lines: Iterable[str]) -> "Provenance":
         prov = cls()
         for line in lines:
-            rec = json.loads(line)
-            item_id, node_id = json_field(rec, "item_id", str), json_field(rec, "node_id", int)
+            item_id, node_id = json_record(json.loads(line), {"item_id": str, "node_id": int})
             if item_id in prov.item_to_node:
                 raise ValueError(f"item_id {item_id!r} is listed twice")
             if node_id in prov.node_to_item:

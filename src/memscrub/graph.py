@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
-from .audit import AuditOp, canonical_json, content_digest, json_field, record_of
+from .audit import AuditOp, canonical_json, content_digest, from_record, json_record, record_of
 
 
 class Layer(str, enum.Enum):
@@ -58,12 +58,6 @@ class MemoryNode:
     content: str
     ref_count: int
     status: Status
-
-    @classmethod
-    def from_record(cls, rec: dict) -> "MemoryNode":
-        for key, kind in (("id", int), ("content", str), ("ref_count", int)):
-            json_field(rec, key, kind)
-        return cls(**{**rec, "layer": Layer(rec["layer"]), "status": Status(rec["status"])})
 
 
 @dataclass(frozen=True)
@@ -317,15 +311,20 @@ class MemoryGraph:
     def from_lines(cls, node_lines: Iterable[str], edge_lines: Iterable[str], audit=None) -> "MemoryGraph":
         graph = cls(audit=audit)
         for line in node_lines:
-            node = MemoryNode.from_record(json.loads(line))
+            node = from_record(MemoryNode, json.loads(line))
             if node.id in graph.nodes:
                 raise ValueError(f"node {node.id} is listed twice")
+            if node.ref_count < 0:
+                raise ValueError(f"node {node.id} has a negative ref_count {node.ref_count}")
+            if node.status is Status.DELETED and node.content:
+                raise ValueError(f"deleted node {node.id} keeps its content")
             graph.nodes[node.id] = node
         for line in edge_lines:
-            rec = json.loads(line)
-            child, parent = json_field(rec, "child", int), json_field(rec, "parent", int)
+            child, parent = json_record(json.loads(line), {"child": int, "parent": int})
             if child not in graph.nodes or parent not in graph.nodes:
                 raise UnknownNodeError(f"edge {parent} -> {child} names an unknown node")
+            if child == parent:
+                raise EdgeViolationError(f"edge {parent} -> {child} is a self-loop")
             graph._parents.setdefault(child, []).append(parent)
             graph._children.setdefault(parent, []).append(child)
         for adjacency in (graph._parents, graph._children):

@@ -29,7 +29,7 @@ from typing import Callable, Container, Iterable
 
 import numpy as np
 
-from .audit import AuditLog, AuditOp, Blocklist, canonical_json, json_field
+from .audit import AuditLog, AuditOp, Blocklist, canonical_json, json_record
 from .graph import UnknownNodeError
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
@@ -293,11 +293,11 @@ class HybridIndex:
         """
         lines = iter(lines)
         index = cls(embedder, tau=tau)
-        index.generation = json_field(json.loads(next(lines)), "generation", int)
+        (index.generation,) = json_record(json.loads(next(lines)), {"generation": int})
         for node_id, content in live:
             index.insert(node_id, content)
         for line in lines:
-            node_id = json_field(json.loads(line), "id", int)
+            (node_id,) = json_record(json.loads(line), {"id": int})
             if node_id not in known:
                 raise UnknownNodeError(f"tombstone {node_id} names an unknown node")
             if node_id in index:

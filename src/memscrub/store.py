@@ -120,12 +120,16 @@ def load_model(store_dir: Path) -> ModelState:
 def store_lock(store_dir: Path):
     """Hold an exclusive flock on the store's lock file; SystemExit if another process holds it.
 
-    The store directory must exist, so a mistyped path fails here and
-    creates nothing. The kernel drops the lock when its holder exits,
-    killed or not. The empty file stays: unlinking a locked file would let
-    the next two processes lock different inodes.
+    The store directory must exist, so a mistyped path fails here, naming
+    the directory, and creates nothing. The kernel drops the lock when its
+    holder exits, killed or not. The empty file stays: unlinking a locked
+    file would let the next two processes lock different inodes.
     """
-    with open(Path(store_dir) / "lock", "a") as f:
+    try:
+        f = open(Path(store_dir) / "lock", "a")
+    except (FileNotFoundError, NotADirectoryError):
+        raise ValueError(f"{store_dir}: no such store directory") from None
+    with f:
         try:
             fcntl.flock(f, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except BlockingIOError:

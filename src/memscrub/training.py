@@ -21,6 +21,8 @@ from typing import Optional
 
 import numpy as np
 
+from .audit import json_record
+
 
 class TrainingError(ValueError):
     pass
@@ -201,11 +203,12 @@ class ModelState:
         }
 
     @classmethod
-    def from_record(cls, rec: dict) -> "ModelState":
-        ref_seed = rec["ref_seed"]
-        if type(ref_seed) is not int or ref_seed < 0:
+    def from_record(cls, rec) -> "ModelState":
+        params, ref_seed = json_record(rec, {"params": dict, "ref_seed": int})
+        if ref_seed < 0:
             raise ValueError(f"ref_seed must be a non-negative integer, not {ref_seed!r}")
-        params = {k: np.array(rec["params"][k], dtype=float) for k in PARAM_KEYS}
+        params = {k: np.array(v, dtype=float)
+                  for k, v in zip(PARAM_KEYS, json_record(params, dict.fromkeys(PARAM_KEYS, list)))}
         # A step runs layer 1 on its batch's columns only, so a non-finite
         # w1 row would poison only the batches that use its column.
         if not all(np.isfinite(v).all() for v in params.values()):
