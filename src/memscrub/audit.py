@@ -1,11 +1,10 @@
 """Blocklist and tamper-evident audit log.
 
 Every deletion-related operation is appended to a hash-chained log.
-WRITE, BLOCK, REBUILD and COMPACT records are appended before the
-mutation they describe; PRUNE and DELETE records follow the graph prune
-and the index removal they report, and ARCHIVE and TRAIN close their
-phase. Records carry only digests of operation payloads, never memory
-content, so the log cannot re-expose forgotten text.
+Every record is appended before the mutation it describes, and ARCHIVE
+and TRAIN close their phase. Records carry only digests of operation
+payloads, never memory content, so the log cannot re-expose forgotten
+text.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from .audit import AuditOp, canonical_json, content_digest, from_record, json_record, record_of
@@ -72,12 +72,25 @@ class ForgetRequest:
 
 @dataclass
 class PruneReport:
-    targets_deleted: int = 0
-    reflections_outdated: int = 0
-    shared_decremented: int = 0
-    zero_ref_removed: int = 0
-    removed_ids: list = field(default_factory=list)
-    outdated_ids: list = field(default_factory=list)
+    """The plan of a prune, computed before any node changes."""
+
+    targets_deleted: int
+    removed_ids: list  # ascending: the Active targets, then the zero-ref summaries and entities
+    outdated_ids: list  # ascending: the Active reflections of the closure
+    ref_counts: dict  # each decremented node's ref_count after the prune
+
+    @property
+    def reflections_outdated(self) -> int:
+        return len(self.outdated_ids)
+
+    @property
+    def zero_ref_removed(self) -> int:
+        return len(self.removed_ids) - self.targets_deleted
+
+    @property
+    def shared_decremented(self) -> int:
+        """Decremented nodes that stay Active."""
+        return len(self.ref_counts.keys() - set(self.removed_ids))
 
     def counts(self) -> dict:
         return {
@@ -204,7 +217,8 @@ class MemoryGraph:
         Reflections in the closure are tombstoned as Outdated; summaries
         and KG entities lose one reference per parent deleted here and are
         removed at zero. Nodes still supported by a retained Active parent
-        survive.
+        survive. The whole outcome is planned, then logged as a PRUNE
+        record, then applied.
         """
         targets = sorted(set(request.targets))
         for t in targets:
@@ -212,50 +226,34 @@ class MemoryGraph:
             if not is_blocked(t):
                 raise ProtocolOrderError(f"target {t} is not blocklisted; block before pruning")
 
-        report = PruneReport()
-        newly_gone: list = []
-
-        for t in targets:
-            node = self.nodes[t]
-            if node.status is Status.ACTIVE:
-                node.status = Status.DELETED
-                node.content = ""
-                report.targets_deleted += 1
-                report.removed_ids.append(t)
-                newly_gone.append(t)
-
+        removed = [t for t in targets if self.nodes[t].status is Status.ACTIVE]
         # Any reflection in the closure is stale once a source is gone,
         # shared support or not.
-        for v in sorted(closure):
-            node = self.nodes[v]
-            if node.layer is Layer.REFLECTION and node.status is Status.ACTIVE:
-                node.status = Status.OUTDATED
-                report.reflections_outdated += 1
-                report.outdated_ids.append(v)
-                newly_gone.append(v)
-
-        decremented: set = set()
-        queue = deque(newly_gone)
+        outdated = [v for v in sorted(closure) if self.nodes[v].layer is Layer.REFLECTION
+                    and self.nodes[v].status is Status.ACTIVE]
+        ref_counts: dict = {}
+        gone = set(removed + outdated)
+        queue = deque(gone)
         while queue:
-            gone = queue.popleft()
-            for child in sorted(self._children.get(gone, ())):
+            for child in self._children.get(queue.popleft(), ()):
                 cnode = self.nodes[child]
-                if cnode.status is not Status.ACTIVE:
+                if child in gone or cnode.status is not Status.ACTIVE:
                     continue
-                cnode.ref_count -= 1
-                decremented.add(child)
-                if cnode.ref_count == 0 and cnode.layer in (Layer.SEMANTIC, Layer.KG_ENTITY):
-                    cnode.status = Status.DELETED
-                    cnode.content = ""
-                    report.zero_ref_removed += 1
-                    report.removed_ids.append(child)
+                count = ref_counts[child] = ref_counts.get(child, cnode.ref_count) - 1
+                if count == 0 and cnode.layer in (Layer.SEMANTIC, Layer.KG_ENTITY):
+                    gone.add(child)
                     queue.append(child)
+        report = PruneReport(len(removed), sorted(gone.difference(outdated)), outdated, ref_counts)
 
-        report.shared_decremented = sum(
-            1 for v in decremented if self.nodes[v].status is Status.ACTIVE
-        )
-        report.removed_ids.sort()
-        report.outdated_ids.sort()
+        if self.audit is not None:
+            self.audit.append(AuditOp.PRUNE, {"request_id": request.request_id, "counts": report.counts()})
+        for node_id in report.removed_ids:
+            self.nodes[node_id].status = Status.DELETED
+            self.nodes[node_id].content = ""
+        for node_id in outdated:
+            self.nodes[node_id].status = Status.OUTDATED
+        for node_id, count in ref_counts.items():
+            self.nodes[node_id].ref_count = count
         return report
 
     # ------------------------------------------------------------------
@@ -263,7 +261,7 @@ class MemoryGraph:
     # ------------------------------------------------------------------
 
     def check_consistency(self) -> None:
-        """Raise AssertionError if any structural invariant is violated."""
+        """Raise GraphError if any structural invariant is violated."""
         for node_id, node in self.nodes.items():
             if node.status is not Status.ACTIVE:
                 continue
@@ -271,13 +269,12 @@ class MemoryGraph:
                 1 for pid in self._parents.get(node_id, ())
                 if self.nodes[pid].status is Status.ACTIVE
             )
-            assert node.ref_count == active_parents, (
-                f"node {node_id}: ref_count {node.ref_count} != active parents {active_parents}"
-            )
-            if node.layer in DERIVED_LAYERS:
-                ancestors = self.episodic_ancestors(node_id)
-                alive = [a for a in ancestors if self.nodes[a].status is Status.ACTIVE]
-                assert alive, f"active derived node {node_id} has no active episodic ancestor"
+            if node.ref_count != active_parents:
+                raise GraphError(
+                    f"node {node_id}: ref_count {node.ref_count} != active parents {active_parents}")
+            if node.layer in DERIVED_LAYERS and not any(
+                    self.nodes[a].status is Status.ACTIVE for a in self.episodic_ancestors(node_id)):
+                raise GraphError(f"active derived node {node_id} has no active episodic ancestor")
         total = sum(
             n.ref_count for n in self.nodes.values() if n.status is Status.ACTIVE
         )
@@ -288,7 +285,8 @@ class MemoryGraph:
             for pid in parents
             if self.nodes[pid].status is Status.ACTIVE
         )
-        assert total == live_edges, f"ref_count sum {total} != live edge count {live_edges}"
+        if total != live_edges:
+            raise GraphError(f"ref_count sum {total} != live edge count {live_edges}")
 
     # ------------------------------------------------------------------
     # Persistence (line-delimited, stable field order)
@@ -323,9 +321,17 @@ class MemoryGraph:
             child, parent = json_record(json.loads(line), {"child": int, "parent": int})
             if child not in graph.nodes or parent not in graph.nodes:
                 raise UnknownNodeError(f"edge {parent} -> {child} names an unknown node")
-            if child == parent:
-                raise EdgeViolationError(f"edge {parent} -> {child} is a self-loop")
-            graph._parents.setdefault(child, []).append(parent)
+            # add_memory links a new node to distinct existing ones, so each edge's
+            # parent is below its child and none repeats; that also rules out cycles.
+            if parent >= child:
+                raise EdgeViolationError(f"edge {parent} -> {child} does not point to a later node")
+            layer = graph.nodes[child].layer
+            if layer not in DERIVED_LAYERS:
+                raise EdgeViolationError(f"edge {parent} -> {child}: layer {layer.value} cannot have parents")
+            parents = graph._parents.setdefault(child, [])
+            if parent in parents:
+                raise EdgeViolationError(f"edge {parent} -> {child} is listed twice")
+            parents.append(parent)
             graph._children.setdefault(parent, []).append(child)
         for adjacency in (graph._parents, graph._children):
             for ids in adjacency.values():

@@ -236,18 +236,12 @@ class MemoryStore:
                              index_generation=self.index.generation)
         closure = self.graph.dependency_closure(targets)
         report = self.graph.prune(request, closure, is_blocked=self.blocklist.is_blocked)
-        self.audit.append(AuditOp.PRUNE, {
-            "request_id": request.request_id,
-            "counts": report.counts(),
-        })
-        removed = [i for i in report.removed_ids if i in self.index]
-        for node_id in removed + [i for i in report.outdated_ids if i in self.index]:
+        # Every id a prune deletes or outdates was Active, so it is live in the index.
+        gone = sorted(report.removed_ids + report.outdated_ids)
+        if gone:
+            self.audit.append(AuditOp.DELETE, {"request_id": request.request_id, "ids": gone})
+        for node_id in gone:
             self.index.remove(node_id)
-        if removed or report.outdated_ids:
-            self.audit.append(AuditOp.DELETE, {
-                "request_id": request.request_id,
-                "ids": sorted(removed + report.outdated_ids),
-            })
         rebuild = self.index.maybe_rebuild(
             self.blocklist,
             keep=lambda i: self.graph.nodes[i].status is Status.ACTIVE,
@@ -296,7 +290,17 @@ class MemoryStore:
         store.audit = parse_lines(AuditLog.from_lines, audit)
         store.graph = parse_lines(lambda node_lines, edge_lines: MemoryGraph.from_lines(
             node_lines, edge_lines, audit=store.audit), nodes, edges)
-        store.blocklist = parse_lines(Blocklist.from_lines, blocklist)
+
+        def blocklist_of(lines):
+            blocked = Blocklist.from_lines(lines)
+            for node_id in blocked.entries():  # a forget blocks its targets, then deletes them
+                node = store.graph.nodes.get(node_id)
+                if node is None or node.status is not Status.DELETED:
+                    raise ValueError(f"blocked id {node_id} names " + (
+                        f"a node that is {node.status.value}, not deleted" if node else "no node"))
+            return blocked
+
+        store.blocklist = parse_lines(blocklist_of, blocklist)
         store.index = parse_lines(lambda lines: HybridIndex.from_lines(
             lines, store.embedder, tau=store.settings.tau,
             live=((i, store.graph.nodes[i].content) for i in store.graph.active_view()),

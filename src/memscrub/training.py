@@ -213,6 +213,11 @@ class ModelState:
         # w1 row would poison only the batches that use its column.
         if not all(np.isfinite(v).all() for v in params.values()):
             raise ValueError("model parameters must be finite")
+        w1, b1, w2, b2 = (params[k] for k in PARAM_KEYS)
+        if (w1.ndim != 2 or b1.shape != (w1.shape[1],) or b2.ndim != 1
+                or w2.shape != (w1.shape[1], b2.size)):
+            raise ValueError("model parameter shapes do not fit: "
+                             + ", ".join(f"{k} {params[k].shape}" for k in PARAM_KEYS))
         return cls(params=params, ref_seed=ref_seed)
 
 

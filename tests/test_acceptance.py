@@ -89,7 +89,8 @@ def test_02_dependency_consistency_and_closure_oracle():
         expected = brute_force_closure(edges, targets, lambda v: graph.node(v).layer)
         closure = graph.dependency_closure(targets)
         assert closure == expected
-        graph.prune(ForgetRequest.of(f"a2-{trial}", targets), closure, lambda _: True)
+        report = graph.prune(ForgetRequest.of(f"a2-{trial}", targets), closure, lambda _: True)
+        assert {v: graph.node(v).ref_count for v in report.ref_counts} == report.ref_counts
         graph.check_consistency()
         for node_id in graph.active_view():
             node = graph.node(node_id)

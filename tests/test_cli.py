@@ -593,13 +593,24 @@ class TestDamagedStore:
         pytest.param("model.jsonl", 1, in_params(lambda params: list(params.values())),
                      id="params-json-list"),
         pytest.param("model.jsonl", 1, in_params(set_to(b1=True)), id="params-bool-for-list"),
+        pytest.param("model.jsonl", 1, in_params(set_to(b1=[])), id="params-b1-empty"),
+        pytest.param("model.jsonl", 1, in_params(set_to(w2=[[0.0]])), id="params-w2-shape"),
         # An id record with a digest key would once load as a digest and drop the id.
         pytest.param("blocklist.jsonl", 2, set_to(digest=HEX_DIGEST), id="blocklist-id-with-digest"),
-        # What a type cannot say. Node 0 is a Deleted target, the last node an Active
-        # reflection, edge line 1 is 0 -> 6, and the last blocklist line a digest.
+        # What a type cannot say. Node 0 is a Deleted target, node 1 an episodic one, node 8 an
+        # Outdated reflection, the last node (107) an Active reflection, edge line 1 is 0 -> 6,
+        # edge line 2 is 1 -> 6, blocklist line 2 blocks node 0 and the last blocklist line is a digest.
         pytest.param("nodes.jsonl", 1, set_to(content="restored"), id="deleted-node-with-content"),
         pytest.param("nodes.jsonl", -1, set_to(ref_count=-1), id="negative-ref-count"),
         pytest.param("edges.jsonl", 1, lambda rec: {**rec, "parent": rec["child"]}, id="self-edge"),
+        pytest.param("edges.jsonl", 1, lambda rec: {"child": rec["parent"], "parent": rec["child"]},
+                     id="reversed-edge"),
+        pytest.param("edges.jsonl", 1, set_to(parent=7), id="edge-from-later-node"),
+        pytest.param("edges.jsonl", 1, set_to(child=1), id="edge-to-episodic-node"),
+        pytest.param("edges.jsonl", 2, set_to(parent=0), id="edge-listed-twice"),
+        pytest.param("blocklist.jsonl", 2, set_to(id=10_000), id="blocked-id-unknown"),
+        pytest.param("blocklist.jsonl", 2, set_to(id=107), id="blocked-id-active"),
+        pytest.param("blocklist.jsonl", 2, set_to(id=8), id="blocked-id-outdated"),
         pytest.param("blocklist.jsonl", -1, set_to(digest="ab"), id="short-digest"),
         pytest.param("blocklist.jsonl", -1, set_to(digest=HEX_DIGEST.upper()), id="uppercase-digest"),
     ])

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from memscrub.audit import AuditOp, AuditRecord, verify_lines
+from memscrub.audit import AuditLog, AuditOp, AuditRecord, payload_digest, verify_lines
 from memscrub.corpus import split_items, to_dataset
 from memscrub.graph import ForgetRequest, GraphError, Layer, Status
 from memscrub.protocol import AgentState, Channel, _exposing_hits, backflow_probe, run_protocol
+from memscrub.retrieval import HybridIndex
 from memscrub.store import BlockedContentError, MemoryStore, RetrievalSettings
 from memscrub.training import UnlearnConfig
 
@@ -143,6 +144,39 @@ class TestProtocolOrdering:
         assert max(seqs[AuditOp.BLOCK]) < min(seqs[AuditOp.PRUNE])
         assert max(seqs[AuditOp.PRUNE]) < min(seqs[AuditOp.ARCHIVE])
         assert verify_lines(lines).ok
+
+    def test_prune_and_delete_records_precede_their_mutations(self, fresh_agent, monkeypatch):
+        agent, items, prov = fresh_agent
+        store, targets = agent.store, forget_targets(prov, items)
+        append, seen = AuditLog.append, []
+
+        def spy(log, op, payload):
+            if op is AuditOp.PRUNE:
+                seen.append((op, {store.graph.node(t).status for t in targets}))
+            elif op is AuditOp.DELETE:
+                seen.append((op, {i in store.index for i in payload["ids"]}))
+            return append(log, op, payload)
+
+        monkeypatch.setattr(AuditLog, "append", spy)
+        store.forget(ForgetRequest.of("req-1", targets))
+        assert seen == [(AuditOp.PRUNE, {Status.ACTIVE}), (AuditOp.DELETE, {True})]
+
+    def test_failed_index_removal_leaves_delete_as_last_record(self, monkeypatch):
+        store = MemoryStore()
+        m1 = store.write(Layer.EPISODIC, "alpha river stone")
+        m2 = store.write(Layer.EPISODIC, "beta forest wind")
+        s1 = store.write(Layer.SEMANTIC, "summary of alpha", [m1])
+        r1 = store.write(Layer.REFLECTION, "thoughts on alpha and beta", [m1, m2])
+
+        def boom(index, node_id):
+            raise RuntimeError("storage failure")
+
+        monkeypatch.setattr(HybridIndex, "remove", boom)
+        with pytest.raises(RuntimeError):
+            store.forget(ForgetRequest.of("req-f", [m1]))
+        last = AuditRecord.from_line(store.audit.to_lines()[-1])
+        assert last.op is AuditOp.DELETE
+        assert last.payload_digest == payload_digest({"request_id": "req-f", "ids": [m1, s1, r1]})
 
     def test_ephemeral_buffer_wiped(self, fresh_agent):
         agent, items, prov = fresh_agent

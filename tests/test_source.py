@@ -1,4 +1,5 @@
-"""Source checks: every name a module-level import binds is used.
+"""Source checks: every name a module-level import binds is used, and no
+module holds an ``assert`` statement.
 
 No linter is a dependency, so this stands in for the one rule a deletion
 most often breaks: an import left behind by the code that used it.
@@ -43,3 +44,11 @@ def test_every_import_is_used(path):
     used = referenced_names(tree)
     unused = {name: line for name, line in imported_names(tree).items() if name not in used}
     assert not unused, f"{path.name}: imported but unused: {unused}"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_assert_statement(path):
+    """``python -O`` strips asserts, so a check in the program raises instead."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not lines, f"{path.name}: assert statements on lines {lines}"
