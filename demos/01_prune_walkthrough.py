@@ -14,7 +14,7 @@ def show(graph, label):
     for node_id in sorted(graph.nodes):
         node = graph.nodes[node_id]
         print(f"  [{node_id}] {node.layer.value:10s} {node.status.value:8s} "
-              f"refs={node.ref_count}  {node.content!r}")
+              f"refs={graph.ref_count(node_id)}  {node.content!r}")
 
 
 def main():

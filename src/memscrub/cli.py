@@ -65,7 +65,7 @@ def _resolve_config(args) -> RunConfig:
 
 def _load_store_context(store_dir: Path, cfg: RunConfig):
     store = MemoryStore.load(store_dir, settings=cfg)
-    model = load_model(store_dir)
+    model = load_model(store_dir, cfg.feature_dim)
     items = parse_lines(corpus_mod.corpus_from_lines, (store_dir / "corpus.jsonl", None))
     prov = parse_lines(lambda lines: Provenance.from_lines(lines).checked(store.graph, items),
                        (store_dir / "provenance.jsonl", PROVENANCE_HEADER))

@@ -2,9 +2,10 @@
 
 Memories live in layers (episodic sources plus derived summaries,
 reflections and knowledge-graph entities). Derivation edges point from a
-source node to the artifact built on top of it, and each node's
-``ref_count`` tracks how many of its direct parents are still active, so
-a deletion can tell exclusively-supported artifacts from shared ones.
+source node to the artifact built on top of it. A node's reference
+count is derived from the edges, never stored: the number of its direct
+parents that are still active. It lets a deletion tell
+exclusively-supported artifacts from shared ones.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ class MemoryNode:
     id: int
     layer: Layer
     content: str
-    ref_count: int
     status: Status
 
 
@@ -77,7 +77,7 @@ class PruneReport:
     targets_deleted: int
     removed_ids: list  # ascending: the Active targets, then the zero-ref summaries and entities
     outdated_ids: list  # ascending: the Active reflections of the closure
-    ref_counts: dict  # each decremented node's ref_count after the prune
+    ref_counts: dict  # each decremented node's count of Active parents after the prune
 
     @property
     def reflections_outdated(self) -> int:
@@ -104,10 +104,11 @@ class PruneReport:
 class MemoryGraph:
     """Single-writer dependency graph over memory nodes.
 
-    ``ref_count`` of a node is the number of its direct parents that are
-    still Active; a derived node whose count hits zero has lost every
-    supporting source and is batch-removed during pruning. Only nodes with
-    edges have adjacency lists; a missing entry means no edges.
+    ``ref_count(node_id)`` is the number of the node's direct parents that
+    are still Active; a derived node whose count hits zero has lost every
+    supporting source and is batch-removed during pruning. Every derived
+    node has a parent and every parent precedes its children. Only nodes
+    with edges have adjacency lists; a missing entry means no edges.
     """
 
     def __init__(self, audit=None):
@@ -129,8 +130,9 @@ class MemoryGraph:
                 raise UnknownNodeError(f"unknown parent id {pid}")
             if node.status is not Status.ACTIVE:
                 raise EdgeViolationError(f"parent {pid} is {node.status.value}, not active")
-        if parent_ids and layer not in DERIVED_LAYERS:
-            raise EdgeViolationError(f"layer {layer.value} cannot have derivation parents")
+        if bool(parent_ids) != (layer in DERIVED_LAYERS):
+            raise EdgeViolationError(f"layer {layer.value} " + (
+                "cannot have derivation parents" if parent_ids else "needs a derivation parent"))
 
         node_id = self._next_id
         self._next_id += 1
@@ -147,7 +149,6 @@ class MemoryGraph:
             id=node_id,
             layer=layer,
             content=content,
-            ref_count=len(parent_ids),
             status=Status.ACTIVE,
         )
         if parent_ids:
@@ -176,6 +177,11 @@ class MemoryGraph:
     def parents_of(self, node_id: int) -> list:
         self.node(node_id)
         return list(self._parents.get(node_id, ()))
+
+    def ref_count(self, node_id: int) -> int:
+        """The number of the node's direct parents that are Active."""
+        self.node(node_id)
+        return sum(self.nodes[p].status is Status.ACTIVE for p in self._parents.get(node_id, ()))
 
     def active_view(self) -> Iterator[int]:
         """Ids of Active nodes, ascending. Outdated and Deleted are excluded."""
@@ -239,7 +245,8 @@ class MemoryGraph:
                 cnode = self.nodes[child]
                 if child in gone or cnode.status is not Status.ACTIVE:
                     continue
-                count = ref_counts[child] = ref_counts.get(child, cnode.ref_count) - 1
+                # No status has changed yet, so the first count is the edges' own.
+                count = ref_counts[child] = ref_counts.get(child, self.ref_count(child)) - 1
                 if count == 0 and cnode.layer in (Layer.SEMANTIC, Layer.KG_ENTITY):
                     gone.add(child)
                     queue.append(child)
@@ -252,8 +259,6 @@ class MemoryGraph:
             self.nodes[node_id].content = ""
         for node_id in outdated:
             self.nodes[node_id].status = Status.OUTDATED
-        for node_id, count in ref_counts.items():
-            self.nodes[node_id].ref_count = count
         return report
 
     # ------------------------------------------------------------------
@@ -261,32 +266,14 @@ class MemoryGraph:
     # ------------------------------------------------------------------
 
     def check_consistency(self) -> None:
-        """Raise GraphError if any structural invariant is violated."""
+        """Raise GraphError unless every Active derived node has an Active parent.
+
+        Parents precede their children, so by induction on the id this
+        local rule gives every Active derived node an Active episodic
+        ancestor along a path of Active nodes."""
         for node_id, node in self.nodes.items():
-            if node.status is not Status.ACTIVE:
-                continue
-            active_parents = sum(
-                1 for pid in self._parents.get(node_id, ())
-                if self.nodes[pid].status is Status.ACTIVE
-            )
-            if node.ref_count != active_parents:
-                raise GraphError(
-                    f"node {node_id}: ref_count {node.ref_count} != active parents {active_parents}")
-            if node.layer in DERIVED_LAYERS and not any(
-                    self.nodes[a].status is Status.ACTIVE for a in self.episodic_ancestors(node_id)):
-                raise GraphError(f"active derived node {node_id} has no active episodic ancestor")
-        total = sum(
-            n.ref_count for n in self.nodes.values() if n.status is Status.ACTIVE
-        )
-        live_edges = sum(
-            1
-            for child, parents in self._parents.items()
-            if self.nodes[child].status is Status.ACTIVE
-            for pid in parents
-            if self.nodes[pid].status is Status.ACTIVE
-        )
-        if total != live_edges:
-            raise GraphError(f"ref_count sum {total} != live edge count {live_edges}")
+            if node.status is Status.ACTIVE and node.layer in DERIVED_LAYERS and not self.ref_count(node_id):
+                raise GraphError(f"active derived node {node_id} has no active parent")
 
     # ------------------------------------------------------------------
     # Persistence (line-delimited, stable field order)
@@ -307,13 +294,13 @@ class MemoryGraph:
 
     @classmethod
     def from_lines(cls, node_lines: Iterable[str], edge_lines: Iterable[str], audit=None) -> "MemoryGraph":
+        """The graph saved as ``node_lines`` and ``edge_lines``; ValueError unless it passes
+        the checks below and ``check_consistency``."""
         graph = cls(audit=audit)
         for line in node_lines:
             node = from_record(MemoryNode, json.loads(line))
             if node.id in graph.nodes:
                 raise ValueError(f"node {node.id} is listed twice")
-            if node.ref_count < 0:
-                raise ValueError(f"node {node.id} has a negative ref_count {node.ref_count}")
             if node.status is Status.DELETED and node.content:
                 raise ValueError(f"deleted node {node.id} keeps its content")
             graph.nodes[node.id] = node
@@ -338,4 +325,5 @@ class MemoryGraph:
                 ids.sort()
         if graph.nodes:
             graph._next_id = max(graph.nodes) + 1
+        graph.check_consistency()
         return graph

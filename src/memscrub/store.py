@@ -6,9 +6,11 @@ vector removal, threshold-triggered rebuild, archive record.
 
 This module also owns the store-directory layout: the line-delimited
 files and their version headers, the model file and the lock. Reload
-reproduces ref_counts, statuses and search behavior exactly: the nodes
-file alone says which nodes are live, and the index file adds only its
-generation and tombstones.
+reproduces statuses, reference counts (derived from the edges, not
+stored) and search behavior exactly: the nodes file alone says which
+nodes are live, and the index file adds only its generation and
+tombstones. Load checks each file against the code that writes it,
+including the graph's ``check_consistency``.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .training import ModelState
 # The files MemoryStore.save writes, with their version headers, in the
 # order MemoryStore.load unpacks them.
 FILE_HEADERS = {
-    "nodes.jsonl": "memscrub-nodes v2",
+    "nodes.jsonl": "memscrub-nodes v3",
     "edges.jsonl": "memscrub-edges v1",
     "blocklist.jsonl": "memscrub-blocklist v1",
     "audit.jsonl": "memscrub-audit v1",
@@ -108,10 +110,15 @@ def save_model(store_dir: Path, model: ModelState) -> None:
                 [canonical_json(model.to_record())])
 
 
-def load_model(store_dir: Path) -> ModelState:
+def load_model(store_dir: Path, n_features: int) -> ModelState:
+    """The store's model, whose ``w1`` must have one row per feature."""
     def build(lines):
         (line,) = lines
-        return ModelState.from_record(json.loads(line))
+        model = ModelState.from_record(json.loads(line))
+        rows = model.params["w1"].shape[0]
+        if rows != n_features:
+            raise ValueError(f"w1 has {rows} rows, not feature_dim {n_features}")
+        return model
 
     return parse_lines(build, (Path(store_dir) / "model.jsonl", MODEL_HEADER))
 

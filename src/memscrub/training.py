@@ -207,8 +207,11 @@ class ModelState:
         params, ref_seed = json_record(rec, {"params": dict, "ref_seed": int})
         if ref_seed < 0:
             raise ValueError(f"ref_seed must be a non-negative integer, not {ref_seed!r}")
-        params = {k: np.array(v, dtype=float)
+        params = {k: np.array(v, dtype=object)
                   for k, v in zip(PARAM_KEYS, json_record(params, dict.fromkeys(PARAM_KEYS, list)))}
+        if not all(type(x) is float for v in params.values() for x in v.flat):
+            raise ValueError("model parameters must be rectangular lists of JSON floats")
+        params = {k: v.astype(float) for k, v in params.items()}
         # A step runs layer 1 on its batch's columns only, so a non-finite
         # w1 row would poison only the batches that use its column.
         if not all(np.isfinite(v).all() for v in params.values()):

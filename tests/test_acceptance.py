@@ -90,7 +90,7 @@ def test_02_dependency_consistency_and_closure_oracle():
         closure = graph.dependency_closure(targets)
         assert closure == expected
         report = graph.prune(ForgetRequest.of(f"a2-{trial}", targets), closure, lambda _: True)
-        assert {v: graph.node(v).ref_count for v in report.ref_counts} == report.ref_counts
+        assert {v: graph.ref_count(v) for v in report.ref_counts} == report.ref_counts
         graph.check_consistency()
         for node_id in graph.active_view():
             node = graph.node(node_id)
@@ -110,7 +110,7 @@ def test_03_shared_artifact_preservation():
     graph.prune(ForgetRequest.of("a3-one", [m1]), graph.dependency_closure([m1]),
                 lambda _: True)
     assert graph.node(s1).status is Status.ACTIVE
-    assert graph.node(s1).ref_count == 1
+    assert graph.ref_count(s1) == 1
     graph.prune(ForgetRequest.of("a3-two", [m2]), graph.dependency_closure([m2]),
                 lambda _: True)
     assert graph.node(s1).status is Status.DELETED

@@ -78,7 +78,7 @@ def in_params(change):
 # header is the header), and the record's int field; a digest record has only a string.
 RECORD_LINES = {
     "audit": ("audit.jsonl", 1, "seq"),
-    "node": ("nodes.jsonl", 1, "ref_count"),
+    "node": ("nodes.jsonl", 1, "id"),
     "edge": ("edges.jsonl", 1, "child"),
     "blocklist-generation": ("blocklist.jsonl", 1, "generation"),
     "blocklist-id": ("blocklist.jsonl", 2, "id"),
@@ -363,6 +363,8 @@ class TestDamagedStore:
                      id="index.jsonl-duplicate-tombstone"),
         pytest.param("nodes.jsonl", lambda lines: ["memscrub-nodes v1"] + lines[1:],
                      id="nodes.jsonl-v1-header"),
+        pytest.param("nodes.jsonl", lambda lines: ["memscrub-nodes v2"] + lines[1:],
+                     id="nodes.jsonl-v2-header"),
         pytest.param("index.jsonl", lambda lines: ["memscrub-index v1"] + lines[1:],
                      id="index.jsonl-v1-header"),
         # Ids and generations must be JSON integers, and digests strings.
@@ -388,12 +390,10 @@ class TestDamagedStore:
                      id="index.jsonl-float-tombstone"),
         pytest.param("index.jsonl", lambda lines: lines[:1] + ['{"generation":"0"}'] + lines[2:],
                      id="index.jsonl-string-generation"),
-        # Node ids, ref_counts and edge ends must be JSON integers, contents strings.
+        # Node ids and edge ends must be JSON integers, contents strings.
         # The last node record is node 107, an Active reflection; edge line 1 is 0 -> 6.
         pytest.param("nodes.jsonl", lambda lines: lines[:-1] + [with_fields(lines[-1], id=107.0)],
                      id="nodes.jsonl-float-id"),
-        pytest.param("nodes.jsonl", lambda lines: lines[:-1] + [with_fields(lines[-1], ref_count="1")],
-                     id="nodes.jsonl-string-ref-count"),
         pytest.param("edges.jsonl", lambda lines: lines[:1] + [with_fields(lines[1], parent=False)]
                      + lines[2:], id="edges.jsonl-bool-parent"),
         pytest.param("provenance.jsonl", lambda lines: lines[:1] + [with_fields(lines[1], node_id="3")]
@@ -485,7 +485,8 @@ class TestDamagedStore:
         MemoryStore.load(copy).save(tmp_path / "resaved")
         for name in FILE_HEADERS:
             assert (tmp_path / "resaved" / name).read_bytes() == (store / name).read_bytes(), name
-        assert load_model(copy).to_record() == load_model(store).to_record()
+        feature_dim = RunConfig().feature_dim
+        assert load_model(copy, feature_dim).to_record() == load_model(store, feature_dim).to_record()
         outputs = []
         for path in (store, copy):
             assert main(["query", "--store", str(path), "--text", "what remedy suits topic001"]) == 0
@@ -595,13 +596,25 @@ class TestDamagedStore:
         pytest.param("model.jsonl", 1, in_params(set_to(b1=True)), id="params-bool-for-list"),
         pytest.param("model.jsonl", 1, in_params(set_to(b1=[])), id="params-b1-empty"),
         pytest.param("model.jsonl", 1, in_params(set_to(w2=[[0.0]])), id="params-w2-shape"),
+        pytest.param("model.jsonl", 1, in_params(set_to(b1=[{}])), id="params-b1-object"),
+        pytest.param("model.jsonl", 1,
+                     in_params(lambda params: {**params, "b1": [str(x) for x in params["b1"]]}),
+                     id="params-b1-strings"),
+        # `w1` must have one row per feature (config `feature_dim`), not just fit `b1` and `w2`.
+        pytest.param("model.jsonl", 1, in_params(lambda params: {**params, "w1": params["w1"][:1]}),
+                     id="params-w1-one-row"),
         # An id record with a digest key would once load as a digest and drop the id.
         pytest.param("blocklist.jsonl", 2, set_to(digest=HEX_DIGEST), id="blocklist-id-with-digest"),
+        # Reference counts are derived from the edges; a stored one is an unknown key.
+        pytest.param("nodes.jsonl", -1, set_to(ref_count=1), id="node-with-ref-count"),
         # What a type cannot say. Node 0 is a Deleted target, node 1 an episodic one, node 8 an
-        # Outdated reflection, the last node (107) an Active reflection, edge line 1 is 0 -> 6,
-        # edge line 2 is 1 -> 6, blocklist line 2 blocks node 0 and the last blocklist line is a digest.
+        # Outdated reflection, node 33 the Active summary that is KG entity 34's only parent, the
+        # last node (107) an Active reflection, edge line 1 is 0 -> 6, edge line 2 is 1 -> 6, edge
+        # line 31 is 33 -> 34, blocklist line 2 blocks node 0 and the last blocklist line is a digest.
         pytest.param("nodes.jsonl", 1, set_to(content="restored"), id="deleted-node-with-content"),
-        pytest.param("nodes.jsonl", -1, set_to(ref_count=-1), id="negative-ref-count"),
+        pytest.param("nodes.jsonl", 34, set_to(status="deleted", content=""),
+                     id="summary-deleted-under-entity"),
+        pytest.param("edges.jsonl", 31, set_to(parent=0), id="entity-on-deleted-parent"),
         pytest.param("edges.jsonl", 1, lambda rec: {**rec, "parent": rec["child"]}, id="self-edge"),
         pytest.param("edges.jsonl", 1, lambda rec: {"child": rec["parent"], "parent": rec["child"]},
                      id="reversed-edge"),

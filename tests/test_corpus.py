@@ -145,7 +145,7 @@ class TestPopulateStore:
         for node_id in store.graph.active_view():
             node = store.graph.nodes[node_id]
             if node.layer is Layer.SEMANTIC:
-                assert node.ref_count == 6  # items_per_topic
+                assert store.graph.ref_count(node_id) == 6  # items_per_topic
 
     def test_provenance_round_trip(self, corpus_items):
         store = MemoryStore()

@@ -15,10 +15,11 @@ import shutil
 import pytest
 
 from memscrub.cli import main
+from memscrub.config import RunConfig
 from memscrub.store import load_model
 
 STORE_SHA256 = {
-    "nodes.jsonl": "56b5ea98a79f16483f95ed5ff5544681550160351c1f8ce5d37dee8817240701",
+    "nodes.jsonl": "419819d5f630472553169e7842c750078c2911f0d6710eaa3fbd1da372ba8244",
     "edges.jsonl": "fe5476d016d92830c8e25462e6fa7d8c1c1e31ef28cf23dfbee2eadd90d1982d",
     "blocklist.jsonl": "0514b6730952ee33c89a3fa825700a0d2d432938055491fffe97ca4f87e8853f",
     "audit.jsonl": "85e6dcce30d35d266d12b1abb7da8738cdbcbbfcd509fdde47c4452ac0724efc",
@@ -30,7 +31,7 @@ STORE_SHA256 = {
 # After unlearning the first forget topic's 6 episodic ids. audit.jsonl is
 # pinned without its last line, the TRAIN record, which carries a training result.
 UNLEARNED_SHA256 = {
-    "nodes.jsonl": "2901b5e6c16110613bd420e6d1bc4bcd4a0f254b5339533b3e5315dc93bd1a25",
+    "nodes.jsonl": "49dff40f6d04b380c1b18d6d05bb3244803f180d8ee4ca1844a0b143e487ba41",
     "edges.jsonl": "fe5476d016d92830c8e25462e6fa7d8c1c1e31ef28cf23dfbee2eadd90d1982d",
     "blocklist.jsonl": "f36d2373dc020b88c2f942be973d5988720ea4607c51d85820bc3a31f30e6327",
     "index.jsonl": "e4bef67ad96d64beefd958b97cd2f8a84bc065c15de108fc6cb480c957cd7adf",
@@ -95,7 +96,7 @@ def test_unlearned_audit_bytes_before_the_train_record(unlearned):
 
 
 def test_model_reference(store):
-    model = load_model(store)
+    model = load_model(store, RunConfig().feature_dim)
     assert model.ref_seed == MODEL_REF_SEED
     assert model.ref_hash() == MODEL_REF_HASH
 

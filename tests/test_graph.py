@@ -4,6 +4,7 @@ import pytest
 from memscrub.graph import (
     EdgeViolationError,
     ForgetRequest,
+    GraphError,
     Layer,
     MemoryGraph,
     ProtocolOrderError,
@@ -40,11 +41,11 @@ class TestAddMemory:
         g = MemoryGraph()
         m = g.add_memory(Layer.EPISODIC, "hello")
         assert g.node(m).status is Status.ACTIVE
-        assert g.node(m).ref_count == 0
+        assert g.ref_count(m) == 0
 
     def test_summary_counts_its_supports(self):
         g, m1, m2, s1 = make_diamond()
-        assert g.node(s1).ref_count == 2
+        assert g.ref_count(s1) == 2
         g.check_consistency()
 
     def test_six_node_fixture_matches_edge_scan(self):
@@ -60,7 +61,7 @@ class TestAddMemory:
                 1 for p, c in edges
                 if c == node_id and g.node(p).status is Status.ACTIVE
             )
-            assert g.node(node_id).ref_count == expected
+            assert g.ref_count(node_id) == expected
 
     def test_unknown_parent_rejected(self):
         g = MemoryGraph()
@@ -77,6 +78,13 @@ class TestAddMemory:
         g, m1, s1 = make_chain()
         with pytest.raises(EdgeViolationError):
             g.add_memory(Layer.EPISODIC, "derived episode", [m1])
+
+    @pytest.mark.parametrize("layer", [Layer.SEMANTIC, Layer.REFLECTION, Layer.KG_ENTITY])
+    def test_derived_node_needs_a_parent(self, layer):
+        g = MemoryGraph()
+        with pytest.raises(EdgeViolationError, match="needs a derivation parent"):
+            g.add_memory(layer, "orphan")
+        assert not g.nodes
 
 
 class TestDependencyClosure:
@@ -132,7 +140,7 @@ class TestPrune:
             "shared_decremented": 1, "zero_ref_removed": 0,
         }
         assert g.node(s1).status is Status.ACTIVE
-        assert g.node(s1).ref_count == 1
+        assert g.ref_count(s1) == 1
         g.check_consistency()
 
     def test_diamond_both_parents_removes_summary(self):
@@ -242,9 +250,18 @@ class TestPersistence:
         assert reloaded.node_lines() == g.node_lines()
         assert reloaded.edge_lines() == g.edge_lines()
         for node_id in g.nodes:
-            assert reloaded.node(node_id).ref_count == g.node(node_id).ref_count
+            assert reloaded.ref_count(node_id) == g.ref_count(node_id)
             assert reloaded.node(node_id).status == g.node(node_id).status
         reloaded.check_consistency()
+
+    def test_active_derived_node_without_active_parent_does_not_load(self):
+        g, m1, s1 = make_chain()
+        g.node(m1).status = Status.DELETED  # a node edit that no prune makes
+        g.node(m1).content = ""
+        with pytest.raises(GraphError, match=f"active derived node {s1} has no active parent"):
+            g.check_consistency()
+        with pytest.raises(GraphError, match=f"active derived node {s1} has no active parent"):
+            MemoryGraph.from_lines(g.node_lines(), g.edge_lines())
 
     def test_adjacency_only_for_nodes_with_edges(self):
         g = MemoryGraph()

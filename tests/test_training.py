@@ -362,6 +362,13 @@ class TestReference:
         with pytest.raises(ValueError, match="ref_seed"):
             ModelState.from_record(record)
 
+    @pytest.mark.parametrize("element", [True, 1, "0.5", {}, None, [0.5]])
+    def test_parameter_element_that_is_not_a_json_float_rejected(self, element):
+        record = json.loads(json.dumps(tiny_state().to_record()))
+        record["params"]["b1"][0] = element
+        with pytest.raises(ValueError, match="JSON floats"):
+            ModelState.from_record(record)
+
     def test_reference_is_read_only(self):
         state = tiny_state()
         with pytest.raises(ValueError):
