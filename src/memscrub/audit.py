@@ -87,10 +87,10 @@ def _record_hash(seq: int, op: str, digest: str, prev_hash: str) -> str:
 
 @dataclass(frozen=True, slots=True)
 class AuditRecord:
-    seq: int
+    """One stored line. Its ``seq`` is its position and its ``prev_hash`` the
+    previous record's hash; ``record_hash`` commits to both."""
     op: AuditOp
     payload_digest: str
-    prev_hash: str
     record_hash: str
 
     def to_line(self) -> str:
@@ -116,13 +116,12 @@ def _links(i: int, record: Optional[AuditRecord], prev: str) -> bool:
     """Whether ``record`` is record ``i`` of a chain whose record ``i - 1`` hashes to ``prev``.
 
     The one chain check. The record schema fixes the field types; this asks
-    the rest of what ``AuditLog``'s packed columns can hold: ``seq`` is ``i``,
-    ``prev_hash`` is ``prev``, both digests are 64 lowercase hex characters,
-    and ``record_hash`` recomputes (which makes it such a digest). None
+    the rest of what ``AuditLog``'s packed columns can hold: the payload
+    digest is 64 lowercase hex characters, and ``record_hash`` recomputes
+    from ``i``, the record and ``prev`` (which makes it such a digest). None
     stands for a line that did not parse, its types included.
     """
-    return (record is not None and record.seq == i and record.prev_hash == prev
-            and _DIGEST.fullmatch(record.payload_digest) is not None
+    return (record is not None and _DIGEST.fullmatch(record.payload_digest) is not None
             and record.record_hash == _record_hash(i, record.op.value, record.payload_digest, prev))
 
 
@@ -154,8 +153,8 @@ class AuditLog:
     The chain is two packed columns: one op byte per record, and 64 bytes
     per record holding its raw payload digest and raw record hash. A
     record's ``seq`` is its position and its ``prev_hash`` the previous
-    record's hash. A log is built only by ``append`` and by a load that
-    checks every record, so it always verifies.
+    record's hash, in memory as on disk. A log is built only by ``append``
+    and by a load that checks every record, so it always verifies.
     """
 
     def __init__(self):
@@ -170,12 +169,10 @@ class AuditLog:
         return self._head
 
     def append(self, op: AuditOp, payload: dict) -> AuditRecord:
-        seq = len(self._ops)
         digest = payload_digest(payload)
-        prev = self._head
-        record_hash = _record_hash(seq, op.value, digest, prev)
+        record_hash = _record_hash(len(self._ops), op.value, digest, self._head)
         self._add(op, digest, record_hash)
-        return AuditRecord(seq, op, digest, prev, record_hash)
+        return AuditRecord(op, digest, record_hash)
 
     def _add(self, op: AuditOp, digest: str, record_hash: str) -> None:
         self._ops.append(_OP_CODE[op])
@@ -185,8 +182,7 @@ class AuditLog:
 
     def _record(self, i: int) -> AuditRecord:
         at = 64 * i
-        prev = self._hashes[at - 32:at].hex() if i else ZERO_HASH
-        return AuditRecord(i, _OPS[self._ops[i]], self._hashes[at:at + 32].hex(), prev,
+        return AuditRecord(_OPS[self._ops[i]], self._hashes[at:at + 32].hex(),
                            self._hashes[at + 32:at + 64].hex())
 
     def to_lines(self) -> list:

@@ -303,6 +303,8 @@ class MemoryGraph:
                 raise ValueError(f"node {node.id} is listed twice")
             if node.status is Status.DELETED and node.content:
                 raise ValueError(f"deleted node {node.id} keeps its content")
+            if node.status is Status.OUTDATED and node.layer is not Layer.REFLECTION:
+                raise ValueError(f"{node.layer.value} node {node.id} is outdated; only reflections go stale")
             graph.nodes[node.id] = node
         for line in edge_lines:
             child, parent = json_record(json.loads(line), {"child": int, "parent": int})

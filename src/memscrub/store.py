@@ -41,7 +41,7 @@ FILE_HEADERS = {
     "nodes.jsonl": "memscrub-nodes v3",
     "edges.jsonl": "memscrub-edges v1",
     "blocklist.jsonl": "memscrub-blocklist v1",
-    "audit.jsonl": "memscrub-audit v1",
+    "audit.jsonl": "memscrub-audit v2",
     "index.jsonl": "memscrub-index v2",
 }
 MODEL_HEADER = "memscrub-model v2"

@@ -53,15 +53,16 @@ def brute_force_closure(edges, targets, layer_of):
 def forge_chain(lines: list, at: int, change) -> list:
     """Audit ``lines`` with record ``at`` updated by ``change(record)``, rehashed and relinked onward.
 
-    The result is a self-consistent chain: every ``prev_hash`` and
-    ``record_hash`` recomputes from the fields as they are written.
+    The result is a self-consistent chain: every ``record_hash`` recomputes
+    from the fields as they are written, the line's position and the
+    previous line's ``record_hash``.
     """
     forged = lines[:at]
     prev = json.loads(lines[at - 1])["record_hash"] if at else ZERO_HASH
     for i in range(at, len(lines)):
         rec = json.loads(lines[i])
-        rec.update(change(rec) if i == at else {}, prev_hash=prev)
-        rec["record_hash"] = prev = _record_hash(rec["seq"], rec["op"], rec["payload_digest"], prev)
+        rec.update(change(rec) if i == at else {})
+        rec["record_hash"] = prev = _record_hash(i, rec["op"], rec["payload_digest"], prev)
         forged.append(canonical_json(rec))
     return forged
 

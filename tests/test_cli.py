@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from memscrub import cli
-from memscrub.audit import AuditLog, AuditOp
+from memscrub.audit import AuditLog, AuditOp, canonical_json
 from memscrub.cli import main
 from memscrub.config import RunConfig, load_config
 from memscrub.store import FILE_HEADERS, MemoryStore, load_model, write_lines
@@ -75,9 +75,10 @@ def in_params(change):
 
 
 # A line of each kind of stored record in the `unlearned` store (line 0 of a file with a
-# header is the header), and the record's int field; a digest record has only a string.
+# header is the header), and the record's int field; an audit record and a digest record
+# have none, so theirs is a string.
 RECORD_LINES = {
-    "audit": ("audit.jsonl", 1, "seq"),
+    "audit": ("audit.jsonl", 1, "op"),
     "node": ("nodes.jsonl", 1, "id"),
     "edge": ("edges.jsonl", 1, "child"),
     "blocklist-generation": ("blocklist.jsonl", 1, "generation"),
@@ -100,10 +101,10 @@ HEX_DIGEST = "ab" * 32
 FUZZ_VALUES = [-1, 0, True, 1.5, "x", None, [], {}]
 
 
-def flip_digest(line):
-    """The audit record ``line`` with the first character of its payload digest changed."""
+def flip_field(line, key="payload_digest"):
+    """The audit record ``line`` with the first character of its ``key`` changed."""
     rec = json.loads(line)
-    rec["payload_digest"] = ("0" if rec["payload_digest"][0] != "0" else "1") + rec["payload_digest"][1:]
+    rec[key] = ("0" if rec[key][0] != "0" else "1") + rec[key][1:]
     return json.dumps(rec, sort_keys=True, separators=(",", ":"))
 
 
@@ -246,7 +247,7 @@ class TestAuditVerify:
         shutil.copytree(store, copy)
         audit = copy / "audit.jsonl"
         lines = audit.read_text().splitlines()
-        lines[3] = flip_digest(lines[3])
+        lines[3] = flip_field(lines[3])
         audit.write_text("\n".join(lines) + "\n")
         code, rows = run_cli(capsys, "audit-verify", "--store", str(copy))
         assert code == 1
@@ -297,6 +298,51 @@ class TestAuditVerify:
         assert code == 1
         assert rows == [{"command": "audit-verify", "ok": False, "first_bad_index": 2,
                          "records": len(lines) - 1}]
+
+    # Record 5 is a WRITE record. The forged line copies the last record with another op and
+    # payload digest; index -1 stands for it.
+    @pytest.mark.parametrize("damage, bad_index", [
+        pytest.param(lambda recs: recs[:5] + [flip_field(recs[5], "op")] + recs[6:], 5,
+                     id="flipped-op"),
+        pytest.param(lambda recs: recs[:5] + [flip_field(recs[5], "payload_digest")] + recs[6:], 5,
+                     id="flipped-payload-digest"),
+        pytest.param(lambda recs: recs[:5] + [flip_field(recs[5], "record_hash")] + recs[6:], 5,
+                     id="flipped-record-hash"),
+        pytest.param(lambda recs: recs[:5] + recs[6:], 5, id="deleted-line"),
+        pytest.param(lambda recs: recs[:5] + [recs[6], recs[5]] + recs[7:], 5, id="swapped-lines"),
+        pytest.param(lambda recs: recs + [with_fields(recs[-1], op="archive", payload_digest=HEX_DIGEST)],
+                     -1, id="forged-line-appended"),
+    ])
+    def test_damage_is_reported_at_its_record(self, pipeline, tmp_path, capsys, damage, bad_index):
+        _, store = pipeline
+        copy = tmp_path / "store"
+        shutil.copytree(store, copy)
+        audit = copy / "audit.jsonl"
+        header, *records = audit.read_text().splitlines()
+        records = damage(records)
+        audit.write_text("\n".join([header, *records]) + "\n")
+        code, rows = run_cli(capsys, "audit-verify", "--store", str(copy))
+        assert code == 1
+        assert rows == [{"command": "audit-verify", "ok": False,
+                         "first_bad_index": bad_index % len(records), "records": len(records)}]
+
+    def test_v1_log_is_bad_header_and_does_not_load(self, pipeline, tmp_path, capsys):
+        # The same chain in the v1 form, whose lines also store their position and their
+        # predecessor's hash.
+        _, store = pipeline
+        copy = tmp_path / "store"
+        shutil.copytree(store, copy)
+        audit = copy / "audit.jsonl"
+        _, *records = audit.read_text().splitlines()
+        prevs = ["0" * 64] + [json.loads(line)["record_hash"] for line in records[:-1]]
+        audit.write_text("\n".join(["memscrub-audit v1"] + [
+            canonical_json({**json.loads(line), "seq": seq, "prev_hash": prev})
+            for seq, (line, prev) in enumerate(zip(records, prevs))]) + "\n")
+        code, rows = run_cli(capsys, "audit-verify", "--store", str(copy))
+        assert (code, rows) == (1, [{"command": "audit-verify", "ok": False, "first_bad_index": 0,
+                                     "reason": "bad header"}])
+        assert main(["query", "--store", str(copy), "--text", "what remedy"]) == 1
+        assert capsys.readouterr().err == f"error: {audit}: missing or wrong version header\n"
 
     def test_non_utf8_byte_mid_log_is_bad_header(self, pipeline, tmp_path, capsys):
         _, store = pipeline
@@ -443,7 +489,7 @@ class TestDamagedStore:
         assert not (copy / "metrics").exists()
 
     @pytest.mark.parametrize("name, damage", [
-        pytest.param("audit.jsonl", lambda lines: lines[:3] + [flip_digest(lines[3])] + lines[4:],
+        pytest.param("audit.jsonl", lambda lines: lines[:3] + [flip_field(lines[3])] + lines[4:],
                      id="audit.jsonl-flipped-digest"),
         pytest.param("audit.jsonl", lambda lines: lines[:1] + forge_chain(
             lines[1:], 2, lambda rec: {"payload_digest": rec["payload_digest"].upper()}),
@@ -452,6 +498,8 @@ class TestDamagedStore:
                      id="blocklist.jsonl-string-id"),
         pytest.param("blocklist.jsonl", lambda lines: lines + ['{"digest":5}'],
                      id="blocklist.jsonl-number-digest"),
+        pytest.param("blocklist.jsonl", lambda lines: lines + [f'{{"digest":"{HEX_DIGEST}"}}'] * 2,
+                     id="blocklist.jsonl-digest-listed-twice"),
     ])
     def test_damaged_store_is_refused_before_it_is_touched(self, pipeline, tmp_path, capsys,
                                                            name, damage):
@@ -608,10 +656,12 @@ class TestDamagedStore:
         # Reference counts are derived from the edges; a stored one is an unknown key.
         pytest.param("nodes.jsonl", -1, set_to(ref_count=1), id="node-with-ref-count"),
         # What a type cannot say. Node 0 is a Deleted target, node 1 an episodic one, node 8 an
-        # Outdated reflection, node 33 the Active summary that is KG entity 34's only parent, the
-        # last node (107) an Active reflection, edge line 1 is 0 -> 6, edge line 2 is 1 -> 6, edge
-        # line 31 is 33 -> 34, blocklist line 2 blocks node 0 and the last blocklist line is a digest.
+        # Outdated reflection, node 27 an Active episodic node, node 33 the Active summary that is
+        # KG entity 34's only parent, the last node (107) an Active reflection, edge line 1 is
+        # 0 -> 6, edge line 2 is 1 -> 6, edge line 31 is 33 -> 34, blocklist line 2 blocks node 0
+        # and the last blocklist line is a digest.
         pytest.param("nodes.jsonl", 1, set_to(content="restored"), id="deleted-node-with-content"),
+        pytest.param("nodes.jsonl", 28, set_to(status="outdated"), id="outdated-episodic-node"),
         pytest.param("nodes.jsonl", 34, set_to(status="deleted", content=""),
                      id="summary-deleted-under-entity"),
         pytest.param("edges.jsonl", 31, set_to(parent=0), id="entity-on-deleted-parent"),
@@ -757,6 +807,21 @@ class TestUnlearnPipeline:
         assert (store / "metrics" / "eval.jsonl").exists()
 
 
+class TestTrain:
+    def test_train_rewrites_only_the_model_and_its_metrics(self, pipeline, tmp_path, capsys):
+        _, store = pipeline
+        copy = tmp_path / "store"
+        shutil.copytree(store, copy)
+        before = {name: (copy / name).read_bytes() for name in [*FILE_HEADERS, "model.jsonl"]}
+        code = main(["train", "--store", str(copy), "--epochs", "2"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.splitlines() == (copy / "metrics" / "train.jsonl").read_text().splitlines()
+        assert [json.loads(line)["epoch"] for line in out.splitlines()] == [0, 1]
+        assert (copy / "model.jsonl").read_bytes() != before.pop("model.jsonl")
+        assert {name: (copy / name).read_bytes() for name in before} == before
+
+
 class TestRunLoop:
     def test_stage_output(self, capsys):
         code, rows = run_cli(capsys, "run-loop", "--seed", "0")
@@ -841,6 +906,15 @@ class TestConfig:
             assert main(argv + ["--config", str(path)]) == 1
             assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not out.exists() and not store.exists()
+
+    def test_value_that_is_not_a_boolean_stops_the_command(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("entropy_fallback = maybe\n")
+        out = tmp_path / "corpus.jsonl"
+        assert main(["gen-corpus", "--out", str(out), "--config", str(path)]) == 1
+        assert capsys.readouterr() == (
+            "", "error: config key entropy_fallback: expected a boolean, got 'maybe'\n")
+        assert not out.exists()
 
     def test_negative_epochs_flag_rejected(self):
         with pytest.raises(ValueError, match="epochs"):

@@ -22,7 +22,7 @@ STORE_SHA256 = {
     "nodes.jsonl": "419819d5f630472553169e7842c750078c2911f0d6710eaa3fbd1da372ba8244",
     "edges.jsonl": "fe5476d016d92830c8e25462e6fa7d8c1c1e31ef28cf23dfbee2eadd90d1982d",
     "blocklist.jsonl": "0514b6730952ee33c89a3fa825700a0d2d432938055491fffe97ca4f87e8853f",
-    "audit.jsonl": "85e6dcce30d35d266d12b1abb7da8738cdbcbbfcd509fdde47c4452ac0724efc",
+    "audit.jsonl": "ebda3a5b7d465cc6a0931575c86fbeb779789d07c64317c8ed4e4bf4dd881e14",
     "index.jsonl": "11e13dc6deebd8cad902eb005efad4a3e013d6ae95b7c571121f19b16b36245d",
     "provenance.jsonl": "0eb948406a47411faa63d11e46755a4841cc27e11197f8082b23bdef7ec8db00",
     "corpus.jsonl": "820bd9aa9ef41d5e12382f1c508cd4ff569cfe19d491f4e08e8f5c2410972ecf",
@@ -36,7 +36,7 @@ UNLEARNED_SHA256 = {
     "blocklist.jsonl": "f36d2373dc020b88c2f942be973d5988720ea4607c51d85820bc3a31f30e6327",
     "index.jsonl": "e4bef67ad96d64beefd958b97cd2f8a84bc065c15de108fc6cb480c957cd7adf",
 }
-UNLEARNED_AUDIT_BEFORE_TRAIN_SHA256 = "c979dc98c16c2fa3d91a68d81d42c5709b0c925fb6450a6c7852dff77b5732b5"
+UNLEARNED_AUDIT_BEFORE_TRAIN_SHA256 = "54802cb021aa190b3bad5a0908a76493115a2189b9ab0b80c9268d7a5bb2d700"
 RUN_LOOP_SHA256 = "c06ec9cc592efc67b24a0a9c4559b5025ac4f7a82cc0a9af81ec4411f0e5b2a6"
 # The printed scores pin the token vectors, each drawn from a PCG64 keyed by the token's digest.
 QUERY_TEXT = "what remedy suits topic001 presentation"

@@ -263,6 +263,18 @@ class TestPersistence:
         with pytest.raises(GraphError, match=f"active derived node {s1} has no active parent"):
             MemoryGraph.from_lines(g.node_lines(), g.edge_lines())
 
+    @pytest.mark.parametrize("layer", list(Layer))
+    def test_only_a_reflection_loads_outdated(self, layer):
+        g = MemoryGraph()
+        m1 = g.add_memory(Layer.EPISODIC, "m1")
+        node = g.node(m1 if layer is Layer.EPISODIC else g.add_memory(layer, "d", [m1]))
+        node.status = Status.OUTDATED  # a prune outdates reflections only
+        if layer is Layer.REFLECTION:
+            assert MemoryGraph.from_lines(g.node_lines(), g.edge_lines()).node_lines() == g.node_lines()
+        else:
+            with pytest.raises(ValueError, match=f"{layer.value} node {node.id} is outdated"):
+                MemoryGraph.from_lines(g.node_lines(), g.edge_lines())
+
     def test_adjacency_only_for_nodes_with_edges(self):
         g = MemoryGraph()
         m1, m2, lone = (g.add_memory(Layer.EPISODIC, f"m{i}") for i in range(3))

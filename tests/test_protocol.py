@@ -136,8 +136,8 @@ class TestProtocolOrdering:
                      retain, FAST_CFG)
         seqs = {}
         lines = agent.store.audit.to_lines()
-        for rec in map(AuditRecord.from_line, lines):
-            seqs.setdefault(rec.op, []).append(rec.seq)
+        for seq, rec in enumerate(map(AuditRecord.from_line, lines)):
+            seqs.setdefault(rec.op, []).append(seq)
         for op in (AuditOp.BLOCK, AuditOp.PRUNE, AuditOp.DELETE, AuditOp.ARCHIVE):
             assert op in seqs
             assert max(seqs[op]) < min(seqs[AuditOp.TRAIN])

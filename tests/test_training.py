@@ -296,6 +296,25 @@ def task():
     return data, model
 
 
+def poison_step(monkeypatch, at):
+    """Make grad_step call ``at`` (from 1) non-finite by setting ``b2`` to inf before it runs.
+
+    Returns the parameters each call found, one copy per call."""
+    seen = []
+    step = training.grad_step
+
+    def poisoned(batch, state, cfg):
+        seen.append({k: v.copy() for k, v in state.params.items()})
+        if len(seen) == at:
+            state.params["b2"][:] = np.inf
+        report = step(batch, state, cfg)
+        assert report.aborted == (len(seen) == at)
+        return report
+
+    monkeypatch.setattr(training, "grad_step", poisoned)
+    return seen
+
+
 class TestTrainUnlearn:
     def test_lambda_zero_matches_retain_only_control(self, task):
         data, model = task
@@ -333,6 +352,32 @@ class TestTrainUnlearn:
         train_unlearn(data["retain"], data["forget"], state,
                       UnlearnConfig(epochs=5, seed=0))
         assert state.ref_hash() == ref_hash
+
+    def test_divergence_restores_the_epoch_snapshot_and_stops(self, task, monkeypatch):
+        data, model = task
+        cfg = UnlearnConfig(epochs=4, seed=3)
+        after_first_epoch = model.copy()
+        first = train_unlearn(data["retain"], data["forget"], after_first_epoch,
+                              UnlearnConfig(epochs=1, seed=3))
+        steps_per_epoch = math.ceil(len(data["retain"]) / (cfg.batch_size // 2))
+        seen = poison_step(monkeypatch, at=steps_per_epoch + 3)
+        state = model.copy()
+        history = train_unlearn(data["retain"], data["forget"], state, cfg)
+        assert len(seen) == steps_per_epoch + 3  # no step after the aborted one
+        assert history[0] == first[0]
+        assert history[1]["diverged"] is True and len(history) == 2
+        assert history[1]["retain_acc"] == first[0]["retain_acc"]
+        assert_params_identical(state, after_first_epoch)
+
+    def test_pretrain_returns_at_an_aborted_step(self, task, monkeypatch):
+        data, model = task
+        seen = poison_step(monkeypatch, at=5)
+        state = model.copy()
+        pretrain(data["retain"], state, UnlearnConfig(lambda_f=0.0, temperature=1.0, epochs=3))
+        assert len(seen) == 5  # of the 3 epochs' 12 steps
+        for key in ("w1", "b1", "w2"):  # the aborted step changed nothing
+            assert np.array_equal(state.params[key], seen[-1][key])
+        assert np.isinf(state.params["b2"]).all()
 
     def test_empty_retain_rejected(self):
         with pytest.raises(TrainingError):
