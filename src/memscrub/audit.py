@@ -202,87 +202,68 @@ class AuditLog:
 class Blocklist:
     """Persistent set of deleted node ids with O(1) membership.
 
-    Each entry remembers the vector-index generation current when it was
-    blocked; compaction may drop an entry only once the id is physically
-    purged and the index generation postdates the block. Content digests
-    of blocked items are kept so rewrites of forgotten text can be
-    rejected without storing the text itself.
+    Every blocked id names a Deleted node, and ``generation`` is the index
+    generation: a rebuild purges every tombstone, so its compaction drops
+    every id. Content digests of blocked items outlive compaction, so
+    rewrites of forgotten text are rejected without storing the text.
     """
 
     def __init__(self):
-        self._entries: dict[int, int] = {}
+        self._ids: set = set()
         self.generation = 0
         self.digests: set = set()
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._ids)
 
     def __contains__(self, node_id: int) -> bool:
-        return node_id in self._entries
+        return node_id in self._ids
 
     def is_blocked(self, node_id: int) -> bool:
-        return node_id in self._entries
+        return node_id in self._ids
 
     def entries(self) -> list:
-        return sorted(self._entries)
+        return sorted(self._ids)
 
-    def block(self, targets: Iterable[int], audit: AuditLog,
-              digests: Iterable[str] = (), index_generation: int = 0) -> int:
+    def block(self, targets: Iterable[int], audit: AuditLog, digests: Iterable[str] = ()) -> int:
         """Add targets to the blocked set. The audit record is appended first."""
         targets = sorted(set(targets))
         digests = list(digests)
-        audit.append(AuditOp.BLOCK, {"ids": targets, "index_generation": index_generation})
+        audit.append(AuditOp.BLOCK, {"ids": targets, "index_generation": self.generation})
         # Undo exactly what this call may change, so no copy of the whole set is needed.
-        prior = {t: self._entries[t] for t in targets if t in self._entries}
+        added_ids = set(targets) - self._ids
         added_digests = set(digests) - self.digests
         try:
-            self._apply(targets, digests, index_generation)
+            self._apply(targets, digests)
         except Exception:
-            for t in targets:
-                self._entries.pop(t, None)
-            self._entries.update(prior)
+            self._ids -= added_ids
             self.digests -= added_digests
             raise
-        return len(self._entries)
+        return len(self._ids)
 
-    def _apply(self, targets, digests, index_generation) -> None:
-        for t in targets:
-            self._entries.setdefault(t, index_generation)
+    def _apply(self, targets, digests) -> None:
+        self._ids.update(targets)
         self.digests.update(digests)
 
     def has_digest(self, digest: str) -> bool:
         return digest in self.digests
 
-    def compact(self, purged_ids: Iterable[int], index_generation: int, audit: AuditLog) -> list:
-        """Drop entries whose storage is purged and whose block predates the index."""
-        droppable = sorted(
-            t for t in purged_ids
-            if t in self._entries and self._entries[t] < index_generation
-        )
-        audit.append(AuditOp.COMPACT, {
-            "dropped": droppable,
-            "generation": self.generation + 1,
-        })
-        for t in droppable:
-            del self._entries[t]
-        self.generation += 1
-        return droppable
+    def compact(self, index_generation: int, audit: AuditLog) -> None:
+        """Drop every id once a rebuild took the index to ``index_generation``."""
+        audit.append(AuditOp.COMPACT, {"dropped": sorted(self._ids),
+                                       "generation": index_generation})
+        self._ids.clear()
+        self.generation = index_generation
 
     # Line-delimited persistence -------------------------------------------------
 
     def to_lines(self) -> list:
-        lines = [canonical_json({"generation": self.generation})]
-        for t in sorted(self._entries):
-            lines.append(canonical_json({"id": t, "index_generation": self._entries[t]}))
-        for d in sorted(self.digests):
-            lines.append(canonical_json({"digest": d}))
-        return lines
+        return ([canonical_json({"id": t}) for t in sorted(self._ids)]
+                + [canonical_json({"digest": d}) for d in sorted(self.digests)])
 
     @classmethod
     def from_lines(cls, lines: Iterable[str]) -> "Blocklist":
-        blocklist = cls()
-        lines = iter(lines)
-        (blocklist.generation,) = json_record(json.loads(next(lines)), {"generation": int})
+        blocklist = cls()  # its generation is the index's, which the store's loader sets
         for line in lines:
             rec = json.loads(line)
             if type(rec) is dict and "digest" in rec:
@@ -293,8 +274,8 @@ class Blocklist:
                     raise ValueError(f"digest {digest} is listed twice")
                 blocklist.digests.add(digest)
             else:
-                node_id, index_generation = json_record(rec, {"id": int, "index_generation": int})
-                if node_id in blocklist._entries:
+                (node_id,) = json_record(rec, {"id": int})
+                if node_id in blocklist._ids:
                     raise ValueError(f"id {node_id} is listed twice")
-                blocklist._entries[node_id] = index_generation
+                blocklist._ids.add(node_id)
         return blocklist

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -32,6 +33,7 @@ from .store import (
     FILE_HEADERS,
     PROVENANCE_HEADER,
     MemoryStore,
+    existing_store_dir,
     load_model,
     parse_lines,
     save_model,
@@ -217,9 +219,9 @@ def cmd_audit_verify(args) -> int:
         lines = _CountedLines(lines)
         return verify_lines(lines), len(lines)
 
+    path = existing_store_dir(args.store) / "audit.jsonl"
     try:
-        result, records = parse_lines(
-            verify, (Path(args.store) / "audit.jsonl", FILE_HEADERS["audit.jsonl"]))
+        result, records = parse_lines(verify, (path, FILE_HEADERS["audit.jsonl"]))
     except ValueError:  # a wrong header, or a byte anywhere that is not UTF-8
         _emit({"command": "audit-verify", "ok": False, "first_bad_index": 0,
                "reason": "bad header"})
@@ -355,9 +357,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a reader that is gone shows here, not at exit
+        return code
     except (ValueError, FileNotFoundError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 1
+    except BrokenPipeError:  # the rest of the buffer goes to /dev/null, so the exit is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

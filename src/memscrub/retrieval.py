@@ -197,15 +197,11 @@ class HybridIndex:
         self._live[row] = False
         self._tombstones.add(node_id)
 
-    def purge(self, ids) -> None:
-        """Drop ``ids`` and every tombstone, freeing their rows for reuse.
+    def purge(self) -> None:
+        """Drop every tombstone and free every dead row for reuse.
 
         Live rows stay where they are. Bumps the generation.
         """
-        for node_id in ids:
-            row = self._row_of.pop(node_id, None)
-            if row is not None:
-                self._live[row] = False
         # Drop dead rows from all postings at once, then cut them back into one array per token.
         lengths = np.fromiter(map(len, self._postings.values()), np.int64, len(self._postings))
         rows = np.frombuffer(b"".join(self._postings.values()), dtype=np.int64)
@@ -256,25 +252,22 @@ class HybridIndex:
         ]
         return survivors[: query.top_k]
 
-    def maybe_rebuild(self, blocklist: Blocklist, keep: Callable[[int], bool],
-                      audit: AuditLog) -> RebuildResult:
-        """Rebuild the index when |B| strictly exceeds tau.
+    def maybe_rebuild(self, blocklist: Blocklist, audit: AuditLog) -> RebuildResult:
+        """Purge the tombstones when |B| strictly exceeds tau, then compact the blocklist.
 
-        The rebuilt index holds only entries that are untombstoned,
-        unblocked, and accepted by ``keep`` (Active in the store). Purged
-        blocklist entries are handed to compaction afterwards.
+        The caller removes every id it blocks or deletes, so the tombstones
+        are exactly the entries to drop and the live entries are exactly the
+        Active nodes; the REBUILD record's ``size`` is the live count.
         """
         if len(blocklist) <= self.tau:
             return RebuildResult(rebuilt=False)
-        purged = sorted(self._tombstones.union(
-            i for i in self._row_of if blocklist.is_blocked(i) or not keep(i)))
         audit.append(AuditOp.REBUILD, {
             "generation": self.generation + 1,
-            "purged": purged,
-            "size": len(self._row_of) + len(self._tombstones) - len(purged),
+            "purged": sorted(self._tombstones),
+            "size": len(self._row_of),
         })
-        self.purge(purged)
-        blocklist.compact(purged, self.generation, audit)
+        self.purge()
+        blocklist.compact(self.generation, audit)
         return RebuildResult(rebuilt=True)
 
     # Persistence: the generation and the tombstones. The live entries are

@@ -8,9 +8,9 @@ This module also owns the store-directory layout: the line-delimited
 files and their version headers, the model file and the lock. Reload
 reproduces statuses, reference counts (derived from the edges, not
 stored) and search behavior exactly: the nodes file alone says which
-nodes are live, and the index file adds only its generation and
-tombstones. Load checks each file against the code that writes it,
-including the graph's ``check_consistency``.
+nodes are live, and the index file adds only its generation (the
+blocklist's too) and tombstones. Load checks each file against the code
+that writes it, including the graph's ``check_consistency``.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .training import ModelState
 FILE_HEADERS = {
     "nodes.jsonl": "memscrub-nodes v3",
     "edges.jsonl": "memscrub-edges v1",
-    "blocklist.jsonl": "memscrub-blocklist v1",
+    "blocklist.jsonl": "memscrub-blocklist v2",
     "audit.jsonl": "memscrub-audit v2",
     "index.jsonl": "memscrub-index v2",
 }
@@ -123,6 +123,13 @@ def load_model(store_dir: Path, n_features: int) -> ModelState:
     return parse_lines(build, (Path(store_dir) / "model.jsonl", MODEL_HEADER))
 
 
+def existing_store_dir(store_dir) -> Path:
+    """``store_dir`` as a Path; a ValueError naming it unless it is a directory."""
+    if not Path(store_dir).is_dir():
+        raise ValueError(f"{store_dir}: no such store directory")
+    return Path(store_dir)
+
+
 @contextlib.contextmanager
 def store_lock(store_dir: Path):
     """Hold an exclusive flock on the store's lock file; SystemExit if another process holds it.
@@ -132,11 +139,7 @@ def store_lock(store_dir: Path):
     holder exits, killed or not. The empty file stays: unlinking a locked
     file would let the next two processes lock different inodes.
     """
-    try:
-        f = open(Path(store_dir) / "lock", "a")
-    except (FileNotFoundError, NotADirectoryError):
-        raise ValueError(f"{store_dir}: no such store directory") from None
-    with f:
+    with open(existing_store_dir(store_dir) / "lock", "a") as f:
         try:
             fcntl.flock(f, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except BlockingIOError:
@@ -227,8 +230,9 @@ class MemoryStore:
     def forget(self, request: ForgetRequest) -> MemoryPhaseReport:
         """Block -> closure prune -> vector removal -> conditional rebuild -> archive.
 
-        Idempotent: repeating a processed request leaves graph, index and
-        blocklist membership unchanged.
+        Repeating a processed request leaves graph and index unchanged. It
+        blocks its targets again, so ids that a rebuild compacted away stay
+        blocked until the next rebuild; every blocked id is Deleted.
         """
         targets = sorted(request.targets)
         captured = []
@@ -239,8 +243,7 @@ class MemoryStore:
                 captured.append((t, node.content))
                 digests.append(content_digest(node.content))
 
-        self.blocklist.block(targets, self.audit, digests=digests,
-                             index_generation=self.index.generation)
+        self.blocklist.block(targets, self.audit, digests=digests)
         closure = self.graph.dependency_closure(targets)
         report = self.graph.prune(request, closure, is_blocked=self.blocklist.is_blocked)
         # Every id a prune deletes or outdates was Active, so it is live in the index.
@@ -249,11 +252,7 @@ class MemoryStore:
             self.audit.append(AuditOp.DELETE, {"request_id": request.request_id, "ids": gone})
         for node_id in gone:
             self.index.remove(node_id)
-        rebuild = self.index.maybe_rebuild(
-            self.blocklist,
-            keep=lambda i: self.graph.nodes[i].status is Status.ACTIVE,
-            audit=self.audit,
-        )
+        rebuild = self.index.maybe_rebuild(self.blocklist, self.audit)
         self.audit.append(AuditOp.ARCHIVE, {
             "request_id": request.request_id,
             "prune": report.counts(),
@@ -292,8 +291,9 @@ class MemoryStore:
     @classmethod
     def load(cls, directory, settings: Optional[RetrievalSettings] = None) -> "MemoryStore":
         store = cls(settings=settings)
+        directory = existing_store_dir(directory)
         nodes, edges, blocklist, audit, index = (
-            (Path(directory) / name, header) for name, header in FILE_HEADERS.items())
+            (directory / name, header) for name, header in FILE_HEADERS.items())
         store.audit = parse_lines(AuditLog.from_lines, audit)
         store.graph = parse_lines(lambda node_lines, edge_lines: MemoryGraph.from_lines(
             node_lines, edge_lines, audit=store.audit), nodes, edges)
@@ -313,6 +313,7 @@ class MemoryStore:
             live=((i, store.graph.nodes[i].content) for i in store.graph.active_view()),
             known=store.graph.nodes,
         ), index)
+        store.blocklist.generation = store.index.generation
         return store
 
     def copy(self) -> "MemoryStore":

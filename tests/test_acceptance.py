@@ -65,8 +65,7 @@ def test_01_blocking_completeness():
                     pass  # digest collision with an earlier blocked write
             elif action == 1:
                 victim = int(rng.choice(ids))
-                store.blocklist.block([victim], store.audit,
-                                      index_generation=store.index.generation)
+                store.blocklist.block([victim], store.audit)
                 blocked.add(victim)
             else:
                 query = " ".join(rng.choice(words, size=2))
@@ -296,18 +295,20 @@ def test_10_rebuild_semantics():
         for i in range(400):
             index.insert(i, " ".join(rng.choice(words, size=3)))
         blocklist, log = Blocklist(), AuditLog()
-        blocklist.block(range(n_blocked), log, index_generation=0)
+        blocklist.block(range(n_blocked), log)
         return index, blocklist, log
 
     index, blocklist, log = build(100)
-    assert not index.maybe_rebuild(blocklist, keep=lambda _: True, audit=log).rebuilt
+    assert not index.maybe_rebuild(blocklist, log).rebuilt
     assert index.generation == 0
 
     index, blocklist, log = build(101)
     queries = [" ".join(rng.choice(words, size=2)) for _ in range(50)]
     allowed = lambda i: not blocklist.is_blocked(i)
     before = [[h.node_id for h in index.search(HybridQuery(q), allowed)] for q in queries]
-    assert index.maybe_rebuild(blocklist, keep=lambda _: True, audit=log).rebuilt
+    for i in blocklist.entries():  # a forget takes what it blocks out of the index
+        index.remove(i)
+    assert index.maybe_rebuild(blocklist, log).rebuilt
     assert index.generation == 1
     after = [[h.node_id for h in index.search(HybridQuery(q), allowed)] for q in queries]
     assert before == after

@@ -16,6 +16,7 @@ from memscrub.audit import (
     _record_hash,
     canonical_json,
     content_digest,
+    payload_digest,
     verify_lines,
 )
 
@@ -315,40 +316,41 @@ class TestBlocklist:
 
     def test_fault_midway_through_mutation_restores_state(self, monkeypatch):
         blocklist, log = Blocklist(), AuditLog()
-        blocklist.block([1, 3], log, digests=["d1"], index_generation=0)
-        before = blocklist.to_lines()  # ids with their generations, then digests
+        blocklist.block([1, 3], log, digests=["d1"])
+        before = blocklist.to_lines()  # ids, then digests
 
-        def partial(targets, digests, index_generation):
-            for t in targets:
-                blocklist._entries[t] = index_generation  # also rewrites id 3's generation
+        def partial(targets, digests):
+            blocklist._ids.update(targets)  # id 3 was blocked before and must stay so
             blocklist.digests.update(digests)
             raise RuntimeError("storage failure")
 
         monkeypatch.setattr(blocklist, "_apply", partial)
         with pytest.raises(RuntimeError):
-            blocklist.block([2, 3, 4], log, digests=["d1", "d2"], index_generation=5)
+            blocklist.block([2, 3, 4], log, digests=["d1", "d2"])
         assert blocklist.to_lines() == before
 
-    def test_compaction_respects_generation_gate(self):
+    def test_compaction_drops_every_id_and_takes_the_index_generation(self):
         blocklist, log = Blocklist(), AuditLog()
-        blocklist.block([1, 2], log, index_generation=0)
-        blocklist.block([3], log, index_generation=1)
-        # Rebuild produced generation 1: only ids blocked before it may drop.
-        dropped = blocklist.compact([1, 2, 3], index_generation=1, audit=log)
-        assert dropped == [1, 2]
-        assert blocklist.entries() == [3]
-        assert blocklist.generation == 1
+        blocklist.block([1, 2], log)
+        blocklist.block([3], log)
+        blocklist.compact(4, log)
+        assert blocklist.entries() == [] and blocklist.generation == 4
+        blocklist.block([5], log)  # a later block records the index generation
+        compact, block = (AuditRecord.from_line(line) for line in log.to_lines()[-2:])
+        assert compact.payload_digest == payload_digest({"dropped": [1, 2, 3], "generation": 4})
+        assert block.payload_digest == payload_digest({"ids": [5], "index_generation": 4})
 
     def test_digests_survive_compaction(self):
         blocklist, log = Blocklist(), AuditLog()
-        blocklist.block([1], log, digests=["abc"], index_generation=0)
-        blocklist.compact([1], index_generation=1, audit=log)
+        blocklist.block([1], log, digests=["abc"])
+        blocklist.compact(1, log)
         assert blocklist.has_digest("abc")
 
     def test_round_trip(self):
         blocklist, log = Blocklist(), AuditLog()
         digest = content_digest("d1")  # a load accepts only the form content_digest gives
-        blocklist.block([5, 9], log, digests=[digest], index_generation=2)
+        blocklist.block([9, 5], log, digests=[digest])
+        assert blocklist.to_lines() == ['{"id":5}', '{"id":9}', f'{{"digest":"{digest}"}}']
         reloaded = Blocklist.from_lines(blocklist.to_lines())
         assert reloaded.entries() == [5, 9]
         assert reloaded.has_digest(digest)

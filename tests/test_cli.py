@@ -81,8 +81,7 @@ RECORD_LINES = {
     "audit": ("audit.jsonl", 1, "op"),
     "node": ("nodes.jsonl", 1, "id"),
     "edge": ("edges.jsonl", 1, "child"),
-    "blocklist-generation": ("blocklist.jsonl", 1, "generation"),
-    "blocklist-id": ("blocklist.jsonl", 2, "id"),
+    "blocklist-id": ("blocklist.jsonl", 1, "id"),
     "blocklist-digest": ("blocklist.jsonl", -1, "digest"),
     "index-generation": ("index.jsonl", 1, "generation"),
     "index-tombstone": ("index.jsonl", 2, "id"),
@@ -121,6 +120,20 @@ class TestGenCorpus:
         assert len(lines) == 120
         assert json.loads(lines[0])["split"] == "forget"
 
+    def test_closed_stdout_ends_quietly(self, tmp_path):
+        read, write = os.pipe()
+        os.close(read)  # the reader is gone before the command writes
+        src = str(Path(cli.__file__).parents[1])
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "memscrub.cli", "gen-corpus", "--out", str(tmp_path / "c")],
+                stdout=write, stderr=subprocess.PIPE, text=True,
+                env={**os.environ, "PYTHONPATH": src})
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (1, "")
+        assert (tmp_path / "c").exists()  # the command ran; only its report was lost
+
     def test_seed_changes_output(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         main(["gen-corpus", "--out", str(a), "--seed", "1"])
@@ -158,14 +171,15 @@ class TestStore:
                 main(["eval", "--store", str(copy)])
         assert not (copy / "metrics" / "eval.jsonl").exists()
 
-    @pytest.mark.parametrize("command", ["unlearn", "train", "eval"])
+    @pytest.mark.parametrize("command", ["unlearn", "train", "eval", "query", "probe",
+                                         "audit-verify"])
     def test_missing_store_is_not_created(self, tmp_path, capsys, command):
         request = tmp_path / "request.json"
         request.write_text('{"request_id":"r","targets":[0]}')
         store = tmp_path / "nostore" / "typo"
-        argv = [command, "--store", str(store)]
-        if command == "unlearn":
-            argv += ["--request", str(request)]
+        argv = [command, "--store", str(store)] + {
+            "unlearn": ["--request", str(request)], "query": ["--text", "what remedy"],
+            "probe": ["--id", "0"]}.get(command, [])
         assert main(argv) == 1
         assert capsys.readouterr().err == f"error: {store}: no such store directory\n"
         assert [p.name for p in tmp_path.iterdir()] == ["request.json"]
@@ -381,7 +395,8 @@ class TestAuditVerify:
 
 class TestDamagedStore:
     @pytest.mark.parametrize("name, damage", [
-        ("blocklist.jsonl", lambda lines: lines[:1]),
+        # A blocklist may hold no record, so its truncation shows only mid-record.
+        ("blocklist.jsonl", lambda lines: lines[:1] + [lines[1][:5]]),
         ("index.jsonl", lambda lines: lines[:1]),
         ("edges.jsonl", lambda lines: lines + ['{"child":9999,"parent":0}']),
         ("model.jsonl", lambda lines: ["memscrub-model v0"] + lines[1:]),
@@ -395,8 +410,7 @@ class TestDamagedStore:
                      id="nodes.jsonl-extra-key"),
         pytest.param("nodes.jsonl", lambda lines: lines + lines[2:3],
                      id="nodes.jsonl-duplicate-id"),
-        pytest.param("blocklist.jsonl", lambda lines: lines + [
-            '{"id":0,"index_generation":0}', '{"id":0,"index_generation":7}'],
+        pytest.param("blocklist.jsonl", lambda lines: lines + ['{"id":0}', '{"id":0}'],
                      id="blocklist.jsonl-duplicate-id"),
         pytest.param("blocklist.jsonl", lambda lines: lines + ['{"digest":"ab"}'] * 2,
                      id="blocklist.jsonl-duplicate-digest"),
@@ -413,16 +427,17 @@ class TestDamagedStore:
                      id="nodes.jsonl-v2-header"),
         pytest.param("index.jsonl", lambda lines: ["memscrub-index v1"] + lines[1:],
                      id="index.jsonl-v1-header"),
-        # Ids and generations must be JSON integers, and digests strings.
-        # `lines[2]` of each file is id 0, which a bool or float 0 replaces, not duplicates.
-        pytest.param("blocklist.jsonl", lambda lines: lines + ['{"id":"3","index_generation":0}'],
+        # Ids and generations must be JSON integers, and digests strings. `lines[1]` of
+        # blocklist.jsonl and `lines[2]` of index.jsonl is id 0, which a bool or float 0
+        # replaces, not duplicates.
+        pytest.param("blocklist.jsonl", lambda lines: lines + ['{"id":"3"}'],
                      id="blocklist.jsonl-string-id"),
-        pytest.param("blocklist.jsonl",
-                     lambda lines: lines[:2] + ['{"id":false,"index_generation":0}'] + lines[3:],
+        pytest.param("blocklist.jsonl", lambda lines: lines[:1] + ['{"id":false}'] + lines[2:],
                      id="blocklist.jsonl-bool-id"),
-        pytest.param("blocklist.jsonl",
-                     lambda lines: lines[:2] + ['{"id":0.0,"index_generation":0}'] + lines[3:],
+        pytest.param("blocklist.jsonl", lambda lines: lines[:1] + ['{"id":0.0}'] + lines[2:],
                      id="blocklist.jsonl-float-id"),
+        # The v1 records, an id with its index generation and the blocklist's own
+        # generation, are malformed in a v2 file, whatever their values.
         pytest.param("blocklist.jsonl",
                      lambda lines: lines[:2] + ['{"id":0,"index_generation":"0"}'] + lines[3:],
                      id="blocklist.jsonl-string-index-generation"),
@@ -494,7 +509,7 @@ class TestDamagedStore:
         pytest.param("audit.jsonl", lambda lines: lines[:1] + forge_chain(
             lines[1:], 2, lambda rec: {"payload_digest": rec["payload_digest"].upper()}),
                      id="audit.jsonl-forged-uppercase-digest"),
-        pytest.param("blocklist.jsonl", lambda lines: lines + ['{"id":"3","index_generation":0}'],
+        pytest.param("blocklist.jsonl", lambda lines: lines + ['{"id":"3"}'],
                      id="blocklist.jsonl-string-id"),
         pytest.param("blocklist.jsonl", lambda lines: lines + ['{"digest":5}'],
                      id="blocklist.jsonl-number-digest"),
@@ -652,13 +667,13 @@ class TestDamagedStore:
         pytest.param("model.jsonl", 1, in_params(lambda params: {**params, "w1": params["w1"][:1]}),
                      id="params-w1-one-row"),
         # An id record with a digest key would once load as a digest and drop the id.
-        pytest.param("blocklist.jsonl", 2, set_to(digest=HEX_DIGEST), id="blocklist-id-with-digest"),
+        pytest.param("blocklist.jsonl", 1, set_to(digest=HEX_DIGEST), id="blocklist-id-with-digest"),
         # Reference counts are derived from the edges; a stored one is an unknown key.
         pytest.param("nodes.jsonl", -1, set_to(ref_count=1), id="node-with-ref-count"),
         # What a type cannot say. Node 0 is a Deleted target, node 1 an episodic one, node 8 an
         # Outdated reflection, node 27 an Active episodic node, node 33 the Active summary that is
         # KG entity 34's only parent, the last node (107) an Active reflection, edge line 1 is
-        # 0 -> 6, edge line 2 is 1 -> 6, edge line 31 is 33 -> 34, blocklist line 2 blocks node 0
+        # 0 -> 6, edge line 2 is 1 -> 6, edge line 31 is 33 -> 34, blocklist line 1 blocks node 0
         # and the last blocklist line is a digest.
         pytest.param("nodes.jsonl", 1, set_to(content="restored"), id="deleted-node-with-content"),
         pytest.param("nodes.jsonl", 28, set_to(status="outdated"), id="outdated-episodic-node"),
@@ -671,9 +686,9 @@ class TestDamagedStore:
         pytest.param("edges.jsonl", 1, set_to(parent=7), id="edge-from-later-node"),
         pytest.param("edges.jsonl", 1, set_to(child=1), id="edge-to-episodic-node"),
         pytest.param("edges.jsonl", 2, set_to(parent=0), id="edge-listed-twice"),
-        pytest.param("blocklist.jsonl", 2, set_to(id=10_000), id="blocked-id-unknown"),
-        pytest.param("blocklist.jsonl", 2, set_to(id=107), id="blocked-id-active"),
-        pytest.param("blocklist.jsonl", 2, set_to(id=8), id="blocked-id-outdated"),
+        pytest.param("blocklist.jsonl", 1, set_to(id=10_000), id="blocked-id-unknown"),
+        pytest.param("blocklist.jsonl", 1, set_to(id=107), id="blocked-id-active"),
+        pytest.param("blocklist.jsonl", 1, set_to(id=8), id="blocked-id-outdated"),
         pytest.param("blocklist.jsonl", -1, set_to(digest="ab"), id="short-digest"),
         pytest.param("blocklist.jsonl", -1, set_to(digest=HEX_DIGEST.upper()), id="uppercase-digest"),
     ])
@@ -717,6 +732,21 @@ class TestDamagedStore:
         params = json.loads(path.read_text().splitlines()[1])["params"]
         path.write_text("memscrub-model v1\n"
                         + json.dumps({"params": params, "ref_params": params}) + "\n")
+        code = main(["query", "--store", str(copy), "--text", "what remedy"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {path}: missing or wrong version header\n"
+
+    def test_v1_blocklist_is_rejected(self, unlearned, tmp_path, capsys):
+        # The same set in the v1 form: a generation record, and each id with the index
+        # generation it was blocked at.
+        store, _, _ = unlearned
+        copy = tmp_path / "store"
+        shutil.copytree(store, copy)
+        path = copy / "blocklist.jsonl"
+        _, *records = path.read_text().splitlines()
+        path.write_text("\n".join(["memscrub-blocklist v1", '{"generation":0}'] + [
+            line if "digest" in line else canonical_json({**json.loads(line), "index_generation": 0})
+            for line in records]) + "\n")
         code = main(["query", "--store", str(copy), "--text", "what remedy"])
         assert code == 1
         assert capsys.readouterr().err == f"error: {path}: missing or wrong version header\n"

@@ -21,7 +21,7 @@ from memscrub.store import load_model
 STORE_SHA256 = {
     "nodes.jsonl": "419819d5f630472553169e7842c750078c2911f0d6710eaa3fbd1da372ba8244",
     "edges.jsonl": "fe5476d016d92830c8e25462e6fa7d8c1c1e31ef28cf23dfbee2eadd90d1982d",
-    "blocklist.jsonl": "0514b6730952ee33c89a3fa825700a0d2d432938055491fffe97ca4f87e8853f",
+    "blocklist.jsonl": "1b2b80286621a31192b337ebb63ded576dc638186bbaae7171b800658a4b47b6",
     "audit.jsonl": "ebda3a5b7d465cc6a0931575c86fbeb779789d07c64317c8ed4e4bf4dd881e14",
     "index.jsonl": "11e13dc6deebd8cad902eb005efad4a3e013d6ae95b7c571121f19b16b36245d",
     "provenance.jsonl": "0eb948406a47411faa63d11e46755a4841cc27e11197f8082b23bdef7ec8db00",
@@ -33,7 +33,7 @@ STORE_SHA256 = {
 UNLEARNED_SHA256 = {
     "nodes.jsonl": "49dff40f6d04b380c1b18d6d05bb3244803f180d8ee4ca1844a0b143e487ba41",
     "edges.jsonl": "fe5476d016d92830c8e25462e6fa7d8c1c1e31ef28cf23dfbee2eadd90d1982d",
-    "blocklist.jsonl": "f36d2373dc020b88c2f942be973d5988720ea4607c51d85820bc3a31f30e6327",
+    "blocklist.jsonl": "4035d70c69cf802c255c521dc836508512f86e2038fd0357d39d89392192c7ff",
     "index.jsonl": "e4bef67ad96d64beefd958b97cd2f8a84bc065c15de108fc6cb480c957cd7adf",
 }
 UNLEARNED_AUDIT_BEFORE_TRAIN_SHA256 = "54802cb021aa190b3bad5a0908a76493115a2189b9ab0b80c9268d7a5bb2d700"

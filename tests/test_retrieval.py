@@ -130,7 +130,7 @@ class TestIndexMembership:
         with pytest.raises(UnknownNodeError):
             index.remove(1)
         # The dead row keeps its postings until a purge drops them and frees the row.
-        index.purge([])
+        index.purge()
         assert index._rows == 3 and index._ids[[0, 2]].tolist() == [0, 2]
         assert index._live.tolist() == [True, False, True] + [False] * (BLOCK_ROWS - 3)
         assert {t: list(rows) for t, rows in index._postings.items()} == {
@@ -146,9 +146,9 @@ class TestIndexMembership:
         n = 3 * BLOCK_ROWS
         for i in range(n):
             index.insert(i, f"doc {i} river")
-        for i in range(0, n, 3):
+        for i in [*range(0, n, 3), 1, BLOCK_ROWS + 1]:
             index.remove(i)
-        index.purge([1, BLOCK_ROWS + 1])
+        index.purge()
         survivors = index.live_ids()
         rows = {i: index._row_of[i] for i in survivors}
         assert rows == {i: i for i in survivors}  # every entry kept its insert row
@@ -226,7 +226,8 @@ class TestCopyAndPurge:
 
         clone.insert(9, "doc 9 river")  # into the copied partial block
         clone.remove(0)
-        clone.purge([1])
+        clone.remove(1)
+        clone.purge()
         assert index.search(query, allow_all) == before
         assert index.live_ids() == [0, 1, 3, 4, 5]
         assert 2 not in index and index.generation == 0
@@ -243,7 +244,8 @@ class TestCopyAndPurge:
         assert [h.kw_score for h in sibling.search(query, allow_all) if h.node_id == 8] == [0.0]
         assert index.search(query, allow_all)[0].node_id == 7
         index.remove(3)
-        index.purge([4])
+        index.remove(4)
+        index.purge()
         sibling.remove(8)
         assert clone.search(query, allow_all) == clone_before
         assert clone.live_ids() == [3, 4, 5, 9]
@@ -252,10 +254,10 @@ class TestCopyAndPurge:
     def test_purge_drops_ids_and_every_tombstone(self, index):
         for i in range(8):
             index.insert(i, f"doc {i} river")
-        index.remove(1)
-        index.remove(5)
+        for i in (1, 5, 2, 3):
+            index.remove(i)
         generation = index.generation
-        index.purge([2, 3])
+        index.purge()
         assert index.live_ids() == [0, 4, 6, 7]
         assert len(index) == 4
         assert index.to_lines()[1:] == []  # no tombstone left
@@ -330,15 +332,15 @@ class TestQueryValidation:
 
 
 class TestRebuild:
-    def _blocked(self, n, generation=0):
+    def _blocked(self, n):
         blocklist, log = Blocklist(), AuditLog()
-        blocklist.block(range(n), log, index_generation=generation)
+        blocklist.block(range(n), log)
         return blocklist, log
 
     def test_at_threshold_no_rebuild(self, index):
         index.tau = 100
         blocklist, log = self._blocked(100)
-        result = index.maybe_rebuild(blocklist, keep=allow_all, audit=log)
+        result = index.maybe_rebuild(blocklist, log)
         assert not result.rebuilt
         assert index.generation == 0
 
@@ -347,10 +349,14 @@ class TestRebuild:
         for i in range(150):
             index.insert(i, f"doc {i}")
         blocklist, log = self._blocked(101)
-        result = index.maybe_rebuild(blocklist, keep=allow_all, audit=log)
+        for i in range(101):  # a forget takes what it blocks out of the index
+            index.remove(i)
+        result = index.maybe_rebuild(blocklist, log)
         assert result.rebuilt
         assert index.generation == 1
         assert all(not blocklist.is_blocked(i) or i not in index for i in range(150))
+        assert index.live_ids() == list(range(101, 150))
+        assert len(blocklist) == 0 and blocklist.generation == 1
 
     def test_rebuild_purges_and_preserves_results(self, index):
         rng = np.random.default_rng(11)
@@ -358,7 +364,7 @@ class TestRebuild:
         texts = {i: " ".join(rng.choice(words, size=3)) for i in range(1000)}
         for i, text in texts.items():
             index.insert(i, text)
-        for i in range(100):
+        for i in range(101):
             index.remove(i)
         blocklist, log = self._blocked(101)
 
@@ -367,7 +373,7 @@ class TestRebuild:
             [h.node_id for h in index.search(HybridQuery(q), lambda i: not blocklist.is_blocked(i))]
             for q in queries
         ]
-        result = index.maybe_rebuild(blocklist, keep=allow_all, audit=log)
+        result = index.maybe_rebuild(blocklist, log)
         assert result.rebuilt
         assert len(index) == 1000 - 101
         after = [
@@ -379,14 +385,15 @@ class TestRebuild:
     def test_rebuild_record_counts_tombstones_as_entries(self, index):
         for i in range(10):
             index.insert(i, f"doc {i}")
-        for i in (0, 5, 7):
+        # Tombstones of earlier deletions, the blocked targets 1, 2 and 8, and 9, outdated.
+        for i in (0, 5, 7, 1, 2, 8, 9):
             index.remove(i)
         blocklist, log = self._blocked(3)
         blocklist.block([8], log)
         index.tau = 3
-        index.maybe_rebuild(blocklist, keep=lambda i: i != 9, audit=log)
+        index.maybe_rebuild(blocklist, log)
         rebuild = AuditRecord.from_line(log.to_lines()[-2])
-        # Every entry counts, live or tombstoned: 10 entries, 7 purged.
+        # 10 entries: the 7 tombstones are purged and 3 stay live.
         expected = {"generation": 1, "purged": [0, 1, 2, 5, 7, 8, 9], "size": 3}
         assert rebuild.payload_digest == payload_digest(expected)
         assert index.live_ids() == [3, 4, 6]
@@ -488,10 +495,11 @@ class TestScalarOracle:
                 else:
                     with pytest.raises(UnknownNodeError):
                         index.remove(op[1])
-            elif op[0] == "purge":
-                index.purge(op[1])
-                for node_id in op[1]:
-                    docs.pop(node_id, None)
+            elif op[0] == "purge":  # as a rebuild does after a forget removed its ids
+                for node_id in sorted(op[1] & docs.keys()):
+                    index.remove(node_id)
+                    del docs[node_id]
+                index.purge()
             else:
                 clone = copy.deepcopy(index)
                 kept, index = (index, clone) if op[1] else (clone, index)

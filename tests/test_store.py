@@ -1,9 +1,14 @@
+import functools
 import json
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from memscrub.audit import Blocklist
-from memscrub.store import parse_lines, write_lines
+from memscrub.corpus import generate_corpus, populate_store
+from memscrub.graph import ForgetRequest, Status
+from memscrub.retrieval import HashingEmbedder, HybridIndex
+from memscrub.store import MemoryStore, RetrievalSettings, parse_lines, write_lines
 
 TEXTS = {
     "crlf": "h\r\na\r\nb\r\n",
@@ -54,7 +59,56 @@ def test_record_with_raw_u2028_is_rejected(tmp_path):
 
 
 def test_header_only_file_is_malformed(tmp_path):
-    path = tmp_path / "blocklist.jsonl"
+    path = tmp_path / "index.jsonl"  # its first record, the generation, is required
     path.write_text("h\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="blocklist.jsonl: malformed file: StopIteration"):
-        parse_lines(Blocklist.from_lines, (path, "h"))
+    with pytest.raises(ValueError, match="index.jsonl: malformed file: StopIteration"):
+        parse_lines(lambda lines: HybridIndex.from_lines(
+            lines, HashingEmbedder(8), tau=100, live=(), known=()), (path, "h"))
+
+
+def check_forgotten(store, rebuilt):
+    """The index holds exactly the Active nodes and the blocklist only Deleted ones;
+    a rebuild leaves neither a tombstone nor a blocked id."""
+    assert store.index.live_ids() == list(store.graph.active_view())
+    assert all(store.graph.nodes[i].status is Status.DELETED for i in store.blocklist.entries())
+    assert store.blocklist.generation == store.index.generation
+    if rebuilt:
+        assert store.index.to_lines()[1:] == [] and len(store.blocklist) == 0
+
+
+@functools.cache
+def small_corpus():
+    return generate_corpus(seed=0, n_topics=3)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(tau=st.sampled_from([0, 1, 3]), data=st.data())
+def test_forget_keeps_the_index_on_the_active_nodes(tau, data):
+    store = MemoryStore(RetrievalSettings(tau=tau, embed_dim=16))
+    episodic = sorted(populate_store(store, small_corpus()).node_to_item)
+    requests = []
+    for n in range(data.draw(st.integers(1, 6))):
+        if requests and data.draw(st.booleans()):
+            targets = data.draw(st.sampled_from(requests))  # a processed request, repeated
+        else:
+            targets = data.draw(st.lists(st.sampled_from(episodic), min_size=1, max_size=6))
+        requests.append(targets)
+        check_forgotten(store, store.forget(ForgetRequest.of(f"r{n}", targets)).rebuilt)
+    with tempfile.TemporaryDirectory() as directory:
+        store.save(directory)
+        loaded = MemoryStore.load(directory, settings=store.settings)
+    check_forgotten(loaded, rebuilt=False)
+    assert loaded.blocklist.to_lines() == store.blocklist.to_lines()
+    assert loaded.index.to_lines() == store.index.to_lines()
+
+
+def test_repeated_request_after_a_rebuild_leaves_no_id_blocked():
+    """A repeat blocks again the ids a rebuild compacted away; the next rebuild drops them."""
+    store = MemoryStore(RetrievalSettings(tau=2))
+    populate_store(store, generate_corpus(seed=0, n_topics=12))
+    for _ in range(4):  # the first rebuilds to generation 1, each repeat once more
+        report = store.forget(ForgetRequest.of("r3", [0, 1, 2]))
+        assert report.rebuilt and report.blocklist_size == 0
+    report = store.forget(ForgetRequest.of("r1", [3]))
+    assert (report.blocklist_size, report.rebuilt, report.index_generation) == (1, False, 4)
+    assert store.blocklist.entries() == [3]
