@@ -57,12 +57,14 @@ def record_of(obj) -> dict:
 
 def json_record(value, schema: dict) -> list:
     """The values of the JSON object ``value``, in ``schema`` (key: type) order; ValueError
-    unless its keys are the schema's and each value is exactly its type or a value of its enum."""
+    unless its keys are the schema's and each value is exactly its type (a list for a
+    tuple) or a value of its enum."""
     if type(value) is not dict or value.keys() != schema.keys():
         raise ValueError(f"not a JSON object with exactly the keys {', '.join(schema)}")
     for key, kind in schema.items():  # exact types: a bool or a float is not an int
-        if type(value[key]) is not kind and not issubclass(kind, enum.Enum):
-            raise ValueError(f"{key} {value[key]!r:.40} is not a JSON {kind.__name__}")
+        json_type = list if kind is tuple else kind
+        if type(value[key]) is not json_type and not issubclass(kind, enum.Enum):
+            raise ValueError(f"{key} {value[key]!r:.40} is not a JSON {json_type.__name__}")
     return [kind(value[key]) for key, kind in schema.items()]
 
 

@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import corpus as corpus_mod
@@ -52,10 +53,8 @@ def _emit(record: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def _resolve_config(args) -> RunConfig:
-    overrides = {
-        key: getattr(args, key, None)
-        for key in ("seed", "epochs", "lambda_f", "temperature", "tau", "top_k")
-    }
+    # The flags whose names are config keys; a subcommand without one leaves it None.
+    overrides = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
     path = getattr(args, "config", None)
     store_dir = getattr(args, "store", None)
     if path is None and store_dir is not None:

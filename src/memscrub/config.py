@@ -6,10 +6,10 @@ model, corpus and agent keys declared here. Precedence: command-line
 flags > one config file > defaults. The CLI reads the ``--config`` file
 if one is given and otherwise the store's ``config.cfg`` snapshot: a
 ``--config`` file replaces the snapshot, it does not layer over it.
-Unknown keys in a config file are rejected, and so are invalid training
-and retrieval values (``UnlearnConfig`` and ``RetrievalSettings`` check
-them when the config is read). All randomness in a run flows from the
-single ``seed`` key.
+Unknown keys in a config file are rejected, and so are invalid values:
+``UnlearnConfig``, ``RetrievalSettings`` and ``RunConfig`` each check
+their own keys when the config is read, before a command writes
+anything. All randomness in a run flows from the single ``seed`` key.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Optional
 
 from .audit import record_of
+from .corpus import CHOICES
 from .store import CONFIG_HEADER, RetrievalSettings, write_lines
 from .training import TrainingError, UnlearnConfig
 
@@ -42,6 +43,14 @@ class RunConfig(UnlearnConfig, RetrievalSettings):
         RetrievalSettings.__post_init__(self)
         if self.pretrain_epochs < 0 or self.pretrain_lr < 0:
             raise TrainingError("pretrain_epochs and pretrain_lr must be >= 0")
+        self.h_min_for(len(CHOICES))  # the model has one class per answer choice
+        for key in ("feature_dim", "hidden_dim", "n_topics", "items_per_topic"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1")
+        if self.holdout_per_topic < 0:
+            raise ValueError("holdout_per_topic must be >= 0")
+        if not 0.0 <= self.forget_fraction <= 1.0:
+            raise ValueError("forget_fraction must lie in [0, 1]")
 
     def retrieval_settings(self) -> RetrievalSettings:
         return RetrievalSettings(**{f.name: getattr(self, f.name)

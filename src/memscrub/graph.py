@@ -1,11 +1,15 @@
 """Layered memory store as a dependency graph with reference counting.
 
 Memories live in layers (episodic sources plus derived summaries,
-reflections and knowledge-graph entities). Derivation edges point from a
-source node to the artifact built on top of it. A node's reference
-count is derived from the edges, never stored: the number of its direct
-parents that are still active. It lets a deletion tell
+reflections and knowledge-graph entities). Each node records the parents
+it was written with; the derivation edges run from those parents to it.
+A node's reference count is derived from its parents, never stored: the
+number of them that are still active. It lets a deletion tell
 exclusively-supported artifacts from shared ones.
+
+One rule set shapes the graph, checked when a node is written and again
+when it is loaded: node ``i`` is the ``i``-th node, and its parents are
+ascending ids below ``i``, present exactly when its layer is derived.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .audit import AuditOp, canonical_json, content_digest, from_record, json_record, record_of
+from .audit import AuditOp, canonical_json, content_digest, from_record, record_of
 
 
 class Layer(str, enum.Enum):
@@ -57,6 +61,7 @@ class MemoryNode:
     id: int
     layer: Layer
     content: str
+    parents: tuple  # ascending ids; () for an episodic node
     status: Status
 
 
@@ -108,14 +113,12 @@ class MemoryGraph:
     are still Active; a derived node whose count hits zero has lost every
     supporting source and is batch-removed during pruning. Every derived
     node has a parent and every parent precedes its children. Only nodes
-    with edges have adjacency lists; a missing entry means no edges.
+    with children have a ``_children`` entry.
     """
 
     def __init__(self, audit=None):
-        self.nodes: dict[int, MemoryNode] = {}
+        self.nodes: dict[int, MemoryNode] = {}  # node i is the i-th entry
         self._children: dict[int, list[int]] = {}
-        self._parents: dict[int, list[int]] = {}
-        self._next_id = 0
         self.audit = audit
 
     # ------------------------------------------------------------------
@@ -123,39 +126,51 @@ class MemoryGraph:
     # ------------------------------------------------------------------
 
     def add_memory(self, layer: Layer, content: str, parents: Iterable[int] = ()) -> int:
-        parent_ids = sorted({int(p) for p in parents})
-        for pid in parent_ids:
-            node = self.nodes.get(pid)
-            if node is None:
+        node = MemoryNode(len(self.nodes), layer, content, tuple(sorted({int(p) for p in parents})),
+                          Status.ACTIVE)
+        for pid in node.parents:
+            parent = self.nodes.get(pid)
+            if parent is None:
                 raise UnknownNodeError(f"unknown parent id {pid}")
-            if node.status is not Status.ACTIVE:
-                raise EdgeViolationError(f"parent {pid} is {node.status.value}, not active")
-        if bool(parent_ids) != (layer in DERIVED_LAYERS):
-            raise EdgeViolationError(f"layer {layer.value} " + (
-                "cannot have derivation parents" if parent_ids else "needs a derivation parent"))
-
-        node_id = self._next_id
-        self._next_id += 1
+            if parent.status is not Status.ACTIVE:
+                raise EdgeViolationError(f"parent {pid} is {parent.status.value}, not active")
+        self._check_next(node)
 
         if self.audit is not None:
             self.audit.append(AuditOp.WRITE, {
-                "id": node_id,
+                "id": node.id,
                 "layer": layer.value,
                 "content_digest": content_digest(content),
-                "parents": parent_ids,
+                "parents": node.parents,
             })
+        self._link(node)
+        return node.id
 
-        self.nodes[node_id] = MemoryNode(
-            id=node_id,
-            layer=layer,
-            content=content,
-            status=Status.ACTIVE,
-        )
-        if parent_ids:
-            self._parents[node_id] = parent_ids
-        for pid in parent_ids:
-            self._children.setdefault(pid, []).append(node_id)
-        return node_id
+    def _check_next(self, node: MemoryNode) -> None:
+        """GraphError unless ``node`` may be the next node: the structural rules
+        that ``add_memory`` and ``from_lines`` share.
+
+        It takes the next id, so node ``i`` is the ``i``-th node. Its parents are
+        ints from 0 up, strictly ascending and below its id, so each names an
+        earlier node, no edge repeats and the graph has no cycle. It has
+        parents exactly when its layer is derived.
+        """
+        if node.id != len(self.nodes):
+            raise GraphError(f"node {node.id} is not the next node id {len(self.nodes)}")
+        last = -1
+        for pid in (*node.parents, node.id):
+            if type(pid) is not int or pid <= last:
+                raise EdgeViolationError(
+                    f"parents of node {node.id} are not distinct ascending ids below it: {list(node.parents)}")
+            last = pid
+        if bool(node.parents) != (node.layer in DERIVED_LAYERS):
+            raise EdgeViolationError(f"{node.layer.value} node {node.id} " + (
+                "cannot have derivation parents" if node.parents else "needs a derivation parent"))
+
+    def _link(self, node: MemoryNode) -> None:
+        self.nodes[node.id] = node
+        for pid in node.parents:
+            self._children.setdefault(pid, []).append(node.id)
 
     # ------------------------------------------------------------------
     # Reads
@@ -175,13 +190,11 @@ class MemoryGraph:
         return node
 
     def parents_of(self, node_id: int) -> list:
-        self.node(node_id)
-        return list(self._parents.get(node_id, ()))
+        return list(self.node(node_id).parents)
 
     def ref_count(self, node_id: int) -> int:
         """The number of the node's direct parents that are Active."""
-        self.node(node_id)
-        return sum(self.nodes[p].status is Status.ACTIVE for p in self._parents.get(node_id, ()))
+        return sum(self.nodes[p].status is Status.ACTIVE for p in self.node(node_id).parents)
 
     def active_view(self) -> Iterator[int]:
         """Ids of Active nodes, ascending. Outdated and Deleted are excluded."""
@@ -189,15 +202,15 @@ class MemoryGraph:
             if self.nodes[node_id].status is Status.ACTIVE:
                 yield node_id
 
-    def _reach(self, starts: Iterable[int], edges: dict) -> set:
-        """Nodes reachable from ``starts`` along ``edges`` (BFS), excluding the starts."""
+    def _reach(self, starts: Iterable[int], edges: Callable[[int], Iterable[int]]) -> set:
+        """Nodes reachable from ``starts`` along ``edges(node)`` (BFS), excluding the starts."""
         starts = set(starts)
         for start in starts:
             self.node(start)
         seen = set(starts)
         queue = deque(starts)
         while queue:
-            for nxt in edges.get(queue.popleft(), ()):
+            for nxt in edges(queue.popleft()):
                 if nxt not in seen:
                     seen.add(nxt)
                     queue.append(nxt)
@@ -205,12 +218,12 @@ class MemoryGraph:
 
     def dependency_closure(self, targets: Iterable[int]) -> set:
         """Derived artifacts reachable from any target, excluding the targets."""
-        return {v for v in self._reach(targets, self._children)
+        return {v for v in self._reach(targets, lambda v: self._children.get(v, ()))
                 if self.nodes[v].layer in DERIVED_LAYERS}
 
     def episodic_ancestors(self, node_id: int) -> set:
         """Episodic sources this node transitively derives from."""
-        return {v for v in self._reach([node_id], self._parents)
+        return {v for v in self._reach([node_id], lambda v: self.nodes[v].parents)
                 if self.nodes[v].layer is Layer.EPISODIC}
 
     # ------------------------------------------------------------------
@@ -245,7 +258,7 @@ class MemoryGraph:
                 cnode = self.nodes[child]
                 if child in gone or cnode.status is not Status.ACTIVE:
                     continue
-                # No status has changed yet, so the first count is the edges' own.
+                # No status has changed yet, so the first count is the parents' own.
                 count = ref_counts[child] = ref_counts.get(child, self.ref_count(child)) - 1
                 if count == 0 and cnode.layer in (Layer.SEMANTIC, Layer.KG_ENTITY):
                     gone.add(child)
@@ -280,52 +293,27 @@ class MemoryGraph:
     # ------------------------------------------------------------------
 
     def node_lines(self) -> list:
-        return [
-            canonical_json(record_of(self.nodes[i]))
-            for i in sorted(self.nodes)
-        ]
+        """One line per node, by id: line ``i`` is node ``i``."""
+        return [canonical_json(record_of(node)) for node in self.nodes.values()]
 
     def edge_lines(self) -> list:
-        lines = []
-        for child in sorted(self._parents):
-            for parent in self._parents[child]:
-                lines.append(canonical_json({"child": child, "parent": parent}))
-        return lines
+        """One ``{"child","parent"}`` line per derivation edge, by child, then parent."""
+        return [canonical_json({"child": node.id, "parent": pid})
+                for node in self.nodes.values() for pid in node.parents]
 
     @classmethod
-    def from_lines(cls, node_lines: Iterable[str], edge_lines: Iterable[str], audit=None) -> "MemoryGraph":
-        """The graph saved as ``node_lines`` and ``edge_lines``; ValueError unless it passes
-        the checks below and ``check_consistency``."""
+    def from_lines(cls, node_lines: Iterable[str], audit=None) -> "MemoryGraph":
+        """The graph saved as ``node_lines``; ValueError unless every node passes
+        ``add_memory``'s structural rules in turn, each status is one a prune
+        leaves, and the whole passes ``check_consistency``."""
         graph = cls(audit=audit)
         for line in node_lines:
             node = from_record(MemoryNode, json.loads(line))
-            if node.id in graph.nodes:
-                raise ValueError(f"node {node.id} is listed twice")
+            graph._check_next(node)
             if node.status is Status.DELETED and node.content:
                 raise ValueError(f"deleted node {node.id} keeps its content")
             if node.status is Status.OUTDATED and node.layer is not Layer.REFLECTION:
                 raise ValueError(f"{node.layer.value} node {node.id} is outdated; only reflections go stale")
-            graph.nodes[node.id] = node
-        for line in edge_lines:
-            child, parent = json_record(json.loads(line), {"child": int, "parent": int})
-            if child not in graph.nodes or parent not in graph.nodes:
-                raise UnknownNodeError(f"edge {parent} -> {child} names an unknown node")
-            # add_memory links a new node to distinct existing ones, so each edge's
-            # parent is below its child and none repeats; that also rules out cycles.
-            if parent >= child:
-                raise EdgeViolationError(f"edge {parent} -> {child} does not point to a later node")
-            layer = graph.nodes[child].layer
-            if layer not in DERIVED_LAYERS:
-                raise EdgeViolationError(f"edge {parent} -> {child}: layer {layer.value} cannot have parents")
-            parents = graph._parents.setdefault(child, [])
-            if parent in parents:
-                raise EdgeViolationError(f"edge {parent} -> {child} is listed twice")
-            parents.append(parent)
-            graph._children.setdefault(parent, []).append(child)
-        for adjacency in (graph._parents, graph._children):
-            for ids in adjacency.values():
-                ids.sort()
-        if graph.nodes:
-            graph._next_id = max(graph.nodes) + 1
+            graph._link(node)
         graph.check_consistency()
         return graph

@@ -6,11 +6,13 @@ vector removal, threshold-triggered rebuild, archive record.
 
 This module also owns the store-directory layout: the line-delimited
 files and their version headers, the model file and the lock. Reload
-reproduces statuses, reference counts (derived from the edges, not
-stored) and search behavior exactly: the nodes file alone says which
-nodes are live, and the index file adds only its generation (the
-blocklist's too) and tombstones. Load checks each file against the code
-that writes it, including the graph's ``check_consistency``.
+reproduces statuses, reference counts (derived from each node's parents,
+not stored) and search behavior exactly: the nodes file alone says which
+nodes exist, what each derives from and which are live, and the index
+file adds only its generation (the blocklist's too) and tombstones. Load
+checks each file against the code that writes it: the nodes file
+through ``add_memory``'s own structural rules, then the graph's
+``check_consistency``.
 """
 
 from __future__ import annotations
@@ -38,8 +40,7 @@ from .training import ModelState
 # The files MemoryStore.save writes, with their version headers, in the
 # order MemoryStore.load unpacks them.
 FILE_HEADERS = {
-    "nodes.jsonl": "memscrub-nodes v3",
-    "edges.jsonl": "memscrub-edges v1",
+    "nodes.jsonl": "memscrub-nodes v4",
     "blocklist.jsonl": "memscrub-blocklist v2",
     "audit.jsonl": "memscrub-audit v2",
     "index.jsonl": "memscrub-index v2",
@@ -79,30 +80,26 @@ def _text_lines(f, path):
         raise NotUTF8Error(f"{path}: not UTF-8 text: {exc.reason}") from exc
 
 
-def parse_lines(build, *files):
-    """``build(*lines)`` over the ``(path, header)`` pairs in ``files``.
+def parse_lines(build, file):
+    """``build(lines)`` over the ``(path, header)`` pair ``file``.
 
-    Every header is checked first; ``build`` then gets, for each file, an
-    iterator over its remaining lines, read as it advances. A wrong
+    The header, unless it is None, is checked first; ``build`` then gets an
+    iterator over the remaining lines, read as it advances. A wrong
     header, a byte that is not UTF-8, or a record ``build`` cannot parse
     is a ValueError naming the file, which the CLI reports as
     ``error: <file>: …``.
     """
-    with contextlib.ExitStack() as stack:
-        streams = []
-        for path, header in files:
-            f = stack.enter_context(open(path, encoding="utf-8", newline=""))
-            lines = _text_lines(f, path)
-            if header is not None and next(lines, None) != header:
-                raise ValueError(f"{path}: missing or wrong version header")
-            streams.append(lines)
+    path, header = file
+    with open(path, encoding="utf-8", newline="") as f:
+        lines = _text_lines(f, path)
+        if header is not None and next(lines, None) != header:
+            raise ValueError(f"{path}: missing or wrong version header")
         try:
-            return build(*streams)
+            return build(lines)
         except NotUTF8Error:
             raise
         except (IndexError, KeyError, StopIteration, TypeError, ValueError) as exc:
-            names = ", ".join(str(path) for path, _ in files)
-            raise ValueError(f"{names}: malformed file: {exc!r}") from exc
+            raise ValueError(f"{path}: malformed file: {exc!r}") from exc
 
 
 def save_model(store_dir: Path, model: ModelState) -> None:
@@ -162,6 +159,10 @@ class RetrievalSettings:
 
     def __post_init__(self):
         self.query("")  # HybridQuery checks the keys, so a bad config fails when it is read
+        if self.tau < 0:
+            raise ValueError("tau must be >= 0")
+        if self.embed_dim < 1:
+            raise ValueError("embed_dim must be >= 1")
 
     def query(self, text: str) -> HybridQuery:
         return HybridQuery(text, self.top_k, self.oversample_r, self.w_sem, self.w_kw)
@@ -280,7 +281,6 @@ class MemoryStore:
         # One file's lines are built at a time, so at most one list is resident.
         payloads = {
             "nodes.jsonl": self.graph.node_lines,
-            "edges.jsonl": self.graph.edge_lines,
             "blocklist.jsonl": self.blocklist.to_lines,
             "audit.jsonl": self.audit.to_lines,
             "index.jsonl": self.index.to_lines,
@@ -292,11 +292,10 @@ class MemoryStore:
     def load(cls, directory, settings: Optional[RetrievalSettings] = None) -> "MemoryStore":
         store = cls(settings=settings)
         directory = existing_store_dir(directory)
-        nodes, edges, blocklist, audit, index = (
+        nodes, blocklist, audit, index = (
             (directory / name, header) for name, header in FILE_HEADERS.items())
         store.audit = parse_lines(AuditLog.from_lines, audit)
-        store.graph = parse_lines(lambda node_lines, edge_lines: MemoryGraph.from_lines(
-            node_lines, edge_lines, audit=store.audit), nodes, edges)
+        store.graph = parse_lines(lambda lines: MemoryGraph.from_lines(lines, audit=store.audit), nodes)
 
         def blocklist_of(lines):
             blocked = Blocklist.from_lines(lines)

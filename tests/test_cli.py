@@ -18,6 +18,7 @@ from memscrub import cli
 from memscrub.audit import AuditLog, AuditOp, canonical_json
 from memscrub.cli import main
 from memscrub.config import RunConfig, load_config
+from memscrub.graph import Layer
 from memscrub.store import FILE_HEADERS, MemoryStore, load_model, write_lines
 
 from conftest import forge_chain
@@ -76,11 +77,13 @@ def in_params(change):
 
 # A line of each kind of stored record in the `unlearned` store (line 0 of a file with a
 # header is the header), and the record's int field; an audit record and a digest record
-# have none, so theirs is a string.
+# have none, so theirs is a string. A node's derivation edges are its `parents` list, so
+# the edge kind is a derived node's record (line 7 is summary 6, on parents 0-5) and its
+# `parents` field.
 RECORD_LINES = {
     "audit": ("audit.jsonl", 1, "op"),
     "node": ("nodes.jsonl", 1, "id"),
-    "edge": ("edges.jsonl", 1, "child"),
+    "edge": ("nodes.jsonl", 7, "parents"),
     "blocklist-id": ("blocklist.jsonl", 1, "id"),
     "blocklist-digest": ("blocklist.jsonl", -1, "digest"),
     "index-generation": ("index.jsonl", 1, "generation"),
@@ -144,7 +147,7 @@ class TestGenCorpus:
 class TestStore:
     def test_expected_files(self, pipeline):
         _, store = pipeline
-        for name in ("nodes.jsonl", "edges.jsonl", "blocklist.jsonl", "audit.jsonl",
+        for name in ("nodes.jsonl", "blocklist.jsonl", "audit.jsonl",
                      "index.jsonl", "model.jsonl", "corpus.jsonl", "provenance.jsonl",
                      "config.cfg"):
             assert (store / name).exists(), name
@@ -398,7 +401,8 @@ class TestDamagedStore:
         # A blocklist may hold no record, so its truncation shows only mid-record.
         ("blocklist.jsonl", lambda lines: lines[:1] + [lines[1][:5]]),
         ("index.jsonl", lambda lines: lines[:1]),
-        ("edges.jsonl", lambda lines: lines + ['{"child":9999,"parent":0}']),
+        pytest.param("nodes.jsonl", lambda lines: lines[:-1] + [with_fields(lines[-1], parents=[9999])],
+                     id="nodes.jsonl-unknown-parent"),
         ("model.jsonl", lambda lines: ["memscrub-model v0"] + lines[1:]),
         pytest.param("corpus.jsonl", lambda lines: ['{"item_id":"x"}'] + lines[1:],
                      id="corpus.jsonl-missing-fields"),
@@ -451,12 +455,14 @@ class TestDamagedStore:
                      id="index.jsonl-float-tombstone"),
         pytest.param("index.jsonl", lambda lines: lines[:1] + ['{"generation":"0"}'] + lines[2:],
                      id="index.jsonl-string-generation"),
-        # Node ids and edge ends must be JSON integers, contents strings.
-        # The last node record is node 107, an Active reflection; edge line 1 is 0 -> 6.
+        # Node ids and parents must be JSON integers, contents strings.
+        # The last node record is node 107, an Active reflection; line 7 is summary 6, on
+        # parents 0-5.
         pytest.param("nodes.jsonl", lambda lines: lines[:-1] + [with_fields(lines[-1], id=107.0)],
                      id="nodes.jsonl-float-id"),
-        pytest.param("edges.jsonl", lambda lines: lines[:1] + [with_fields(lines[1], parent=False)]
-                     + lines[2:], id="edges.jsonl-bool-parent"),
+        pytest.param("nodes.jsonl", lambda lines: lines[:7]
+                     + [with_fields(lines[7], parents=[False, 1, 2, 3, 4, 5])] + lines[8:],
+                     id="nodes.jsonl-bool-parent"),
         pytest.param("provenance.jsonl", lambda lines: lines[:1] + [with_fields(lines[1], node_id="3")]
                      + lines[2:], id="provenance.jsonl-string-node-id"),
         *[pytest.param("corpus.jsonl", lambda lines, bad=bad: [with_fields(lines[0], **bad)] + lines[1:],
@@ -544,7 +550,8 @@ class TestDamagedStore:
             at = 0 if name == "corpus.jsonl" else 1  # the first record, after any header
             path.write_text("\n".join(lines[:at] + [json.dumps(dict(reversed(json.loads(line).items())))
                                                      for line in lines[at:]]) + "\n")
-        assert (copy / "edges.jsonl").read_text().splitlines()[1] == '{"parent": 0, "child": 6}'
+        assert (copy / "nodes.jsonl").read_text().splitlines()[7] == (
+            '{"status": "deleted", "parents": [0, 1, 2, 3, 4, 5], "layer": "semantic", "id": 6, "content": ""}')
         MemoryStore.load(copy).save(tmp_path / "resaved")
         for name in FILE_HEADERS:
             assert (tmp_path / "resaved" / name).read_bytes() == (store / name).read_bytes(), name
@@ -668,24 +675,25 @@ class TestDamagedStore:
                      id="params-w1-one-row"),
         # An id record with a digest key would once load as a digest and drop the id.
         pytest.param("blocklist.jsonl", 1, set_to(digest=HEX_DIGEST), id="blocklist-id-with-digest"),
-        # Reference counts are derived from the edges; a stored one is an unknown key.
+        # Reference counts are derived from the parents; a stored one is an unknown key.
         pytest.param("nodes.jsonl", -1, set_to(ref_count=1), id="node-with-ref-count"),
-        # What a type cannot say. Node 0 is a Deleted target, node 1 an episodic one, node 8 an
-        # Outdated reflection, node 27 an Active episodic node, node 33 the Active summary that is
-        # KG entity 34's only parent, the last node (107) an Active reflection, edge line 1 is
-        # 0 -> 6, edge line 2 is 1 -> 6, edge line 31 is 33 -> 34, blocklist line 1 blocks node 0
-        # and the last blocklist line is a digest.
+        # What a type cannot say. Line i + 1 is node i: node 0 is a Deleted target, node 1 an
+        # episodic one, node 6 the Deleted summary on parents 0-5 (its edge 0 -> 6 the one each
+        # edge case damages), node 8 an Outdated reflection, node 27 an Active episodic node,
+        # node 33 the Active summary that is KG entity 34's only parent, the last node (107) an
+        # Active reflection, blocklist line 1 blocks node 0 and the last blocklist line is a digest.
         pytest.param("nodes.jsonl", 1, set_to(content="restored"), id="deleted-node-with-content"),
         pytest.param("nodes.jsonl", 28, set_to(status="outdated"), id="outdated-episodic-node"),
         pytest.param("nodes.jsonl", 34, set_to(status="deleted", content=""),
                      id="summary-deleted-under-entity"),
-        pytest.param("edges.jsonl", 31, set_to(parent=0), id="entity-on-deleted-parent"),
-        pytest.param("edges.jsonl", 1, lambda rec: {**rec, "parent": rec["child"]}, id="self-edge"),
-        pytest.param("edges.jsonl", 1, lambda rec: {"child": rec["parent"], "parent": rec["child"]},
-                     id="reversed-edge"),
-        pytest.param("edges.jsonl", 1, set_to(parent=7), id="edge-from-later-node"),
-        pytest.param("edges.jsonl", 1, set_to(child=1), id="edge-to-episodic-node"),
-        pytest.param("edges.jsonl", 2, set_to(parent=0), id="edge-listed-twice"),
+        pytest.param("nodes.jsonl", 35, set_to(parents=[0]), id="entity-on-deleted-parent"),
+        pytest.param("nodes.jsonl", 7, set_to(parents=[1, 2, 3, 4, 5, 6]), id="self-edge"),
+        pytest.param("nodes.jsonl", 1, set_to(parents=[6]), id="reversed-edge"),
+        pytest.param("nodes.jsonl", 7, set_to(parents=[1, 2, 3, 4, 5, 7]), id="edge-from-later-node"),
+        pytest.param("nodes.jsonl", 2, set_to(parents=[0]), id="edge-to-episodic-node"),
+        pytest.param("nodes.jsonl", 7, set_to(parents=[0, 0, 2, 3, 4, 5]), id="edge-listed-twice"),
+        pytest.param("nodes.jsonl", 7, set_to(parents=[1, 0, 2, 3, 4, 5]), id="parents-out-of-order"),
+        pytest.param("nodes.jsonl", 9, set_to(parents=[]), id="outdated-reflection-without-parent"),
         pytest.param("blocklist.jsonl", 1, set_to(id=10_000), id="blocked-id-unknown"),
         pytest.param("blocklist.jsonl", 1, set_to(id=107), id="blocked-id-active"),
         pytest.param("blocklist.jsonl", 1, set_to(id=8), id="blocked-id-outdated"),
@@ -703,10 +711,30 @@ class TestDamagedStore:
         code = main(["query", "--store", str(copy), "--text", "what remedy"])
         err = capsys.readouterr().err
         assert code == 1
-        graph = ("nodes.jsonl", "edges.jsonl")  # read together, so an error names both
-        files = ", ".join(str(copy / n) for n in graph) if name in graph else path
-        assert err.startswith(f"error: {files}: malformed file: ")
+        assert err.startswith(f"error: {path}: malformed file: ")
         assert "TypeError(" not in err and "KeyError(" not in err
+
+    # Line i + 1 is node i; two notes make nodes 108 and 109, which have no children.
+    @pytest.mark.parametrize("damage, reason", [
+        pytest.param(lambda lines: lines[:109] + lines[110:], "node 109 is not the next node id 108",
+                     id="childless-node-line-dropped"),
+        pytest.param(lambda lines: lines[:50] + [lines[51], lines[50]] + lines[52:],
+                     "node 50 is not the next node id 49", id="node-lines-out-of-order"),
+    ])
+    def test_node_lines_are_the_ids_in_order(self, unlearned, tmp_path, capsys, damage, reason):
+        store, _, _ = unlearned
+        copy = tmp_path / "store"
+        shutil.copytree(store, copy)
+        noted = MemoryStore.load(copy)
+        for text in ("first note", "second note"):
+            noted.write(Layer.EPISODIC, text)
+        noted.save(copy)
+        path = copy / "nodes.jsonl"
+        path.write_text("\n".join(damage(path.read_text().splitlines())) + "\n")
+        code = main(["query", "--store", str(copy), "--text", "what remedy"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {path}: malformed file: ") and reason in err
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_model_parameter_is_malformed(self, pipeline, tmp_path, capsys, value):
@@ -927,6 +955,29 @@ class TestConfig:
     ])
     def test_bad_training_key_stops_every_command_before_it_writes(
             self, pipeline, tmp_path, capsys, line, message):
+        self.check_config_stops_commands(pipeline, tmp_path, capsys, line, message)
+
+    # Each of these once passed load_config. `store` then raised a traceback after creating the
+    # store (feature_dim, hidden_dim), or wrote a store that later commands failed on (h_min)
+    # or scored every query 0 on (embed_dim); gen-corpus wrote an empty or broken corpus.
+    @pytest.mark.parametrize("line, message", [
+        ("h_min = 5", "h_min must lie in (0, ln(n_classes))"),
+        ("h_min = 0", "h_min must lie in (0, ln(n_classes))"),
+        ("feature_dim = 0", "feature_dim must be >= 1"),
+        ("hidden_dim = 0", "hidden_dim must be >= 1"),
+        ("embed_dim = 0", "embed_dim must be >= 1"),
+        ("tau = -1", "tau must be >= 0"),
+        ("n_topics = 0", "n_topics must be >= 1"),
+        ("items_per_topic = 0", "items_per_topic must be >= 1"),
+        ("holdout_per_topic = -1", "holdout_per_topic must be >= 0"),
+        ("forget_fraction = 1.5", "forget_fraction must lie in [0, 1]"),
+    ])
+    def test_bad_model_retrieval_or_corpus_key_stops_every_command_before_it_writes(
+            self, pipeline, tmp_path, capsys, line, message):
+        self.check_config_stops_commands(pipeline, tmp_path, capsys, line, message)
+
+    @staticmethod
+    def check_config_stops_commands(pipeline, tmp_path, capsys, line, message):
         corpus, _ = pipeline
         path = tmp_path / "run.cfg"
         path.write_text(line + "\n")

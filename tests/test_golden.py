@@ -19,8 +19,7 @@ from memscrub.config import RunConfig
 from memscrub.store import load_model
 
 STORE_SHA256 = {
-    "nodes.jsonl": "419819d5f630472553169e7842c750078c2911f0d6710eaa3fbd1da372ba8244",
-    "edges.jsonl": "fe5476d016d92830c8e25462e6fa7d8c1c1e31ef28cf23dfbee2eadd90d1982d",
+    "nodes.jsonl": "a24c4cf19c9510afd30fb7c83d11cdea0f0cf9b7160febf002eda619ff5dec64",
     "blocklist.jsonl": "1b2b80286621a31192b337ebb63ded576dc638186bbaae7171b800658a4b47b6",
     "audit.jsonl": "ebda3a5b7d465cc6a0931575c86fbeb779789d07c64317c8ed4e4bf4dd881e14",
     "index.jsonl": "11e13dc6deebd8cad902eb005efad4a3e013d6ae95b7c571121f19b16b36245d",
@@ -31,11 +30,14 @@ STORE_SHA256 = {
 # After unlearning the first forget topic's 6 episodic ids. audit.jsonl is
 # pinned without its last line, the TRAIN record, which carries a training result.
 UNLEARNED_SHA256 = {
-    "nodes.jsonl": "49dff40f6d04b380c1b18d6d05bb3244803f180d8ee4ca1844a0b143e487ba41",
-    "edges.jsonl": "fe5476d016d92830c8e25462e6fa7d8c1c1e31ef28cf23dfbee2eadd90d1982d",
+    "nodes.jsonl": "a928987ffe321159a8a0155c22b1be631a8e51a2aead7eb157e88e95301e5a83",
     "blocklist.jsonl": "4035d70c69cf802c255c521dc836508512f86e2038fd0357d39d89392192c7ff",
     "index.jsonl": "e4bef67ad96d64beefd958b97cd2f8a84bc065c15de108fc6cb480c957cd7adf",
 }
+# Every path in each store directory, so a file that appears or disappears is a visible change.
+STORE_FILES = ["audit.jsonl", "blocklist.jsonl", "config.cfg", "corpus.jsonl", "index.jsonl", "lock",
+               "model.jsonl", "nodes.jsonl", "provenance.jsonl"]
+UNLEARNED_FILES = sorted(STORE_FILES + ["metrics", "metrics/unlearn_req6.jsonl"])
 UNLEARNED_AUDIT_BEFORE_TRAIN_SHA256 = "54802cb021aa190b3bad5a0908a76493115a2189b9ab0b80c9268d7a5bb2d700"
 RUN_LOOP_SHA256 = "c06ec9cc592efc67b24a0a9c4559b5025ac4f7a82cc0a9af81ec4411f0e5b2a6"
 # The printed scores pin the token vectors, each drawn from a PCG64 keyed by the token's digest.
@@ -58,6 +60,10 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def paths_in(directory) -> list:
+    return sorted(str(path.relative_to(directory)) for path in directory.rglob("*"))
+
+
 @pytest.fixture(scope="module")
 def store(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
@@ -70,6 +76,10 @@ def store(tmp_path_factory):
 @pytest.mark.parametrize("name", sorted(STORE_SHA256))
 def test_store_file_bytes(store, name):
     assert sha256((store / name).read_bytes()) == STORE_SHA256[name]
+
+
+def test_store_file_names(store):
+    assert paths_in(store) == STORE_FILES
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +96,10 @@ def unlearned(store, tmp_path_factory):
 @pytest.mark.parametrize("name", sorted(UNLEARNED_SHA256))
 def test_unlearned_store_file_bytes(unlearned, name):
     assert sha256((unlearned / name).read_bytes()) == UNLEARNED_SHA256[name]
+
+
+def test_unlearned_store_file_names(unlearned):
+    assert paths_in(unlearned) == UNLEARNED_FILES
 
 
 def test_unlearned_audit_bytes_before_the_train_record(unlearned):

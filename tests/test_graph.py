@@ -1,6 +1,10 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from memscrub.audit import canonical_json
 from memscrub.graph import (
     EdgeViolationError,
     ForgetRequest,
@@ -16,6 +20,34 @@ from conftest import brute_force_closure, build_random_dag
 
 
 def always_blocked(_):
+    return True
+
+
+def random_pruned_graph(data):
+    """A graph of up to 40 nodes built by ``add_memory``, then pruned by up to 3 random requests."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    g, _, episodic = build_random_dag(rng, n_nodes=data.draw(st.integers(1, 40)))
+    for r in range(data.draw(st.integers(0, 3))):
+        targets = data.draw(st.lists(st.sampled_from(episodic), max_size=4, unique=True))
+        g.prune(ForgetRequest.of(f"r{r}", targets), g.dependency_closure(targets), always_blocked)
+    return g
+
+
+def replays(lines) -> bool:
+    """Whether ``add_memory``, called on each node record in turn, writes exactly those
+    records, and their statuses then pass ``check_consistency``. Every parent is Active
+    when its child is written, as it was when the child was first written."""
+    g = MemoryGraph()
+    try:
+        for record in map(json.loads, lines):
+            node = g.node(g.add_memory(Layer(record["layer"]), record["content"], record["parents"]))
+            if canonical_json(node.parents) != canonical_json(record["parents"]):
+                return False  # add_memory sorts, dedupes and casts to int what it is given
+        for record in map(json.loads, lines):
+            g.node(record["id"]).status = Status(record["status"])
+        g.check_consistency()
+    except GraphError:
+        return False
     return True
 
 
@@ -246,7 +278,7 @@ class TestPersistence:
         g, edges, episodic = build_random_dag(rng, n_nodes=40)
         targets = sorted(rng.choice(episodic, size=3, replace=False))
         g.prune(ForgetRequest.of("r", targets), g.dependency_closure(targets), always_blocked)
-        reloaded = MemoryGraph.from_lines(g.node_lines(), g.edge_lines())
+        reloaded = MemoryGraph.from_lines(g.node_lines())
         assert reloaded.node_lines() == g.node_lines()
         assert reloaded.edge_lines() == g.edge_lines()
         for node_id in g.nodes:
@@ -261,7 +293,7 @@ class TestPersistence:
         with pytest.raises(GraphError, match=f"active derived node {s1} has no active parent"):
             g.check_consistency()
         with pytest.raises(GraphError, match=f"active derived node {s1} has no active parent"):
-            MemoryGraph.from_lines(g.node_lines(), g.edge_lines())
+            MemoryGraph.from_lines(g.node_lines())
 
     @pytest.mark.parametrize("layer", list(Layer))
     def test_only_a_reflection_loads_outdated(self, layer):
@@ -270,18 +302,18 @@ class TestPersistence:
         node = g.node(m1 if layer is Layer.EPISODIC else g.add_memory(layer, "d", [m1]))
         node.status = Status.OUTDATED  # a prune outdates reflections only
         if layer is Layer.REFLECTION:
-            assert MemoryGraph.from_lines(g.node_lines(), g.edge_lines()).node_lines() == g.node_lines()
+            assert MemoryGraph.from_lines(g.node_lines()).node_lines() == g.node_lines()
         else:
             with pytest.raises(ValueError, match=f"{layer.value} node {node.id} is outdated"):
-                MemoryGraph.from_lines(g.node_lines(), g.edge_lines())
+                MemoryGraph.from_lines(g.node_lines())
 
     def test_adjacency_only_for_nodes_with_edges(self):
         g = MemoryGraph()
         m1, m2, lone = (g.add_memory(Layer.EPISODIC, f"m{i}") for i in range(3))
         s1 = g.add_memory(Layer.SEMANTIC, "s1", [m1, m2])
-        reloaded = MemoryGraph.from_lines(g.node_lines(), g.edge_lines())
+        reloaded = MemoryGraph.from_lines(g.node_lines())
         for graph in (g, reloaded):
-            assert graph._parents == {s1: [m1, m2]}
+            assert [graph.node(i).parents for i in (m1, m2, lone, s1)] == [(), (), (), (m1, m2)]
             assert graph._children == {m1: [s1], m2: [s1]}
             assert graph.parents_of(lone) == [] and graph.parents_of(s1) == [m1, m2]
             assert graph.dependency_closure([lone]) == set()
@@ -291,9 +323,37 @@ class TestPersistence:
             assert report.removed_ids == [m1, lone] and report.shared_decremented == 1
             graph.check_consistency()
 
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_random_graphs_round_trip(self, data):
+        g = random_pruned_graph(data)
+        reloaded = MemoryGraph.from_lines(g.node_lines())
+        assert reloaded.node_lines() == g.node_lines()
+        assert reloaded.edge_lines() == g.edge_lines()
+        for node_id in g.nodes:
+            assert reloaded.ref_count(node_id) == g.ref_count(node_id)
+            assert reloaded.dependency_closure([node_id]) == g.dependency_closure([node_id])
+            assert reloaded.episodic_ancestors(node_id) == g.episodic_ancestors(node_id)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_changed_parents_load_exactly_when_add_memory_writes_them(self, data):
+        g = random_pruned_graph(data)
+        lines = g.node_lines()
+        at = data.draw(st.integers(0, len(lines) - 1))
+        parents = data.draw(st.one_of(
+            st.lists(st.integers(0, max(at - 1, 0)), max_size=4, unique=True).map(sorted),
+            st.lists(st.one_of(st.integers(-1, len(lines)), st.booleans()), max_size=4)))
+        lines[at] = canonical_json({**json.loads(lines[at]), "parents": parents})
+        try:
+            loaded = MemoryGraph.from_lines(lines).node_lines()
+        except GraphError:
+            loaded = None
+        assert (loaded == lines) if replays(lines) else (loaded is None)
+
     def test_removed_layer_is_a_malformed_record(self):
         g = MemoryGraph()
         g.add_memory(Layer.EPISODIC, "m1")
         line = g.node_lines()[0].replace('"episodic"', '"procedural"')
         with pytest.raises(ValueError):
-            MemoryGraph.from_lines([line], [])
+            MemoryGraph.from_lines([line])
