@@ -51,6 +51,8 @@ class RunConfig(UnlearnConfig, RetrievalSettings):
             raise ValueError("holdout_per_topic must be >= 0")
         if not 0.0 <= self.forget_fraction <= 1.0:
             raise ValueError("forget_fraction must lie in [0, 1]")
+        if not 0.0 <= self.confidence_threshold <= 1.0:
+            raise ValueError("confidence_threshold must lie in [0, 1]")
 
     def retrieval_settings(self) -> RetrievalSettings:
         return RetrievalSettings(**{f.name: getattr(self, f.name)

@@ -1,16 +1,17 @@
 """Hybrid dense+keyword retrieval with blocklist enforcement.
 
-A text's vector is the normalized sum of its tokens' vectors; each token
-vector is drawn from a PCG64 whose state is the token's SHA-256 digest.
-Candidates are scored exactly (cosine similarity fused with token
+A text's vector is the sum of its tokens' ±1 sign vectors, each read from
+the token's ``shake_256`` digest, so every vector is a small integer
+vector. Candidates are scored exactly (cosine similarity fused with token
 overlap), oversampled by a small factor, filtered against the blocklist
 and node status at the boundary, and truncated to top-k.
 
-The index keeps vectors as rows of zero-filled blocks of ``BLOCK_ROWS``
-rows, with a row -> id array, and keyword overlap as postings (token ->
-rows). A search runs one mat-vec over each whole block, so every row
-takes the same arithmetic and identical texts score bit-identically at
-any row, and adds one at each row in the postings of each query token.
+The index keeps the integer vectors as float32 rows of zero-filled blocks
+of ``BLOCK_ROWS`` rows, with a row -> id array, a row -> norm array, and
+keyword overlap as postings (token -> rows). A search runs one mat-vec
+over each whole block, whose integer dot products are exact (see
+``HybridIndex.search``), so identical texts score bit-identically at any
+row, and adds one at each row in the postings of each query token.
 A removal takes the entry out of the live set at once and keeps its id
 as a tombstone; its dead row and postings stay until the next purge,
 which drops the dead rows' postings and frees their rows for reuse. A
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 from array import array
 from dataclasses import dataclass
@@ -47,61 +49,41 @@ def token_seed(token: str) -> int:
 
 
 class HashingEmbedder:
-    """Deterministic embedder: per-token gaussian vectors summed, unit norm.
+    """Deterministic embedder: per-token ±1 sign vectors summed into integer counts.
 
-    A token's vector is ``dim`` standard normals drawn from a PCG64 whose
-    state is the token's SHA-256 digest: the first 16 bytes are the
-    128-bit state, the last 16 the increment, with its low bit set. Any
-    such pair is a valid PCG64 stream, so the digest is set directly,
-    without numpy's seed-spreading pass. Identical text therefore maps to
-    the identical vector, independent of process or platform, which keeps
-    stores byte-reproducible.
-
-    One bit generator serves every draw, its state set before each one.
-    That is safe because an embedder serves one single-threaded store
-    writer (and its copies), so no two draws interleave.
-
-    A token's vector is cached from its second sighting on: most tokens
-    of a store occur once, and a cached vector costs ``8 * dim`` bytes
-    where a remembered seed costs an int.
+    A token's vector holds the first ``dim`` bits of the token's
+    ``shake_256`` digest, most significant bit of each byte first, read as
+    +1 for a set bit and -1 for a clear one: a Rademacher random projection
+    (Achlioptas, *Database-friendly random projections*, JCSS 2003). A
+    text's vector is the sum of its tokens' sign vectors, an int64 vector
+    whose entries are at most the token count in magnitude. If that sum is
+    all zero, the text takes the ``<degenerate>`` token's signs instead.
+    Identical text therefore maps to the identical vector, independent of
+    process or platform, which keeps stores byte-reproducible. The embedder
+    keeps no state beyond ``dim``: one token costs one hash and an unpack.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
-        self._token_cache: dict[str, np.ndarray] = {}
-        self._seen: set[int] = set()  # token_seed of every token embedded so far
-        self._bits = np.random.PCG64(0)  # its state is set before each draw
-        self._rng = np.random.Generator(self._bits)
 
-    def _token_vector(self, token: str) -> np.ndarray:
-        vec = self._token_cache.get(token)
-        if vec is None:
-            digest = hashlib.sha256(token.encode("utf-8")).digest()
-            self._bits.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": int.from_bytes(digest[:16], "big"),
-                          "inc": int.from_bytes(digest[16:], "big") | 1},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            vec = self._rng.standard_normal(self.dim)
-            seed = int.from_bytes(digest[:8], "big")  # token_seed(token)
-            if seed in self._seen:
-                self._token_cache[token] = vec
-            else:
-                self._seen.add(seed)
-        return vec
+    def _counts(self, tokens: list) -> np.ndarray:
+        size = (self.dim + 7) // 8
+        digests = b"".join([hashlib.shake_256(token.encode("utf-8")).digest(size)
+                            for token in tokens])
+        bits = np.unpackbits(np.frombuffer(digests, dtype=np.uint8).reshape(len(tokens), size),
+                             axis=1, count=self.dim)
+        return 2 * bits.sum(axis=0, dtype=np.int64) - len(tokens)
 
     def embed(self, text: str) -> np.ndarray:
-        tokens = tokenize(text) or ["<empty>"]
-        vec = np.zeros(self.dim)
-        for token in tokens:
-            vec += self._token_vector(token)
-        norm = np.linalg.norm(vec)
-        if norm == 0.0:
-            vec = self._token_vector("<degenerate>").copy()
-            norm = np.linalg.norm(vec)
-        return vec / norm
+        counts = self._counts(tokenize(text) or ["<empty>"])
+        if not counts.any():
+            counts = self._counts(["<degenerate>"])
+        return counts
+
+
+def _norm(counts: np.ndarray) -> float:
+    """The Euclidean norm of an integer count vector, from its exact squared sum."""
+    return math.sqrt(int(counts @ counts))
 
 
 @dataclass
@@ -117,6 +99,8 @@ class HybridQuery:
             raise ValueError("top_k must be >= 1")
         if self.oversample_r < 1:
             raise ValueError("oversample_r must be >= 1")
+        if not (0.0 <= self.w_sem <= 1.0 and 0.0 <= self.w_kw <= 1.0):
+            raise ValueError("w_sem and w_kw must lie in [0, 1]")
         if abs(self.w_sem + self.w_kw - 1.0) > 1e-9:
             raise ValueError("w_sem + w_kw must equal 1")
 
@@ -145,8 +129,9 @@ class HybridIndex:
         self.embedder = embedder
         self.tau = tau
         self.generation = 0
-        self._blocks: list = []  # (BLOCK_ROWS, dim) arrays
+        self._blocks: list = []  # (BLOCK_ROWS, dim) float32 arrays of token counts
         self._ids = np.zeros(0, dtype=np.int64)  # row -> id
+        self._norms = np.zeros(0)  # row -> its counts' norm; 1.0 in a row never filled, which scores 0
         self._live = np.zeros(0, dtype=bool)  # row holds its id's current entry
         self._rows = 0  # rows filled, dead and freed ones included
         self._free: list = []  # purged rows below _rows, highest first
@@ -164,7 +149,7 @@ class HybridIndex:
         return sorted(self._row_of)
 
     def insert(self, node_id: int, text: str) -> None:
-        vec = self.embedder.embed(text)
+        counts = self.embedder.embed(text)
         old = self._row_of.get(node_id)
         if old is not None:
             self._live[old] = False
@@ -172,13 +157,15 @@ class HybridIndex:
             row = self._free.pop()
         else:
             row = self._rows
-            if row % BLOCK_ROWS == 0:  # a zero-filled block, with ids and live flags for its rows
-                self._blocks.append(np.zeros((BLOCK_ROWS, self.embedder.dim)))
+            if row % BLOCK_ROWS == 0:  # a zero-filled block, with ids, norms and live flags for its rows
+                self._blocks.append(np.zeros((BLOCK_ROWS, self.embedder.dim), dtype=np.float32))
                 self._ids = np.concatenate([self._ids, np.zeros(BLOCK_ROWS, dtype=np.int64)])
+                self._norms = np.concatenate([self._norms, np.ones(BLOCK_ROWS)])
                 self._live = np.concatenate([self._live, np.zeros(BLOCK_ROWS, dtype=bool)])
             self._rows += 1
-        self._blocks[row // BLOCK_ROWS][row % BLOCK_ROWS] = vec
+        self._blocks[row // BLOCK_ROWS][row % BLOCK_ROWS] = counts
         self._ids[row] = node_id
+        self._norms[row] = _norm(counts)
         self._live[row] = True
         self._row_of[node_id] = row
         self._tombstones.discard(node_id)
@@ -221,6 +208,13 @@ class HybridIndex:
     def search(self, query: HybridQuery, allowed: Callable[[int], bool]) -> list:
         """Top-k allowed hits by combined score, ties broken by ascending id.
 
+        A row's semantic score is ``(row · q) / (‖row‖ · ‖q‖)`` for the
+        query's counts ``q``, each norm a float64 taken from the exact
+        squared sum. The float32 dot product sums integers, each partial
+        sum at most ``embed_dim · n_tokens(text) · n_tokens(query)`` in
+        magnitude, so while that bound is below 2**24 the dot is exact and
+        the same in any summation order.
+
         ``allowed`` is the retrieval boundary: it must reject blocked ids
         and nodes that are not Active. Candidate generation fetches
         top_k * oversample_r before filtering; if fewer survive, the
@@ -228,11 +222,13 @@ class HybridIndex:
         """
         if not self._row_of:
             return []
-        qvec = self.embedder.embed(query.text)
+        qcounts = self.embedder.embed(query.text)
+        qrow = qcounts.astype(np.float32)
         qtokens = set(tokenize(query.text))
-        sem = np.empty(len(self._live))
-        for start, block in zip(range(0, len(sem), BLOCK_ROWS), self._blocks):
-            np.matmul(block, qvec, out=sem[start:start + BLOCK_ROWS])
+        dots = np.empty(len(self._live), dtype=np.float32)
+        for start, block in zip(range(0, len(dots), BLOCK_ROWS), self._blocks):
+            np.matmul(block, qrow, out=dots[start:start + BLOCK_ROWS])
+        sem = dots / (self._norms * _norm(qcounts))
         kw = np.zeros(len(sem))
         for token in qtokens:
             rows = self._postings.get(token)

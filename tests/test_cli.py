@@ -929,6 +929,7 @@ class TestConfig:
         ("top_k = 0", "top_k"),
         ("oversample_r = 0", "oversample_r"),
         ("w_sem = 0.5", "w_sem"),
+        ("w_sem = 1.3\nw_kw = -0.3", "w_sem and w_kw must lie in"),
     ])
     def test_bad_retrieval_key_in_file_rejected(self, tmp_path, line, key):
         path = tmp_path / "run.cfg"
@@ -971,6 +972,8 @@ class TestConfig:
         ("items_per_topic = 0", "items_per_topic must be >= 1"),
         ("holdout_per_topic = -1", "holdout_per_topic must be >= 0"),
         ("forget_fraction = 1.5", "forget_fraction must lie in [0, 1]"),
+        ("confidence_threshold = 5", "confidence_threshold must lie in [0, 1]"),
+        ("confidence_threshold = -1", "confidence_threshold must lie in [0, 1]"),
     ])
     def test_bad_model_retrieval_or_corpus_key_stops_every_command_before_it_writes(
             self, pipeline, tmp_path, capsys, line, message):

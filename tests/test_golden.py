@@ -40,9 +40,9 @@ STORE_FILES = ["audit.jsonl", "blocklist.jsonl", "config.cfg", "corpus.jsonl", "
 UNLEARNED_FILES = sorted(STORE_FILES + ["metrics", "metrics/unlearn_req6.jsonl"])
 UNLEARNED_AUDIT_BEFORE_TRAIN_SHA256 = "54802cb021aa190b3bad5a0908a76493115a2189b9ab0b80c9268d7a5bb2d700"
 RUN_LOOP_SHA256 = "c06ec9cc592efc67b24a0a9c4559b5025ac4f7a82cc0a9af81ec4411f0e5b2a6"
-# The printed scores pin the token vectors, each drawn from a PCG64 keyed by the token's digest.
+# The printed scores pin the token vectors, each the ±1 signs of the token's shake_256 digest.
 QUERY_TEXT = "what remedy suits topic001 presentation"
-QUERY_SHA256 = "8e6026d28373641a9aea61a45451c6a3e2b288c1817554182640f360ec33fdbf"
+QUERY_SHA256 = "7e93ae2d0e9bff3f106797972c075d15700e2941112049b3b7165df36efba987"
 # The memory-side rows of `eval` on the store come from the graph and retrieval
 # alone, so unlike the model's they do not depend on the BLAS build.
 EVAL_METHODS = ["parameter_model", "memory_grounded", "naive_deletion", "retraining_oracle",

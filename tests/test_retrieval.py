@@ -1,9 +1,9 @@
 import copy
 import hashlib
+import math
 import os
 import subprocess
 import sys
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -37,12 +37,15 @@ def keyword_score(query_tokens, doc_tokens) -> float:
 
 def oracle_search(docs, query, allowed, dim):
     """Scalar reference for ``HybridIndex.search`` over ``docs`` (live id -> text):
-    one ``np.dot`` and one set overlap per entry, then a ``(-combined, id)`` sort."""
-    qvec = reference_embed(query.text, dim)
+    one integer dot product over the norms and one set overlap per entry, then a
+    ``(-combined, id)`` sort."""
+    qcounts = reference_embed(query.text, dim)
     qtokens = tokenize(query.text)
     scored = []
     for node_id, text in docs.items():
-        sem = float(np.dot(qvec, reference_embed(text, dim)))
+        counts = reference_embed(text, dim)
+        dot = sum(q * c for q, c in zip(qcounts, counts))
+        sem = dot / (reference_norm(counts) * reference_norm(qcounts))
         kw = keyword_score(qtokens, tokenize(text))
         scored.append((node_id, sem, kw, query.w_sem * sem + query.w_kw * kw))
     scored.sort(key=lambda h: (-h[3], h[0]))
@@ -62,15 +65,25 @@ class TestEmbedder:
         b = e.embed("patient with fever and cough")
         assert np.array_equal(a, b)
 
-    def test_unit_norm(self):
+    def test_integer_counts_of_the_tokens_signs(self):
         e = HashingEmbedder(128)
         for text in ("alpha", "a longer sentence with more words", ""):
-            assert abs(np.linalg.norm(e.embed(text)) - 1.0) < 1e-9
+            v = e.embed(text)
+            n = len(tokenize(text)) or 1
+            assert v.dtype == np.int64 and v.shape == (128,)
+            assert np.all(np.abs(v) <= n) and np.all((v - n) % 2 == 0)
 
-    def test_self_cosine_is_one(self):
-        e = HashingEmbedder(64)
-        v = e.embed("some text here")
-        assert abs(float(v @ v) - 1.0) < 1e-9
+    def test_self_cosine_is_one(self, index):
+        index.insert(0, "some text here")
+        (hit,) = index.search(HybridQuery("some text here", top_k=1), allow_all)
+        assert abs(hit.sem_score - 1.0) < 1e-9
+
+    def test_all_zero_sum_takes_the_degenerate_signs(self):
+        e = HashingEmbedder(1)
+        first = {token: e.embed(token)[0] for token in ("a", "b", "c", "d", "e", "f")}
+        up = next(t for t, s in first.items() if s == 1)
+        down = next(t for t, s in first.items() if s == -1)
+        assert e.embed(f"{up} {down}").tolist() == reference_signs("<degenerate>", 1)
 
     def test_stable_across_instances(self):
         a = HashingEmbedder(64).embed("reproducible")
@@ -78,7 +91,6 @@ class TestEmbedder:
         assert np.array_equal(a, b)
 
     def test_independent_of_process(self):
-        # Recurring tokens take the cached path, one-off tokens the drawn one.
         texts = ["fever and cough", "fever again", "", "topic001 remedy fever"]
         script = ("import sys\n"
                   "from memscrub.retrieval import HashingEmbedder\n"
@@ -234,7 +246,8 @@ class TestCopyAndPurge:
 
         clone_before = clone.search(query, allow_all)
         sibling = copy.deepcopy(index)
-        for mine, theirs in [(sibling._ids, index._ids), (sibling._live, index._live)] + [
+        for mine, theirs in [(sibling._ids, index._ids), (sibling._live, index._live),
+                             (sibling._norms, index._norms)] + [
                 (a, b) for a in sibling._blocks for b in index._blocks]:
             assert not np.shares_memory(mine, theirs)
         assert sibling._postings == index._postings
@@ -313,6 +326,28 @@ class TestSearch:
             key=lambda h: (-h.combined, h.node_id),
         )
         assert [h.node_id for h in hits] == [h.node_id for h in scored[:5]]
+
+    def test_one_matmul_over_a_query_stack_matches_search(self):
+        """Within the exactness bound, one matmul of each block against a stack of query
+        counts gives every query the ``sem`` bits ``search`` gives it alone."""
+        index = HybridIndex(HashingEmbedder(256), tau=100)
+        rng = np.random.default_rng(3)
+        words = ["fever", "cough", "alder", "remedy", "topic001", "bark", "tea", "rash"]
+        for i in range(3 * BLOCK_ROWS + 5):
+            tokens = [*rng.choice(words, size=rng.integers(1, 12)), f"note{i}"]
+            index.insert(i, " ".join(tokens))
+        queries = ["fever cough", "alder remedy tea", "topic001", "note7 bark rash fever",
+                   "nothing in common", "cough " * 8]
+        counts = [index.embedder.embed(text) for text in queries]
+        stack = np.stack(counts).astype(np.float32)
+        norms = np.array([reference_norm(c.tolist()) for c in counts])
+        sem = np.concatenate([np.matmul(block, stack.T) for block in index._blocks])
+        sem = sem / (index._norms[:, None] * norms)
+        for j, text in enumerate(queries):
+            hits = index.search(HybridQuery(text, top_k=len(index), oversample_r=1), allow_all)
+            assert len(hits) == len(index)
+            assert [h.sem_score.hex() for h in hits] == [
+                float(sem[index._row_of[h.node_id], j]).hex() for h in hits]
 
     def test_ties_broken_by_ascending_id(self, index):
         index.insert(4, "same words")
@@ -413,23 +448,23 @@ def test_blocked_ids_never_returned(docs, blocked, query):
     assert not {h.node_id for h in hits} & blocked
 
 
+def reference_signs(token, dim):
+    """A token's ±1 signs: the first ``dim`` bits of its ``shake_256`` digest, MSB first."""
+    digest = hashlib.shake_256(token.encode("utf-8")).digest((dim + 7) // 8)
+    return [1 if digest[i // 8] >> (7 - i % 8) & 1 else -1 for i in range(dim)]
+
+
 def reference_embed(text, dim):
-    """The embedding without a cache or a shared generator: token vectors summed in order,
-    normalized; each is ``dim`` standard normals from a fresh PCG64 whose state is the
-    token's SHA-256 digest (state the first 16 bytes, inc the last 16 with the low bit set)."""
-    vec = np.zeros(dim)
+    """The embedding as Python ints: the tokens' signs summed, or the ``<degenerate>``
+    token's signs if that sum is all zero."""
+    counts = [0] * dim
     for token in tokenize(text) or ["<empty>"]:
-        digest = hashlib.sha256(token.encode("utf-8")).digest()
-        bits = np.random.PCG64()
-        bits.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": int.from_bytes(digest[:16], "big"),
-                      "inc": int.from_bytes(digest[16:], "big") | 1},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        vec += np.random.Generator(bits).standard_normal(dim)
-    return vec / np.linalg.norm(vec)
+        counts = [c + s for c, s in zip(counts, reference_signs(token, dim))]
+    return counts if any(counts) else reference_signs("<degenerate>", dim)
+
+
+def reference_norm(counts):
+    return math.sqrt(sum(c * c for c in counts))
 
 
 # A few recurring words plus random one-off tokens.
@@ -437,15 +472,16 @@ _words = st.sampled_from(["fever", "cough", "alder", "remedy", "topic001"]) | st
     alphabet="abcdefghijklmnop0123456789", min_size=1, max_size=10)
 
 
-class TestTokenCache:
+class TestEmbedderState:
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(texts=st.lists(st.lists(_words, max_size=8).map(" ".join), min_size=1, max_size=6))
-    def test_embeddings_exact_and_only_recurring_tokens_cached(self, texts):
-        embedder = HashingEmbedder(32)
+    @given(texts=st.lists(st.lists(_words, max_size=8).map(" ".join), min_size=1, max_size=6),
+           dim=st.sampled_from([29, 32]))
+    def test_embeddings_exact_and_embedder_unchanged(self, texts, dim):
+        embedder = HashingEmbedder(dim)
+        state = dict(vars(embedder))
         for text in texts:
-            assert np.array_equal(embedder.embed(text), reference_embed(text, 32))
-        sightings = Counter(t for text in texts for t in tokenize(text) or ["<empty>"])
-        assert set(embedder._token_cache) == {t for t, n in sightings.items() if n >= 2}
+            assert embedder.embed(text).tolist() == reference_embed(text, dim)
+        assert vars(embedder) == state
 
     def test_store_copy_shares_the_embedder(self):
         store = MemoryStore()
@@ -519,9 +555,7 @@ class TestScalarOracle:
                 expected = oracle_search(docs, query, allowed, dim)
                 assert [h.node_id for h in hits] == [e[0] for e in expected]
                 for hit, (_, sem, kw, combined) in zip(hits, expected):
-                    assert abs(hit.sem_score - sem) <= 1e-15
-                    assert hit.kw_score == kw
-                    assert abs(hit.combined - combined) <= 1e-15
+                    assert (hit.sem_score, hit.kw_score, hit.combined) == (sem, kw, combined)
 
             if docs:
                 ranked = index.search(HybridQuery(text, top_k=len(docs), oversample_r=1), allow_all)
