@@ -202,11 +202,13 @@ class AuditLog:
 
 
 class Blocklist:
-    """Persistent set of deleted node ids with O(1) membership.
+    """Set of blocked node ids with O(1) membership, plus blocked content digests.
 
-    Every blocked id names a Deleted node, and ``generation`` is the index
-    generation: a rebuild purges every tombstone, so its compaction drops
-    every id. Content digests of blocked items outlive compaction, so
+    A forget blocks its Active targets and takes them out of the index, so
+    the blocked ids are the index's episodic tombstones, and ``generation``
+    is the index generation: a rebuild purges every tombstone, so its
+    compaction drops every id. The file therefore holds only the digests,
+    and load takes the ids from the index. Digests outlive compaction, so
     rewrites of forgotten text are rejected without storing the text.
     """
 
@@ -260,24 +262,18 @@ class Blocklist:
     # Line-delimited persistence -------------------------------------------------
 
     def to_lines(self) -> list:
-        return ([canonical_json({"id": t}) for t in sorted(self._ids)]
-                + [canonical_json({"digest": d}) for d in sorted(self.digests)])
+        return [canonical_json({"digest": d}) for d in sorted(self.digests)]
 
     @classmethod
-    def from_lines(cls, lines: Iterable[str]) -> "Blocklist":
+    def from_lines(cls, lines: Iterable[str], ids: Iterable[int]) -> "Blocklist":
+        """The blocklist of the digest ``lines`` that blocks ``ids``."""
         blocklist = cls()  # its generation is the index's, which the store's loader sets
+        blocklist._ids.update(ids)
         for line in lines:
-            rec = json.loads(line)
-            if type(rec) is dict and "digest" in rec:
-                (digest,) = json_record(rec, {"digest": str})
-                if _DIGEST.fullmatch(digest) is None:
-                    raise ValueError(f"digest {digest!r:.70} is not 64 lowercase hex characters")
-                if digest in blocklist.digests:
-                    raise ValueError(f"digest {digest} is listed twice")
-                blocklist.digests.add(digest)
-            else:
-                (node_id,) = json_record(rec, {"id": int})
-                if node_id in blocklist._ids:
-                    raise ValueError(f"id {node_id} is listed twice")
-                blocklist._ids.add(node_id)
+            (digest,) = json_record(json.loads(line), {"digest": str})
+            if _DIGEST.fullmatch(digest) is None:
+                raise ValueError(f"digest {digest!r:.70} is not 64 lowercase hex characters")
+            if digest in blocklist.digests:
+                raise ValueError(f"digest {digest} is listed twice")
+            blocklist.digests.add(digest)
         return blocklist

@@ -53,7 +53,7 @@ class EdgeViolationError(GraphError):
 
 
 class ProtocolOrderError(GraphError):
-    """A prune was attempted before its targets were blocklisted."""
+    """A prune was attempted before its Active targets were blocklisted."""
 
 
 @dataclass(slots=True)
@@ -189,9 +189,6 @@ class MemoryGraph:
             raise GraphError(f"forget target {node_id} is {node.layer.value}, only episodic nodes may be targeted")
         return node
 
-    def parents_of(self, node_id: int) -> list:
-        return list(self.node(node_id).parents)
-
     def ref_count(self, node_id: int) -> int:
         """The number of the node's direct parents that are Active."""
         return sum(self.nodes[p].status is Status.ACTIVE for p in self.node(node_id).parents)
@@ -233,19 +230,18 @@ class MemoryGraph:
     def prune(self, request: ForgetRequest, closure: set, is_blocked: Callable[[int], bool]) -> PruneReport:
         """Delete the request targets and propagate through the closure.
 
-        Reflections in the closure are tombstoned as Outdated; summaries
-        and KG entities lose one reference per parent deleted here and are
-        removed at zero. Nodes still supported by a retained Active parent
-        survive. The whole outcome is planned, then logged as a PRUNE
+        Each Active target must be blocked already; a Deleted one is left
+        as it is. Reflections in the closure are tombstoned as Outdated;
+        summaries and KG entities lose one reference per parent deleted here
+        and are removed at zero. Nodes still supported by a retained Active
+        parent survive. The whole outcome is planned, then logged as a PRUNE
         record, then applied.
         """
-        targets = sorted(set(request.targets))
-        for t in targets:
-            self.forget_target(t)
+        removed = [t for t in sorted(request.targets) if self.forget_target(t).status is Status.ACTIVE]
+        for t in removed:
             if not is_blocked(t):
                 raise ProtocolOrderError(f"target {t} is not blocklisted; block before pruning")
 
-        removed = [t for t in targets if self.nodes[t].status is Status.ACTIVE]
         # Any reflection in the closure is stale once a source is gone,
         # shared support or not.
         outdated = [v for v in sorted(closure) if self.nodes[v].layer is Layer.REFLECTION

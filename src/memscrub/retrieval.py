@@ -145,8 +145,9 @@ class HybridIndex:
     def __len__(self) -> int:
         return len(self._row_of)
 
-    def live_ids(self) -> list:
-        return sorted(self._row_of)
+    def tombstones(self) -> list:
+        """Ids removed since the last purge, ascending."""
+        return sorted(self._tombstones)
 
     def insert(self, node_id: int, text: str) -> None:
         counts = self.embedder.embed(text)
@@ -259,7 +260,7 @@ class HybridIndex:
             return RebuildResult(rebuilt=False)
         audit.append(AuditOp.REBUILD, {
             "generation": self.generation + 1,
-            "purged": sorted(self._tombstones),
+            "purged": self.tombstones(),
             "size": len(self._row_of),
         })
         self.purge()
@@ -271,7 +272,7 @@ class HybridIndex:
 
     def to_lines(self) -> list:
         return [canonical_json({"generation": self.generation})] + [
-            canonical_json({"id": node_id}) for node_id in sorted(self._tombstones)]
+            canonical_json({"id": node_id}) for node_id in self.tombstones()]
 
     @classmethod
     def from_lines(cls, lines, embedder: HashingEmbedder, tau: int,

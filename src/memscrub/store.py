@@ -8,11 +8,12 @@ This module also owns the store-directory layout: the line-delimited
 files and their version headers, the model file and the lock. Reload
 reproduces statuses, reference counts (derived from each node's parents,
 not stored) and search behavior exactly: the nodes file alone says which
-nodes exist, what each derives from and which are live, and the index
-file adds only its generation (the blocklist's too) and tombstones. Load
-checks each file against the code that writes it: the nodes file
-through ``add_memory``'s own structural rules, then the graph's
-``check_consistency``.
+nodes exist, what each derives from and which are live, the index file
+adds only its generation (the blocklist's too) and tombstones, whose
+episodic ids are the blocked ids, and the blocklist file adds only the
+blocked content digests. Load checks each file against the code that
+writes it: the nodes file through ``add_memory``'s own structural rules,
+then the graph's ``check_consistency``.
 """
 
 from __future__ import annotations
@@ -38,10 +39,10 @@ from .retrieval import HashingEmbedder, HybridIndex, HybridQuery
 from .training import ModelState
 
 # The files MemoryStore.save writes, with their version headers, in the
-# order MemoryStore.load unpacks them.
+# order MemoryStore.load unpacks them. The blocklist file holds digests only.
 FILE_HEADERS = {
     "nodes.jsonl": "memscrub-nodes v4",
-    "blocklist.jsonl": "memscrub-blocklist v2",
+    "blocklist.jsonl": "memscrub-blocklist v3",
     "audit.jsonl": "memscrub-audit v2",
     "index.jsonl": "memscrub-index v2",
 }
@@ -231,20 +232,20 @@ class MemoryStore:
     def forget(self, request: ForgetRequest) -> MemoryPhaseReport:
         """Block -> closure prune -> vector removal -> conditional rebuild -> archive.
 
-        Repeating a processed request leaves graph and index unchanged. It
-        blocks its targets again, so ids that a rebuild compacted away stay
-        blocked until the next rebuild; every blocked id is Deleted.
+        Only the Active targets and their content digests are blocked, and
+        each is then taken out of the index, so the blocked ids stay the
+        index's episodic tombstones. Repeating a processed request blocks
+        nothing and leaves graph, index and generation unchanged.
         """
         targets = sorted(request.targets)
         captured = []
-        digests = []
         for t in targets:
             node = self.graph.forget_target(t)  # rejects the request before its BLOCK record
             if node.status is Status.ACTIVE:
                 captured.append((t, node.content))
-                digests.append(content_digest(node.content))
 
-        self.blocklist.block(targets, self.audit, digests=digests)
+        self.blocklist.block([t for t, _ in captured], self.audit,
+                             digests=[content_digest(content) for _, content in captured])
         closure = self.graph.dependency_closure(targets)
         report = self.graph.prune(request, closure, is_blocked=self.blocklist.is_blocked)
         # Every id a prune deletes or outdates was Active, so it is live in the index.
@@ -296,22 +297,15 @@ class MemoryStore:
             (directory / name, header) for name, header in FILE_HEADERS.items())
         store.audit = parse_lines(AuditLog.from_lines, audit)
         store.graph = parse_lines(lambda lines: MemoryGraph.from_lines(lines, audit=store.audit), nodes)
-
-        def blocklist_of(lines):
-            blocked = Blocklist.from_lines(lines)
-            for node_id in blocked.entries():  # a forget blocks its targets, then deletes them
-                node = store.graph.nodes.get(node_id)
-                if node is None or node.status is not Status.DELETED:
-                    raise ValueError(f"blocked id {node_id} names " + (
-                        f"a node that is {node.status.value}, not deleted" if node else "no node"))
-            return blocked
-
-        store.blocklist = parse_lines(blocklist_of, blocklist)
         store.index = parse_lines(lambda lines: HybridIndex.from_lines(
             lines, store.embedder, tau=store.settings.tau,
             live=((i, store.graph.nodes[i].content) for i in store.graph.active_view()),
             known=store.graph.nodes,
         ), index)
+        # Each tombstone names a node that is not Active, and an episodic one is then Deleted.
+        store.blocklist = parse_lines(lambda lines: Blocklist.from_lines(lines, ids=(
+            i for i in store.index.tombstones() if store.graph.nodes[i].layer is Layer.EPISODIC)),
+            blocklist)
         store.blocklist.generation = store.index.generation
         return store
 

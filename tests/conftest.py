@@ -50,6 +50,13 @@ def brute_force_closure(edges, targets, layer_of):
     return {v for v in reach - set(targets) if layer_of(v) in DERIVED_LAYERS}
 
 
+def live_ids(index, candidates=range(2000)) -> list:
+    """The ids ``index`` holds live, ascending, found by membership among ``candidates``."""
+    ids = [i for i in candidates if i in index]
+    assert len(ids) == len(index), "a live id lies outside the candidates"
+    return ids
+
+
 def forge_chain(lines: list, at: int, change) -> list:
     """Audit ``lines`` with record ``at`` updated by ``change(record)``, rehashed and relinked onward.
 

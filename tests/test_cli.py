@@ -75,6 +75,9 @@ def in_params(change):
     return lambda rec: {**rec, "params": change(rec["params"])}
 
 
+# A v3 blocklist holds no id line. A case at this line puts back, as line 1, the v2 line
+# that blocked node 0 (`{"id":0}`) and damages it: an id line is refused whatever it holds.
+V2_ID_LINE = "v2 id line"
 # A line of each kind of stored record in the `unlearned` store (line 0 of a file with a
 # header is the header), and the record's int field; an audit record and a digest record
 # have none, so theirs is a string. A node's derivation edges are its `parents` list, so
@@ -84,7 +87,7 @@ RECORD_LINES = {
     "audit": ("audit.jsonl", 1, "op"),
     "node": ("nodes.jsonl", 1, "id"),
     "edge": ("nodes.jsonl", 7, "parents"),
-    "blocklist-id": ("blocklist.jsonl", 1, "id"),
+    "blocklist-id": ("blocklist.jsonl", V2_ID_LINE, "id"),
     "blocklist-digest": ("blocklist.jsonl", -1, "digest"),
     "index-generation": ("index.jsonl", 1, "generation"),
     "index-tombstone": ("index.jsonl", 2, "id"),
@@ -174,7 +177,7 @@ class TestStore:
                 main(["eval", "--store", str(copy)])
         assert not (copy / "metrics" / "eval.jsonl").exists()
 
-    @pytest.mark.parametrize("command", ["unlearn", "train", "eval", "query", "probe",
+    @pytest.mark.parametrize("command", ["unlearn", "eval", "query", "probe",
                                          "audit-verify"])
     def test_missing_store_is_not_created(self, tmp_path, capsys, command):
         request = tmp_path / "request.json"
@@ -431,9 +434,9 @@ class TestDamagedStore:
                      id="nodes.jsonl-v2-header"),
         pytest.param("index.jsonl", lambda lines: ["memscrub-index v1"] + lines[1:],
                      id="index.jsonl-v1-header"),
-        # Ids and generations must be JSON integers, and digests strings. `lines[1]` of
-        # blocklist.jsonl and `lines[2]` of index.jsonl is id 0, which a bool or float 0
-        # replaces, not duplicates.
+        # Ids and generations must be JSON integers, and digests strings. `lines[2]` of
+        # index.jsonl is id 0, which a bool or float 0 replaces, not duplicates; in
+        # blocklist.jsonl, which holds digests only, it replaces the first digest.
         pytest.param("blocklist.jsonl", lambda lines: lines + ['{"id":"3"}'],
                      id="blocklist.jsonl-string-id"),
         pytest.param("blocklist.jsonl", lambda lines: lines[:1] + ['{"id":false}'] + lines[2:],
@@ -674,14 +677,16 @@ class TestDamagedStore:
         pytest.param("model.jsonl", 1, in_params(lambda params: {**params, "w1": params["w1"][:1]}),
                      id="params-w1-one-row"),
         # An id record with a digest key would once load as a digest and drop the id.
-        pytest.param("blocklist.jsonl", 1, set_to(digest=HEX_DIGEST), id="blocklist-id-with-digest"),
+        pytest.param("blocklist.jsonl", V2_ID_LINE, set_to(digest=HEX_DIGEST),
+                     id="blocklist-id-with-digest"),
         # Reference counts are derived from the parents; a stored one is an unknown key.
         pytest.param("nodes.jsonl", -1, set_to(ref_count=1), id="node-with-ref-count"),
         # What a type cannot say. Line i + 1 is node i: node 0 is a Deleted target, node 1 an
         # episodic one, node 6 the Deleted summary on parents 0-5 (its edge 0 -> 6 the one each
         # edge case damages), node 8 an Outdated reflection, node 27 an Active episodic node,
         # node 33 the Active summary that is KG entity 34's only parent, the last node (107) an
-        # Active reflection, blocklist line 1 blocks node 0 and the last blocklist line is a digest.
+        # Active reflection, and the last blocklist line is a digest. A blocked id is an episodic
+        # tombstone in index.jsonl; a blocklist id line naming any node is refused.
         pytest.param("nodes.jsonl", 1, set_to(content="restored"), id="deleted-node-with-content"),
         pytest.param("nodes.jsonl", 28, set_to(status="outdated"), id="outdated-episodic-node"),
         pytest.param("nodes.jsonl", 34, set_to(status="deleted", content=""),
@@ -694,9 +699,9 @@ class TestDamagedStore:
         pytest.param("nodes.jsonl", 7, set_to(parents=[0, 0, 2, 3, 4, 5]), id="edge-listed-twice"),
         pytest.param("nodes.jsonl", 7, set_to(parents=[1, 0, 2, 3, 4, 5]), id="parents-out-of-order"),
         pytest.param("nodes.jsonl", 9, set_to(parents=[]), id="outdated-reflection-without-parent"),
-        pytest.param("blocklist.jsonl", 1, set_to(id=10_000), id="blocked-id-unknown"),
-        pytest.param("blocklist.jsonl", 1, set_to(id=107), id="blocked-id-active"),
-        pytest.param("blocklist.jsonl", 1, set_to(id=8), id="blocked-id-outdated"),
+        pytest.param("blocklist.jsonl", V2_ID_LINE, set_to(id=10_000), id="blocked-id-unknown"),
+        pytest.param("blocklist.jsonl", V2_ID_LINE, set_to(id=107), id="blocked-id-active"),
+        pytest.param("blocklist.jsonl", V2_ID_LINE, set_to(id=8), id="blocked-id-outdated"),
         pytest.param("blocklist.jsonl", -1, set_to(digest="ab"), id="short-digest"),
         pytest.param("blocklist.jsonl", -1, set_to(digest=HEX_DIGEST.upper()), id="uppercase-digest"),
     ])
@@ -706,6 +711,9 @@ class TestDamagedStore:
         shutil.copytree(store, copy)
         path = copy / name
         lines = path.read_text().splitlines()
+        if line == V2_ID_LINE:
+            line = 1
+            lines.insert(line, '{"id":0}')
         lines[line] = json.dumps(change(json.loads(lines[line])))
         path.write_text("\n".join(lines) + "\n")
         code = main(["query", "--store", str(copy), "--text", "what remedy"])
@@ -746,7 +754,7 @@ class TestDamagedStore:
         record = json.loads(lines[1])
         record["params"]["w1"][3][5] = value
         path.write_text("\n".join([lines[0], json.dumps(record)]) + "\n")
-        code = main(["train", "--store", str(copy), "--epochs", "1"])
+        code = main(["query", "--store", str(copy), "--text", "what remedy"])
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith(f"error: {path}: malformed file: ")
@@ -765,19 +773,23 @@ class TestDamagedStore:
         assert capsys.readouterr().err == f"error: {path}: missing or wrong version header\n"
 
     def test_v1_blocklist_is_rejected(self, unlearned, tmp_path, capsys):
-        # The same set in the v1 form: a generation record, and each id with the index
-        # generation it was blocked at.
-        store, _, _ = unlearned
+        # The same set in the v1 form (a generation record, and each id with the index
+        # generation it was blocked at) and in the v2 form (one id line per blocked id),
+        # each before the digest lines.
+        store, _, targets = unlearned
         copy = tmp_path / "store"
         shutil.copytree(store, copy)
         path = copy / "blocklist.jsonl"
-        _, *records = path.read_text().splitlines()
-        path.write_text("\n".join(["memscrub-blocklist v1", '{"generation":0}'] + [
-            line if "digest" in line else canonical_json({**json.loads(line), "index_generation": 0})
-            for line in records]) + "\n")
-        code = main(["query", "--store", str(copy), "--text", "what remedy"])
-        assert code == 1
-        assert capsys.readouterr().err == f"error: {path}: missing or wrong version header\n"
+        _, *digests = path.read_text().splitlines()
+        for header, ids in [
+            ("memscrub-blocklist v1", ['{"generation":0}'] + [
+                canonical_json({"id": t, "index_generation": 0}) for t in sorted(targets)]),
+            ("memscrub-blocklist v2", [canonical_json({"id": t}) for t in sorted(targets)]),
+        ]:
+            path.write_text("\n".join([header, *ids, *digests]) + "\n")
+            code = main(["query", "--store", str(copy), "--text", "what remedy"])
+            assert code == 1
+            assert capsys.readouterr().err == f"error: {path}: missing or wrong version header\n"
 
     def test_store_rejects_malformed_corpus(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.jsonl"
@@ -863,21 +875,6 @@ class TestUnlearnPipeline:
         assert methods == ["parameter_model", "memory_grounded", "naive_deletion",
                            "retraining_oracle", "ours"]
         assert (store / "metrics" / "eval.jsonl").exists()
-
-
-class TestTrain:
-    def test_train_rewrites_only_the_model_and_its_metrics(self, pipeline, tmp_path, capsys):
-        _, store = pipeline
-        copy = tmp_path / "store"
-        shutil.copytree(store, copy)
-        before = {name: (copy / name).read_bytes() for name in [*FILE_HEADERS, "model.jsonl"]}
-        code = main(["train", "--store", str(copy), "--epochs", "2"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert out.splitlines() == (copy / "metrics" / "train.jsonl").read_text().splitlines()
-        assert [json.loads(line)["epoch"] for line in out.splitlines()] == [0, 1]
-        assert (copy / "model.jsonl").read_bytes() != before.pop("model.jsonl")
-        assert {name: (copy / name).read_bytes() for name in before} == before
 
 
 class TestRunLoop:

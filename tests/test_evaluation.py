@@ -19,6 +19,8 @@ from memscrub.protocol import AgentState
 from memscrub.store import MemoryStore
 from memscrub.training import UnlearnConfig, train_unlearn
 
+from conftest import live_ids
+
 
 def rankdata_average(values):
     values = np.asarray(values, dtype=float)
@@ -198,7 +200,7 @@ class TestBaselines:
         def state():
             return (store.graph.node_lines(), store.graph.edge_lines(),
                     store.blocklist.to_lines(), store.audit.to_lines(),
-                    store.index.to_lines(), store.index.live_ids(),
+                    store.index.to_lines(), live_ids(store.index),
                     [store.search(q) for q in questions])
 
         before = state()

@@ -20,7 +20,7 @@ from memscrub.store import load_model
 
 STORE_SHA256 = {
     "nodes.jsonl": "a24c4cf19c9510afd30fb7c83d11cdea0f0cf9b7160febf002eda619ff5dec64",
-    "blocklist.jsonl": "1b2b80286621a31192b337ebb63ded576dc638186bbaae7171b800658a4b47b6",
+    "blocklist.jsonl": "2dd8ae536047b75d82511448a00c44a6c6559eeca79524e4a2b179f3551bdb30",
     "audit.jsonl": "ebda3a5b7d465cc6a0931575c86fbeb779789d07c64317c8ed4e4bf4dd881e14",
     "index.jsonl": "11e13dc6deebd8cad902eb005efad4a3e013d6ae95b7c571121f19b16b36245d",
     "provenance.jsonl": "0eb948406a47411faa63d11e46755a4841cc27e11197f8082b23bdef7ec8db00",
@@ -31,7 +31,7 @@ STORE_SHA256 = {
 # pinned without its last line, the TRAIN record, which carries a training result.
 UNLEARNED_SHA256 = {
     "nodes.jsonl": "a928987ffe321159a8a0155c22b1be631a8e51a2aead7eb157e88e95301e5a83",
-    "blocklist.jsonl": "4035d70c69cf802c255c521dc836508512f86e2038fd0357d39d89392192c7ff",
+    "blocklist.jsonl": "f9365c03e9fb6aa02de9a9cd42732ed1cee8d6ffd387f2887d6ecf65f29e03c8",
     "index.jsonl": "e4bef67ad96d64beefd958b97cd2f8a84bc065c15de108fc6cb480c957cd7adf",
 }
 # Every path in each store directory, so a file that appears or disappears is a visible change.

@@ -87,7 +87,7 @@ class TestAddMemory:
         s2 = g.add_memory(Layer.SEMANTIC, "sum b", [m[1], m[2]])
         k1 = g.add_memory(Layer.KG_ENTITY, "entity", [s1, s2])
         # Independent oracle: count active parents by scanning every edge.
-        edges = [(p, c) for c in g.nodes for p in g.parents_of(c)]
+        edges = [(p, c) for c in g.nodes for p in g.node(c).parents]
         for node_id in g.nodes:
             expected = sum(
                 1 for p, c in edges
@@ -315,7 +315,6 @@ class TestPersistence:
         for graph in (g, reloaded):
             assert [graph.node(i).parents for i in (m1, m2, lone, s1)] == [(), (), (), (m1, m2)]
             assert graph._children == {m1: [s1], m2: [s1]}
-            assert graph.parents_of(lone) == [] and graph.parents_of(s1) == [m1, m2]
             assert graph.dependency_closure([lone]) == set()
             assert graph.episodic_ancestors(s1) == {m1, m2}
             report = graph.prune(ForgetRequest.of("r", [lone, m1]),

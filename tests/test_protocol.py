@@ -9,6 +9,8 @@ from memscrub.retrieval import HybridIndex
 from memscrub.store import BlockedContentError, MemoryStore, RetrievalSettings
 from memscrub.training import UnlearnConfig
 
+from conftest import live_ids
+
 FAST_CFG = UnlearnConfig(lambda_f=1.5, temperature=2.0, lr=0.5, epochs=30, seed=0)
 
 
@@ -122,8 +124,8 @@ class TestMemoryPhase:
         before = [store.search(q) for q in questions]
         store.save(tmp_path)
         reloaded = MemoryStore.load(tmp_path)
-        assert reloaded.index.live_ids() == list(reloaded.graph.active_view())
-        assert reloaded.index.live_ids() == store.index.live_ids()
+        assert live_ids(reloaded.index) == list(reloaded.graph.active_view())
+        assert live_ids(reloaded.index) == live_ids(store.index)
         assert reloaded.index.to_lines() == store.index.to_lines()
         assert [reloaded.search(q) for q in questions] == before
 

@@ -22,6 +22,8 @@ from memscrub.retrieval import (
 )
 from memscrub.store import MemoryStore
 
+from conftest import live_ids
+
 
 def allow_all(_):
     return True
@@ -133,7 +135,7 @@ class TestIndexMembership:
         for i in range(3):
             index.insert(i, f"doc {i}")
         index.remove(1)
-        assert 1 not in index and len(index) == 2 and index.live_ids() == [0, 2]
+        assert 1 not in index and len(index) == 2 and live_ids(index) == [0, 2]
         query = HybridQuery("doc 1", top_k=3, oversample_r=3)
         hits = index.search(query, allow_all)
         expected = oracle_search({0: "doc 0", 2: "doc 2"}, query, allow_all, 64)
@@ -161,7 +163,7 @@ class TestIndexMembership:
         for i in [*range(0, n, 3), 1, BLOCK_ROWS + 1]:
             index.remove(i)
         index.purge()
-        survivors = index.live_ids()
+        survivors = live_ids(index)
         rows = {i: index._row_of[i] for i in survivors}
         assert rows == {i: i for i in survivors}  # every entry kept its insert row
         assert index._ids[survivors].tolist() == survivors
@@ -195,13 +197,13 @@ class TestPersistence:
                 return super().__contains__(node_id)
 
         lines = index.to_lines()
-        live = [(i, contents[i]) for i in index.live_ids()]
+        live = [(i, contents[i]) for i in live_ids(index)]
         reloaded = HybridIndex.from_lines(lines, CountingEmbedder(64), tau=100,
                                           live=live, known=Known(contents))
         assert asked == [1, 4]  # tombstones are checked against the graph
         assert embedded == [contents[i] for i in (0, 2, 3, 5)]
         assert reloaded.to_lines() == lines
-        assert reloaded.live_ids() == index.live_ids()
+        assert live_ids(reloaded) == live_ids(index)
 
     def test_unknown_tombstone_rejected_on_load(self, tmp_path):
         store = MemoryStore()
@@ -231,7 +233,7 @@ class TestCopyAndPurge:
         index.remove(2)
         clone = copy.deepcopy(index)
         assert clone.to_lines() == index.to_lines()
-        assert clone.live_ids() == index.live_ids()
+        assert live_ids(clone) == live_ids(index)
         query = HybridQuery("doc 9 river", top_k=8, oversample_r=2)
         before = index.search(query, allow_all)
         assert clone.search(query, allow_all) == before
@@ -241,7 +243,7 @@ class TestCopyAndPurge:
         clone.remove(1)
         clone.purge()
         assert index.search(query, allow_all) == before
-        assert index.live_ids() == [0, 1, 3, 4, 5]
+        assert live_ids(index) == [0, 1, 3, 4, 5]
         assert 2 not in index and index.generation == 0
 
         clone_before = clone.search(query, allow_all)
@@ -261,7 +263,7 @@ class TestCopyAndPurge:
         index.purge()
         sibling.remove(8)
         assert clone.search(query, allow_all) == clone_before
-        assert clone.live_ids() == [3, 4, 5, 9]
+        assert live_ids(clone) == [3, 4, 5, 9]
         assert sibling.search(query, allow_all) == before
 
     def test_purge_drops_ids_and_every_tombstone(self, index):
@@ -271,7 +273,7 @@ class TestCopyAndPurge:
             index.remove(i)
         generation = index.generation
         index.purge()
-        assert index.live_ids() == [0, 4, 6, 7]
+        assert live_ids(index) == [0, 4, 6, 7]
         assert len(index) == 4
         assert index.to_lines()[1:] == []  # no tombstone left
         assert index.generation == generation + 1
@@ -390,7 +392,7 @@ class TestRebuild:
         assert result.rebuilt
         assert index.generation == 1
         assert all(not blocklist.is_blocked(i) or i not in index for i in range(150))
-        assert index.live_ids() == list(range(101, 150))
+        assert live_ids(index) == list(range(101, 150))
         assert len(blocklist) == 0 and blocklist.generation == 1
 
     def test_rebuild_purges_and_preserves_results(self, index):
@@ -431,7 +433,7 @@ class TestRebuild:
         # 10 entries: the 7 tombstones are purged and 3 stay live.
         expected = {"generation": 1, "purged": [0, 1, 2, 5, 7, 8, 9], "size": 3}
         assert rebuild.payload_digest == payload_digest(expected)
-        assert index.live_ids() == [3, 4, 6]
+        assert live_ids(index) == [3, 4, 6]
 
 
 @settings(max_examples=40, deadline=None)
@@ -542,7 +544,7 @@ class TestScalarOracle:
                 kept.insert(1000 + len(left), _POOL[op[2]])  # a row the other side writes too
                 left.append((kept, self._results(kept)))
                 docs = dict(docs)
-        assert index.live_ids() == sorted(docs)
+        assert live_ids(index) == sorted(docs)
         fresh = HybridIndex(HashingEmbedder(dim), tau=100)  # the survivors, rows in id order
         for node_id in sorted(docs):
             fresh.insert(node_id, docs[node_id])

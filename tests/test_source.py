@@ -1,16 +1,23 @@
-"""Source checks: every name a module-level import binds is used, and no
-module holds an ``assert`` statement.
+"""Source checks: every name a module-level import binds is used, no module
+holds an ``assert`` statement, and no public code is without a caller.
 
-No linter is a dependency, so this stands in for the one rule a deletion
-most often breaks: an import left behind by the code that used it.
+No linter is a dependency, so this stands in for the rules a deletion
+most often breaks: an import left behind by the code that used it, and a
+function or class whose last caller is gone.
 """
 
 import ast
+import functools
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "memscrub"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "memscrub"
+# The code that may call the package: itself, the benchmark and the demos, plus the
+# tests that pin the shipped behaviour. Other tests do not count as callers.
+CALLERS = [*SRC.glob("*.py"), *(ROOT / "perfbench").glob("*.py"), *(ROOT / "demos").glob("*.py"),
+           ROOT / "tests" / "test_acceptance.py", ROOT / "tests" / "test_golden.py"]
 
 
 def imported_names(tree: ast.Module) -> dict:
@@ -52,3 +59,41 @@ def test_no_assert_statement(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name}: assert statements on lines {lines}"
+
+
+def public_definitions(tree: ast.Module) -> dict:
+    """Each public function, class and method the module defines, mapped to its line."""
+    names = {}
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ClassDef):
+            names.update((f"{stmt.name}.{d.name}", d.lineno) for d in stmt.body
+                         if isinstance(d, (ast.FunctionDef, ast.ClassDef))
+                         and not d.name.startswith("_"))
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_"):
+            names[stmt.name] = stmt.lineno
+    return names
+
+
+@functools.cache
+def called_names() -> frozenset:
+    """Names the callers read, as a name, an attribute or a string (``__all__``, or a
+    ``getattr``-style hook), in any module."""
+    names = set()
+    for path in CALLERS:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+    return frozenset(names)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_public_definition_has_a_caller(path):
+    """A method counts as called when any caller reads its name, whatever the object."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    uncalled = {name: line for name, line in public_definitions(tree).items()
+                if name.rpartition(".")[2] not in called_names()}
+    assert not uncalled, f"{path.name}: public definitions without a caller: {uncalled}"

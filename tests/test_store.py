@@ -5,10 +5,13 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from memscrub.audit import AuditOp, AuditRecord, payload_digest
 from memscrub.corpus import generate_corpus, populate_store
-from memscrub.graph import ForgetRequest, Status
+from memscrub.graph import ForgetRequest, Layer, Status
 from memscrub.retrieval import HashingEmbedder, HybridIndex
 from memscrub.store import MemoryStore, RetrievalSettings, parse_lines, write_lines
+
+from conftest import live_ids
 
 TEXTS = {
     "crlf": "h\r\na\r\nb\r\n",
@@ -67,9 +70,11 @@ def test_header_only_file_is_malformed(tmp_path):
 
 
 def check_forgotten(store, rebuilt):
-    """The index holds exactly the Active nodes and the blocklist only Deleted ones;
-    a rebuild leaves neither a tombstone nor a blocked id."""
-    assert store.index.live_ids() == list(store.graph.active_view())
+    """The index holds exactly the Active nodes, and the blocked ids are exactly its
+    episodic tombstones, all Deleted; a rebuild leaves neither a tombstone nor a blocked id."""
+    assert live_ids(store.index, store.graph.nodes) == list(store.graph.active_view())
+    assert store.blocklist.entries() == [
+        i for i in store.index.tombstones() if store.graph.nodes[i].layer is Layer.EPISODIC]
     assert all(store.graph.nodes[i].status is Status.DELETED for i in store.blocklist.entries())
     assert store.blocklist.generation == store.index.generation
     if rebuilt:
@@ -98,17 +103,25 @@ def test_forget_keeps_the_index_on_the_active_nodes(tau, data):
         store.save(directory)
         loaded = MemoryStore.load(directory, settings=store.settings)
     check_forgotten(loaded, rebuilt=False)
+    assert loaded.blocklist.entries() == store.blocklist.entries()  # the file holds no id
     assert loaded.blocklist.to_lines() == store.blocklist.to_lines()
     assert loaded.index.to_lines() == store.index.to_lines()
 
 
-def test_repeated_request_after_a_rebuild_leaves_no_id_blocked():
-    """A repeat blocks again the ids a rebuild compacted away; the next rebuild drops them."""
+def test_repeated_request_blocks_nothing_and_rebuilds_nothing():
+    """A repeat of a processed request appends a BLOCK of no id, PRUNE and ARCHIVE only,
+    so it neither rebuilds the index nor moves its generation."""
     store = MemoryStore(RetrievalSettings(tau=2))
     populate_store(store, generate_corpus(seed=0, n_topics=12))
-    for _ in range(4):  # the first rebuilds to generation 1, each repeat once more
-        report = store.forget(ForgetRequest.of("r3", [0, 1, 2]))
-        assert report.rebuilt and report.blocklist_size == 0
+    request = ForgetRequest.of("r3", [0, 1, 2])
+    assert store.forget(request).rebuilt  # 3 blocked ids > tau
+    for _ in range(3):
+        start = len(store.audit)
+        report = store.forget(request)
+        records = [AuditRecord.from_line(line) for line in store.audit.to_lines()[start:]]
+        assert [r.op for r in records] == [AuditOp.BLOCK, AuditOp.PRUNE, AuditOp.ARCHIVE]
+        assert records[0].payload_digest == payload_digest({"ids": [], "index_generation": 1})
+        assert (report.rebuilt, report.blocklist_size, report.index_generation) == (False, 0, 1)
     report = store.forget(ForgetRequest.of("r1", [3]))
-    assert (report.blocklist_size, report.rebuilt, report.index_generation) == (1, False, 4)
+    assert (report.blocklist_size, report.rebuilt, report.index_generation) == (1, False, 1)
     assert store.blocklist.entries() == [3]
