@@ -114,6 +114,11 @@ _OP_CODE = {op: code for code, op in enumerate(_OPS)}
 _DIGEST = re.compile("[0-9a-f]{64}")
 
 
+def is_digest(text: str) -> bool:
+    """Whether ``text`` is a sha256 hex digest: 64 lowercase hex characters."""
+    return _DIGEST.fullmatch(text) is not None
+
+
 def _links(i: int, record: Optional[AuditRecord], prev: str) -> bool:
     """Whether ``record`` is record ``i`` of a chain whose record ``i - 1`` hashes to ``prev``.
 
@@ -123,7 +128,7 @@ def _links(i: int, record: Optional[AuditRecord], prev: str) -> bool:
     from ``i``, the record and ``prev`` (which makes it such a digest). None
     stands for a line that did not parse, its types included.
     """
-    return (record is not None and _DIGEST.fullmatch(record.payload_digest) is not None
+    return (record is not None and is_digest(record.payload_digest)
             and record.record_hash == _record_hash(i, record.op.value, record.payload_digest, prev))
 
 
@@ -170,6 +175,10 @@ class AuditLog:
     def head_hash(self) -> str:
         return self._head
 
+    def count(self, op: AuditOp) -> int:
+        """The number of ``op`` records in the chain."""
+        return self._ops.count(_OP_CODE[op])
+
     def append(self, op: AuditOp, payload: dict) -> AuditRecord:
         digest = payload_digest(payload)
         record_hash = _record_hash(len(self._ops), op.value, digest, self._head)
@@ -207,15 +216,16 @@ class Blocklist:
     A forget blocks its Active targets and takes them out of the index, so
     the blocked ids are the index's episodic tombstones, and ``generation``
     is the index generation: a rebuild purges every tombstone, so its
-    compaction drops every id. The file therefore holds only the digests,
-    and load takes the ids from the index. Digests outlive compaction, so
-    rewrites of forgotten text are rejected without storing the text.
+    compaction drops every id. Digests outlive compaction, so rewrites of
+    forgotten text are rejected without storing the text. No file holds a
+    blocklist: a store's load takes the ids from the index, each digest from
+    the forgotten node that keeps it and the generation from the audit log.
     """
 
-    def __init__(self):
-        self._ids: set = set()
-        self.generation = 0
-        self.digests: set = set()
+    def __init__(self, ids: Iterable[int] = (), digests: Iterable[str] = (), generation: int = 0):
+        self._ids: set = set(ids)
+        self.generation = generation
+        self.digests: set = set(digests)
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -259,21 +269,6 @@ class Blocklist:
         self._ids.clear()
         self.generation = index_generation
 
-    # Line-delimited persistence -------------------------------------------------
-
     def to_lines(self) -> list:
+        """One ``{"digest"}`` line per blocked digest, sorted: the digests in a comparable form."""
         return [canonical_json({"digest": d}) for d in sorted(self.digests)]
-
-    @classmethod
-    def from_lines(cls, lines: Iterable[str], ids: Iterable[int]) -> "Blocklist":
-        """The blocklist of the digest ``lines`` that blocks ``ids``."""
-        blocklist = cls()  # its generation is the index's, which the store's loader sets
-        blocklist._ids.update(ids)
-        for line in lines:
-            (digest,) = json_record(json.loads(line), {"digest": str})
-            if _DIGEST.fullmatch(digest) is None:
-                raise ValueError(f"digest {digest!r:.70} is not 64 lowercase hex characters")
-            if digest in blocklist.digests:
-                raise ValueError(f"digest {digest} is listed twice")
-            blocklist.digests.add(digest)
-        return blocklist

@@ -185,7 +185,7 @@ def cmd_probe(args) -> int:
     item_id = prov.node_to_item.get(args.id)
     item = next((it for it in items if it.item_id == item_id), None)
     if item is None:
-        raise SystemExit(f"node {args.id} does not map to a corpus item")
+        raise ValueError(f"node {args.id} does not map to a corpus item")
     result = backflow_probe(agent, item.question, item.answer_text)
     _emit({
         "command": "probe",

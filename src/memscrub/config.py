@@ -70,23 +70,18 @@ class RunConfig(UnlearnConfig, RetrievalSettings):
 
 
 _KEYS = {f.name for f in fields(RunConfig)}
+_BOOLEANS = dict.fromkeys(("true", "1", "yes", "on"), True) | dict.fromkeys(("false", "0", "no", "off"), False)
+_EXPECTED = {bool: "a boolean", int: "an integer", float: "a number"}
 
 
 def _coerce(key: str, raw: str):
-    default = getattr(RunConfig(), key)
-    if key == "h_min":
-        return None if raw.lower() in ("none", "") else float(raw)
-    if isinstance(default, bool):
-        if raw.lower() in ("true", "1", "yes", "on"):
-            return True
-        if raw.lower() in ("false", "0", "no", "off"):
-            return False
-        raise ValueError(f"config key {key}: expected a boolean, got {raw!r}")
-    if isinstance(default, int):
-        return int(raw)
-    if isinstance(default, float):
-        return float(raw)
-    return raw
+    if key == "h_min" and raw.lower() in ("none", ""):
+        return None
+    kind = float if key == "h_min" else type(getattr(RunConfig(), key))
+    try:
+        return _BOOLEANS[raw.lower()] if kind is bool else kind(raw)
+    except (KeyError, ValueError):
+        raise ValueError(f"config key {key}: expected {_EXPECTED[kind]}, got {raw!r}") from None
 
 
 def load_config(path=None, overrides: Optional[dict] = None) -> RunConfig:

@@ -18,9 +18,9 @@ import enum
 import json
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Optional
 
-from .audit import AuditOp, canonical_json, content_digest, from_record, record_of
+from .audit import AuditOp, canonical_json, content_digest, from_record, is_digest, record_of
 
 
 class Layer(str, enum.Enum):
@@ -63,6 +63,7 @@ class MemoryNode:
     content: str
     parents: tuple  # ascending ids; () for an episodic node
     status: Status
+    blocked_digest: str = ""  # sha256 of the content a forget deleted; "" unless Deleted and episodic
 
 
 @dataclass(frozen=True)
@@ -227,15 +228,17 @@ class MemoryGraph:
     # Pruning
     # ------------------------------------------------------------------
 
-    def prune(self, request: ForgetRequest, closure: set, is_blocked: Callable[[int], bool]) -> PruneReport:
+    def prune(self, request: ForgetRequest, closure: set, is_blocked: Callable[[int], bool],
+              digests: Optional[dict] = None) -> PruneReport:
         """Delete the request targets and propagate through the closure.
 
-        Each Active target must be blocked already; a Deleted one is left
-        as it is. Reflections in the closure are tombstoned as Outdated;
-        summaries and KG entities lose one reference per parent deleted here
-        and are removed at zero. Nodes still supported by a retained Active
-        parent survive. The whole outcome is planned, then logged as a PRUNE
-        record, then applied.
+        Each Active target must be blocked already, and keeps the digest of
+        its content (``digests[target]`` if given) as ``blocked_digest``; a
+        Deleted one is left as it is. Reflections in the closure are
+        tombstoned as Outdated; summaries and KG entities lose one reference
+        per parent deleted here and are removed at zero. Nodes still supported
+        by a retained Active parent survive. The whole outcome is planned,
+        then logged as a PRUNE record, then applied.
         """
         removed = [t for t in sorted(request.targets) if self.forget_target(t).status is Status.ACTIVE]
         for t in removed:
@@ -264,8 +267,10 @@ class MemoryGraph:
         if self.audit is not None:
             self.audit.append(AuditOp.PRUNE, {"request_id": request.request_id, "counts": report.counts()})
         for node_id in report.removed_ids:
-            self.nodes[node_id].status = Status.DELETED
-            self.nodes[node_id].content = ""
+            node = self.nodes[node_id]
+            if node.layer is Layer.EPISODIC:  # a target: no episodic node is derived
+                node.blocked_digest = digests[node_id] if digests else content_digest(node.content)
+            node.status, node.content = Status.DELETED, ""
         for node_id in outdated:
             self.nodes[node_id].status = Status.OUTDATED
         return report
@@ -301,7 +306,8 @@ class MemoryGraph:
     def from_lines(cls, node_lines: Iterable[str], audit=None) -> "MemoryGraph":
         """The graph saved as ``node_lines``; ValueError unless every node passes
         ``add_memory``'s structural rules in turn, each status is one a prune
-        leaves, and the whole passes ``check_consistency``."""
+        leaves, a node has a blocked digest exactly when a prune deleted it as
+        a target, and the whole passes ``check_consistency``."""
         graph = cls(audit=audit)
         for line in node_lines:
             node = from_record(MemoryNode, json.loads(line))
@@ -310,6 +316,11 @@ class MemoryGraph:
                 raise ValueError(f"deleted node {node.id} keeps its content")
             if node.status is Status.OUTDATED and node.layer is not Layer.REFLECTION:
                 raise ValueError(f"{node.layer.value} node {node.id} is outdated; only reflections go stale")
+            forgotten = node.status is Status.DELETED and node.layer is Layer.EPISODIC
+            if not (is_digest(node.blocked_digest) if forgotten else node.blocked_digest == ""):
+                expected = "a sha256 digest" if forgotten else "empty"
+                raise ValueError(f"{node.status.value} {node.layer.value} node {node.id}: "
+                                 f"blocked digest {node.blocked_digest!r:.70} is not {expected}")
             graph._link(node)
         graph.check_consistency()
         return graph

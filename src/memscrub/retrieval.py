@@ -254,7 +254,9 @@ class HybridIndex:
 
         The caller removes every id it blocks or deletes, so the tombstones
         are exactly the entries to drop and the live entries are exactly the
-        Active nodes; the REBUILD record's ``size`` is the live count.
+        Active nodes; the REBUILD record's ``size`` is the live count. Only
+        this purge runs in a store, after its REBUILD record, so the log's
+        REBUILD count is the generation.
         """
         if len(blocklist) <= self.tau:
             return RebuildResult(rebuilt=False)
@@ -267,23 +269,22 @@ class HybridIndex:
         blocklist.compact(self.generation, audit)
         return RebuildResult(rebuilt=True)
 
-    # Persistence: the generation and the tombstones. The live entries are
-    # the store's Active nodes, whose vectors are recomputed from content on load.
+    # Persistence: the tombstones alone. The live entries are the store's
+    # Active nodes, whose vectors are recomputed from content on load, and the
+    # generation is the number of rebuilds, which the audit log records.
 
     def to_lines(self) -> list:
-        return [canonical_json({"generation": self.generation})] + [
-            canonical_json({"id": node_id}) for node_id in self.tombstones()]
+        return [canonical_json({"id": node_id}) for node_id in self.tombstones()]
 
     @classmethod
-    def from_lines(cls, lines, embedder: HashingEmbedder, tau: int,
+    def from_lines(cls, lines, embedder: HashingEmbedder, tau: int, generation: int,
                    live: Iterable[tuple], known: Container[int]) -> "HybridIndex":
-        """The saved index over ``live``, the (id, content) of every live entry.
+        """The saved index at ``generation`` over ``live``, the (id, content) of every live entry.
 
         Each tombstone must name an id in ``known`` that is not live, once.
         """
-        lines = iter(lines)
         index = cls(embedder, tau=tau)
-        (index.generation,) = json_record(json.loads(next(lines)), {"generation": int})
+        index.generation = generation
         for node_id, content in live:
             index.insert(node_id, content)
         for line in lines:

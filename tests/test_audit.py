@@ -347,12 +347,13 @@ class TestBlocklist:
         assert blocklist.has_digest("abc")
 
     def test_round_trip(self):
-        # The lines hold the digests only; a store's loader passes the ids, its episodic tombstones.
+        # No file holds a blocklist: a store's loader builds it from its episodic tombstones,
+        # the digests its forgotten nodes keep and the log's REBUILD count.
         blocklist, log = Blocklist(), AuditLog()
-        digest = content_digest("d1")  # a load accepts only the form content_digest gives
+        digest = content_digest("d1")
         blocklist.block([9, 5], log, digests=[digest])
         assert blocklist.to_lines() == [f'{{"digest":"{digest}"}}']
-        reloaded = Blocklist.from_lines(blocklist.to_lines(), ids=blocklist.entries())
-        assert reloaded.entries() == [5, 9]
+        reloaded = Blocklist(ids=blocklist.entries(), digests=[digest], generation=blocklist.generation)
+        assert reloaded.entries() == [5, 9] and reloaded.generation == 0
         assert reloaded.has_digest(digest)
         assert reloaded.to_lines() == blocklist.to_lines()

@@ -75,22 +75,17 @@ def in_params(change):
     return lambda rec: {**rec, "params": change(rec["params"])}
 
 
-# A v3 blocklist holds no id line. A case at this line puts back, as line 1, the v2 line
-# that blocked node 0 (`{"id":0}`) and damages it: an id line is refused whatever it holds.
-V2_ID_LINE = "v2 id line"
 # A line of each kind of stored record in the `unlearned` store (line 0 of a file with a
-# header is the header), and the record's int field; an audit record and a digest record
+# header is the header), and the record's int field; an audit record and a blocked digest
 # have none, so theirs is a string. A node's derivation edges are its `parents` list, so
 # the edge kind is a derived node's record (line 7 is summary 6, on parents 0-5) and its
-# `parents` field.
+# `parents` field; a blocked digest is kept by a forgotten node (line 1 is target 0).
 RECORD_LINES = {
     "audit": ("audit.jsonl", 1, "op"),
     "node": ("nodes.jsonl", 1, "id"),
     "edge": ("nodes.jsonl", 7, "parents"),
-    "blocklist-id": ("blocklist.jsonl", V2_ID_LINE, "id"),
-    "blocklist-digest": ("blocklist.jsonl", -1, "digest"),
-    "index-generation": ("index.jsonl", 1, "generation"),
-    "index-tombstone": ("index.jsonl", 2, "id"),
+    "blocked-digest": ("nodes.jsonl", 1, "blocked_digest"),
+    "index-tombstone": ("index.jsonl", 1, "id"),
     "model": ("model.jsonl", 1, "ref_seed"),
     "provenance": ("provenance.jsonl", 1, "node_id"),
     "corpus": ("corpus.jsonl", 0, "answer_idx"),
@@ -150,10 +145,10 @@ class TestGenCorpus:
 class TestStore:
     def test_expected_files(self, pipeline):
         _, store = pipeline
-        for name in ("nodes.jsonl", "blocklist.jsonl", "audit.jsonl",
-                     "index.jsonl", "model.jsonl", "corpus.jsonl", "provenance.jsonl",
-                     "config.cfg"):
+        for name in ("nodes.jsonl", "audit.jsonl", "index.jsonl", "model.jsonl", "corpus.jsonl",
+                     "provenance.jsonl", "config.cfg"):
             assert (store / name).exists(), name
+        assert not (store / "blocklist.jsonl").exists()  # load derives the blocklist
 
     def test_lock_released(self, pipeline):
         _, store = pipeline
@@ -401,9 +396,8 @@ class TestAuditVerify:
 
 class TestDamagedStore:
     @pytest.mark.parametrize("name, damage", [
-        # A blocklist may hold no record, so its truncation shows only mid-record.
-        ("blocklist.jsonl", lambda lines: lines[:1] + [lines[1][:5]]),
-        ("index.jsonl", lambda lines: lines[:1]),
+        # An index may hold no tombstone, so its truncation shows only mid-record.
+        ("index.jsonl", lambda lines: lines[:1] + [lines[1][:5]]),
         pytest.param("nodes.jsonl", lambda lines: lines[:-1] + [with_fields(lines[-1], parents=[9999])],
                      id="nodes.jsonl-unknown-parent"),
         ("model.jsonl", lambda lines: ["memscrub-model v0"] + lines[1:]),
@@ -417,16 +411,12 @@ class TestDamagedStore:
                      id="nodes.jsonl-extra-key"),
         pytest.param("nodes.jsonl", lambda lines: lines + lines[2:3],
                      id="nodes.jsonl-duplicate-id"),
-        pytest.param("blocklist.jsonl", lambda lines: lines + ['{"id":0}', '{"id":0}'],
-                     id="blocklist.jsonl-duplicate-id"),
-        pytest.param("blocklist.jsonl", lambda lines: lines + ['{"digest":"ab"}'] * 2,
-                     id="blocklist.jsonl-duplicate-digest"),
         # The store has forgotten the forget split, so its index holds tombstones.
         pytest.param("index.jsonl", lambda lines: lines + ['{"id":107}'],  # an Active reflection
                      id="index.jsonl-tombstone-names-active-node"),
         pytest.param("index.jsonl", lambda lines: lines + ['{"id":9999}'],
                      id="index.jsonl-tombstone-names-unknown-node"),
-        pytest.param("index.jsonl", lambda lines: lines + lines[2:3],
+        pytest.param("index.jsonl", lambda lines: lines + lines[1:2],
                      id="index.jsonl-duplicate-tombstone"),
         pytest.param("nodes.jsonl", lambda lines: ["memscrub-nodes v1"] + lines[1:],
                      id="nodes.jsonl-v1-header"),
@@ -434,30 +424,18 @@ class TestDamagedStore:
                      id="nodes.jsonl-v2-header"),
         pytest.param("index.jsonl", lambda lines: ["memscrub-index v1"] + lines[1:],
                      id="index.jsonl-v1-header"),
-        # Ids and generations must be JSON integers, and digests strings. `lines[2]` of
-        # index.jsonl is id 0, which a bool or float 0 replaces, not duplicates; in
-        # blocklist.jsonl, which holds digests only, it replaces the first digest.
-        pytest.param("blocklist.jsonl", lambda lines: lines + ['{"id":"3"}'],
-                     id="blocklist.jsonl-string-id"),
-        pytest.param("blocklist.jsonl", lambda lines: lines[:1] + ['{"id":false}'] + lines[2:],
-                     id="blocklist.jsonl-bool-id"),
-        pytest.param("blocklist.jsonl", lambda lines: lines[:1] + ['{"id":0.0}'] + lines[2:],
-                     id="blocklist.jsonl-float-id"),
-        # The v1 records, an id with its index generation and the blocklist's own
-        # generation, are malformed in a v2 file, whatever their values.
-        pytest.param("blocklist.jsonl",
-                     lambda lines: lines[:2] + ['{"id":0,"index_generation":"0"}'] + lines[3:],
-                     id="blocklist.jsonl-string-index-generation"),
-        pytest.param("blocklist.jsonl", lambda lines: lines[:1] + ['{"generation":0.0}'] + lines[2:],
-                     id="blocklist.jsonl-float-generation"),
-        pytest.param("blocklist.jsonl", lambda lines: lines + ['{"digest":5}'],
-                     id="blocklist.jsonl-number-digest"),
-        pytest.param("index.jsonl", lambda lines: lines[:2] + ['{"id":false}'] + lines[3:],
+        # The generation is the audit log's REBUILD count; an index line cannot store one.
+        pytest.param("index.jsonl", lambda lines: lines[:1] + ['{"generation":5}'] + lines[1:],
+                     id="index.jsonl-generation-line"),
+        # Ids must be JSON integers, and digests strings. `lines[1]` of index.jsonl is id 0,
+        # which a bool or float 0 replaces, not duplicates; line 1 of nodes.jsonl is target 0.
+        pytest.param("index.jsonl", lambda lines: lines + ['{"id":"3"}'], id="index.jsonl-string-tombstone"),
+        pytest.param("index.jsonl", lambda lines: lines[:1] + ['{"id":false}'] + lines[2:],
                      id="index.jsonl-bool-tombstone"),
-        pytest.param("index.jsonl", lambda lines: lines[:2] + ['{"id":0.0}'] + lines[3:],
+        pytest.param("index.jsonl", lambda lines: lines[:1] + ['{"id":0.0}'] + lines[2:],
                      id="index.jsonl-float-tombstone"),
-        pytest.param("index.jsonl", lambda lines: lines[:1] + ['{"generation":"0"}'] + lines[2:],
-                     id="index.jsonl-string-generation"),
+        pytest.param("nodes.jsonl", lambda lines: lines[:1] + [with_fields(lines[1], blocked_digest=5)]
+                     + lines[2:], id="nodes.jsonl-number-blocked-digest"),
         # Node ids and parents must be JSON integers, contents strings.
         # The last node record is node 107, an Active reflection; line 7 is summary 6, on
         # parents 0-5.
@@ -518,12 +496,12 @@ class TestDamagedStore:
         pytest.param("audit.jsonl", lambda lines: lines[:1] + forge_chain(
             lines[1:], 2, lambda rec: {"payload_digest": rec["payload_digest"].upper()}),
                      id="audit.jsonl-forged-uppercase-digest"),
-        pytest.param("blocklist.jsonl", lambda lines: lines + ['{"id":"3"}'],
-                     id="blocklist.jsonl-string-id"),
-        pytest.param("blocklist.jsonl", lambda lines: lines + ['{"digest":5}'],
-                     id="blocklist.jsonl-number-digest"),
-        pytest.param("blocklist.jsonl", lambda lines: lines + [f'{{"digest":"{HEX_DIGEST}"}}'] * 2,
-                     id="blocklist.jsonl-digest-listed-twice"),
+        # This store has forgotten nothing, so node 0 is Active and the index holds no tombstone.
+        pytest.param("index.jsonl", lambda lines: lines + ['{"id":"3"}'], id="index.jsonl-string-tombstone"),
+        pytest.param("nodes.jsonl", lambda lines: lines[:1] + [with_fields(lines[1], blocked_digest=5)]
+                     + lines[2:], id="nodes.jsonl-number-blocked-digest"),
+        pytest.param("nodes.jsonl", lambda lines: lines[:1] + [with_fields(lines[1], blocked_digest=HEX_DIGEST)]
+                     + lines[2:], id="nodes.jsonl-live-node-with-blocked-digest"),
     ])
     def test_damaged_store_is_refused_before_it_is_touched(self, pipeline, tmp_path, capsys,
                                                            name, damage):
@@ -554,7 +532,8 @@ class TestDamagedStore:
             path.write_text("\n".join(lines[:at] + [json.dumps(dict(reversed(json.loads(line).items())))
                                                      for line in lines[at:]]) + "\n")
         assert (copy / "nodes.jsonl").read_text().splitlines()[7] == (
-            '{"status": "deleted", "parents": [0, 1, 2, 3, 4, 5], "layer": "semantic", "id": 6, "content": ""}')
+            '{"status": "deleted", "parents": [0, 1, 2, 3, 4, 5], "layer": "semantic", "id": 6, '
+            '"content": "", "blocked_digest": ""}')
         MemoryStore.load(copy).save(tmp_path / "resaved")
         for name in FILE_HEADERS:
             assert (tmp_path / "resaved" / name).read_bytes() == (store / name).read_bytes(), name
@@ -676,17 +655,14 @@ class TestDamagedStore:
         # `w1` must have one row per feature (config `feature_dim`), not just fit `b1` and `w2`.
         pytest.param("model.jsonl", 1, in_params(lambda params: {**params, "w1": params["w1"][:1]}),
                      id="params-w1-one-row"),
-        # An id record with a digest key would once load as a digest and drop the id.
-        pytest.param("blocklist.jsonl", V2_ID_LINE, set_to(digest=HEX_DIGEST),
-                     id="blocklist-id-with-digest"),
         # Reference counts are derived from the parents; a stored one is an unknown key.
         pytest.param("nodes.jsonl", -1, set_to(ref_count=1), id="node-with-ref-count"),
         # What a type cannot say. Line i + 1 is node i: node 0 is a Deleted target, node 1 an
         # episodic one, node 6 the Deleted summary on parents 0-5 (its edge 0 -> 6 the one each
         # edge case damages), node 8 an Outdated reflection, node 27 an Active episodic node,
-        # node 33 the Active summary that is KG entity 34's only parent, the last node (107) an
-        # Active reflection, and the last blocklist line is a digest. A blocked id is an episodic
-        # tombstone in index.jsonl; a blocklist id line naming any node is refused.
+        # node 33 the Active summary that is KG entity 34's only parent and the last node (107)
+        # an Active reflection. A node has a blocked digest exactly when it is a Deleted
+        # episodic node, a forget's target; the digest is 64 lowercase hex characters.
         pytest.param("nodes.jsonl", 1, set_to(content="restored"), id="deleted-node-with-content"),
         pytest.param("nodes.jsonl", 28, set_to(status="outdated"), id="outdated-episodic-node"),
         pytest.param("nodes.jsonl", 34, set_to(status="deleted", content=""),
@@ -699,11 +675,14 @@ class TestDamagedStore:
         pytest.param("nodes.jsonl", 7, set_to(parents=[0, 0, 2, 3, 4, 5]), id="edge-listed-twice"),
         pytest.param("nodes.jsonl", 7, set_to(parents=[1, 0, 2, 3, 4, 5]), id="parents-out-of-order"),
         pytest.param("nodes.jsonl", 9, set_to(parents=[]), id="outdated-reflection-without-parent"),
-        pytest.param("blocklist.jsonl", V2_ID_LINE, set_to(id=10_000), id="blocked-id-unknown"),
-        pytest.param("blocklist.jsonl", V2_ID_LINE, set_to(id=107), id="blocked-id-active"),
-        pytest.param("blocklist.jsonl", V2_ID_LINE, set_to(id=8), id="blocked-id-outdated"),
-        pytest.param("blocklist.jsonl", -1, set_to(digest="ab"), id="short-digest"),
-        pytest.param("blocklist.jsonl", -1, set_to(digest=HEX_DIGEST.upper()), id="uppercase-digest"),
+        pytest.param("nodes.jsonl", 1, set_to(blocked_digest=5), id="number-digest"),
+        pytest.param("nodes.jsonl", 1, set_to(blocked_digest="ab"), id="short-digest"),
+        pytest.param("nodes.jsonl", 1, set_to(blocked_digest=HEX_DIGEST.upper()), id="uppercase-digest"),
+        pytest.param("nodes.jsonl", 1, set_to(blocked_digest=""), id="forgotten-node-digest-blanked"),
+        pytest.param("nodes.jsonl", 28, set_to(blocked_digest=HEX_DIGEST), id="active-node-with-digest"),
+        pytest.param("nodes.jsonl", 7, set_to(blocked_digest=HEX_DIGEST), id="deleted-summary-with-digest"),
+        pytest.param("nodes.jsonl", 9, set_to(blocked_digest=HEX_DIGEST),
+                     id="outdated-reflection-with-digest"),
     ])
     def test_bad_field_is_malformed(self, unlearned, tmp_path, capsys, name, line, change):
         store, _, _ = unlearned
@@ -711,9 +690,6 @@ class TestDamagedStore:
         shutil.copytree(store, copy)
         path = copy / name
         lines = path.read_text().splitlines()
-        if line == V2_ID_LINE:
-            line = 1
-            lines.insert(line, '{"id":0}')
         lines[line] = json.dumps(change(json.loads(lines[line])))
         path.write_text("\n".join(lines) + "\n")
         code = main(["query", "--store", str(copy), "--text", "what remedy"])
@@ -772,24 +748,25 @@ class TestDamagedStore:
         assert code == 1
         assert capsys.readouterr().err == f"error: {path}: missing or wrong version header\n"
 
-    def test_v1_blocklist_is_rejected(self, unlearned, tmp_path, capsys):
-        # The same set in the v1 form (a generation record, and each id with the index
-        # generation it was blocked at) and in the v2 form (one id line per blocked id),
-        # each before the digest lines.
-        store, _, targets = unlearned
+    @pytest.mark.parametrize("name, header, old_form", [
+        # v4 nodes kept no blocked digest: their record is v5's without that key.
+        pytest.param("nodes.jsonl", "memscrub-nodes v4", lambda rec: canonical_json(
+            {k: v for k, v in rec.items() if k != "blocked_digest"}), id="v4-nodes"),
+        # A v2 index stored its generation on line 1, before the tombstones.
+        pytest.param("index.jsonl", "memscrub-index v2", None, id="v2-index"),
+    ])
+    def test_old_format_is_rejected(self, unlearned, tmp_path, capsys, name, header, old_form):
+        store, _, _ = unlearned
         copy = tmp_path / "store"
         shutil.copytree(store, copy)
-        path = copy / "blocklist.jsonl"
-        _, *digests = path.read_text().splitlines()
-        for header, ids in [
-            ("memscrub-blocklist v1", ['{"generation":0}'] + [
-                canonical_json({"id": t, "index_generation": 0}) for t in sorted(targets)]),
-            ("memscrub-blocklist v2", [canonical_json({"id": t}) for t in sorted(targets)]),
-        ]:
-            path.write_text("\n".join([header, *ids, *digests]) + "\n")
-            code = main(["query", "--store", str(copy), "--text", "what remedy"])
-            assert code == 1
-            assert capsys.readouterr().err == f"error: {path}: missing or wrong version header\n"
+        path = copy / name
+        _, *records = path.read_text().splitlines()
+        records = ([old_form(json.loads(line)) for line in records] if old_form
+                   else ['{"generation":0}', *records])
+        path.write_text("\n".join([header, *records]) + "\n")
+        code = main(["query", "--store", str(copy), "--text", "what remedy"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {path}: missing or wrong version header\n"
 
     def test_store_rejects_malformed_corpus(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.jsonl"
@@ -859,6 +836,12 @@ class TestUnlearnPipeline:
         store, _, _ = unlearned
         code, _ = run_cli(capsys, "audit-verify", "--store", str(store))
         assert code == 0
+
+    @pytest.mark.parametrize("node_id", [9999, 6], ids=["unknown-node", "summary"])
+    def test_probe_of_an_unmapped_id_is_an_error(self, unlearned, capsys, node_id):
+        store, _, _ = unlearned
+        assert main(["probe", "--store", str(store), "--id", str(node_id)]) == 1
+        assert capsys.readouterr() == ("", f"error: node {node_id} does not map to a corpus item\n")
 
     def test_probe_reports_no_reexposure(self, unlearned, capsys):
         store, _, targets = unlearned
@@ -988,13 +971,20 @@ class TestConfig:
             assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not out.exists() and not store.exists()
 
-    def test_value_that_is_not_a_boolean_stops_the_command(self, tmp_path, capsys):
+    @pytest.mark.parametrize("line, expected", [
+        ("entropy_fallback = maybe", "a boolean, got 'maybe'"),
+        ("tau = 1.5", "an integer, got '1.5'"),
+        ("h_min = x", "a number, got 'x'"),
+        ("lambda_f = 1,5", "a number, got '1,5'"),
+    ], ids=["boolean", "integer", "h-min", "float"])
+    def test_value_that_is_not_a_boolean_stops_the_command(self, tmp_path, capsys, line, expected):
+        """A value that does not parse as its key's type is an error naming the key."""
         path = tmp_path / "run.cfg"
-        path.write_text("entropy_fallback = maybe\n")
+        path.write_text(line + "\n")
         out = tmp_path / "corpus.jsonl"
         assert main(["gen-corpus", "--out", str(out), "--config", str(path)]) == 1
-        assert capsys.readouterr() == (
-            "", "error: config key entropy_fallback: expected a boolean, got 'maybe'\n")
+        key = line.partition(" ")[0]
+        assert capsys.readouterr() == ("", f"error: config key {key}: expected {expected}\n")
         assert not out.exists()
 
     def test_negative_epochs_flag_rejected(self):

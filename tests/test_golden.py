@@ -19,10 +19,9 @@ from memscrub.config import RunConfig
 from memscrub.store import load_model
 
 STORE_SHA256 = {
-    "nodes.jsonl": "a24c4cf19c9510afd30fb7c83d11cdea0f0cf9b7160febf002eda619ff5dec64",
-    "blocklist.jsonl": "2dd8ae536047b75d82511448a00c44a6c6559eeca79524e4a2b179f3551bdb30",
+    "nodes.jsonl": "c163628d5c3c0d69f4c285fdbdf9a2dc48a2258967273901fcf9f83b12fae766",
     "audit.jsonl": "ebda3a5b7d465cc6a0931575c86fbeb779789d07c64317c8ed4e4bf4dd881e14",
-    "index.jsonl": "11e13dc6deebd8cad902eb005efad4a3e013d6ae95b7c571121f19b16b36245d",
+    "index.jsonl": "3b9101f2445be4d398b9c3a7ce7241f9a1060bd4d2e631e8299e41c44e0cfe08",
     "provenance.jsonl": "0eb948406a47411faa63d11e46755a4841cc27e11197f8082b23bdef7ec8db00",
     "corpus.jsonl": "820bd9aa9ef41d5e12382f1c508cd4ff569cfe19d491f4e08e8f5c2410972ecf",
     "config.cfg": "1f1bfface063fbc0ba4fe28d46488d9921b1d48a670033734a08823d37ed9a95",
@@ -30,13 +29,12 @@ STORE_SHA256 = {
 # After unlearning the first forget topic's 6 episodic ids. audit.jsonl is
 # pinned without its last line, the TRAIN record, which carries a training result.
 UNLEARNED_SHA256 = {
-    "nodes.jsonl": "a928987ffe321159a8a0155c22b1be631a8e51a2aead7eb157e88e95301e5a83",
-    "blocklist.jsonl": "f9365c03e9fb6aa02de9a9cd42732ed1cee8d6ffd387f2887d6ecf65f29e03c8",
-    "index.jsonl": "e4bef67ad96d64beefd958b97cd2f8a84bc065c15de108fc6cb480c957cd7adf",
+    "nodes.jsonl": "e7aba46b86574e425d6f209b4ee7dd0a4afa8d97c61d2f39d68cfbcc21154b83",
+    "index.jsonl": "0d596eba6bb87ecc3c3f9f468df907b0320382dcdce5a273ef7f10671ece333e",
 }
 # Every path in each store directory, so a file that appears or disappears is a visible change.
-STORE_FILES = ["audit.jsonl", "blocklist.jsonl", "config.cfg", "corpus.jsonl", "index.jsonl", "lock",
-               "model.jsonl", "nodes.jsonl", "provenance.jsonl"]
+STORE_FILES = ["audit.jsonl", "config.cfg", "corpus.jsonl", "index.jsonl", "lock", "model.jsonl",
+               "nodes.jsonl", "provenance.jsonl"]
 UNLEARNED_FILES = sorted(STORE_FILES + ["metrics", "metrics/unlearn_req6.jsonl"])
 UNLEARNED_AUDIT_BEFORE_TRAIN_SHA256 = "54802cb021aa190b3bad5a0908a76493115a2189b9ab0b80c9268d7a5bb2d700"
 RUN_LOOP_SHA256 = "c06ec9cc592efc67b24a0a9c4559b5025ac4f7a82cc0a9af81ec4411f0e5b2a6"

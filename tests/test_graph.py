@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from memscrub.audit import canonical_json
+from memscrub.audit import canonical_json, content_digest
 from memscrub.graph import (
     EdgeViolationError,
     ForgetRequest,
@@ -286,10 +286,22 @@ class TestPersistence:
             assert reloaded.node(node_id).status == g.node(node_id).status
         reloaded.check_consistency()
 
+    def test_deleted_target_keeps_the_digest_of_its_content(self):
+        """Given the digests its caller blocked, a prune keeps those very strings."""
+        g, m1, s1 = make_chain()
+        m2 = g.add_memory(Layer.EPISODIC, "episode two")
+        blocked = content_digest("episode two")
+        g.prune(ForgetRequest.of("r1", [m1]), g.dependency_closure([m1]), always_blocked)
+        g.prune(ForgetRequest.of("r2", [m2]), set(), always_blocked, digests={m2: blocked})
+        assert [g.node(i).blocked_digest for i in (m1, s1)] == [content_digest("episode one"), ""]
+        assert g.node(m2).blocked_digest is blocked
+        assert MemoryGraph.from_lines(g.node_lines()).node_lines() == g.node_lines()
+
     def test_active_derived_node_without_active_parent_does_not_load(self):
         g, m1, s1 = make_chain()
         g.node(m1).status = Status.DELETED  # a node edit that no prune makes
         g.node(m1).content = ""
+        g.node(m1).blocked_digest = content_digest("episode one")
         with pytest.raises(GraphError, match=f"active derived node {s1} has no active parent"):
             g.check_consistency()
         with pytest.raises(GraphError, match=f"active derived node {s1} has no active parent"):

@@ -140,7 +140,7 @@ class TestIndexMembership:
         hits = index.search(query, allow_all)
         expected = oracle_search({0: "doc 0", 2: "doc 2"}, query, allow_all, 64)
         assert [h.node_id for h in hits] == [e[0] for e in expected]
-        assert index.to_lines()[1:] == ['{"id":1}']
+        assert index.to_lines() == ['{"id":1}']
         with pytest.raises(UnknownNodeError):
             index.remove(1)
         # The dead row keeps its postings until a purge drops them and frees the row.
@@ -198,11 +198,11 @@ class TestPersistence:
 
         lines = index.to_lines()
         live = [(i, contents[i]) for i in live_ids(index)]
-        reloaded = HybridIndex.from_lines(lines, CountingEmbedder(64), tau=100,
+        reloaded = HybridIndex.from_lines(lines, CountingEmbedder(64), tau=100, generation=3,
                                           live=live, known=Known(contents))
         assert asked == [1, 4]  # tombstones are checked against the graph
         assert embedded == [contents[i] for i in (0, 2, 3, 5)]
-        assert reloaded.to_lines() == lines
+        assert reloaded.to_lines() == lines and reloaded.generation == 3
         assert live_ids(reloaded) == live_ids(index)
 
     def test_unknown_tombstone_rejected_on_load(self, tmp_path):
@@ -223,7 +223,8 @@ class TestPersistence:
         live = [(0, "alpha river")]
         lines = index.to_lines() + ['{"id":1}' if tombstone else '{"id":0}']
         with pytest.raises(ValueError, match="listed twice" if tombstone else "live entry"):
-            HybridIndex.from_lines(lines, index.embedder, tau=100, live=live, known={0, 1})
+            HybridIndex.from_lines(lines, index.embedder, tau=100, generation=0, live=live,
+                                   known={0, 1})
 
 
 class TestCopyAndPurge:
@@ -275,7 +276,7 @@ class TestCopyAndPurge:
         index.purge()
         assert live_ids(index) == [0, 4, 6, 7]
         assert len(index) == 4
-        assert index.to_lines()[1:] == []  # no tombstone left
+        assert index.to_lines() == []  # no tombstone left
         assert index.generation == generation + 1
         hits = index.search(HybridQuery("doc river", top_k=8), allow_all)
         assert sorted(h.node_id for h in hits) == [0, 4, 6, 7]

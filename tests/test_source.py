@@ -1,5 +1,6 @@
 """Source checks: every name a module-level import binds is used, no module
-holds an ``assert`` statement, and no public code is without a caller.
+holds an ``assert`` statement, no public code is without a caller, and no
+module reads another's private names.
 
 No linter is a dependency, so this stands in for the rules a deletion
 most often breaks: an import left behind by the code that used it, and a
@@ -8,6 +9,7 @@ function or class whose last caller is gone.
 
 import ast
 import functools
+import re
 from pathlib import Path
 
 import pytest
@@ -97,3 +99,39 @@ def test_every_public_definition_has_a_caller(path):
     uncalled = {name: line for name, line in public_definitions(tree).items()
                 if name.rpartition(".")[2] not in called_names()}
     assert not uncalled, f"{path.name}: public definitions without a caller: {uncalled}"
+
+
+PRIVATE = re.compile(r"_[^_]")  # one leading underscore: not a dunder, not ``_`` alone
+
+
+def defined_names(tree: ast.Module) -> set:
+    """The names the module defines: its functions, classes and methods, the names it
+    assigns and the attributes it sets on ``self`` or ``cls``. Imports define none."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+              and isinstance(node.value, ast.Name) and node.value.id in ("self", "cls")):
+            names.add(node.attr)
+    return names
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_name_of_another_module(path):
+    """A private name read as an attribute, or imported, is one the module defines itself."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    defined = defined_names(tree)
+    foreign = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        foreign.update((name, node.lineno) for name in names
+                       if PRIVATE.match(name) and name not in defined)
+    assert not foreign, f"{path.name}: private names of another module: {foreign}"

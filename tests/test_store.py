@@ -5,11 +5,10 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from memscrub.audit import AuditOp, AuditRecord, payload_digest
+from memscrub.audit import AuditOp, AuditRecord, content_digest, payload_digest
 from memscrub.corpus import generate_corpus, populate_store
 from memscrub.graph import ForgetRequest, Layer, Status
-from memscrub.retrieval import HashingEmbedder, HybridIndex
-from memscrub.store import MemoryStore, RetrievalSettings, parse_lines, write_lines
+from memscrub.store import MemoryStore, RetrievalSettings, load_model, parse_lines, write_lines
 
 from conftest import live_ids
 
@@ -62,23 +61,30 @@ def test_record_with_raw_u2028_is_rejected(tmp_path):
 
 
 def test_header_only_file_is_malformed(tmp_path):
-    path = tmp_path / "index.jsonl"  # its first record, the generation, is required
-    path.write_text("h\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="index.jsonl: malformed file: StopIteration"):
-        parse_lines(lambda lines: HybridIndex.from_lines(
-            lines, HashingEmbedder(8), tau=100, live=(), known=()), (path, "h"))
+    path = tmp_path / "model.jsonl"  # its one record is required
+    write_lines(path, "memscrub-model v2", [])
+    with pytest.raises(ValueError, match="model.jsonl: malformed file: ValueError.*not enough values"):
+        load_model(tmp_path, 8)
 
 
-def check_forgotten(store, rebuilt):
+def check_forgotten(store, rebuilt, digests):
     """The index holds exactly the Active nodes, and the blocked ids are exactly its
-    episodic tombstones, all Deleted; a rebuild leaves neither a tombstone nor a blocked id."""
+    episodic tombstones, all Deleted; a rebuild leaves neither a tombstone nor a blocked id.
+
+    What a load derives holds in process too: the blocked digests are those the Deleted
+    episodic nodes keep, each the digest of the content the node had (``digests``), and the
+    generation of the index and of the blocklist is the log's REBUILD count."""
     assert live_ids(store.index, store.graph.nodes) == list(store.graph.active_view())
     assert store.blocklist.entries() == [
         i for i in store.index.tombstones() if store.graph.nodes[i].layer is Layer.EPISODIC]
     assert all(store.graph.nodes[i].status is Status.DELETED for i in store.blocklist.entries())
-    assert store.blocklist.generation == store.index.generation
+    forgotten = {i: node.blocked_digest for i, node in store.graph.nodes.items()
+                 if node.status is Status.DELETED and node.layer is Layer.EPISODIC}
+    assert forgotten == {i: digests[i] for i in forgotten}
+    assert store.blocklist.digests == set(forgotten.values())
+    assert store.index.generation == store.blocklist.generation == store.audit.count(AuditOp.REBUILD)
     if rebuilt:
-        assert store.index.to_lines()[1:] == [] and len(store.blocklist) == 0
+        assert store.index.to_lines() == [] and len(store.blocklist) == 0
 
 
 @functools.cache
@@ -91,6 +97,7 @@ def small_corpus():
 def test_forget_keeps_the_index_on_the_active_nodes(tau, data):
     store = MemoryStore(RetrievalSettings(tau=tau, embed_dim=16))
     episodic = sorted(populate_store(store, small_corpus()).node_to_item)
+    digests = {i: content_digest(store.content(i)) for i in episodic}
     requests = []
     for n in range(data.draw(st.integers(1, 6))):
         if requests and data.draw(st.booleans()):
@@ -98,12 +105,13 @@ def test_forget_keeps_the_index_on_the_active_nodes(tau, data):
         else:
             targets = data.draw(st.lists(st.sampled_from(episodic), min_size=1, max_size=6))
         requests.append(targets)
-        check_forgotten(store, store.forget(ForgetRequest.of(f"r{n}", targets)).rebuilt)
+        check_forgotten(store, store.forget(ForgetRequest.of(f"r{n}", targets)).rebuilt, digests)
     with tempfile.TemporaryDirectory() as directory:
         store.save(directory)
         loaded = MemoryStore.load(directory, settings=store.settings)
-    check_forgotten(loaded, rebuilt=False)
-    assert loaded.blocklist.entries() == store.blocklist.entries()  # the file holds no id
+    check_forgotten(loaded, rebuilt=False, digests=digests)
+    assert loaded.blocklist.entries() == store.blocklist.entries()  # no file holds an id
+    assert loaded.blocklist.generation == store.blocklist.generation
     assert loaded.blocklist.to_lines() == store.blocklist.to_lines()
     assert loaded.index.to_lines() == store.index.to_lines()
 
