@@ -89,8 +89,12 @@ def featurize(text: str, dim: int) -> np.ndarray:
 
 
 def to_dataset(items: Iterable[QAItem], dim: int) -> Dataset:
+    """Each item's question featurized into its own row of one matrix, so no
+    per-row vector outlives its row."""
     items = list(items)
-    x = np.stack([featurize(it.question, dim) for it in items]) if items else np.zeros((0, dim))
+    x = np.zeros((len(items), dim))
+    for row, it in zip(x, items):
+        row[:] = featurize(it.question, dim)
     y = np.array([it.answer_idx for it in items], dtype=int)
     return Dataset(x=x, y=y)
 

@@ -8,8 +8,13 @@ and node status at the boundary, and truncated to top-k.
 
 The index keeps the integer vectors as float32 rows of zero-filled blocks
 of ``BLOCK_ROWS`` rows, with a row -> id array, a row -> norm array, and
-keyword overlap as postings (token -> rows). A search runs one mat-vec
-over each whole block, whose integer dot products are exact (see
+keyword overlap as postings (token -> rows). An insert takes a row and
+its postings at once but leaves the row's vector unwritten: the text
+waits in a pending map, and the next search first embeds every pending
+text, ``FLUSH_ROWS`` at a time, so a store written or loaded and never
+searched (``memscrub store``, ``memscrub unlearn``) embeds nothing, and
+an entry removed before any search is never embedded. A search runs one
+mat-vec over each whole block, whose integer dot products are exact (see
 ``HybridIndex.search``), so identical texts score bit-identically at any
 row, and adds one at each row in the postings of each query token.
 A removal takes the entry out of the live set at once and keeps its id
@@ -22,6 +27,7 @@ rebuilt (purged) when the blocklist outgrows a threshold.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import re
@@ -37,6 +43,7 @@ from .graph import UnknownNodeError
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 BLOCK_ROWS = 64
+FLUSH_ROWS = 16  # texts embedded together when a search writes the pending rows
 
 
 def tokenize(text: str) -> list:
@@ -60,25 +67,47 @@ class HashingEmbedder:
     all zero, the text takes the ``<degenerate>`` token's signs instead.
     Identical text therefore maps to the identical vector, independent of
     process or platform, which keeps stores byte-reproducible. The embedder
-    keeps no state beyond ``dim``: one token costs one hash and an unpack.
+    keeps no state beyond ``dim``: each distinct token of a batch costs one
+    hash and an unpack.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
 
-    def _counts(self, tokens: list) -> np.ndarray:
+    def _bits(self, tokens) -> np.ndarray:
+        """(len(tokens), dim) uint8: each token's signs, 1 for +1 and 0 for -1."""
         size = (self.dim + 7) // 8
         digests = b"".join([hashlib.shake_256(token.encode("utf-8")).digest(size)
                             for token in tokens])
-        bits = np.unpackbits(np.frombuffer(digests, dtype=np.uint8).reshape(len(tokens), size),
+        return np.unpackbits(np.frombuffer(digests, dtype=np.uint8).reshape(-1, size),
                              axis=1, count=self.dim)
-        return 2 * bits.sum(axis=0, dtype=np.int64) - len(tokens)
+
+    def embed_many(self, texts) -> np.ndarray:
+        """(len(texts), dim) int64: row ``i`` is the vector of ``texts[i]``.
+
+        Each distinct token is hashed once. One float32 matmul of the
+        texts' token occurrence counts by the tokens' sign bits counts each
+        text's +1 signs per dimension; every partial sum is an integer at
+        most the text's token count, so the product is exact while a text
+        has fewer than 2**24 tokens.
+        """
+        token_lists = [tokenize(text) or ["<empty>"] for text in texts]
+        tokens = list(itertools.chain.from_iterable(token_lists))
+        column = {token: j for j, token in enumerate(dict.fromkeys(tokens))}
+        n, m = len(token_lists), len(column)
+        lengths = np.fromiter(map(len, token_lists), np.int64, n)
+        cells = np.fromiter(map(column.__getitem__, tokens), np.int64, len(tokens))
+        cells += np.repeat(np.arange(n) * m, lengths)
+        occurrences = np.bincount(cells, minlength=n * m).reshape(n, m).astype(np.float32)
+        ones = occurrences @ self._bits(column).astype(np.float32)
+        counts = 2 * ones.astype(np.int64) - lengths[:, None]
+        nonzero = counts.any(axis=1)
+        if not nonzero.all():
+            counts[~nonzero] = 2 * self._bits(["<degenerate>"]).astype(np.int64) - 1
+        return counts
 
     def embed(self, text: str) -> np.ndarray:
-        counts = self._counts(tokenize(text) or ["<empty>"])
-        if not counts.any():
-            counts = self._counts(["<degenerate>"])
-        return counts
+        return self.embed_many([text])[0]
 
 
 def _norm(counts: np.ndarray) -> float:
@@ -122,7 +151,11 @@ class HybridIndex:
     """Exact-scoring hybrid index over row blocks and token postings.
 
     An entry keeps its row from insert to removal. A new entry takes the
-    lowest row a purge freed, else the next row of the last block.
+    lowest row a purge freed, else the next row of the last block. Its
+    counts and norm are written by the first search after its insert,
+    which embeds the pending texts ``FLUSH_ROWS`` at a time; the pending
+    map holds only live entries' texts, so a removed entry's text leaves
+    the index with it.
     """
 
     def __init__(self, embedder: HashingEmbedder, tau: int):
@@ -136,6 +169,7 @@ class HybridIndex:
         self._rows = 0  # rows filled, dead and freed ones included
         self._free: list = []  # purged rows below _rows, highest first
         self._row_of: dict[int, int] = {}  # live id -> row
+        self._pending: dict[int, str] = {}  # live row -> its text, until a search writes the row
         self._postings: dict[str, array] = {}  # token -> rows, unpurged dead ones included
         self._tombstones: set = set()
 
@@ -150,10 +184,10 @@ class HybridIndex:
         return sorted(self._tombstones)
 
     def insert(self, node_id: int, text: str) -> None:
-        counts = self.embedder.embed(text)
         old = self._row_of.get(node_id)
         if old is not None:
             self._live[old] = False
+            self._pending.pop(old, None)
         if self._free:
             row = self._free.pop()
         else:
@@ -164,9 +198,8 @@ class HybridIndex:
                 self._norms = np.concatenate([self._norms, np.ones(BLOCK_ROWS)])
                 self._live = np.concatenate([self._live, np.zeros(BLOCK_ROWS, dtype=bool)])
             self._rows += 1
-        self._blocks[row // BLOCK_ROWS][row % BLOCK_ROWS] = counts
+        self._pending[row] = text
         self._ids[row] = node_id
-        self._norms[row] = _norm(counts)
         self._live[row] = True
         self._row_of[node_id] = row
         self._tombstones.discard(node_id)
@@ -183,7 +216,27 @@ class HybridIndex:
         if row is None:
             raise UnknownNodeError(f"id {node_id} not in index")
         self._live[row] = False
+        self._pending.pop(row, None)
         self._tombstones.add(node_id)
+
+    def _flush(self) -> None:
+        """Write the counts and norm of every pending row, ``FLUSH_ROWS`` texts at a time.
+
+        A chunk leaves the pending map before it is embedded and goes back if
+        embedding raises, so a failed flush leaves every unwritten row pending.
+        """
+        pending = self._pending
+        while pending:
+            chunk = [pending.popitem() for _ in range(min(FLUSH_ROWS, len(pending)))]
+            try:
+                counts = self.embedder.embed_many([text for _, text in chunk])
+            except BaseException:
+                pending.update(chunk)
+                raise
+            for (row, _), row_counts in zip(chunk, counts):
+                self._blocks[row // BLOCK_ROWS][row % BLOCK_ROWS] = row_counts
+                self._norms[row] = _norm(row_counts)
+        self._pending = {}  # frees the table, which an emptied dict keeps
 
     def purge(self) -> None:
         """Drop every tombstone and free every dead row for reuse.
@@ -209,12 +262,13 @@ class HybridIndex:
     def search(self, query: HybridQuery, allowed: Callable[[int], bool]) -> list:
         """Top-k allowed hits by combined score, ties broken by ascending id.
 
-        A row's semantic score is ``(row · q) / (‖row‖ · ‖q‖)`` for the
-        query's counts ``q``, each norm a float64 taken from the exact
-        squared sum. The float32 dot product sums integers, each partial
-        sum at most ``embed_dim · n_tokens(text) · n_tokens(query)`` in
-        magnitude, so while that bound is below 2**24 the dot is exact and
-        the same in any summation order.
+        Every pending row is written first (``_flush``). A row's semantic
+        score is ``(row · q) / (‖row‖ · ‖q‖)`` for the query's counts
+        ``q``, each norm a float64 taken from the exact squared sum. The
+        float32 dot product sums integers, each partial sum at most
+        ``embed_dim · n_tokens(text) · n_tokens(query)`` in magnitude, so
+        while that bound is below 2**24 the dot is exact and the same in
+        any summation order.
 
         ``allowed`` is the retrieval boundary: it must reject blocked ids
         and nodes that are not Active. Candidate generation fetches
@@ -223,6 +277,7 @@ class HybridIndex:
         """
         if not self._row_of:
             return []
+        self._flush()
         qcounts = self.embedder.embed(query.text)
         qrow = qcounts.astype(np.float32)
         qtokens = set(tokenize(query.text))
@@ -270,8 +325,9 @@ class HybridIndex:
         return RebuildResult(rebuilt=True)
 
     # Persistence: the tombstones alone. The live entries are the store's
-    # Active nodes, whose vectors are recomputed from content on load, and the
-    # generation is the number of rebuilds, which the audit log records.
+    # Active nodes, whose vectors the first search after load recomputes from
+    # content, and the generation is the number of rebuilds, which the audit
+    # log records.
 
     def to_lines(self) -> list:
         return [canonical_json({"id": node_id}) for node_id in self.tombstones()]

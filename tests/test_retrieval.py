@@ -1,20 +1,23 @@
 import copy
+import gc
 import hashlib
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from memscrub import retrieval
+from memscrub import corpus, retrieval
 from memscrub.audit import AuditLog, AuditRecord, Blocklist, payload_digest
-from memscrub.graph import Layer, UnknownNodeError
+from memscrub.graph import ForgetRequest, Layer, UnknownNodeError
 from memscrub.retrieval import (
     BLOCK_ROWS,
+    FLUSH_ROWS,
     HashingEmbedder,
     HybridIndex,
     HybridQuery,
@@ -58,6 +61,18 @@ def oracle_search(docs, query, allowed, dim):
 @pytest.fixture()
 def index():
     return HybridIndex(HashingEmbedder(64), tau=100)
+
+
+class CountingEmbedder(HashingEmbedder):
+    """Records every text it embeds, queries included."""
+
+    def __init__(self, dim):
+        super().__init__(dim)
+        self.embedded = []
+
+    def embed_many(self, texts):
+        self.embedded.extend(texts)
+        return super().embed_many(texts)
 
 
 class TestEmbedder:
@@ -184,12 +199,8 @@ class TestPersistence:
             index.insert(i, text)
         index.remove(1)
         index.remove(4)
-        asked, embedded = [], []
-
-        class CountingEmbedder(HashingEmbedder):
-            def embed(self, text):
-                embedded.append(text)
-                return super().embed(text)
+        asked, embedder = [], CountingEmbedder(64)
+        embedded = embedder.embedded
 
         class Known(dict):
             def __contains__(self, node_id):
@@ -198,10 +209,15 @@ class TestPersistence:
 
         lines = index.to_lines()
         live = [(i, contents[i]) for i in live_ids(index)]
-        reloaded = HybridIndex.from_lines(lines, CountingEmbedder(64), tau=100, generation=3,
+        reloaded = HybridIndex.from_lines(lines, embedder, tau=100, generation=3,
                                           live=live, known=Known(contents))
         assert asked == [1, 4]  # tombstones are checked against the graph
-        assert embedded == [contents[i] for i in (0, 2, 3, 5)]
+        assert embedded == []  # load embeds nothing; the first search embeds the live entries
+        reloaded.search(HybridQuery("lake"), allow_all)
+        assert sorted(embedded) == [contents[i] for i in (0, 2, 3, 5)] + ["lake"]
+        del embedded[:]
+        reloaded.search(HybridQuery("lake"), allow_all)
+        assert embedded == ["lake"]  # the query alone
         assert reloaded.to_lines() == lines and reloaded.generation == 3
         assert live_ids(reloaded) == live_ids(index)
 
@@ -341,6 +357,7 @@ class TestSearch:
             index.insert(i, " ".join(tokens))
         queries = ["fever cough", "alder remedy tea", "topic001", "note7 bark rash fever",
                    "nothing in common", "cough " * 8]
+        index.search(HybridQuery(queries[0]), allow_all)  # writes the rows a search reads
         counts = [index.embedder.embed(text) for text in queries]
         stack = np.stack(counts).astype(np.float32)
         norms = np.array([reference_norm(c.tolist()) for c in counts])
@@ -496,6 +513,113 @@ class TestEmbedderState:
         assert clone.graph.audit is clone.audit and clone.audit is not store.audit
 
 
+def _cancelling_pair(dim):
+    """Two tokens whose signs cancel in every one of ``dim`` dimensions."""
+    tokens = [f"w{k}" for k in range(4096)]
+    signs = {tuple(reference_signs(t, dim)): t for t in tokens}
+    for token in tokens:
+        other = signs.get(tuple(-s for s in reference_signs(token, dim)))
+        if other is not None:
+            return f"{token} {other}"
+    raise AssertionError(f"no cancelling pair at dim {dim}")
+
+
+_CANCELLING = {dim: _cancelling_pair(dim) for dim in (1, 8)}
+_text = st.one_of(
+    st.lists(_words, max_size=8).map(" ".join),
+    st.tuples(_words, st.integers(2, 5)).map(lambda p: " ".join([p[0]] * p[1])),
+    st.just(""),
+    st.just(_CANCELLING[1]),
+    st.just(_CANCELLING[8]),
+)
+
+
+class TestEmbedMany:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(texts=st.lists(_text, max_size=2 * FLUSH_ROWS + 3), dim=st.sampled_from([1, 8, 29]))
+    @example(texts=[_CANCELLING[1], "", "fever fever", _CANCELLING[1]], dim=1)
+    @example(texts=[f"note{i} fever" for i in range(FLUSH_ROWS)] + [_CANCELLING[8]], dim=8)
+    def test_rows_equal_embed_and_flushed_rows(self, texts, dim):
+        """Row for row ``embed_many`` is ``embed``, and so is every row a flush writes,
+        for any count of pending rows across the chunk boundaries."""
+        embedder = HashingEmbedder(dim)
+        many = embedder.embed_many(texts)
+        assert many.dtype == np.int64 and many.shape == (len(texts), dim)
+        for text, row in zip(texts, many):
+            assert row.tolist() == embedder.embed(text).tolist() == reference_embed(text, dim)
+        index = HybridIndex(embedder, tau=100)
+        for i, text in enumerate(texts):
+            index.insert(i, text)
+        index.search(HybridQuery("fever"), allow_all)
+        assert index._pending == {}
+        for i, text in enumerate(texts):
+            row = index._row_of[i]
+            counts = index._blocks[row // BLOCK_ROWS][row % BLOCK_ROWS]
+            assert counts.tolist() == reference_embed(text, dim)
+            assert index._norms[row] == reference_norm(reference_embed(text, dim))
+
+
+class TestDeferredEmbedding:
+    def test_forgotten_before_any_search_is_never_embedded(self):
+        embedder = CountingEmbedder(256)
+        store = MemoryStore(embedder=embedder)
+        kept = "kept note about alder bark tea"
+        secret = "".join(["secret case ", "fever answer cedar"])  # one object, not a constant
+        store.write(Layer.EPISODIC, kept)
+        target = store.write(Layer.EPISODIC, secret)
+
+        def index_holds(text):
+            """Whether the index or a container it holds refers to ``text``. (A dict of
+            ints and strings is not tracked by the collector, so ``gc.get_referrers``
+            cannot see the pending map; ``gc.get_referents`` traverses it.)"""
+            containers = [vars(store.index), *vars(store.index).values()]
+            return any(ref is text for c in containers for ref in gc.get_referents(c))
+
+        assert index_holds(secret)  # pending until a search
+        store.forget(ForgetRequest.of("r1", [target]))
+        assert not index_holds(secret)
+        assert store.search("secret fever") and embedder.embedded == [kept, "secret fever"]
+
+    def test_failed_flush_leaves_unwritten_rows_pending(self):
+        class FailsOnce(HashingEmbedder):
+            calls = 0
+
+            def embed_many(self, texts):
+                FailsOnce.calls += 1
+                if FailsOnce.calls == 2:
+                    raise RuntimeError("embedding failed")
+                return super().embed_many(texts)
+
+        docs = {i: f"doc {i} river" + " bank" * (i % 3) for i in range(3 * FLUSH_ROWS + 5)}
+        index = HybridIndex(FailsOnce(64), tau=100)
+        for i, text in docs.items():
+            index.insert(i, text)
+        query = HybridQuery("doc 7 river bank", top_k=8, oversample_r=2)
+        with pytest.raises(RuntimeError, match="embedding failed"):
+            index.search(query, allow_all)
+        assert len(index._pending) == len(docs) - FLUSH_ROWS
+        fresh = HybridIndex(HashingEmbedder(64), tau=100)
+        for i, text in docs.items():
+            fresh.insert(i, text)
+        hits, bits = index.search(query, allow_all), TestScalarOracle._bits
+        assert bits(hits) == bits(fresh.search(query, allow_all))
+        assert [(h.node_id, h.sem_score, h.kw_score, h.combined) for h in hits] == \
+            oracle_search(docs, query, allow_all, 64)
+
+    def test_flush_heap_peak_stays_small(self):
+        """Rows are embedded a chunk at a time, with no list of all pending rows."""
+        store = MemoryStore()
+        corpus.populate_store(store, corpus.generate_corpus(seed=0, n_topics=120))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            store.search("what remedy suits topic001")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start <= 250_000
+
+
 # Distinct token sets, so distinct texts never tie to the last bit; a text
 # drawn twice gives the identical entries whose ties must break by id.
 _POOL = ["fever cough", "alder", "remedy for cough", "topic001 fever alder",
@@ -508,6 +632,7 @@ _op = st.one_of(
     st.tuples(st.just("purge"), st.sets(_ID, max_size=4)),
     st.tuples(st.just("copy"), st.booleans(), st.integers(0, len(_POOL) - 1)),
 )
+_search_op = st.tuples(st.just("search"), st.integers(0, len(_QUERIES) - 1))
 
 
 class TestScalarOracle:
@@ -515,6 +640,17 @@ class TestScalarOracle:
     @given(prefill=st.integers(0, 4 * BLOCK_ROWS), seed=st.integers(0, 2 ** 16),
            ops=st.lists(_op, max_size=30))
     def test_search_matches_scalar_oracle(self, prefill, seed, ops):
+        self._check(prefill, seed, ops)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(prefill=st.integers(0, 4 * BLOCK_ROWS), seed=st.integers(0, 2 ** 16),
+           ops=st.lists(_op | _search_op, max_size=30))
+    def test_interleaved_searches_match_scalar_oracle(self, prefill, seed, ops):
+        """A search between the other operations writes the rows pending at that point,
+        so written and pending rows cross copies, purges and freed-row reuse."""
+        self._check(prefill, seed, ops)
+
+    def _check(self, prefill, seed, ops):
         dim = 32
         index = HybridIndex(HashingEmbedder(dim), tau=100)
         docs = {}
@@ -539,6 +675,11 @@ class TestScalarOracle:
                     index.remove(node_id)
                     del docs[node_id]
                 index.purge()
+            elif op[0] == "search":
+                query = HybridQuery(_QUERIES[op[1]], top_k=5)
+                hits = index.search(query, allow_all)
+                assert [(h.node_id, h.sem_score, h.kw_score, h.combined) for h in hits] == \
+                    oracle_search(docs, query, allow_all, dim)
             else:
                 clone = copy.deepcopy(index)
                 kept, index = (index, clone) if op[1] else (clone, index)
