@@ -64,6 +64,7 @@ class MemoryNode:
     parents: tuple  # ascending ids; () for an episodic node
     status: Status
     blocked_digest: str = ""  # sha256 of the content a forget deleted; "" unless Deleted and episodic
+    removed_in: int = -1  # the index generation in which a forget took it out; -1 while Active
 
 
 @dataclass(frozen=True)
@@ -229,7 +230,7 @@ class MemoryGraph:
     # ------------------------------------------------------------------
 
     def prune(self, request: ForgetRequest, closure: set, is_blocked: Callable[[int], bool],
-              digests: Optional[dict] = None) -> PruneReport:
+              digests: Optional[dict] = None, generation: int = 0) -> PruneReport:
         """Delete the request targets and propagate through the closure.
 
         Each Active target must be blocked already, and keeps the digest of
@@ -237,8 +238,9 @@ class MemoryGraph:
         Deleted one is left as it is. Reflections in the closure are
         tombstoned as Outdated; summaries and KG entities lose one reference
         per parent deleted here and are removed at zero. Nodes still supported
-        by a retained Active parent survive. The whole outcome is planned,
-        then logged as a PRUNE record, then applied.
+        by a retained Active parent survive. Each node deleted or outdated
+        keeps the index ``generation`` it leaves as ``removed_in``. The whole
+        outcome is planned, then logged as a PRUNE record, then applied.
         """
         removed = [t for t in sorted(request.targets) if self.forget_target(t).status is Status.ACTIVE]
         for t in removed:
@@ -270,9 +272,10 @@ class MemoryGraph:
             node = self.nodes[node_id]
             if node.layer is Layer.EPISODIC:  # a target: no episodic node is derived
                 node.blocked_digest = digests[node_id] if digests else content_digest(node.content)
-            node.status, node.content = Status.DELETED, ""
+            node.status, node.content, node.removed_in = Status.DELETED, "", generation
         for node_id in outdated:
-            self.nodes[node_id].status = Status.OUTDATED
+            node = self.nodes[node_id]
+            node.status, node.removed_in = Status.OUTDATED, generation
         return report
 
     # ------------------------------------------------------------------
@@ -303,11 +306,12 @@ class MemoryGraph:
                 for node in self.nodes.values() for pid in node.parents]
 
     @classmethod
-    def from_lines(cls, node_lines: Iterable[str], audit=None) -> "MemoryGraph":
-        """The graph saved as ``node_lines``; ValueError unless every node passes
-        ``add_memory``'s structural rules in turn, each status is one a prune
-        leaves, a node has a blocked digest exactly when a prune deleted it as
-        a target, and the whole passes ``check_consistency``."""
+    def from_lines(cls, node_lines: Iterable[str], audit=None, generation: int = 0) -> "MemoryGraph":
+        """The graph saved as ``node_lines`` at index ``generation``; ValueError unless
+        every node passes ``add_memory``'s structural rules in turn, each status is
+        one a prune leaves, a node has a blocked digest exactly when a prune deleted
+        it as a target and a ``removed_in`` in [0, ``generation``] exactly when it is
+        not Active (-1 if it is), and the whole passes ``check_consistency``."""
         graph = cls(audit=audit)
         for line in node_lines:
             node = from_record(MemoryNode, json.loads(line))
@@ -321,6 +325,11 @@ class MemoryGraph:
                 expected = "a sha256 digest" if forgotten else "empty"
                 raise ValueError(f"{node.status.value} {node.layer.value} node {node.id}: "
                                  f"blocked digest {node.blocked_digest!r:.70} is not {expected}")
+            active = node.status is Status.ACTIVE
+            if not (node.removed_in == -1 if active else 0 <= node.removed_in <= generation):
+                expected = "-1" if active else f"between 0 and the index generation {generation}"
+                raise ValueError(f"{node.status.value} node {node.id}: "
+                                 f"removed_in {node.removed_in} is not {expected}")
             graph._link(node)
         graph.check_consistency()
         return graph

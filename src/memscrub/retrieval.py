@@ -28,16 +28,15 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import json
 import math
 import re
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Container, Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
-from .audit import AuditLog, AuditOp, Blocklist, canonical_json, json_record
+from .audit import AuditLog, AuditOp, Blocklist, canonical_json
 from .graph import UnknownNodeError
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
@@ -324,32 +323,22 @@ class HybridIndex:
         blocklist.compact(self.generation, audit)
         return RebuildResult(rebuilt=True)
 
-    # Persistence: the tombstones alone. The live entries are the store's
-    # Active nodes, whose vectors the first search after load recomputes from
-    # content, and the generation is the number of rebuilds, which the audit
-    # log records.
+    # Persistence: none. A store's live entries are its Active nodes, whose
+    # vectors the first search after load recomputes from content; its node
+    # records and audit log give the tombstones and the generation.
 
     def to_lines(self) -> list:
+        """The tombstones as ``{"id"}`` lines; only the benchmark's checkpoint and tests call it."""
         return [canonical_json({"id": node_id}) for node_id in self.tombstones()]
 
     @classmethod
-    def from_lines(cls, lines, embedder: HashingEmbedder, tau: int, generation: int,
-                   live: Iterable[tuple], known: Container[int]) -> "HybridIndex":
-        """The saved index at ``generation`` over ``live``, the (id, content) of every live entry.
-
-        Each tombstone must name an id in ``known`` that is not live, once.
-        """
+    def restore(cls, embedder: HashingEmbedder, tau: int, generation: int,
+                live: Iterable[tuple], tombstones: Iterable[int]) -> "HybridIndex":
+        """The index at ``generation`` over ``live``, the (id, content) of every live
+        entry, with ``tombstones`` removed since its last purge."""
         index = cls(embedder, tau=tau)
         index.generation = generation
         for node_id, content in live:
             index.insert(node_id, content)
-        for line in lines:
-            (node_id,) = json_record(json.loads(line), {"id": int})
-            if node_id not in known:
-                raise UnknownNodeError(f"tombstone {node_id} names an unknown node")
-            if node_id in index:
-                raise ValueError(f"tombstone {node_id} names a live entry")
-            if node_id in index._tombstones:
-                raise ValueError(f"tombstone {node_id} is listed twice")
-            index._tombstones.add(node_id)
+        index._tombstones.update(tombstones)
         return index

@@ -8,10 +8,11 @@ This module also owns the store-directory layout: the line-delimited
 files and their version headers, the model file and the lock. Reload
 reproduces statuses, reference counts (derived from each node's parents,
 not stored) and search behavior exactly: the nodes file alone says which
-nodes exist, what each derives from, which are live and which content
-digests are blocked; the index file adds only the tombstones, whose
-episodic ids are the blocked ids; the audit log's REBUILD count is the
-generation. Load checks each file against the code that writes it: the
+nodes exist, what each derives from, which are live, which content
+digests are blocked and in which index generation a forget removed each
+node; the audit log's REBUILD count is the current generation, and the
+nodes removed in it are the tombstones, whose episodic ids are the
+blocked ids. Load checks each file against the code that writes it: the
 nodes file through ``add_memory``'s own structural rules, then the
 graph's ``check_consistency``.
 """
@@ -38,12 +39,11 @@ from .graph import (
 from .retrieval import HashingEmbedder, HybridIndex, HybridQuery
 from .training import ModelState
 
-# The files MemoryStore.save writes, with their version headers, in the
-# order MemoryStore.load unpacks them.
+# The files MemoryStore.save writes, with their version headers, in the order
+# MemoryStore.load unpacks them; load derives the index and the blocklist from them.
 FILE_HEADERS = {
-    "nodes.jsonl": "memscrub-nodes v5",
+    "nodes.jsonl": "memscrub-nodes v6",
     "audit.jsonl": "memscrub-audit v2",
-    "index.jsonl": "memscrub-index v3",
 }
 MODEL_HEADER = "memscrub-model v2"
 PROVENANCE_HEADER = "memscrub-provenance v1"
@@ -246,7 +246,8 @@ class MemoryStore:
         digests = {t: content_digest(content) for t, content in captured}
         self.blocklist.block(digests.keys(), self.audit, digests=digests.values())
         closure = self.graph.dependency_closure(targets)
-        report = self.graph.prune(request, closure, self.blocklist.is_blocked, digests)
+        report = self.graph.prune(request, closure, self.blocklist.is_blocked, digests,
+                                  generation=self.index.generation)
         # Every id a prune deletes or outdates was Active, so it is live in the index.
         gone = sorted(report.removed_ids + report.outdated_ids)
         if gone:
@@ -279,8 +280,7 @@ class MemoryStore:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         # One file's lines are built at a time, so at most one list is resident.
-        payloads = {"nodes.jsonl": self.graph.node_lines, "audit.jsonl": self.audit.to_lines,
-                    "index.jsonl": self.index.to_lines}
+        payloads = {"nodes.jsonl": self.graph.node_lines, "audit.jsonl": self.audit.to_lines}
         for name, to_lines in payloads.items():
             write_lines(directory / name, FILE_HEADERS[name], to_lines())
 
@@ -288,15 +288,15 @@ class MemoryStore:
     def load(cls, directory, settings: Optional[RetrievalSettings] = None) -> "MemoryStore":
         store = cls(settings=settings)
         directory = existing_store_dir(directory)
-        nodes, audit, index = ((directory / name, header) for name, header in FILE_HEADERS.items())
+        nodes, audit = ((directory / name, header) for name, header in FILE_HEADERS.items())
         store.audit = parse_lines(AuditLog.from_lines, audit)
         generation = store.audit.count(AuditOp.REBUILD)
-        store.graph = parse_lines(lambda lines: MemoryGraph.from_lines(lines, audit=store.audit), nodes)
-        store.index = parse_lines(lambda lines: HybridIndex.from_lines(
-            lines, store.embedder, tau=store.settings.tau, generation=generation,
+        store.graph = parse_lines(lambda lines: MemoryGraph.from_lines(
+            lines, audit=store.audit, generation=generation), nodes)
+        store.index = HybridIndex.restore(
+            store.embedder, tau=store.settings.tau, generation=generation,
             live=((i, store.graph.nodes[i].content) for i in store.graph.active_view()),
-            known=store.graph.nodes,
-        ), index)
+            tombstones=(i for i, node in store.graph.nodes.items() if node.removed_in == generation))
         # An episodic tombstone names a Deleted node; only such a node keeps a blocked digest.
         store.blocklist = Blocklist(
             ids=(i for i in store.index.tombstones() if store.graph.nodes[i].layer is Layer.EPISODIC),

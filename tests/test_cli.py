@@ -85,7 +85,6 @@ RECORD_LINES = {
     "node": ("nodes.jsonl", 1, "id"),
     "edge": ("nodes.jsonl", 7, "parents"),
     "blocked-digest": ("nodes.jsonl", 1, "blocked_digest"),
-    "index-tombstone": ("index.jsonl", 1, "id"),
     "model": ("model.jsonl", 1, "ref_seed"),
     "provenance": ("provenance.jsonl", 1, "node_id"),
     "corpus": ("corpus.jsonl", 0, "answer_idx"),
@@ -99,6 +98,9 @@ RECORD_DAMAGE = {
 RECORD_FILES = sorted({name for name, _, _ in RECORD_LINES.values()})
 HEX_DIGEST = "ab" * 32
 FUZZ_VALUES = [-1, 0, True, 1.5, "x", None, [], {}]
+# The files `forgot_six` holds besides its lock: each one that a command's load reads.
+FORGOT_SIX_FILES = ["audit.jsonl", "config.cfg", "corpus.jsonl", "model.jsonl", "nodes.jsonl",
+                    "provenance.jsonl"]
 
 
 def flip_field(line, key="payload_digest"):
@@ -145,10 +147,11 @@ class TestGenCorpus:
 class TestStore:
     def test_expected_files(self, pipeline):
         _, store = pipeline
-        for name in ("nodes.jsonl", "audit.jsonl", "index.jsonl", "model.jsonl", "corpus.jsonl",
+        for name in ("nodes.jsonl", "audit.jsonl", "model.jsonl", "corpus.jsonl",
                      "provenance.jsonl", "config.cfg"):
             assert (store / name).exists(), name
-        assert not (store / "blocklist.jsonl").exists()  # load derives the blocklist
+        for name in ("blocklist.jsonl", "index.jsonl"):  # load derives the blocklist and the index
+            assert not (store / name).exists(), name
 
     def test_lock_released(self, pipeline):
         _, store = pipeline
@@ -396,8 +399,6 @@ class TestAuditVerify:
 
 class TestDamagedStore:
     @pytest.mark.parametrize("name, damage", [
-        # An index may hold no tombstone, so its truncation shows only mid-record.
-        ("index.jsonl", lambda lines: lines[:1] + [lines[1][:5]]),
         pytest.param("nodes.jsonl", lambda lines: lines[:-1] + [with_fields(lines[-1], parents=[9999])],
                      id="nodes.jsonl-unknown-parent"),
         ("model.jsonl", lambda lines: ["memscrub-model v0"] + lines[1:]),
@@ -411,29 +412,11 @@ class TestDamagedStore:
                      id="nodes.jsonl-extra-key"),
         pytest.param("nodes.jsonl", lambda lines: lines + lines[2:3],
                      id="nodes.jsonl-duplicate-id"),
-        # The store has forgotten the forget split, so its index holds tombstones.
-        pytest.param("index.jsonl", lambda lines: lines + ['{"id":107}'],  # an Active reflection
-                     id="index.jsonl-tombstone-names-active-node"),
-        pytest.param("index.jsonl", lambda lines: lines + ['{"id":9999}'],
-                     id="index.jsonl-tombstone-names-unknown-node"),
-        pytest.param("index.jsonl", lambda lines: lines + lines[1:2],
-                     id="index.jsonl-duplicate-tombstone"),
         pytest.param("nodes.jsonl", lambda lines: ["memscrub-nodes v1"] + lines[1:],
                      id="nodes.jsonl-v1-header"),
         pytest.param("nodes.jsonl", lambda lines: ["memscrub-nodes v2"] + lines[1:],
                      id="nodes.jsonl-v2-header"),
-        pytest.param("index.jsonl", lambda lines: ["memscrub-index v1"] + lines[1:],
-                     id="index.jsonl-v1-header"),
-        # The generation is the audit log's REBUILD count; an index line cannot store one.
-        pytest.param("index.jsonl", lambda lines: lines[:1] + ['{"generation":5}'] + lines[1:],
-                     id="index.jsonl-generation-line"),
-        # Ids must be JSON integers, and digests strings. `lines[1]` of index.jsonl is id 0,
-        # which a bool or float 0 replaces, not duplicates; line 1 of nodes.jsonl is target 0.
-        pytest.param("index.jsonl", lambda lines: lines + ['{"id":"3"}'], id="index.jsonl-string-tombstone"),
-        pytest.param("index.jsonl", lambda lines: lines[:1] + ['{"id":false}'] + lines[2:],
-                     id="index.jsonl-bool-tombstone"),
-        pytest.param("index.jsonl", lambda lines: lines[:1] + ['{"id":0.0}'] + lines[2:],
-                     id="index.jsonl-float-tombstone"),
+        # Digests must be JSON strings; line 1 of nodes.jsonl is target 0.
         pytest.param("nodes.jsonl", lambda lines: lines[:1] + [with_fields(lines[1], blocked_digest=5)]
                      + lines[2:], id="nodes.jsonl-number-blocked-digest"),
         # Node ids and parents must be JSON integers, contents strings.
@@ -496,8 +479,9 @@ class TestDamagedStore:
         pytest.param("audit.jsonl", lambda lines: lines[:1] + forge_chain(
             lines[1:], 2, lambda rec: {"payload_digest": rec["payload_digest"].upper()}),
                      id="audit.jsonl-forged-uppercase-digest"),
-        # This store has forgotten nothing, so node 0 is Active and the index holds no tombstone.
-        pytest.param("index.jsonl", lambda lines: lines + ['{"id":"3"}'], id="index.jsonl-string-tombstone"),
+        # This store has forgotten nothing, so node 0 is Active and removed in no generation.
+        pytest.param("nodes.jsonl", lambda lines: lines[:1] + [with_fields(lines[1], removed_in="-1")]
+                     + lines[2:], id="nodes.jsonl-string-removed-in"),
         pytest.param("nodes.jsonl", lambda lines: lines[:1] + [with_fields(lines[1], blocked_digest=5)]
                      + lines[2:], id="nodes.jsonl-number-blocked-digest"),
         pytest.param("nodes.jsonl", lambda lines: lines[:1] + [with_fields(lines[1], blocked_digest=HEX_DIGEST)]
@@ -532,8 +516,8 @@ class TestDamagedStore:
             path.write_text("\n".join(lines[:at] + [json.dumps(dict(reversed(json.loads(line).items())))
                                                      for line in lines[at:]]) + "\n")
         assert (copy / "nodes.jsonl").read_text().splitlines()[7] == (
-            '{"status": "deleted", "parents": [0, 1, 2, 3, 4, 5], "layer": "semantic", "id": 6, '
-            '"content": "", "blocked_digest": ""}')
+            '{"status": "deleted", "removed_in": 0, "parents": [0, 1, 2, 3, 4, 5], "layer": "semantic", '
+            '"id": 6, "content": "", "blocked_digest": ""}')
         MemoryStore.load(copy).save(tmp_path / "resaved")
         for name in FILE_HEADERS:
             assert (tmp_path / "resaved" / name).read_bytes() == (store / name).read_bytes(), name
@@ -698,6 +682,35 @@ class TestDamagedStore:
         assert err.startswith(f"error: {path}: malformed file: ")
         assert "TypeError(" not in err and "KeyError(" not in err
 
+    # Line i + 1 is node i: node 0 is a Deleted target, node 8 an Outdated reflection and
+    # node 27 an Active episodic node. A node's `removed_in` is the index generation in which
+    # a forget took it out: a JSON int, -1 exactly while the node is Active, and never above
+    # the log's REBUILD count, 0 here since the store never rebuilt. None drops the key.
+    @pytest.mark.parametrize("line, value", [
+        pytest.param(1, "0", id="string"),
+        pytest.param(1, False, id="bool"),
+        pytest.param(1, 0.0, id="float"),
+        pytest.param(28, 0, id="active-node-removed"),
+        pytest.param(1, -1, id="deleted-node-never-removed"),
+        pytest.param(9, -1, id="outdated-reflection-never-removed"),
+        pytest.param(1, 1, id="removed-after-the-last-rebuild"),
+        pytest.param(1, None, id="missing"),
+    ])
+    def test_bad_removed_in_is_malformed(self, unlearned, tmp_path, capsys, line, value):
+        store, _, _ = unlearned
+        copy = tmp_path / "store"
+        shutil.copytree(store, copy)
+        path = copy / "nodes.jsonl"
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[line])
+        record.pop("removed_in")
+        lines[line] = json.dumps(record if value is None else {**record, "removed_in": value})
+        path.write_text("\n".join(lines) + "\n")
+        code = main(["query", "--store", str(copy), "--text", "what remedy"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {path}: malformed file: ") and "removed_in" in err
+
     # Line i + 1 is node i; two notes make nodes 108 and 109, which have no children.
     @pytest.mark.parametrize("damage, reason", [
         pytest.param(lambda lines: lines[:109] + lines[110:], "node 109 is not the next node id 108",
@@ -719,6 +732,24 @@ class TestDamagedStore:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith(f"error: {path}: malformed file: ") and reason in err
+
+    @pytest.mark.parametrize("name", FORGOT_SIX_FILES)
+    def test_no_file_cut_unblocks_an_id(self, forgot_six, tmp_path, capsys, name):
+        """Each file of the store, cut to its header (a header-less one to nothing), is
+        refused naming a store file, or loads with every forgotten id still blocked."""
+        files = sorted(p.name for p in forgot_six.iterdir() if p.is_file())
+        assert files == sorted(FORGOT_SIX_FILES + ["lock"])
+        copy = tmp_path / "store"
+        shutil.copytree(forgot_six, copy)
+        path = copy / name
+        header = path.read_text().splitlines()[0]
+        path.write_text("" if header.startswith("{") else header + "\n")
+        code = main(["query", "--store", str(copy), "--text", "what remedy"])
+        err = capsys.readouterr().err
+        if code == 0:
+            assert MemoryStore.load(copy).blocklist.entries() == [0, 1, 2, 3, 4, 5]
+        else:
+            assert code == 1 and any(err.startswith(f"error: {copy / n}: ") for n in FORGOT_SIX_FILES), err
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_model_parameter_is_malformed(self, pipeline, tmp_path, capsys, value):
@@ -748,21 +779,19 @@ class TestDamagedStore:
         assert code == 1
         assert capsys.readouterr().err == f"error: {path}: missing or wrong version header\n"
 
-    @pytest.mark.parametrize("name, header, old_form", [
-        # v4 nodes kept no blocked digest: their record is v5's without that key.
-        pytest.param("nodes.jsonl", "memscrub-nodes v4", lambda rec: canonical_json(
-            {k: v for k, v in rec.items() if k != "blocked_digest"}), id="v4-nodes"),
-        # A v2 index stored its generation on line 1, before the tombstones.
-        pytest.param("index.jsonl", "memscrub-index v2", None, id="v2-index"),
+    @pytest.mark.parametrize("header, dropped", [
+        # v5 nodes kept no removal generation, and v4 nodes no blocked digest either.
+        pytest.param("memscrub-nodes v5", {"removed_in"}, id="v5-nodes"),
+        pytest.param("memscrub-nodes v4", {"blocked_digest", "removed_in"}, id="v4-nodes"),
     ])
-    def test_old_format_is_rejected(self, unlearned, tmp_path, capsys, name, header, old_form):
+    def test_old_format_is_rejected(self, unlearned, tmp_path, capsys, header, dropped):
         store, _, _ = unlearned
         copy = tmp_path / "store"
         shutil.copytree(store, copy)
-        path = copy / name
+        path = copy / "nodes.jsonl"
         _, *records = path.read_text().splitlines()
-        records = ([old_form(json.loads(line)) for line in records] if old_form
-                   else ['{"generation":0}', *records])
+        records = [canonical_json({k: v for k, v in json.loads(line).items() if k not in dropped})
+                   for line in records]
         path.write_text("\n".join([header, *records]) + "\n")
         code = main(["query", "--store", str(copy), "--text", "what remedy"])
         assert code == 1
@@ -815,6 +844,18 @@ def unlearned(tmp_path_factory):
                  "--epochs", "30"])
     assert code == 0
     return store, items, targets
+
+
+@pytest.fixture(scope="module")
+def forgot_six(pipeline, tmp_path_factory):
+    """The seed-0 store after one request forgets episodic ids 0-5, the first forget topic."""
+    _, source = pipeline
+    store = tmp_path_factory.mktemp("forgot-six") / "store"
+    shutil.copytree(source, store)
+    request = store.parent / "request.json"
+    request.write_text(json.dumps({"request_id": "req6", "targets": list(range(6))}))
+    assert main(["unlearn", "--store", str(store), "--request", str(request), "--epochs", "1"]) == 0
+    return store
 
 
 class TestUnlearnPipeline:

@@ -19,9 +19,8 @@ from memscrub.config import RunConfig
 from memscrub.store import load_model
 
 STORE_SHA256 = {
-    "nodes.jsonl": "c163628d5c3c0d69f4c285fdbdf9a2dc48a2258967273901fcf9f83b12fae766",
+    "nodes.jsonl": "c71fc823273afab49a8cfd60f09580b09e00ba96cdc37d9b2e6eee4059e69e61",
     "audit.jsonl": "ebda3a5b7d465cc6a0931575c86fbeb779789d07c64317c8ed4e4bf4dd881e14",
-    "index.jsonl": "3b9101f2445be4d398b9c3a7ce7241f9a1060bd4d2e631e8299e41c44e0cfe08",
     "provenance.jsonl": "0eb948406a47411faa63d11e46755a4841cc27e11197f8082b23bdef7ec8db00",
     "corpus.jsonl": "820bd9aa9ef41d5e12382f1c508cd4ff569cfe19d491f4e08e8f5c2410972ecf",
     "config.cfg": "1f1bfface063fbc0ba4fe28d46488d9921b1d48a670033734a08823d37ed9a95",
@@ -29,12 +28,11 @@ STORE_SHA256 = {
 # After unlearning the first forget topic's 6 episodic ids. audit.jsonl is
 # pinned without its last line, the TRAIN record, which carries a training result.
 UNLEARNED_SHA256 = {
-    "nodes.jsonl": "e7aba46b86574e425d6f209b4ee7dd0a4afa8d97c61d2f39d68cfbcc21154b83",
-    "index.jsonl": "0d596eba6bb87ecc3c3f9f468df907b0320382dcdce5a273ef7f10671ece333e",
+    "nodes.jsonl": "8741a04bc5fcf0be45a63ec17705bc155c19387070190bc3cb473196dbf0cf12",
 }
 # Every path in each store directory, so a file that appears or disappears is a visible change.
-STORE_FILES = ["audit.jsonl", "config.cfg", "corpus.jsonl", "index.jsonl", "lock", "model.jsonl",
-               "nodes.jsonl", "provenance.jsonl"]
+STORE_FILES = ["audit.jsonl", "config.cfg", "corpus.jsonl", "lock", "model.jsonl", "nodes.jsonl",
+               "provenance.jsonl"]
 UNLEARNED_FILES = sorted(STORE_FILES + ["metrics", "metrics/unlearn_req6.jsonl"])
 UNLEARNED_AUDIT_BEFORE_TRAIN_SHA256 = "54802cb021aa190b3bad5a0908a76493115a2189b9ab0b80c9268d7a5bb2d700"
 RUN_LOOP_SHA256 = "c06ec9cc592efc67b24a0a9c4559b5025ac4f7a82cc0a9af81ec4411f0e5b2a6"

@@ -297,11 +297,24 @@ class TestPersistence:
         assert g.node(m2).blocked_digest is blocked
         assert MemoryGraph.from_lines(g.node_lines()).node_lines() == g.node_lines()
 
+    def test_removed_nodes_keep_the_generation_they_left(self):
+        g = MemoryGraph()
+        m1, m2 = (g.add_memory(Layer.EPISODIC, f"m{i}") for i in range(2))
+        r1 = g.add_memory(Layer.REFLECTION, "r1", [m1, m2])
+        s1 = g.add_memory(Layer.SEMANTIC, "s1", [m1])
+        g.prune(ForgetRequest.of("r", [m1]), g.dependency_closure([m1]), always_blocked, generation=2)
+        assert [g.node(i).removed_in for i in (m1, m2, r1, s1)] == [2, -1, 2, 2]
+        assert MemoryGraph.from_lines(g.node_lines(), generation=2).node_lines() == g.node_lines()
+        with pytest.raises(ValueError, match=f"deleted node {m1}: removed_in 2 is not between 0 and "
+                                             "the index generation 1"):
+            MemoryGraph.from_lines(g.node_lines(), generation=1)
+
     def test_active_derived_node_without_active_parent_does_not_load(self):
         g, m1, s1 = make_chain()
         g.node(m1).status = Status.DELETED  # a node edit that no prune makes
         g.node(m1).content = ""
         g.node(m1).blocked_digest = content_digest("episode one")
+        g.node(m1).removed_in = 0
         with pytest.raises(GraphError, match=f"active derived node {s1} has no active parent"):
             g.check_consistency()
         with pytest.raises(GraphError, match=f"active derived node {s1} has no active parent"):
@@ -312,7 +325,7 @@ class TestPersistence:
         g = MemoryGraph()
         m1 = g.add_memory(Layer.EPISODIC, "m1")
         node = g.node(m1 if layer is Layer.EPISODIC else g.add_memory(layer, "d", [m1]))
-        node.status = Status.OUTDATED  # a prune outdates reflections only
+        node.status, node.removed_in = Status.OUTDATED, 0  # a prune outdates reflections only
         if layer is Layer.REFLECTION:
             assert MemoryGraph.from_lines(g.node_lines()).node_lines() == g.node_lines()
         else:

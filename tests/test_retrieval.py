@@ -199,48 +199,19 @@ class TestPersistence:
             index.insert(i, text)
         index.remove(1)
         index.remove(4)
-        asked, embedder = [], CountingEmbedder(64)
+        embedder = CountingEmbedder(64)
         embedded = embedder.embedded
-
-        class Known(dict):
-            def __contains__(self, node_id):
-                asked.append(node_id)
-                return super().__contains__(node_id)
-
-        lines = index.to_lines()
         live = [(i, contents[i]) for i in live_ids(index)]
-        reloaded = HybridIndex.from_lines(lines, embedder, tau=100, generation=3,
-                                          live=live, known=Known(contents))
-        assert asked == [1, 4]  # tombstones are checked against the graph
+        reloaded = HybridIndex.restore(embedder, tau=100, generation=3, live=live,
+                                       tombstones=index.tombstones())
         assert embedded == []  # load embeds nothing; the first search embeds the live entries
         reloaded.search(HybridQuery("lake"), allow_all)
         assert sorted(embedded) == [contents[i] for i in (0, 2, 3, 5)] + ["lake"]
         del embedded[:]
         reloaded.search(HybridQuery("lake"), allow_all)
         assert embedded == ["lake"]  # the query alone
-        assert reloaded.to_lines() == lines and reloaded.generation == 3
+        assert reloaded.tombstones() == [1, 4] and reloaded.generation == 3
         assert live_ids(reloaded) == live_ids(index)
-
-    def test_unknown_tombstone_rejected_on_load(self, tmp_path):
-        store = MemoryStore()
-        store.write(Layer.EPISODIC, "alpha river")
-        store.save(tmp_path)
-        with open(tmp_path / "index.jsonl", "a", encoding="utf-8") as f:
-            f.write('{"id":99}\n')
-        with pytest.raises(ValueError, match="index.jsonl: malformed file"):
-            MemoryStore.load(tmp_path)
-
-    @pytest.mark.parametrize("tombstone", [False, True])
-    def test_id_listed_twice_rejected_on_load(self, index, tombstone):
-        """A tombstone may name neither a live entry nor an id already tombstoned."""
-        index.insert(0, "alpha river")
-        index.insert(1, "beta lake")
-        index.remove(1)
-        live = [(0, "alpha river")]
-        lines = index.to_lines() + ['{"id":1}' if tombstone else '{"id":0}']
-        with pytest.raises(ValueError, match="listed twice" if tombstone else "live entry"):
-            HybridIndex.from_lines(lines, index.embedder, tau=100, generation=0, live=live,
-                                   known={0, 1})
 
 
 class TestCopyAndPurge:

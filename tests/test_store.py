@@ -68,13 +68,17 @@ def test_header_only_file_is_malformed(tmp_path):
 
 
 def check_forgotten(store, rebuilt, digests):
-    """The index holds exactly the Active nodes, and the blocked ids are exactly its
-    episodic tombstones, all Deleted; a rebuild leaves neither a tombstone nor a blocked id.
+    """The index holds exactly the Active nodes, its tombstones are exactly the nodes
+    removed in its generation, and the blocked ids are exactly its episodic tombstones,
+    all Deleted; a rebuild leaves neither a tombstone nor a blocked id.
 
     What a load derives holds in process too: the blocked digests are those the Deleted
     episodic nodes keep, each the digest of the content the node had (``digests``), and the
     generation of the index and of the blocklist is the log's REBUILD count."""
     assert live_ids(store.index, store.graph.nodes) == list(store.graph.active_view())
+    assert store.index.tombstones() == [i for i, node in store.graph.nodes.items()
+                                        if node.status is not Status.ACTIVE
+                                        and node.removed_in == store.index.generation]
     assert store.blocklist.entries() == [
         i for i in store.index.tombstones() if store.graph.nodes[i].layer is Layer.EPISODIC]
     assert all(store.graph.nodes[i].status is Status.DELETED for i in store.blocklist.entries())
@@ -99,13 +103,17 @@ def test_forget_keeps_the_index_on_the_active_nodes(tau, data):
     episodic = sorted(populate_store(store, small_corpus()).node_to_item)
     digests = {i: content_digest(store.content(i)) for i in episodic}
     requests = []
-    for n in range(data.draw(st.integers(1, 6))):
+
+    def draw_request():
         if requests and data.draw(st.booleans()):
             targets = data.draw(st.sampled_from(requests))  # a processed request, repeated
         else:
             targets = data.draw(st.lists(st.sampled_from(episodic), min_size=1, max_size=6))
         requests.append(targets)
-        check_forgotten(store, store.forget(ForgetRequest.of(f"r{n}", targets)).rebuilt, digests)
+        return ForgetRequest.of(f"r{len(requests)}", targets)
+
+    for _ in range(data.draw(st.integers(1, 6))):
+        check_forgotten(store, store.forget(draw_request()).rebuilt, digests)
     with tempfile.TemporaryDirectory() as directory:
         store.save(directory)
         loaded = MemoryStore.load(directory, settings=store.settings)
@@ -113,7 +121,14 @@ def test_forget_keeps_the_index_on_the_active_nodes(tau, data):
     assert loaded.blocklist.entries() == store.blocklist.entries()  # no file holds an id
     assert loaded.blocklist.generation == store.blocklist.generation
     assert loaded.blocklist.to_lines() == store.blocklist.to_lines()
-    assert loaded.index.to_lines() == store.index.to_lines()
+    assert loaded.index.tombstones() == store.index.tombstones()
+    # The reload resumes the same chain: the next request, a rebuild's REBUILD `purged`
+    # and COMPACT `dropped` included, appends the same records to both.
+    request, start = draw_request(), len(store.audit)
+    for each in (store, loaded):
+        check_forgotten(each, each.forget(request).rebuilt, digests)
+    assert loaded.audit.to_lines()[start:] == store.audit.to_lines()[start:]
+    assert loaded.index.tombstones() == store.index.tombstones()
 
 
 def test_repeated_request_blocks_nothing_and_rebuilds_nothing():
