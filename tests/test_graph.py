@@ -309,6 +309,19 @@ class TestPersistence:
                                              "the index generation 1"):
             MemoryGraph.from_lines(g.node_lines(), generation=1)
 
+    def test_a_later_prune_keeps_the_generation_a_node_left(self):
+        """A prune stamps only the nodes it takes out; a node removed earlier keeps its generation."""
+        g = MemoryGraph()
+        m1, m2 = (g.add_memory(Layer.EPISODIC, f"m{i}") for i in range(2))
+        r1 = g.add_memory(Layer.REFLECTION, "r1", [m1, m2])
+        s2 = g.add_memory(Layer.SEMANTIC, "s2", [m2])
+        g.prune(ForgetRequest.of("r1", [m1]), g.dependency_closure([m1]), always_blocked, generation=0)
+        g.prune(ForgetRequest.of("r2", [m1, m2]), g.dependency_closure([m1, m2]), always_blocked,
+                generation=1)
+        assert [(g.node(i).status, g.node(i).removed_in) for i in (m1, m2, r1, s2)] == [
+            (Status.DELETED, 0), (Status.DELETED, 1), (Status.OUTDATED, 0), (Status.DELETED, 1)]
+        assert MemoryGraph.from_lines(g.node_lines(), generation=1).node_lines() == g.node_lines()
+
     def test_active_derived_node_without_active_parent_does_not_load(self):
         g, m1, s1 = make_chain()
         g.node(m1).status = Status.DELETED  # a node edit that no prune makes

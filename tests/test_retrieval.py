@@ -214,6 +214,31 @@ class TestPersistence:
         assert live_ids(reloaded) == live_ids(index)
 
 
+    def test_restored_index_rebuilds_as_the_one_it_restores(self):
+        """A restored index appends the same REBUILD and COMPACT records as the index it
+        was restored from, and leaves the same entries at the same generation."""
+        contents = {i: f"doc {i} river" for i in range(6)}
+        index = HybridIndex(HashingEmbedder(64), tau=1)
+        for i, text in contents.items():
+            index.insert(i, text)
+        for i in (1, 4):
+            index.remove(i)
+        restored = HybridIndex.restore(HashingEmbedder(64), tau=1, generation=index.generation,
+                                       live=[(i, contents[i]) for i in live_ids(index)],
+                                       tombstones=index.tombstones())
+        logs = []
+        for each in (index, restored):
+            blocklist, log = Blocklist(), AuditLog()
+            blocklist.block([1, 4], log)
+            assert each.maybe_rebuild(blocklist, log).rebuilt
+            logs.append(log.to_lines())
+        assert logs[0] == logs[1]
+        assert restored.tombstones() == [] and restored.generation == index.generation == 1
+        assert live_ids(restored) == live_ids(index) == [0, 2, 3, 5]
+        query = HybridQuery("doc river")
+        assert restored.search(query, allow_all) == index.search(query, allow_all)
+
+
 class TestCopyAndPurge:
     def test_copy_shares_no_mutable_state(self, index):
         for i in range(6):

@@ -131,6 +131,23 @@ def test_forget_keeps_the_index_on_the_active_nodes(tau, data):
     assert loaded.index.tombstones() == store.index.tombstones()
 
 
+def test_reload_tombstones_only_the_nodes_removed_since_the_last_rebuild(tmp_path):
+    """Nodes removed before a rebuild keep that earlier generation and are neither
+    tombstones nor blocked after a reload; those removed since are both."""
+    store = MemoryStore(RetrievalSettings(tau=1, embed_dim=16))
+    episodic = sorted(populate_store(store, small_corpus()).node_to_item)
+    digests = {i: content_digest(store.content(i)) for i in episodic}
+    rebuilt = [store.forget(ForgetRequest.of(f"r{t}", [t])).rebuilt for t in episodic[:3]]
+    assert rebuilt == [False, True, False]  # the second blocked id exceeds tau
+    assert [store.graph.nodes[t].removed_in for t in episodic[:3]] == [0, 0, 1]
+    store.save(tmp_path)
+    loaded = MemoryStore.load(tmp_path, settings=store.settings)
+    check_forgotten(loaded, False, digests)
+    assert loaded.index.generation == 1 and loaded.blocklist.entries() == [episodic[2]]
+    assert loaded.index.tombstones() == store.index.tombstones()
+    assert episodic[0] not in loaded.index.tombstones() and episodic[2] in loaded.index.tombstones()
+
+
 def test_repeated_request_blocks_nothing_and_rebuilds_nothing():
     """A repeat of a processed request appends a BLOCK of no id, PRUNE and ARCHIVE only,
     so it neither rebuilds the index nor moves its generation."""
