@@ -5,7 +5,8 @@ and ``UnlearnConfig`` (parameter pathway), declared once there, plus the
 model, corpus and agent keys declared here. Precedence: command-line
 flags > one config file > defaults. The CLI reads the ``--config`` file
 if one is given and otherwise the store's ``config.cfg`` snapshot: a
-``--config`` file replaces the snapshot, it does not layer over it.
+``--config`` file replaces the snapshot, it does not layer over it, and
+may set any subset of the keys; the snapshot must set every key.
 Unknown keys in a config file are rejected, and so are invalid values:
 ``UnlearnConfig``, ``RetrievalSettings`` and ``RunConfig`` each check
 their own keys when the config is read, before a command writes
@@ -69,7 +70,7 @@ class RunConfig(UnlearnConfig, RetrievalSettings):
         )
 
 
-_KEYS = {f.name for f in fields(RunConfig)}
+_KEYS = tuple(f.name for f in fields(RunConfig))  # in config.cfg order
 _BOOLEANS = dict.fromkeys(("true", "1", "yes", "on"), True) | dict.fromkeys(("false", "0", "no", "off"), False)
 _EXPECTED = {bool: "a boolean", int: "an integer", float: "a number"}
 
@@ -84,28 +85,35 @@ def _coerce(key: str, raw: str):
         raise ValueError(f"config key {key}: expected {_EXPECTED[kind]}, got {raw!r}") from None
 
 
+def _read_config(path) -> dict:
+    values = {}
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, raw = line.partition("=")
+        key = key.strip()
+        if key not in _KEYS:
+            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        values[key] = _coerce(key, raw.strip())
+    return values
+
+
 def load_config(path=None, overrides: Optional[dict] = None) -> RunConfig:
     """Build a RunConfig from an optional file plus flag overrides."""
-    values: dict = {}
-    if path is not None:
-        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, raw = line.partition("=")
-            key = key.strip()
-            if key not in _KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = _coerce(key, raw.strip())
-    for key, value in (overrides or {}).items():
-        if value is None:
-            continue
-        if key not in _KEYS:
-            raise ValueError(f"unknown config key {key!r}")
-        values[key] = value
-    return RunConfig(**values)
+    values = {} if path is None else _read_config(path)
+    return RunConfig(**values | (overrides or {}))
+
+
+def load_snapshot(path, overrides: Optional[dict] = None) -> RunConfig:
+    """Build a RunConfig from a store's snapshot, which must set every key, plus flag overrides."""
+    values = _read_config(path)
+    missing = [key for key in _KEYS if key not in values]
+    if missing:
+        raise ValueError(f"{path}: missing config keys: {', '.join(missing)}")
+    return RunConfig(**values | (overrides or {}))
 
 
 def save_config_snapshot(store_dir, cfg: RunConfig) -> None:

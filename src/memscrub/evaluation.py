@@ -98,7 +98,6 @@ def memory_item_losses(store: MemoryStore, items: Iterable[QAItem]) -> np.ndarra
 class LoopScenario:
     forget_items: list
     retain_items: list
-    delete: bool = True
 
 
 @dataclass
@@ -162,11 +161,10 @@ def run_agent_loop(store: MemoryStore, scenario: LoopScenario) -> LoopTimeline:
     # T4: deletion request over the forget items. Targets are never in their
     # closure, so every node removed inside it is a zero-ref removal. T5-T6
     # probe the state T4 left.
-    if scenario.delete:
-        targets = [prov.item_to_node[it.item_id] for it in scenario.forget_items]
-        report = store.forget(ForgetRequest.of("loop-delete", targets))
-        if report.closure_size:
-            timeline.cleanup_ratio = report.prune.zero_ref_removed / report.closure_size
+    targets = [prov.item_to_node[it.item_id] for it in scenario.forget_items]
+    report = store.forget(ForgetRequest.of("loop-delete", targets))
+    if report.closure_size:
+        timeline.cleanup_ratio = report.prune.zero_ref_removed / report.closure_size
     measure(("T4", "delete"), ("T5", "probe"), ("T6", "probe"))
     return timeline
 

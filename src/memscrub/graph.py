@@ -311,7 +311,8 @@ class MemoryGraph:
         every node passes ``add_memory``'s structural rules in turn, each status is
         one a prune leaves, a node has a blocked digest exactly when a prune deleted
         it as a target and a ``removed_in`` in [0, ``generation``] exactly when it is
-        not Active (-1 if it is), and the whole passes ``check_consistency``."""
+        not Active (-1 if it is), the whole passes ``check_consistency`` and
+        ``audit``, if given, holds one WRITE record per node."""
         graph = cls(audit=audit)
         for line in node_lines:
             node = from_record(MemoryNode, json.loads(line))
@@ -332,4 +333,6 @@ class MemoryGraph:
                                  f"removed_in {node.removed_in} is not {expected}")
             graph._link(node)
         graph.check_consistency()
+        if audit is not None and audit.count(AuditOp.WRITE) != len(graph.nodes):
+            raise ValueError(f"{len(graph.nodes)} nodes but {audit.count(AuditOp.WRITE)} WRITE records")
         return graph

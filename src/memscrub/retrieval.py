@@ -2,9 +2,9 @@
 
 A text's vector is the sum of its tokens' ±1 sign vectors, each read from
 the token's ``shake_256`` digest, so every vector is a small integer
-vector. Candidates are scored exactly (cosine similarity fused with token
-overlap), oversampled by a small factor, filtered against the blocklist
-and node status at the boundary, and truncated to top-k.
+vector. Every live entry is scored exactly (cosine similarity fused with
+token overlap by one weight), and the ranking is walked in order through
+the boundary filter (blocklist and node status) until top-k entries pass.
 
 The index keeps the integer vectors as float32 rows of zero-filled blocks
 of ``BLOCK_ROWS`` rows, with a row -> id array, a row -> norm array, and
@@ -118,19 +118,13 @@ def _norm(counts: np.ndarray) -> float:
 class HybridQuery:
     text: str
     top_k: int = 5
-    oversample_r: int = 3
-    w_sem: float = 0.7
-    w_kw: float = 0.3
+    w_kw: float = 0.3  # keyword weight; the semantic score weighs 1 - w_kw
 
     def __post_init__(self):
         if self.top_k < 1:
             raise ValueError("top_k must be >= 1")
-        if self.oversample_r < 1:
-            raise ValueError("oversample_r must be >= 1")
-        if not (0.0 <= self.w_sem <= 1.0 and 0.0 <= self.w_kw <= 1.0):
-            raise ValueError("w_sem and w_kw must lie in [0, 1]")
-        if abs(self.w_sem + self.w_kw - 1.0) > 1e-9:
-            raise ValueError("w_sem + w_kw must equal 1")
+        if not 0.0 <= self.w_kw <= 1.0:
+            raise ValueError("w_kw must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -270,9 +264,9 @@ class HybridIndex:
         any summation order.
 
         ``allowed`` is the retrieval boundary: it must reject blocked ids
-        and nodes that are not Active. Candidate generation fetches
-        top_k * oversample_r before filtering; if fewer survive, the
-        shorter list is returned.
+        and nodes that are not Active. The ranking of the live rows is
+        walked in order through ``allowed`` until ``top_k`` rows pass, so
+        fewer hits come back only when fewer live rows pass.
         """
         if not self._row_of:
             return []
@@ -291,17 +285,12 @@ class HybridIndex:
                 kw[np.frombuffer(rows, dtype=np.int64)] += 1.0
         if qtokens:
             kw /= len(qtokens)
-        combined = query.w_sem * sem + query.w_kw * kw
+        combined = (1.0 - query.w_kw) * sem + query.w_kw * kw  # 1.0 - 0.3 is 0.7 exactly
         live = np.flatnonzero(self._live)
         ranked = live[np.lexsort((self._ids[live], -combined[live]))]
-        candidates = ranked[: query.top_k * query.oversample_r].tolist()
-        survivors = [
-            ScoredHit(node_id=node_id, sem_score=float(sem[row]), kw_score=float(kw[row]),
-                      combined=float(combined[row]))
-            for row, node_id in zip(candidates, self._ids[candidates].tolist())
-            if allowed(node_id)
-        ]
-        return survivors[: query.top_k]
+        accepted = (row for row in ranked if allowed(int(self._ids[row])))
+        return [ScoredHit(int(self._ids[row]), float(sem[row]), float(kw[row]), float(combined[row]))
+                for row in itertools.islice(accepted, query.top_k)]
 
     def maybe_rebuild(self, blocklist: Blocklist, audit: AuditLog) -> RebuildResult:
         """Purge the tombstones when |B| strictly exceeds tau, then compact the blocklist.

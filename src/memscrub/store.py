@@ -14,7 +14,7 @@ node; the audit log's REBUILD count is the current generation, and the
 nodes removed in it are the tombstones, whose episodic ids are the
 blocked ids. Load checks each file against the code that writes it: the
 nodes file through ``add_memory``'s own structural rules, then the
-graph's ``check_consistency``.
+graph's ``check_consistency`` and the audit log's WRITE count.
 """
 
 from __future__ import annotations
@@ -151,8 +151,6 @@ class BlockedContentError(ValueError):
 @dataclass
 class RetrievalSettings:
     top_k: int = 5
-    oversample_r: int = 3
-    w_sem: float = 0.7
     w_kw: float = 0.3
     tau: int = 100
     embed_dim: int = 256
@@ -165,7 +163,7 @@ class RetrievalSettings:
             raise ValueError("embed_dim must be >= 1")
 
     def query(self, text: str) -> HybridQuery:
-        return HybridQuery(text, self.top_k, self.oversample_r, self.w_sem, self.w_kw)
+        return HybridQuery(text, self.top_k, self.w_kw)
 
 
 @dataclass

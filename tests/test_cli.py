@@ -751,6 +751,22 @@ class TestDamagedStore:
         else:
             assert code == 1 and any(err.startswith(f"error: {copy / n}: ") for n in FORGOT_SIX_FILES), err
 
+    # Every node was written by one WRITE record, and nothing else writes one: 108 nodes here.
+    @pytest.mark.parametrize("name, cut", [
+        pytest.param("nodes.jsonl", lambda lines: lines[:-1], id="last-node-line-dropped"),
+        pytest.param("audit.jsonl", lambda lines: lines[:1 + 49], id="audit-cut-to-49-records"),
+    ])
+    def test_nodes_and_write_records_must_match(self, forgot_six, tmp_path, capsys, name, cut):
+        copy = tmp_path / "store"
+        shutil.copytree(forgot_six, copy)
+        path = copy / name
+        path.write_text("\n".join(cut(path.read_text().splitlines())) + "\n")
+        code = main(["query", "--store", str(copy), "--text", "what remedy"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {copy / 'nodes.jsonl'}: malformed file: ")
+        assert "WRITE records" in err
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_model_parameter_is_malformed(self, pipeline, tmp_path, capsys, value):
         _, store = pipeline
@@ -948,15 +964,34 @@ class TestConfig:
 
     @pytest.mark.parametrize("line, key", [
         ("top_k = 0", "top_k"),
-        ("oversample_r = 0", "oversample_r"),
-        ("w_sem = 0.5", "w_sem"),
-        ("w_sem = 1.3\nw_kw = -0.3", "w_sem and w_kw must lie in"),
+        ("w_kw = 1.3", "w_kw must lie in"),
+        ("w_kw = -0.3", "w_kw must lie in"),
+        ("oversample_r = 0", "unknown config key 'oversample_r'"),
+        ("w_sem = 0.7", "unknown config key 'w_sem'"),
     ])
     def test_bad_retrieval_key_in_file_rejected(self, tmp_path, line, key):
         path = tmp_path / "run.cfg"
         path.write_text(line + "\n")
         with pytest.raises(ValueError, match=key):
             load_config(path)
+
+    def test_snapshot_missing_a_key_is_refused(self, pipeline, tmp_path, capsys):
+        """A store's snapshot sets every key, so a cut one cannot load a default the store
+        was not built with; a ``--config`` file may still set only some keys."""
+        corpus, _ = pipeline
+        store = tmp_path / "store"
+        assert main(["store", "--corpus", str(corpus), "--store", str(store), "--tau", "2"]) == 0
+        snapshot = store / "config.cfg"
+        lines = snapshot.read_text().splitlines()
+        assert "tau = 2" in lines
+        snapshot.write_text("\n".join(line for line in lines if line != "tau = 2") + "\n")
+        capsys.readouterr()
+        assert main(["query", "--store", str(store), "--text", "what remedy"]) == 1
+        assert capsys.readouterr().err == f"error: {snapshot}: missing config keys: tau\n"
+        partial = tmp_path / "run.cfg"
+        partial.write_text("tau = 2\n")
+        assert main(["query", "--store", str(store), "--text", "what remedy",
+                     "--config", str(partial)]) == 0
 
     def test_store_with_zero_top_k_creates_no_store(self, pipeline, tmp_path, capsys):
         corpus, _ = pipeline

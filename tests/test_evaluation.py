@@ -152,17 +152,6 @@ class TestAgentLoop:
         assert all(r == 1.0 for r in retain_rates)
         assert 0.0 < timeline.cleanup_ratio <= 1.0
 
-    def test_no_delete_control(self, corpus_items):
-        store = MemoryStore()
-        scenario = LoopScenario(
-            forget_items=split_items(corpus_items, "forget"),
-            retain_items=split_items(corpus_items, "retain"),
-            delete=False,
-        )
-        timeline = run_agent_loop(store, scenario)
-        assert all(r == 1.0 for r in timeline.hit_rates("forget"))
-        assert timeline.cleanup_ratio == 0.0
-
 
 @pytest.fixture(scope="module")
 def reports(corpus_items, pretrained_model):

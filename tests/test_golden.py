@@ -23,7 +23,7 @@ STORE_SHA256 = {
     "audit.jsonl": "ebda3a5b7d465cc6a0931575c86fbeb779789d07c64317c8ed4e4bf4dd881e14",
     "provenance.jsonl": "0eb948406a47411faa63d11e46755a4841cc27e11197f8082b23bdef7ec8db00",
     "corpus.jsonl": "820bd9aa9ef41d5e12382f1c508cd4ff569cfe19d491f4e08e8f5c2410972ecf",
-    "config.cfg": "1f1bfface063fbc0ba4fe28d46488d9921b1d48a670033734a08823d37ed9a95",
+    "config.cfg": "2130e603f090af2d33718f7459b13ef9fc5d0f51a731c7ca7b5f56c9c489d4a5",
 }
 # After unlearning the first forget topic's 6 episodic ids. audit.jsonl is
 # pinned without its last line, the TRAIN record, which carries a training result.

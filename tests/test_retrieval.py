@@ -43,7 +43,7 @@ def keyword_score(query_tokens, doc_tokens) -> float:
 def oracle_search(docs, query, allowed, dim):
     """Scalar reference for ``HybridIndex.search`` over ``docs`` (live id -> text):
     one integer dot product over the norms and one set overlap per entry, then a
-    ``(-combined, id)`` sort."""
+    ``(-combined, id)`` sort, filtered whole by ``allowed``."""
     qcounts = reference_embed(query.text, dim)
     qtokens = tokenize(query.text)
     scored = []
@@ -52,10 +52,9 @@ def oracle_search(docs, query, allowed, dim):
         dot = sum(q * c for q, c in zip(qcounts, counts))
         sem = dot / (reference_norm(counts) * reference_norm(qcounts))
         kw = keyword_score(qtokens, tokenize(text))
-        scored.append((node_id, sem, kw, query.w_sem * sem + query.w_kw * kw))
+        scored.append((node_id, sem, kw, (1.0 - query.w_kw) * sem + query.w_kw * kw))
     scored.sort(key=lambda h: (-h[3], h[0]))
-    candidates = scored[: query.top_k * query.oversample_r]
-    return [h for h in candidates if allowed(h[0])][: query.top_k]
+    return [h for h in scored if allowed(h[0])][: query.top_k]
 
 
 @pytest.fixture()
@@ -151,7 +150,7 @@ class TestIndexMembership:
             index.insert(i, f"doc {i}")
         index.remove(1)
         assert 1 not in index and len(index) == 2 and live_ids(index) == [0, 2]
-        query = HybridQuery("doc 1", top_k=3, oversample_r=3)
+        query = HybridQuery("doc 1", top_k=3)
         hits = index.search(query, allow_all)
         expected = oracle_search({0: "doc 0", 2: "doc 2"}, query, allow_all, 64)
         assert [h.node_id for h in hits] == [e[0] for e in expected]
@@ -247,7 +246,7 @@ class TestCopyAndPurge:
         clone = copy.deepcopy(index)
         assert clone.to_lines() == index.to_lines()
         assert live_ids(clone) == live_ids(index)
-        query = HybridQuery("doc 9 river", top_k=8, oversample_r=2)
+        query = HybridQuery("doc 9 river", top_k=8)
         before = index.search(query, allow_all)
         assert clone.search(query, allow_all) == before
 
@@ -299,7 +298,7 @@ class TestSearch:
         # Construct sem=1/kw=0 vs sem=0/kw=1 by querying with matching text.
         index.insert(1, "alpha beta")
         index.insert(2, "gamma delta")
-        query = HybridQuery("alpha beta", top_k=2, oversample_r=2)
+        query = HybridQuery("alpha beta", top_k=2)
         hits = {h.node_id: h for h in index.search(query, allow_all)}
         a = hits[1]
         assert a.sem_score == pytest.approx(1.0)
@@ -320,24 +319,41 @@ class TestSearch:
             index.insert(i, f"note {i} filler text")
         index.insert(10, "exact query match wording")
         index.insert(11, "query match wording almost exact too")
-        query = HybridQuery("exact query match wording", top_k=1, oversample_r=3)
+        query = HybridQuery("exact query match wording", top_k=1)
         # Linear-scan oracle over every document.
-        full = index.search(HybridQuery("exact query match wording",
-                                        top_k=12, oversample_r=12), allow_all)
+        full = index.search(HybridQuery("exact query match wording", top_k=12), allow_all)
         best, second = full[0].node_id, full[1].node_id
         hits = index.search(query, lambda i: i != best)
         assert [h.node_id for h in hits] == [second]
 
-    def test_matches_brute_force_with_full_oversampling(self, index):
+    def test_walk_stops_at_the_top_k_th_allowed_row(self, index):
+        """``allowed`` sees the ranking in order, up to the ``top_k``-th row it accepts."""
+        for i in range(40):
+            index.insert(i, f"note {i} river" + " bank" * (i % 4))
+        query = HybridQuery("river bank", top_k=5)
+        full = index.search(HybridQuery("river bank", top_k=40), allow_all)
+        ranking = [h.node_id for h in full]
+        blocked, seen = set(ranking[:12]), []
+
+        def allowed(node_id):
+            seen.append(node_id)
+            return node_id not in blocked
+
+        assert index.search(query, allowed) == full[12:17]
+        assert seen == ranking[:17]
+        # Fewer hits than top_k only when fewer rows pass.
+        assert index.search(query, lambda i: i in (ranking[3], ranking[30])) == [full[3], full[30]]
+
+    def test_matches_brute_force_over_the_whole_ranking(self, index):
         rng = np.random.default_rng(5)
         words = ["ache", "burn", "chill", "daze", "numb", "rash", "sore", "throb"]
         for i in range(30):
             text = " ".join(rng.choice(words, size=4))
             index.insert(i, text)
-        query = HybridQuery("ache chill sore", top_k=5, oversample_r=30)
+        query = HybridQuery("ache chill sore", top_k=5)
         hits = index.search(query, allow_all)
         scored = sorted(
-            index.search(HybridQuery("ache chill sore", top_k=30, oversample_r=30), allow_all),
+            index.search(HybridQuery("ache chill sore", top_k=30), allow_all),
             key=lambda h: (-h.combined, h.node_id),
         )
         assert [h.node_id for h in hits] == [h.node_id for h in scored[:5]]
@@ -360,7 +376,7 @@ class TestSearch:
         sem = np.concatenate([np.matmul(block, stack.T) for block in index._blocks])
         sem = sem / (index._norms[:, None] * norms)
         for j, text in enumerate(queries):
-            hits = index.search(HybridQuery(text, top_k=len(index), oversample_r=1), allow_all)
+            hits = index.search(HybridQuery(text, top_k=len(index)), allow_all)
             assert len(hits) == len(index)
             assert [h.sem_score.hex() for h in hits] == [
                 float(sem[index._row_of[h.node_id], j]).hex() for h in hits]
@@ -373,9 +389,10 @@ class TestSearch:
 
 
 class TestQueryValidation:
-    def test_weights_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            HybridQuery("x", w_sem=0.8, w_kw=0.3)
+    @pytest.mark.parametrize("w_kw", [-0.3, 1.3, float("nan")])
+    def test_keyword_weight_in_unit_interval(self, w_kw):
+        with pytest.raises(ValueError, match="w_kw must lie in"):
+            HybridQuery("x", w_kw=w_kw)
 
     def test_top_k_positive(self):
         with pytest.raises(ValueError):
@@ -462,6 +479,24 @@ def test_blocked_ids_never_returned(docs, blocked, query):
         index.insert(i, doc)
     hits = index.search(HybridQuery(query, top_k=3), lambda i: i not in blocked)
     assert not {h.node_id for h in hits} & blocked
+
+
+def test_store_blocked_behind_its_back_still_returns_top_k():
+    """Ids blocked without a forget stay live in the index; the boundary skips them
+    and the search still returns ``top_k`` hits, the oracle's over the whole ranking."""
+    store = MemoryStore()
+    corpus.populate_store(store, corpus.generate_corpus(seed=0, n_topics=12))
+    text = "what remedy eases a fever"
+    ranking = store.index.search(HybridQuery(text, top_k=len(store.index)), allow_all)
+    blocked = [h.node_id for h in ranking[:12]]
+    store.blocklist.block(blocked, store.audit)
+    hits = store.search(text)
+    docs = {i: store.content(i) for i in store.graph.active_view()}
+    expected = oracle_search(docs, store.settings.query(text), lambda i: i not in blocked,
+                             store.settings.embed_dim)
+    assert len(hits) == store.settings.top_k == 5
+    assert [(h.node_id, h.sem_score, h.kw_score, h.combined) for h in hits] == expected
+    assert [h.node_id for h in hits] == [h.node_id for h in ranking[12:17]]
 
 
 def reference_signs(token, dim):
@@ -590,7 +625,7 @@ class TestDeferredEmbedding:
         index = HybridIndex(FailsOnce(64), tau=100)
         for i, text in docs.items():
             index.insert(i, text)
-        query = HybridQuery("doc 7 river bank", top_k=8, oversample_r=2)
+        query = HybridQuery("doc 7 river bank", top_k=8)
         with pytest.raises(RuntimeError, match="embedding failed"):
             index.search(query, allow_all)
         assert len(index._pending) == len(docs) - FLUSH_ROWS
@@ -689,7 +724,7 @@ class TestScalarOracle:
 
         for text in _QUERIES:
             for allowed in (allow_all, lambda i: i % 3 != 0):
-                query = HybridQuery(text, top_k=5, oversample_r=3)
+                query = HybridQuery(text, top_k=5)
                 hits = index.search(query, allowed)
                 assert self._bits(hits) == self._bits(fresh.search(query, allowed))
                 expected = oracle_search(docs, query, allowed, dim)
@@ -698,7 +733,7 @@ class TestScalarOracle:
                     assert (hit.sem_score, hit.kw_score, hit.combined) == (sem, kw, combined)
 
             if docs:
-                ranked = index.search(HybridQuery(text, top_k=len(docs), oversample_r=1), allow_all)
+                ranked = index.search(HybridQuery(text, top_k=len(docs)), allow_all)
                 by_text = {}
                 for hit in ranked:
                     by_text.setdefault(docs[hit.node_id], []).append(hit)

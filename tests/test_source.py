@@ -1,18 +1,22 @@
 """Source checks: every name a module-level import binds is used, no module
-holds an ``assert`` statement, no public code is without a caller, and no
-module reads another's private names.
+holds an ``assert`` statement, no public code is without a caller, no
+module reads another's private names, and every config key is read.
 
 No linter is a dependency, so this stands in for the rules a deletion
-most often breaks: an import left behind by the code that used it, and a
-function or class whose last caller is gone.
+most often breaks: an import left behind by the code that used it, a
+function or class whose last caller is gone, and a config key whose last
+reader is gone.
 """
 
 import ast
 import functools
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+
+from memscrub.config import RunConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "memscrub"
@@ -135,3 +139,24 @@ def test_no_private_name_of_another_module(path):
         foreign.update((name, node.lineno) for name in names
                        if PRIVATE.match(name) and name not in defined)
     assert not foreign, f"{path.name}: private names of another module: {foreign}"
+
+
+
+def attributes_read(node) -> set:
+    """Attribute names ``node`` loads, outside any ``__post_init__``: a check of a
+    field's value is not a use of it."""
+    if isinstance(node, ast.FunctionDef) and node.name == "__post_init__":
+        return set()
+    names = {node.attr} if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) else set()
+    for child in ast.iter_child_nodes(node):
+        names |= attributes_read(child)
+    return names
+
+
+def test_every_config_key_is_read():
+    """Each ``RunConfig`` field is read as an attribute somewhere in the package, so a
+    key whose last reader is deleted fails here instead of staying a dead knob."""
+    read = set().union(*(attributes_read(ast.parse(path.read_text(encoding="utf-8")))
+                         for path in SRC.glob("*.py")))
+    unread = [f.name for f in fields(RunConfig) if f.name not in read]
+    assert not unread, f"config keys no code reads: {unread}"
