@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .audit import AuditLog, AuditOp, Blocklist, canonical_json, content_digest
+from .audit import AuditLog, AuditOp, Blocklist, content_digest
+from .corpus import CHOICES
 from .graph import (
     ForgetRequest,
     Layer,
@@ -103,18 +104,29 @@ def parse_lines(build, file):
 
 
 def save_model(store_dir: Path, model: ModelState) -> None:
-    write_lines(Path(store_dir) / "model.jsonl", MODEL_HEADER,
-                [canonical_json(model.to_record())])
+    """Write the model file: its header line, then the model's record on one line.
+
+    The record goes to the open file one parameter row at a time, so no
+    string holds a whole matrix.
+    """
+    with open(Path(store_dir) / "model.jsonl", "w", encoding="utf-8") as f:
+        f.write(MODEL_HEADER + "\n")
+        f.writelines(model.record_pieces())
+        f.write("\n")
 
 
 def load_model(store_dir: Path, n_features: int) -> ModelState:
-    """The store's model, whose ``w1`` must have one row per feature."""
+    """The store's model, whose ``w1`` must have one row per feature and
+    whose ``b2`` one entry per answer choice."""
     def build(lines):
         (line,) = lines
         model = ModelState.from_record(json.loads(line))
         rows = model.params["w1"].shape[0]
         if rows != n_features:
             raise ValueError(f"w1 has {rows} rows, not feature_dim {n_features}")
+        if model.n_classes != len(CHOICES):
+            raise ValueError(f"b2 has {model.n_classes} classes, not one per answer choice "
+                             f"({len(CHOICES)})")
         return model
 
     return parse_lines(build, (Path(store_dir) / "model.jsonl", MODEL_HEADER))

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .audit import json_record
+from .audit import canonical_json, json_record
 
 
 class TrainingError(ValueError):
@@ -196,11 +196,26 @@ class ModelState:
         clone.params = {k: v.copy() for k, v in self.params.items()}
         return clone
 
-    def to_record(self) -> dict:
-        return {
-            "params": {k: self.params[k].tolist() for k in PARAM_KEYS},
-            "ref_seed": self.ref_seed,
-        }
+    def record_pieces(self):
+        """The model's record as canonical JSON text, in pieces of at most one parameter row.
+
+        Joined, the pieces are ``canonical_json`` of ``{"params": {k: v.tolist()},
+        "ref_seed": ref_seed}``, the record ``from_record`` reads: the frame's keys
+        sorted, each 1-D parameter and each row of a 2-D one encoded on its own,
+        so no piece holds a whole matrix.
+        """
+        yield '{"params":{'
+        for i, key in enumerate(sorted(PARAM_KEYS)):
+            value = self.params[key]
+            yield ("," if i else "") + canonical_json(key) + ":"
+            if value.ndim == 1:
+                yield canonical_json(value.tolist())
+                continue
+            yield "["
+            for j, row in enumerate(value):
+                yield ("," if j else "") + canonical_json(row.tolist())
+            yield "]"
+        yield '},"ref_seed":' + canonical_json(self.ref_seed) + "}"
 
     @classmethod
     def from_record(cls, rec) -> "ModelState":

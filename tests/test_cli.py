@@ -19,7 +19,7 @@ from memscrub.audit import AuditLog, AuditOp, canonical_json
 from memscrub.cli import main
 from memscrub.config import RunConfig, load_config
 from memscrub.graph import Layer
-from memscrub.store import FILE_HEADERS, MemoryStore, load_model, write_lines
+from memscrub.store import FILE_HEADERS, MODEL_HEADER, MemoryStore, load_model, write_lines
 
 from conftest import forge_chain
 
@@ -152,6 +152,16 @@ class TestStore:
             assert (store / name).exists(), name
         for name in ("blocklist.jsonl", "index.jsonl"):  # load derives the blocklist and the index
             assert not (store / name).exists(), name
+
+    def test_model_file_is_the_canonical_record_of_its_model(self, pipeline):
+        """The golden tests leave the model's bytes out (they depend on the BLAS build);
+        this pins the file's form: the header, then the reloaded model's canonical record."""
+        _, store = pipeline
+        model = load_model(store, RunConfig().feature_dim)
+        record = {"params": {k: v.tolist() for k, v in model.params.items()},
+                  "ref_seed": model.ref_seed}
+        assert (store / "model.jsonl").read_bytes() == (
+            MODEL_HEADER + "\n" + canonical_json(record) + "\n").encode("utf-8")
 
     def test_lock_released(self, pipeline):
         _, store = pipeline
@@ -522,7 +532,8 @@ class TestDamagedStore:
         for name in FILE_HEADERS:
             assert (tmp_path / "resaved" / name).read_bytes() == (store / name).read_bytes(), name
         feature_dim = RunConfig().feature_dim
-        assert load_model(copy, feature_dim).to_record() == load_model(store, feature_dim).to_record()
+        assert ("".join(load_model(copy, feature_dim).record_pieces())
+                == "".join(load_model(store, feature_dim).record_pieces()))
         outputs = []
         for path in (store, copy):
             assert main(["query", "--store", str(path), "--text", "what remedy suits topic001"]) == 0
@@ -782,6 +793,28 @@ class TestDamagedStore:
         assert code == 1
         assert err.startswith(f"error: {path}: malformed file: ")
         assert "model parameters must be finite" in err
+
+    def test_model_without_a_class_per_choice_is_malformed(self, pipeline, tmp_path, capsys):
+        """A model cut to three classes fits its own shapes, but not the four answer choices."""
+        _, store = pipeline
+        copy = tmp_path / "store"
+        shutil.copytree(store, copy)
+        path = copy / "model.jsonl"
+        header, line = path.read_text().splitlines()
+        record = json.loads(line)
+        record["params"]["w2"] = [row[:3] for row in record["params"]["w2"]]
+        record["params"]["b2"] = record["params"]["b2"][:3]
+        path.write_text(header + "\n" + json.dumps(record) + "\n")
+        request = tmp_path / "request.json"
+        write_request(request, *load_context(copy))
+        before = {p.name: p.read_bytes() for p in copy.iterdir()}
+        for argv in (["query", "--text", "what remedy"], ["probe", "--id", "0"], ["eval"],
+                     ["unlearn", "--request", str(request)]):
+            assert main([argv[0], "--store", str(copy), *argv[1:]]) == 1, argv
+            assert capsys.readouterr().err == (
+                f"error: {path}: malformed file: "
+                "ValueError('b2 has 3 classes, not one per answer choice (4)')\n"), argv
+        assert {p.name: p.read_bytes() for p in copy.iterdir()} == before
 
     def test_v1_model_file_is_rejected(self, pipeline, tmp_path, capsys):
         _, store = pipeline

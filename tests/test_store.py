@@ -1,14 +1,25 @@
 import functools
 import json
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from memscrub.audit import AuditOp, AuditRecord, content_digest, payload_digest
-from memscrub.corpus import generate_corpus, populate_store
+from memscrub.audit import AuditOp, AuditRecord, canonical_json, content_digest, payload_digest
+from memscrub.config import RunConfig
+from memscrub.corpus import CHOICES, generate_corpus, populate_store
 from memscrub.graph import ForgetRequest, Layer, Status
-from memscrub.store import MemoryStore, RetrievalSettings, load_model, parse_lines, write_lines
+from memscrub.store import (
+    MODEL_HEADER,
+    MemoryStore,
+    RetrievalSettings,
+    load_model,
+    parse_lines,
+    save_model,
+    write_lines,
+)
+from memscrub.training import ModelState
 
 from conftest import live_ids
 
@@ -65,6 +76,40 @@ def test_header_only_file_is_malformed(tmp_path):
     write_lines(path, "memscrub-model v2", [])
     with pytest.raises(ValueError, match="model.jsonl: malformed file: ValueError.*not enough values"):
         load_model(tmp_path, 8)
+
+
+def test_model_file_is_its_header_and_the_canonical_record(tmp_path):
+    """Written row by row, the file still holds ``canonical_json`` of the whole record,
+    edge floats included; a NaN is written as ``NaN``, and load refuses it."""
+    model = ModelState.init(5, 4, len(CHOICES), seed=2, ref_seed=11)
+    model.params["w1"][1] = [-0.0, 5e-324, 1e-05, 1e16]
+    model.params["b2"][2] = float("nan")
+    record = {
+        "params": {"w1": model.params["w1"].tolist(), "b1": model.params["b1"].tolist(),
+                   "w2": model.params["w2"].tolist(), "b2": model.params["b2"].tolist()},
+        "ref_seed": 11,
+    }
+    save_model(tmp_path, model)
+    text = (tmp_path / "model.jsonl").read_bytes().decode("utf-8")
+    assert text == MODEL_HEADER + "\n" + canonical_json(record) + "\n"
+    assert "[-0.0,5e-324,1e-05,1e+16]" in text and '"b2":[0.0,0.0,NaN,0.0]' in text
+    with pytest.raises(ValueError, match="model.jsonl: malformed file: .*must be finite"):
+        load_model(tmp_path, 5)
+
+
+def test_save_model_holds_one_row_at_a_time(tmp_path):
+    """The heap peak of writing the default model stays far below its 348 KB record line."""
+    cfg = RunConfig()
+    model = ModelState.init(cfg.feature_dim, cfg.hidden_dim, len(CHOICES))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        save_model(tmp_path, model)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "model.jsonl").stat().st_size > 300_000
+    assert peak <= 100_000
 
 
 def check_forgotten(store, rebuilt, digests):

@@ -33,6 +33,11 @@ def tiny_state(seed=0, nf=6, nh=5, nc=3):
     return ModelState.init(nf, nh, nc, seed=seed, ref_seed=seed + 100)
 
 
+def stored_record(state):
+    """The record the model file holds for ``state``, parsed back from its JSON text."""
+    return json.loads("".join(state.record_pieces()))
+
+
 class TestTemperatureSoftmax:
     def test_symmetric_logits(self):
         for T in (0.5, 1.0, 4.0):
@@ -391,7 +396,7 @@ class TestReference:
         state = tiny_state(seed=4)
         grad_step(LabeledBatch.of(np.ones((1, 6)), [1], np.ones((1, 6)), n_features=6),
                   state, UnlearnConfig())
-        record = json.loads(json.dumps(state.to_record()))
+        record = stored_record(state)
         assert sorted(record) == ["params", "ref_seed"] and record["ref_seed"] == 104
         loaded = ModelState.from_record(record)
         fresh = tiny_state(seed=4)
@@ -403,13 +408,13 @@ class TestReference:
 
     @pytest.mark.parametrize("ref_seed", [-1, True, 7.0, "7", None])
     def test_bad_ref_seed_rejected(self, ref_seed):
-        record = {**tiny_state().to_record(), "ref_seed": ref_seed}
+        record = {**stored_record(tiny_state()), "ref_seed": ref_seed}
         with pytest.raises(ValueError, match="ref_seed"):
             ModelState.from_record(record)
 
     @pytest.mark.parametrize("element", [True, 1, "0.5", {}, None, [0.5]])
     def test_parameter_element_that_is_not_a_json_float_rejected(self, element):
-        record = json.loads(json.dumps(tiny_state().to_record()))
+        record = stored_record(tiny_state())
         record["params"]["b1"][0] = element
         with pytest.raises(ValueError, match="JSON floats"):
             ModelState.from_record(record)
