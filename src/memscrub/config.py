@@ -7,7 +7,8 @@ flags > one config file > defaults. The CLI reads the ``--config`` file
 if one is given and otherwise the store's ``config.cfg`` snapshot: a
 ``--config`` file replaces the snapshot, it does not layer over it, and
 may set any subset of the keys; the snapshot must set every key.
-Unknown keys in a config file are rejected, and so are invalid values:
+Unknown keys and keys set twice in a config file are rejected, and so
+are invalid values (a non-finite rate, weight or temperature among them):
 ``UnlearnConfig``, ``RetrievalSettings`` and ``RunConfig`` each check
 their own keys when the config is read, before a command writes
 anything. All randomness in a run flows from the single ``seed`` key.
@@ -15,6 +16,7 @@ anything. All randomness in a run flows from the single ``seed`` key.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
@@ -42,6 +44,8 @@ class RunConfig(UnlearnConfig, RetrievalSettings):
         # A dataclass calls only the first __post_init__ in the MRO.
         UnlearnConfig.__post_init__(self)
         RetrievalSettings.__post_init__(self)
+        if not math.isfinite(self.pretrain_lr):
+            raise TrainingError("pretrain_lr must be finite")
         if self.pretrain_epochs < 0 or self.pretrain_lr < 0:
             raise TrainingError("pretrain_epochs and pretrain_lr must be >= 0")
         self.h_min_for(len(CHOICES))  # the model has one class per answer choice
@@ -97,6 +101,8 @@ def _read_config(path) -> dict:
         key = key.strip()
         if key not in _KEYS:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in values:
+            raise ValueError(f"{path}:{lineno}: config key {key!r} is set twice")
         values[key] = _coerce(key, raw.strip())
     return values
 

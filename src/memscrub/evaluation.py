@@ -31,14 +31,21 @@ class MIAResult:
 
 
 def pairwise_auc(member_losses: Sequence[float], nonmember_losses: Sequence[float]) -> float:
-    """Exact Mann-Whitney AUC; ties get half credit; lower member loss => higher AUC."""
+    """Exact Mann-Whitney AUC; ties get half credit; lower member loss => higher AUC.
+
+    Each member's wins (non-members with a higher loss) and ties are counted
+    as integers by two binary searches in the sorted non-member losses, so
+    no member x non-member matrix is built.
+    """
     members = np.asarray(member_losses, dtype=float)
-    nonmembers = np.asarray(nonmember_losses, dtype=float)
+    nonmembers = np.sort(np.asarray(nonmember_losses, dtype=float))
     if members.size == 0 or nonmembers.size == 0:
         raise ValueError("member and nonmember loss lists must be nonempty")
-    diff = members[:, None] - nonmembers[None, :]
-    wins = np.sum(diff < 0) + 0.5 * np.sum(diff == 0)
-    return float(wins / (members.size * nonmembers.size))
+    below = np.searchsorted(nonmembers, members, side="left")
+    not_above = np.searchsorted(nonmembers, members, side="right")
+    wins = int(np.sum(nonmembers.size - not_above))
+    ties = int(np.sum(not_above - below))
+    return float((wins + 0.5 * ties) / (members.size * nonmembers.size))
 
 
 def mia(member_losses, nonmember_losses) -> MIAResult:

@@ -8,12 +8,13 @@ the boundary filter (blocklist and node status) until top-k entries pass.
 
 The index keeps the integer vectors as float32 rows of zero-filled blocks
 of ``BLOCK_ROWS`` rows, with a row -> id array, a row -> norm array, and
-keyword overlap as postings (token -> rows). An insert takes a row and
-its postings at once but leaves the row's vector unwritten: the text
-waits in a pending map, and the next search first embeds every pending
-text, ``FLUSH_ROWS`` at a time, so a store written or loaded and never
-searched (``memscrub store``, ``memscrub unlearn``) embeds nothing, and
-an entry removed before any search is never embedded. A search runs one
+keyword overlap as postings (token -> rows). An insert takes only a row
+and an id: its text waits in a pending map, and the next search first
+grows the blocks to cover every row, then tokenizes each pending text
+once for its vector and its postings, ``FLUSH_ROWS`` texts at a time. So
+a store written or loaded and never searched (``memscrub store``,
+``memscrub unlearn``) holds no block and no postings, and an entry
+removed before any search is never embedded or posted. A search runs one
 mat-vec over each whole block, whose integer dot products are exact (see
 ``HybridIndex.search``), so identical texts score bit-identically at any
 row, and adds one at each row in the postings of each query token.
@@ -81,8 +82,9 @@ class HashingEmbedder:
         return np.unpackbits(np.frombuffer(digests, dtype=np.uint8).reshape(-1, size),
                              axis=1, count=self.dim)
 
-    def embed_many(self, texts) -> np.ndarray:
-        """(len(texts), dim) int64: row ``i`` is the vector of ``texts[i]``.
+    def embed_many(self, token_lists) -> np.ndarray:
+        """(len(token_lists), dim) int64: row ``i`` is the vector of the text
+        whose ``tokenize`` is ``token_lists[i]``.
 
         Each distinct token is hashed once. One float32 matmul of the
         texts' token occurrence counts by the tokens' sign bits counts each
@@ -90,7 +92,7 @@ class HashingEmbedder:
         most the text's token count, so the product is exact while a text
         has fewer than 2**24 tokens.
         """
-        token_lists = [tokenize(text) or ["<empty>"] for text in texts]
+        token_lists = [tokens or ["<empty>"] for tokens in token_lists]
         tokens = list(itertools.chain.from_iterable(token_lists))
         column = {token: j for j, token in enumerate(dict.fromkeys(tokens))}
         n, m = len(token_lists), len(column)
@@ -106,7 +108,7 @@ class HashingEmbedder:
         return counts
 
     def embed(self, text: str) -> np.ndarray:
-        return self.embed_many([text])[0]
+        return self.embed_many([tokenize(text)])[0]
 
 
 def _norm(counts: np.ndarray) -> float:
@@ -144,26 +146,28 @@ class HybridIndex:
     """Exact-scoring hybrid index over row blocks and token postings.
 
     An entry keeps its row from insert to removal. A new entry takes the
-    lowest row a purge freed, else the next row of the last block. Its
-    counts and norm are written by the first search after its insert,
-    which embeds the pending texts ``FLUSH_ROWS`` at a time; the pending
-    map holds only live entries' texts, so a removed entry's text leaves
-    the index with it.
+    lowest row a purge freed, else the next row. Its counts, norm and
+    postings are written by the first search after its insert, which
+    embeds the pending texts ``FLUSH_ROWS`` at a time; until then the
+    index holds for it only its id, its live flag and its text. The
+    pending map holds only live entries' texts, so a removed entry's text
+    leaves the index with it, and a row enters the postings only once
+    written.
     """
 
     def __init__(self, embedder: HashingEmbedder, tau: int):
         self.embedder = embedder
         self.tau = tau
         self.generation = 0
-        self._blocks: list = []  # (BLOCK_ROWS, dim) float32 arrays of token counts
+        self._blocks: list = []  # (BLOCK_ROWS, dim) float32 arrays of token counts, grown by a search
         self._ids = np.zeros(0, dtype=np.int64)  # row -> id
-        self._norms = np.zeros(0)  # row -> its counts' norm; 1.0 in a row never filled, which scores 0
+        self._norms = np.zeros(0)  # row of a block -> its counts' norm; 1.0 in a row never written, which scores 0
         self._live = np.zeros(0, dtype=bool)  # row holds its id's current entry
         self._rows = 0  # rows filled, dead and freed ones included
         self._free: list = []  # purged rows below _rows, highest first
         self._row_of: dict[int, int] = {}  # live id -> row
         self._pending: dict[int, str] = {}  # live row -> its text, until a search writes the row
-        self._postings: dict[str, array] = {}  # token -> rows, unpurged dead ones included
+        self._postings: dict[str, array] = {}  # token -> written rows, unpurged dead ones included
         self._tombstones: set = set()
 
     def __contains__(self, node_id: int) -> bool:
@@ -185,10 +189,8 @@ class HybridIndex:
             row = self._free.pop()
         else:
             row = self._rows
-            if row % BLOCK_ROWS == 0:  # a zero-filled block, with ids, norms and live flags for its rows
-                self._blocks.append(np.zeros((BLOCK_ROWS, self.embedder.dim), dtype=np.float32))
+            if row % BLOCK_ROWS == 0:  # ids and live flags for the next block's rows
                 self._ids = np.concatenate([self._ids, np.zeros(BLOCK_ROWS, dtype=np.int64)])
-                self._norms = np.concatenate([self._norms, np.ones(BLOCK_ROWS)])
                 self._live = np.concatenate([self._live, np.zeros(BLOCK_ROWS, dtype=bool)])
             self._rows += 1
         self._pending[row] = text
@@ -196,12 +198,6 @@ class HybridIndex:
         self._live[row] = True
         self._row_of[node_id] = row
         self._tombstones.discard(node_id)
-        for token in set(tokenize(text)):
-            rows = self._postings.get(token)
-            if rows is None:
-                self._postings[token] = array("q", (row,))
-            else:
-                rows.append(row)
 
     def remove(self, node_id: int) -> None:
         """Take the entry out of the live set; its id stays a tombstone until purged."""
@@ -213,22 +209,37 @@ class HybridIndex:
         self._tombstones.add(node_id)
 
     def _flush(self) -> None:
-        """Write the counts and norm of every pending row, ``FLUSH_ROWS`` texts at a time.
+        """Cover every row with blocks, then write the counts, norm and postings
+        of every pending row, ``FLUSH_ROWS`` texts at a time.
 
-        A chunk leaves the pending map before it is embedded and goes back if
-        embedding raises, so a failed flush leaves every unwritten row pending.
+        Each text is tokenized once, for its vector and its postings. A chunk
+        leaves the pending map before it is embedded and goes back if
+        embedding raises, so a failed flush leaves every unwritten row
+        pending and out of the postings.
         """
-        pending = self._pending
+        missing = len(self._live) // BLOCK_ROWS - len(self._blocks)
+        if missing:  # zero-filled blocks, with a norm of 1.0 for each of their rows
+            self._blocks += [np.zeros((BLOCK_ROWS, self.embedder.dim), dtype=np.float32)
+                             for _ in range(missing)]
+            self._norms = np.concatenate([self._norms, np.ones(missing * BLOCK_ROWS)])
+        pending, postings = self._pending, self._postings
         while pending:
             chunk = [pending.popitem() for _ in range(min(FLUSH_ROWS, len(pending)))]
             try:
-                counts = self.embedder.embed_many([text for _, text in chunk])
+                token_lists = [tokenize(text) for _, text in chunk]
+                counts = self.embedder.embed_many(token_lists)
             except BaseException:
                 pending.update(chunk)
                 raise
-            for (row, _), row_counts in zip(chunk, counts):
+            for (row, _), tokens, row_counts in zip(chunk, token_lists, counts):
                 self._blocks[row // BLOCK_ROWS][row % BLOCK_ROWS] = row_counts
                 self._norms[row] = _norm(row_counts)
+                for token in set(tokens):
+                    rows = postings.get(token)
+                    if rows is None:
+                        postings[token] = array("q", (row,))
+                    else:
+                        rows.append(row)
         self._pending = {}  # frees the table, which an emptied dict keeps
 
     def purge(self) -> None:

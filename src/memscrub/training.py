@@ -40,6 +40,9 @@ class UnlearnConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for key in ("lr", "lambda_f", "temperature"):
+            if not math.isfinite(getattr(self, key)):
+                raise TrainingError(f"{key} must be finite")
         if self.lambda_f < 0:
             raise TrainingError("lambda_f must be >= 0")
         if self.temperature <= 0:

@@ -1042,6 +1042,12 @@ class TestConfig:
         ("batch_size = 0", "batch_size must be >= 1"),
         ("pretrain_epochs = -1", "pretrain_epochs and pretrain_lr must be >= 0"),
         ("pretrain_lr = -0.5", "pretrain_epochs and pretrain_lr must be >= 0"),
+        # Each of these once passed: `store` wrote a model.jsonl that every later command
+        # refused, or gen-corpus exited 0.
+        ("pretrain_lr = nan", "pretrain_lr must be finite"),
+        ("lr = inf", "lr must be finite"),
+        ("lambda_f = nan", "lambda_f must be finite"),
+        ("temperature = inf", "temperature must be finite"),
     ])
     def test_bad_training_key_stops_every_command_before_it_writes(
             self, pipeline, tmp_path, capsys, line, message):
@@ -1094,6 +1100,15 @@ class TestConfig:
         assert main(["gen-corpus", "--out", str(out), "--config", str(path)]) == 1
         key = line.partition(" ")[0]
         assert capsys.readouterr() == ("", f"error: config key {key}: expected {expected}\n")
+        assert not out.exists()
+
+    def test_key_set_twice_stops_the_command(self, tmp_path, capsys):
+        """A repeated key is refused, not silently last-wins."""
+        path = tmp_path / "run.cfg"
+        path.write_text("seed = 0\n# a comment\nseed = 5\n")
+        out = tmp_path / "corpus.jsonl"
+        assert main(["gen-corpus", "--out", str(out), "--config", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {path}:3: config key 'seed' is set twice\n")
         assert not out.exists()
 
     def test_negative_epochs_flag_rejected(self):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from memscrub.corpus import QAItem, populate_store, split_items, to_dataset
 from memscrub.evaluation import (
@@ -47,6 +48,10 @@ def auc_by_ranks(members, nonmembers):
     return u / (len(members) * len(nonmembers))
 
 
+# Finite losses drawn from a few values, so ties are common; -0.0 and 0.0 tie.
+_loss = st.sampled_from([-0.0, 0.0, 0.5, 1.0, 2.5]) | st.floats(allow_nan=False, allow_infinity=False)
+
+
 class TestPairwiseAUC:
     def test_hand_example(self):
         # members {1,3} vs nonmembers {2,4}: wins are (1,2),(1,4),(3,4) of 4.
@@ -80,6 +85,15 @@ class TestPairwiseAUC:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             pairwise_auc([], [1.0])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(members=st.lists(_loss, min_size=1, max_size=30),
+           nonmembers=st.lists(_loss, min_size=1, max_size=30))
+    def test_equals_the_quadratic_formula(self, members, nonmembers):
+        """The same float as counting over the full member x non-member matrix."""
+        diff = np.asarray(members, dtype=float)[:, None] - np.asarray(nonmembers, dtype=float)
+        wins = np.sum(diff < 0) + 0.5 * np.sum(diff == 0)
+        assert pairwise_auc(members, nonmembers) == float(wins / diff.size)
 
 
 class TestModelMIA:

@@ -14,7 +14,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from memscrub import corpus, retrieval
 from memscrub.audit import AuditLog, AuditRecord, Blocklist, payload_digest
+from memscrub.corpus import split_items, to_dataset
 from memscrub.graph import ForgetRequest, Layer, UnknownNodeError
+from memscrub.protocol import AgentState, run_protocol
 from memscrub.retrieval import (
     BLOCK_ROWS,
     FLUSH_ROWS,
@@ -23,7 +25,8 @@ from memscrub.retrieval import (
     HybridQuery,
     tokenize,
 )
-from memscrub.store import MemoryStore
+from memscrub.store import MemoryStore, RetrievalSettings
+from memscrub.training import UnlearnConfig
 
 from conftest import live_ids
 
@@ -63,15 +66,20 @@ def index():
 
 
 class CountingEmbedder(HashingEmbedder):
-    """Records every text it embeds, queries included."""
+    """Records every text it embeds, queries included, as its tokens joined by spaces."""
 
     def __init__(self, dim):
         super().__init__(dim)
         self.embedded = []
 
-    def embed_many(self, texts):
-        self.embedded.extend(texts)
-        return super().embed_many(texts)
+    def embed_many(self, token_lists):
+        self.embedded.extend(map(" ".join, token_lists))
+        return super().embed_many(token_lists)
+
+
+def postings_of(index) -> dict:
+    """The index's postings, each posting list ascending."""
+    return {token: sorted(rows) for token, rows in index._postings.items()}
 
 
 class TestEmbedder:
@@ -148,9 +156,13 @@ class TestIndexMembership:
     def test_removed_entry_keeps_only_its_id(self, index):
         for i in range(3):
             index.insert(i, f"doc {i}")
+        assert index._blocks == [] and index._postings == {}  # an unsearched index holds neither
+        query = HybridQuery("doc 1", top_k=3)
+        index.search(query, allow_all)
+        written = {"doc": [0, 1, 2], "0": [0], "1": [1], "2": [2]}
+        assert len(index._blocks) == 1 and postings_of(index) == written
         index.remove(1)
         assert 1 not in index and len(index) == 2 and live_ids(index) == [0, 2]
-        query = HybridQuery("doc 1", top_k=3)
         hits = index.search(query, allow_all)
         expected = oracle_search({0: "doc 0", 2: "doc 2"}, query, allow_all, 64)
         assert [h.node_id for h in hits] == [e[0] for e in expected]
@@ -158,17 +170,18 @@ class TestIndexMembership:
         with pytest.raises(UnknownNodeError):
             index.remove(1)
         # The dead row keeps its postings until a purge drops them and frees the row.
+        assert postings_of(index) == written
         index.purge()
         assert index._rows == 3 and index._ids[[0, 2]].tolist() == [0, 2]
         assert index._live.tolist() == [True, False, True] + [False] * (BLOCK_ROWS - 3)
-        assert {t: list(rows) for t, rows in index._postings.items()} == {
-            "doc": [0, 2], "0": [0], "2": [2]}
+        assert postings_of(index) == {"doc": [0, 2], "0": [0], "2": [2]}
         index.insert(5, "doc 5")  # into the freed row, not the next one
         assert index._rows == 3 and len(index._blocks) == 1 and index._free == []
         assert index._ids[:3].tolist() == [0, 5, 2]
         assert index._live.tolist() == [True] * 3 + [False] * (BLOCK_ROWS - 3)
-        assert {t: list(rows) for t, rows in index._postings.items()} == {
-            "doc": [0, 2, 1], "0": [0], "2": [2], "5": [1]}
+        assert postings_of(index) == {"doc": [0, 2], "0": [0], "2": [2]}  # until a search
+        index.search(query, allow_all)
+        assert postings_of(index) == {"doc": [0, 1, 2], "0": [0], "2": [2], "5": [1]}
 
     def test_purge_keeps_live_rows_and_reuses_freed_ones(self, index):
         n = 3 * BLOCK_ROWS
@@ -182,13 +195,16 @@ class TestIndexMembership:
         assert rows == {i: i for i in survivors}  # every entry kept its insert row
         assert index._ids[survivors].tolist() == survivors
         freed = sorted(set(range(n)) - set(survivors))
-        for k in range(len(freed)):  # no new block while a freed row remains
+        for k in range(len(freed)):  # no new block's rows while a freed row remains
             index.insert(n + k, f"doc {n + k} lake")
             assert index._row_of[n + k] == freed[k]
-            assert len(index._blocks) == 3 and index._rows == n
+            assert len(index._live) == n and index._rows == n
         assert {index._row_of[i] for i in survivors} == set(survivors)
         index.insert(2 * n, "doc lake")
-        assert index._row_of[2 * n] == n and len(index._blocks) == 4
+        assert index._row_of[2 * n] == n and len(index._live) == n + BLOCK_ROWS
+        assert index._blocks == []  # no search yet
+        index.search(HybridQuery("lake"), allow_all)
+        assert len(index._blocks) == 4
 
 
 class TestPersistence:
@@ -574,7 +590,7 @@ class TestEmbedMany:
         """Row for row ``embed_many`` is ``embed``, and so is every row a flush writes,
         for any count of pending rows across the chunk boundaries."""
         embedder = HashingEmbedder(dim)
-        many = embedder.embed_many(texts)
+        many = embedder.embed_many([tokenize(text) for text in texts])
         assert many.dtype == np.int64 and many.shape == (len(texts), dim)
         for text, row in zip(texts, many):
             assert row.tolist() == embedder.embed(text).tolist() == reference_embed(text, dim)
@@ -610,6 +626,32 @@ class TestDeferredEmbedding:
         store.forget(ForgetRequest.of("r1", [target]))
         assert not index_holds(secret)
         assert store.search("secret fever") and embedder.embedded == [kept, "secret fever"]
+        posted = postings_of(store.index)
+        assert sorted(posted) == sorted(set(tokenize(kept)))
+        assert not posted.keys() & set(tokenize(secret))  # never posted
+
+    def test_loaded_store_holds_no_index_memory_until_searched(self, fresh_agent, tmp_path):
+        """Load and the ``unlearn`` path (block, prune, remove, rebuild, train) build no
+        block and no postings; the first search builds them for the live entries alone."""
+        agent, items, prov = fresh_agent
+        agent.store.save(tmp_path)
+        store = MemoryStore.load(tmp_path, settings=RetrievalSettings(tau=1))
+        index = store.index
+        assert index._blocks == [] and index._postings == {}
+        assert len(index._pending) == len(index) == len(list(store.graph.active_view()))
+        targets = sorted(prov.item_to_node[it.item_id] for it in split_items(items, "forget"))
+        reloaded = AgentState(store=store, model=agent.model.copy(), feature_dim=agent.feature_dim)
+        retain = to_dataset(split_items(items, "retain"), agent.feature_dim)
+        report = run_protocol(reloaded, ForgetRequest.of("r1", targets), retain,
+                              UnlearnConfig(epochs=1))
+        assert report.memory.rebuilt and store.index is index
+        assert index._blocks == [] and index._postings == {}
+        active = list(store.graph.active_view())
+        assert sorted(index._pending.values()) == sorted(store.graph.node(i).content for i in active)
+        store.search("what remedy suits topic001")
+        assert index._pending == {} and len(index._blocks) * BLOCK_ROWS == len(index._live)
+        rows = {index._row_of[i] for i in active}
+        assert {row for posted in index._postings.values() for row in posted} == rows
 
     def test_failed_flush_leaves_unwritten_rows_pending(self):
         class FailsOnce(HashingEmbedder):
@@ -643,12 +685,11 @@ class TestDeferredEmbedding:
         corpus.populate_store(store, corpus.generate_corpus(seed=0, n_topics=120))
         tracemalloc.start()
         try:
-            start = tracemalloc.get_traced_memory()[0]
             store.search("what remedy suits topic001")
-            peak = tracemalloc.get_traced_memory()[1]
+            kept, peak = tracemalloc.get_traced_memory()  # kept: the blocks and postings built
         finally:
             tracemalloc.stop()
-        assert peak - start <= 250_000
+        assert peak - kept <= 250_000
 
 
 # Distinct token sets, so distinct texts never tie to the last bit; a text
