@@ -235,32 +235,32 @@ def cmd_audit_verify(args) -> int:
     return 0 if result.ok else 1
 
 
+def _parameter_row(model: ModelState, items, feature_dim: int) -> dict:
+    """The model's ``eval`` row; each split's feature matrix lives only while it is scored."""
+    def dataset(split):
+        return to_dataset(split_items(items, split), feature_dim)
+
+    forget = dataset("forget")
+    member, forget_acc = model_item_losses(model, forget), model_accuracy(model, forget)
+    del forget
+    param_mia = mia(member, model_item_losses(model, dataset("forget_holdout")))
+    return {
+        "method": "parameter_model",
+        "forget_acc": forget_acc,
+        "retain_acc": model_accuracy(model, dataset("retain")),
+        "test_acc": model_accuracy(model, dataset("test")),
+        "mia_auc": param_mia.auc,
+        "mia_score": param_mia.score,
+    }
+
+
 def cmd_eval(args) -> int:
     cfg = _resolve_config(args)
     store_dir = Path(args.store)
     with store_lock(store_dir):
         agent, items, prov = _load_store_context(store_dir, cfg)
-        forget = split_items(items, "forget")
-        holdout = split_items(items, "forget_holdout")
-        retain = split_items(items, "retain")
-        test = split_items(items, "test")
-
-        forget_ds = to_dataset(forget, cfg.feature_dim)
-        retain_ds = to_dataset(retain, cfg.feature_dim)
-        test_ds = to_dataset(test, cfg.feature_dim)
-        holdout_ds = to_dataset(holdout, cfg.feature_dim)
-
-        param_mia = mia(model_item_losses(agent.model, forget_ds),
-                        model_item_losses(agent.model, holdout_ds))
-        rows = [{
-            "method": "parameter_model",
-            "forget_acc": model_accuracy(agent.model, forget_ds),
-            "retain_acc": model_accuracy(agent.model, retain_ds),
-            "test_acc": model_accuracy(agent.model, test_ds),
-            "mia_auc": param_mia.auc,
-            "mia_score": param_mia.score,
-        }]
-        mem = memory_accuracy(agent, forget, retain)
+        rows = [_parameter_row(agent.model, items, cfg.feature_dim)]
+        mem = memory_accuracy(agent, split_items(items, "forget"), split_items(items, "retain"))
         rows.append({"method": "memory_grounded", **mem})
         rows.extend(record_of(report) for report in memory_baselines(agent, prov, items))
         lines = _write_metrics(store_dir, "eval.jsonl", rows)

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Optional
 
 from .audit import record_of
-from .corpus import CHOICES
+from .corpus import CHOICES, forget_topic_count
 from .store import CONFIG_HEADER, RetrievalSettings, write_lines
 from .training import TrainingError, UnlearnConfig
 
@@ -56,6 +56,12 @@ class RunConfig(UnlearnConfig, RetrievalSettings):
             raise ValueError("holdout_per_topic must be >= 0")
         if not 0.0 <= self.forget_fraction <= 1.0:
             raise ValueError("forget_fraction must lie in [0, 1]")
+        # Every split must hold items: eval scores all four, unlearn trains on retain.
+        if self.holdout_per_topic == 0:
+            raise ValueError("holdout_per_topic = 0 leaves the forget_holdout and test splits empty")
+        if forget_topic_count(self.n_topics, self.forget_fraction) >= self.n_topics:
+            raise ValueError(f"n_topics = {self.n_topics} and forget_fraction = "
+                             f"{self.forget_fraction} leave no retain topic")
         if not 0.0 <= self.confidence_threshold <= 1.0:
             raise ValueError("confidence_threshold must lie in [0, 1]")
 

@@ -44,11 +44,16 @@ class QAItem:
         return CHOICES[self.answer_idx]
 
 
+def forget_topic_count(n_topics: int, forget_fraction: float) -> int:
+    """How many of the corpus's first topics are forget topics: at least one."""
+    return max(1, int(round(n_topics * forget_fraction)))
+
+
 def generate_corpus(seed: int = 0, n_topics: int = 12, items_per_topic: int = 6,
                     forget_fraction: float = 0.25, holdout_per_topic: int = 4) -> list:
     """Deterministic corpus; the first ``forget_fraction`` of topics are forgettable."""
     rng = np.random.default_rng(seed)
-    n_forget_topics = max(1, int(round(n_topics * forget_fraction)))
+    n_forget_topics = forget_topic_count(n_topics, forget_fraction)
     items: list[QAItem] = []
     for t in range(n_topics):
         topic = f"topic{t:03d}"

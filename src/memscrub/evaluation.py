@@ -86,15 +86,17 @@ def memory_accuracy(agent: AgentState, forget_items, retain_items) -> dict:
 
 def memory_item_losses(store: MemoryStore, items: Iterable[QAItem]) -> np.ndarray:
     """Memory-side loss proxy: 1 - best combined score of an answer-bearing hit."""
-    losses = []
-    for item in items:
-        best = 1.0
-        for hit in store.search(item.question):
-            tokens = tokenize(store.content(hit.node_id))
-            if item.topic in tokens and item.answer_text in tokens:
-                best = min(best, 1.0 - hit.combined)
-        losses.append(best)
-    return np.asarray(losses)
+    return np.asarray([_item_loss(store, item, store.search(item.question)) for item in items])
+
+
+def _item_loss(store: MemoryStore, item: QAItem, hits) -> float:
+    """``item``'s loss given ``hits``, the store's search hits for its question."""
+    best = 1.0
+    for hit in hits:
+        tokens = tokenize(store.content(hit.node_id))
+        if item.topic in tokens and item.answer_text in tokens:
+            best = min(best, 1.0 - hit.combined)
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +219,8 @@ def memory_baselines(agent: AgentState, prov: Provenance, items) -> list:
     """Compare Naive Deletion, Retraining Oracle and Ours on copies of ``agent``'s store.
 
     Each variant is built, evaluated and released before the next, so at
-    most one lives beside the agent's store.
+    most one lives beside the agent's store. A variant searches each forget
+    question once: its hits give both the answer and the item's loss.
     """
     store = agent.store
     forget_items = split_items(items, "forget")
@@ -228,14 +231,21 @@ def memory_baselines(agent: AgentState, prov: Provenance, items) -> list:
     reports = []
 
     def evaluate(method: str, variant: MemoryStore, dangling_targets: set) -> None:
-        accs = memory_accuracy(replace(agent, store=variant), forget_items, retain_items)
-        member = memory_item_losses(variant, forget_items)
-        nonmember = memory_item_losses(variant, holdout_items)
-        result = mia(member, nonmember)
+        answerer = replace(agent, store=variant)
+        member = []
+
+        def forget_answer(item: QAItem) -> int:
+            hits = variant.search(item.question)
+            member.append(_item_loss(variant, item, hits))
+            return answerer.answer(item.question, hits).answer_idx
+
+        forget_acc = accuracy(forget_answer, forget_items)
+        retain_acc = accuracy(lambda it: answerer.answer(it.question).answer_idx, retain_items)
+        result = mia(member, memory_item_losses(variant, holdout_items))
         reports.append(MethodReport(
             method=method,
-            forget_acc=accs["forget_acc"],
-            retain_acc=accs["retain_acc"],
+            forget_acc=forget_acc,
+            retain_acc=retain_acc,
             mia_auc=result.auc,
             mia_score=result.score,
             dangling_artifacts=dangling_artifact_count(variant, dangling_targets),

@@ -49,9 +49,15 @@ class AgentState:
         x = featurize(question, self.feature_dim)[None, :]
         return temperature_softmax(self.model.logits(x), 1.0)[0]
 
-    def answer(self, question: str) -> AgentAnswer:
-        """Answer from retrieved memory when it names a choice, else parametrically."""
-        hit_ids = [h.node_id for h in self.store.search(question)]
+    def answer(self, question: str, hits: Optional[list] = None) -> AgentAnswer:
+        """Answer from retrieved memory when it names a choice, else parametrically.
+
+        ``hits``, if given, are the store's search hits for ``question``, so a
+        caller that needs them too searches once.
+        """
+        if hits is None:
+            hits = self.store.search(question)
+        hit_ids = [h.node_id for h in hits]
         for node_id in hit_ids:
             content = self.store.content(node_id)
             idx = choice_in(content)

@@ -120,7 +120,9 @@ def load_model(store_dir: Path, n_features: int) -> ModelState:
     whose ``b2`` one entry per answer choice."""
     def build(lines):
         (line,) = lines
-        model = ModelState.from_record(json.loads(line))
+        record = json.loads(line)
+        del line  # released before from_record builds the arrays
+        model = ModelState.from_record(record)
         rows = model.params["w1"].shape[0]
         if rows != n_features:
             raise ValueError(f"w1 has {rows} rows, not feature_dim {n_features}")

@@ -225,11 +225,8 @@ class ModelState:
         params, ref_seed = json_record(rec, {"params": dict, "ref_seed": int})
         if ref_seed < 0:
             raise ValueError(f"ref_seed must be a non-negative integer, not {ref_seed!r}")
-        params = {k: np.array(v, dtype=object)
+        params = {k: _float_array(v)
                   for k, v in zip(PARAM_KEYS, json_record(params, dict.fromkeys(PARAM_KEYS, list)))}
-        if not all(type(x) is float for v in params.values() for x in v.flat):
-            raise ValueError("model parameters must be rectangular lists of JSON floats")
-        params = {k: v.astype(float) for k, v in params.items()}
         # A step runs layer 1 on its batch's columns only, so a non-finite
         # w1 row would poison only the batches that use its column.
         if not all(np.isfinite(v).all() for v in params.values()):
@@ -240,6 +237,23 @@ class ModelState:
             raise ValueError("model parameter shapes do not fit: "
                              + ", ".join(f"{k} {params[k].shape}" for k in PARAM_KEYS))
         return cls(params=params, ref_seed=ref_seed)
+
+
+def _float_array(value: list) -> np.ndarray:
+    """The parsed JSON list ``value`` as a float array; a ValueError unless its
+    leaves, at any depth, are JSON floats in rectangular lists."""
+    bad = ValueError("model parameters must be rectangular lists of JSON floats")
+    pending = [value]
+    while pending:
+        for x in pending.pop():
+            if type(x) is list:
+                pending.append(x)
+            elif type(x) is not float:
+                raise bad
+    try:
+        return np.array(value, dtype=float)
+    except ValueError:  # ragged, or deeper than numpy's dimension limit
+        raise bad from None
 
 
 # ---------------------------------------------------------------------------

@@ -949,6 +949,31 @@ class TestUnlearnPipeline:
                            "retraining_oracle", "ours"]
         assert (store / "metrics" / "eval.jsonl").exists()
 
+    def test_eval_heap_peak_stays_small(self, tmp_path, capsys):
+        """At (seed 1, 48 topics) the heap peak of `eval` falls in the baselines. Each split's
+        feature matrix is gone by then: the four together hold ~0.98 MB."""
+        cfg, corpus, store = tmp_path / "run.cfg", tmp_path / "corpus.jsonl", tmp_path / "store"
+        cfg.write_text("n_topics = 48\nseed = 1\n")
+        request = tmp_path / "request.json"
+        request.write_text(json.dumps({"request_id": "r6", "targets": list(range(6))}))
+        assert main(["gen-corpus", "--out", str(corpus), "--config", str(cfg)]) == 0
+        assert main(["store", "--corpus", str(corpus), "--store", str(store),
+                     "--config", str(cfg)]) == 0
+        assert main(["unlearn", "--store", str(store), "--request", str(request)]) == 0
+        main(["eval", "--store", str(store)])  # fills one-time caches (argparse, re)
+        capsys.readouterr()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            code = main(["eval", "--store", str(store)])
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert len(capsys.readouterr().out.splitlines()) == 5
+        assert peak <= 3_000_000
+
 
 class TestRunLoop:
     def test_stage_output(self, capsys):
@@ -1069,6 +1094,11 @@ class TestConfig:
         ("forget_fraction = 1.5", "forget_fraction must lie in [0, 1]"),
         ("confidence_threshold = 5", "confidence_threshold must lie in [0, 1]"),
         ("confidence_threshold = -1", "confidence_threshold must lie in [0, 1]"),
+        # These left a split empty: every eval, or every unlearn and eval, then failed.
+        ("holdout_per_topic = 0", "holdout_per_topic = 0 leaves the forget_holdout and test "
+                                  "splits empty"),
+        ("n_topics = 1", "n_topics = 1 and forget_fraction = 0.25 leave no retain topic"),
+        ("forget_fraction = 1.0", "n_topics = 12 and forget_fraction = 1.0 leave no retain topic"),
     ])
     def test_bad_model_retrieval_or_corpus_key_stops_every_command_before_it_writes(
             self, pipeline, tmp_path, capsys, line, message):

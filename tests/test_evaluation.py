@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from memscrub.corpus import QAItem, populate_store, split_items, to_dataset
 from memscrub.evaluation import (
     LoopScenario,
+    MethodReport,
+    _naive_delete,
     accuracy,
     dangling_artifact_count,
     memory_accuracy,
@@ -15,7 +19,7 @@ from memscrub.evaluation import (
     pairwise_auc,
     run_agent_loop,
 )
-from memscrub.graph import Layer
+from memscrub.graph import ForgetRequest, Layer
 from memscrub.protocol import AgentState
 from memscrub.store import MemoryStore
 from memscrub.training import UnlearnConfig, train_unlearn
@@ -212,7 +216,6 @@ class TestBaselines:
         assert state() == before
 
     def test_dangling_count_matches_manual_scan(self, corpus_items, pretrained_model):
-        from memscrub.evaluation import _naive_delete
         from memscrub.graph import Status
 
         store = MemoryStore()
@@ -229,3 +232,56 @@ class TestBaselines:
                 expected += 1
         assert expected >= 1
         assert dangling_artifact_count(store, targets) == expected
+
+
+def reference_baselines(agent, prov, items) -> list:
+    """The three baselines computed the direct way: ``memory_accuracy`` and
+    ``memory_item_losses`` each search every forget question on the variant."""
+    store = agent.store
+    forget, holdout, retain = (split_items(items, s) for s in ("forget", "forget_holdout", "retain"))
+    targets = sorted(prov.item_to_node[it.item_id] for it in forget)
+    naive = store.copy()
+    _naive_delete(naive, targets)
+    oracle = MemoryStore(settings=store.settings, embedder=store.embedder)
+    populate_store(oracle, retain)
+    ours = store.copy()
+    ours.forget(ForgetRequest.of("baseline-ours", targets))
+    reports = []
+    for method, variant, dangling_targets in (("naive_deletion", naive, set(targets)),
+                                              ("retraining_oracle", oracle, set()),
+                                              ("ours", ours, set(targets))):
+        accs = memory_accuracy(replace(agent, store=variant), forget, retain)
+        result = mia(memory_item_losses(variant, forget), memory_item_losses(variant, holdout))
+        reports.append(MethodReport(method, accs["forget_acc"], accs["retain_acc"], result.auc,
+                                    result.score, dangling_artifact_count(variant, dangling_targets)))
+    return reports
+
+
+@pytest.mark.parametrize("forgotten", [0, 3], ids=["fresh", "three-forgotten"])
+def test_baselines_equal_the_reference_with_one_search_per_question(
+        corpus_items, pretrained_model, monkeypatch, forgotten):
+    """Each variant searches each forget, holdout and retain question once, and the rows
+    equal the reference's, which searches every forget question twice."""
+    store = MemoryStore()
+    prov = populate_store(store, corpus_items)
+    forget = split_items(corpus_items, "forget")
+    if forgotten:  # so some forget questions fall back to the model
+        store.forget(ForgetRequest.of("earlier", [prov.item_to_node[it.item_id]
+                                                  for it in forget[:forgotten]]))
+    agent = AgentState(store=store, model=pretrained_model.copy(), feature_dim=256)
+    expected = reference_baselines(agent, prov, corpus_items)
+
+    searched = []  # each store searched, once per search; held, so no id is reused
+    search = MemoryStore.search
+
+    def counting_search(self, text):
+        searched.append(self)
+        return search(self, text)
+
+    monkeypatch.setattr(MemoryStore, "search", counting_search)
+    assert memory_baselines(agent, prov, corpus_items) == expected
+    per_variant = len(forget) + sum(len(split_items(corpus_items, s))
+                                    for s in ("forget_holdout", "retain"))
+    variants = list(dict.fromkeys(map(id, searched)))
+    assert len(variants) == 3 and id(store) not in variants
+    assert [sum(id(v) == i for v in searched) for i in variants] == [per_variant] * 3

@@ -112,6 +112,23 @@ def test_save_model_holds_one_row_at_a_time(tmp_path):
     assert peak <= 100_000
 
 
+def test_load_model_releases_the_line_and_builds_no_object_array(tmp_path):
+    """Loading the default model peaks under 1 MB: the line is gone once it is parsed, and
+    the parsed floats become float arrays with no object array between."""
+    cfg = RunConfig()
+    save_model(tmp_path, ModelState.init(cfg.feature_dim, cfg.hidden_dim, len(CHOICES)))
+    load_model(tmp_path, cfg.feature_dim)  # fills one-time caches
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        model = load_model(tmp_path, cfg.feature_dim)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert model.params["w1"].shape == (cfg.feature_dim, cfg.hidden_dim)
+    assert peak <= 1_000_000
+
+
 def check_forgotten(store, rebuilt, digests):
     """The index holds exactly the Active nodes, its tombstones are exactly the nodes
     removed in its generation, and the blocked ids are exactly its episodic tombstones,
