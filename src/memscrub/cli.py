@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import corpus as corpus_mod
 from .audit import canonical_json, json_record, record_of, verify_lines
-from .config import RunConfig, load_config, load_snapshot, save_config_snapshot
+from .config import RunConfig, load_config, save_config_snapshot
 from .corpus import Provenance, split_items, to_dataset
 from .evaluation import (
     LoopScenario,
@@ -60,13 +60,7 @@ def _resolve_config(args) -> RunConfig:
     # The config-key flags given; one left unset, or that the subcommand lacks, reads None.
     overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)
                  if getattr(args, f.name, None) is not None}
-    path = getattr(args, "config", None)
-    store_dir = getattr(args, "store", None)
-    if path is None and store_dir is not None:
-        snapshot = Path(store_dir) / "config.cfg"
-        if snapshot.exists():
-            return load_snapshot(snapshot, overrides)
-    return load_config(path, overrides)
+    return load_config(args.config, overrides, getattr(args, "store", None))
 
 
 def _load_store_context(store_dir: Path, cfg: RunConfig):

@@ -2,11 +2,13 @@
 
 The config keys are the fields of ``RetrievalSettings`` (memory pathway)
 and ``UnlearnConfig`` (parameter pathway), declared once there, plus the
-model, corpus and agent keys declared here. Precedence: command-line
-flags > one config file > defaults. The CLI reads the ``--config`` file
-if one is given and otherwise the store's ``config.cfg`` snapshot: a
-``--config`` file replaces the snapshot, it does not layer over it, and
-may set any subset of the keys; the snapshot must set every key.
+model, corpus and agent keys declared here. Every command layers its
+config: the defaults, then the named store's ``config.cfg`` snapshot if
+it exists, then the ``--config`` file, then command-line flags. The file
+may set any subset of the keys; with a snapshot, the two together must
+set every key, so a cut snapshot cannot load a default. Only ``store``
+writes the snapshot: on a store, ``feature_dim`` must match the stored
+model, and any other key a command reads applies to that run only.
 Unknown keys and keys set twice in a config file are rejected, and so
 are invalid values (a non-finite rate, weight or temperature among them):
 ``UnlearnConfig``, ``RetrievalSettings`` and ``RunConfig`` each check
@@ -96,8 +98,12 @@ def _coerce(key: str, raw: str):
 
 
 def _read_config(path) -> dict:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc.reason}") from exc
     values = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -113,18 +119,17 @@ def _read_config(path) -> dict:
     return values
 
 
-def load_config(path=None, overrides: Optional[dict] = None) -> RunConfig:
-    """Build a RunConfig from an optional file plus flag overrides."""
-    values = {} if path is None else _read_config(path)
-    return RunConfig(**values | (overrides or {}))
-
-
-def load_snapshot(path, overrides: Optional[dict] = None) -> RunConfig:
-    """Build a RunConfig from a store's snapshot, which must set every key, plus flag overrides."""
-    values = _read_config(path)
+def load_config(path=None, overrides: Optional[dict] = None, store_dir=None) -> RunConfig:
+    """Build a RunConfig from the defaults, then ``store_dir``'s snapshot if it has one,
+    then the file at ``path``, then flag ``overrides``."""
+    snapshot = None if store_dir is None else Path(store_dir) / "config.cfg"
+    has_snapshot = snapshot is not None and snapshot.exists()
+    values = _read_config(snapshot) if has_snapshot else {}
+    if path is not None:
+        values |= _read_config(path)
     missing = [key for key in _KEYS if key not in values]
-    if missing:
-        raise ValueError(f"{path}: missing config keys: {', '.join(missing)}")
+    if has_snapshot and missing:
+        raise ValueError(f"{snapshot}: missing config keys: {', '.join(missing)}")
     return RunConfig(**values | (overrides or {}))
 
 

@@ -1051,6 +1051,73 @@ class TestConfig:
         assert main(["query", "--store", str(store), "--text", "what remedy",
                      "--config", str(partial)]) == 0
 
+    def test_config_file_layers_over_the_snapshot(self, pipeline, tmp_path, capsys):
+        """A ``--config`` file that leaves ``tau`` unset keeps the store's own ``tau = 2``,
+        so the forget crosses it and rebuilds, as it does with no ``--config``."""
+        corpus, _ = pipeline
+        store = tmp_path / "store"
+        assert main(["store", "--corpus", str(corpus), "--store", str(store), "--tau", "2"]) == 0
+        layered = tmp_path / "layered"
+        shutil.copytree(store, layered)
+        request = tmp_path / "request.json"
+        request.write_text(json.dumps({"request_id": "r3", "targets": [0, 1, 2]}))
+        partial = tmp_path / "run.cfg"
+        partial.write_text("seed = 0\n")
+        capsys.readouterr()
+        reports = []
+        for argv in (["--store", str(store)], ["--store", str(layered), "--config", str(partial)]):
+            code, rows = run_cli(capsys, "unlearn", "--request", str(request), *argv)
+            assert code == 0
+            reports.append(rows[-1]["memory"])
+        assert reports[0]["rebuilt"] is True and reports[0]["index_generation"] == 1
+        assert reports[1] == reports[0]
+
+    def test_snapshot_and_config_file_together_must_set_every_key(
+            self, pipeline, tmp_path, capsys):
+        """The every-key rule covers the snapshot and the ``--config`` file together: a file
+        that does not set the key cut from the snapshot is refused, naming the snapshot."""
+        corpus, _ = pipeline
+        store = tmp_path / "store"
+        assert main(["store", "--corpus", str(corpus), "--store", str(store), "--tau", "2"]) == 0
+        snapshot = store / "config.cfg"
+        lines = snapshot.read_text().splitlines()
+        snapshot.write_text("\n".join(line for line in lines if line != "tau = 2") + "\n")
+        partial = tmp_path / "run.cfg"
+        partial.write_text("seed = 0\n")
+        capsys.readouterr()
+        assert main(["query", "--store", str(store), "--text", "what remedy",
+                     "--config", str(partial)]) == 1
+        assert capsys.readouterr() == ("", f"error: {snapshot}: missing config keys: tau\n")
+
+    def test_config_changing_feature_dim_on_a_store_writes_nothing(
+            self, pipeline, tmp_path, capsys):
+        """``feature_dim`` is fixed by the stored model, whose load refuses another value
+        before ``unlearn`` writes anything."""
+        _, store = pipeline
+        copy = tmp_path / "store"
+        shutil.copytree(store, copy)
+        names = ["nodes.jsonl", "audit.jsonl", "model.jsonl"]
+        before = {name: (copy / name).read_bytes() for name in names}
+        request = tmp_path / "request.json"
+        request.write_text(json.dumps({"request_id": "r", "targets": [0]}))
+        path = tmp_path / "run.cfg"
+        path.write_text("feature_dim = 128\n")
+        capsys.readouterr()
+        assert main(["unlearn", "--store", str(copy), "--request", str(request),
+                     "--config", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {copy / 'model.jsonl'}: malformed file: "
+                                           "ValueError('w1 has 256 rows, not feature_dim 128')\n")
+        assert {name: (copy / name).read_bytes() for name in names} == before
+        assert not (copy / "metrics").exists()
+
+    def test_config_file_that_is_not_utf8_is_named(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"seed = 0\n\xff\n")
+        out = tmp_path / "corpus.jsonl"
+        assert main(["gen-corpus", "--out", str(out), "--config", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {path}: not UTF-8 text: invalid start byte\n")
+        assert not out.exists()
+
     def test_store_with_zero_top_k_creates_no_store(self, pipeline, tmp_path, capsys):
         corpus, _ = pipeline
         path = tmp_path / "run.cfg"

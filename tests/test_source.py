@@ -1,6 +1,7 @@
 """Source checks: every name a module-level import binds is used, no module
 holds an ``assert`` statement, no public code is without a caller, no
-module reads another's private names, and every config key is read.
+module reads another's private names, every config key is read, and only
+the config module names a store's config snapshot.
 
 No linter is a dependency, so this stands in for the rules a deletion
 most often breaks: an import left behind by the code that used it, a
@@ -160,3 +161,11 @@ def test_every_config_key_is_read():
                          for path in SRC.glob("*.py")))
     unread = [f.name for f in fields(RunConfig) if f.name not in read]
     assert not unread, f"config keys no code reads: {unread}"
+
+
+def test_only_the_config_module_names_the_snapshot():
+    """Every command builds its config in ``memscrub.config``, which alone reads and
+    writes a store's ``config.cfg``."""
+    naming = sorted(path.name for path in SRC.glob("*.py")
+                    if "config.cfg" in path.read_text(encoding="utf-8"))
+    assert naming == ["config.py"]
