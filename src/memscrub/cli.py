@@ -252,11 +252,11 @@ def cmd_eval(args) -> int:
     cfg = _resolve_config(args)
     store_dir = Path(args.store)
     with store_lock(store_dir):
-        agent, items, prov = _load_store_context(store_dir, cfg)
+        agent, items, _ = _load_store_context(store_dir, cfg)
         rows = [_parameter_row(agent.model, items, cfg.feature_dim)]
         mem = memory_accuracy(agent, split_items(items, "forget"), split_items(items, "retain"))
         rows.append({"method": "memory_grounded", **mem})
-        rows.extend(record_of(report) for report in memory_baselines(agent, prov, items))
+        rows.extend(record_of(report) for report in memory_baselines(agent, items))
         lines = _write_metrics(store_dir, "eval.jsonl", rows)
     for line in lines:
         sys.stdout.write(line + "\n")
@@ -322,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--id", type=int, required=True)
     p.set_defaults(func=cmd_probe)
 
-    p = sub.add_parser("audit-verify", parents=[common, store_arg])
+    p = sub.add_parser("audit-verify", parents=[store_arg])  # reads no config
     p.set_defaults(func=cmd_audit_verify)
 
     p = sub.add_parser("eval", parents=[common, store_arg])

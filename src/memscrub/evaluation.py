@@ -215,22 +215,25 @@ def _naive_delete(store: MemoryStore, targets) -> None:
             store.index.remove(t)
 
 
-def memory_baselines(agent: AgentState, prov: Provenance, items) -> list:
-    """Compare Naive Deletion, Retraining Oracle and Ours on copies of ``agent``'s store.
+def memory_baselines(agent: AgentState, items) -> list:
+    """Compare Naive Deletion, Retraining Oracle and Ours, each on a store built from ``items``.
 
-    Each variant is built, evaluated and released before the next, so at
-    most one lives beside the agent's store. A variant searches each forget
+    Each arm is a new store with the agent store's settings and embedder,
+    populated from the corpus and then given its deletion, so every arm
+    starts from the pre-deletion state whatever the agent's store has
+    served. Each is built, evaluated and released before the next, so at
+    most one lives beside the agent's store. An arm searches each forget
     question once: its hits give both the answer and the item's loss.
     """
-    store = agent.store
     forget_items = split_items(items, "forget")
     holdout_items = split_items(items, "forget_holdout")
     retain_items = split_items(items, "retain")
-    targets = sorted(prov.item_to_node[it.item_id] for it in forget_items)
-    target_set = set(targets)
-    reports = []
 
-    def evaluate(method: str, variant: MemoryStore, dangling_targets: set) -> None:
+    def evaluate(method: str, stored: list, delete: Callable) -> MethodReport:
+        variant = MemoryStore(settings=agent.store.settings, embedder=agent.store.embedder)
+        prov = populate_store(variant, stored)
+        targets = sorted(prov.item_to_node[it.item_id] for it in stored if it.split == "forget")
+        delete(variant, targets)
         answerer = replace(agent, store=variant)
         member = []
 
@@ -242,29 +245,20 @@ def memory_baselines(agent: AgentState, prov: Provenance, items) -> list:
         forget_acc = accuracy(forget_answer, forget_items)
         retain_acc = accuracy(lambda it: answerer.answer(it.question).answer_idx, retain_items)
         result = mia(member, memory_item_losses(variant, holdout_items))
-        reports.append(MethodReport(
+        return MethodReport(
             method=method,
             forget_acc=forget_acc,
             retain_acc=retain_acc,
             mia_auc=result.auc,
             mia_score=result.score,
-            dangling_artifacts=dangling_artifact_count(variant, dangling_targets),
-        ))
+            dangling_artifacts=dangling_artifact_count(variant, set(targets)),
+        )
 
-    variant = store.copy()
-    _naive_delete(variant, targets)
-    evaluate("naive_deletion", variant, target_set)
-
-    del variant
-    # Retraining oracle: a store rebuilt from the retain split only. Node ids
-    # are store-local and the oracle never stored the forget items, so its
-    # forget-target set is empty by construction.
-    variant = MemoryStore(settings=store.settings, embedder=store.embedder)
-    populate_store(variant, [it for it in items if it.split == "retain"])
-    evaluate("retraining_oracle", variant, set())
-
-    del variant
-    variant = store.copy()
-    variant.forget(ForgetRequest.of("baseline-ours", targets))
-    evaluate("ours", variant, target_set)
-    return reports
+    # Retraining oracle: a store built from the retain split only. It never
+    # stored the forget items, so its forget-target set is empty by construction.
+    return [
+        evaluate("naive_deletion", items, _naive_delete),
+        evaluate("retraining_oracle", retain_items, lambda variant, targets: None),
+        evaluate("ours", items,
+                 lambda variant, targets: variant.forget(ForgetRequest.of("baseline-ours", targets))),
+    ]

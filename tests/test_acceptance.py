@@ -317,9 +317,9 @@ def test_10_rebuild_semantics():
 def test_11_memory_baseline_ordering(corpus_items, pretrained_model):
     """Naive deletion strands artifacts; ours and the oracle are clean; ours <= naive deletion."""
     store = MemoryStore()
-    prov = populate_store(store, corpus_items)
+    populate_store(store, corpus_items)
     agent = AgentState(store=store, model=pretrained_model.copy(), feature_dim=256)
-    rows = {r.method: r for r in memory_baselines(agent, prov, corpus_items)}
+    rows = {r.method: r for r in memory_baselines(agent, corpus_items)}
     assert rows["naive_deletion"].dangling_artifacts >= 1
     assert rows["ours"].dangling_artifacts == 0
     assert rows["retraining_oracle"].dangling_artifacts == 0

@@ -269,6 +269,18 @@ class TestAuditVerify:
         assert code == 0
         assert rows[-1]["ok"] is True
 
+    @pytest.mark.parametrize("flag", [["--config", "missing.cfg"], ["--seed", "1"],
+                                      ["--tau", "5"]], ids=["config", "seed", "tau"])
+    def test_config_flags_are_a_usage_error(self, pipeline, capsys, flag):
+        """It reads no config, so a config flag is refused, not silently ignored."""
+        _, store = pipeline
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["audit-verify", "--store", str(store), *flag])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"unrecognized arguments: {flag[0]}" in err
+
     def test_tampered_log_fails(self, pipeline, tmp_path, capsys):
         _, store = pipeline
         copy = tmp_path / "store"

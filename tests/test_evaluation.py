@@ -174,9 +174,9 @@ class TestAgentLoop:
 @pytest.fixture(scope="module")
 def reports(corpus_items, pretrained_model):
     store = MemoryStore()
-    prov = populate_store(store, corpus_items)
+    populate_store(store, corpus_items)
     agent = AgentState(store=store, model=pretrained_model.copy(), feature_dim=256)
-    rows = memory_baselines(agent, prov, corpus_items)
+    rows = memory_baselines(agent, corpus_items)
     return {r.method: r for r in rows}
 
 
@@ -200,7 +200,7 @@ class TestBaselines:
 
     def test_input_store_is_left_as_it_was(self, corpus_items, pretrained_model):
         store = MemoryStore()
-        prov = populate_store(store, corpus_items)
+        populate_store(store, corpus_items)
         questions = [it.question for split in ("forget", "retain")
                      for it in split_items(corpus_items, split)[:3]]
 
@@ -212,7 +212,7 @@ class TestBaselines:
 
         before = state()
         agent = AgentState(store=store, model=pretrained_model.copy(), feature_dim=256)
-        memory_baselines(agent, prov, corpus_items)
+        memory_baselines(agent, corpus_items)
         assert state() == before
 
     def test_dangling_count_matches_manual_scan(self, corpus_items, pretrained_model):
@@ -234,17 +234,20 @@ class TestBaselines:
         assert dangling_artifact_count(store, targets) == expected
 
 
-def reference_baselines(agent, prov, items) -> list:
-    """The three baselines computed the direct way: ``memory_accuracy`` and
-    ``memory_item_losses`` each search every forget question on the variant."""
-    store = agent.store
+def reference_baselines(agent, items) -> list:
+    """The three baselines computed the direct way, each on a store populated from ``items``:
+    ``memory_accuracy`` and ``memory_item_losses`` each search every forget question on it."""
     forget, holdout, retain = (split_items(items, s) for s in ("forget", "forget_holdout", "retain"))
+
+    def populated(stored):
+        variant = MemoryStore(settings=agent.store.settings, embedder=agent.store.embedder)
+        return variant, populate_store(variant, stored)
+
+    naive, prov = populated(items)
     targets = sorted(prov.item_to_node[it.item_id] for it in forget)
-    naive = store.copy()
     _naive_delete(naive, targets)
-    oracle = MemoryStore(settings=store.settings, embedder=store.embedder)
-    populate_store(oracle, retain)
-    ours = store.copy()
+    oracle, _ = populated(retain)
+    ours, _ = populated(items)
     ours.forget(ForgetRequest.of("baseline-ours", targets))
     reports = []
     for method, variant, dangling_targets in (("naive_deletion", naive, set(targets)),
@@ -260,16 +263,18 @@ def reference_baselines(agent, prov, items) -> list:
 @pytest.mark.parametrize("forgotten", [0, 3], ids=["fresh", "three-forgotten"])
 def test_baselines_equal_the_reference_with_one_search_per_question(
         corpus_items, pretrained_model, monkeypatch, forgotten):
-    """Each variant searches each forget, holdout and retain question once, and the rows
-    equal the reference's, which searches every forget question twice."""
+    """Each arm searches each forget, holdout and retain question once, and the rows
+    equal the reference's, which searches every forget question twice. The arms are
+    built from the corpus, so after an earlier forget on the agent's store the rows
+    equal those of the fresh store."""
     store = MemoryStore()
     prov = populate_store(store, corpus_items)
+    agent = AgentState(store=store, model=pretrained_model.copy(), feature_dim=256)
+    expected = reference_baselines(agent, corpus_items)  # on the fresh store
     forget = split_items(corpus_items, "forget")
-    if forgotten:  # so some forget questions fall back to the model
+    if forgotten:
         store.forget(ForgetRequest.of("earlier", [prov.item_to_node[it.item_id]
                                                   for it in forget[:forgotten]]))
-    agent = AgentState(store=store, model=pretrained_model.copy(), feature_dim=256)
-    expected = reference_baselines(agent, prov, corpus_items)
 
     searched = []  # each store searched, once per search; held, so no id is reused
     search = MemoryStore.search
@@ -279,7 +284,7 @@ def test_baselines_equal_the_reference_with_one_search_per_question(
         return search(self, text)
 
     monkeypatch.setattr(MemoryStore, "search", counting_search)
-    assert memory_baselines(agent, prov, corpus_items) == expected
+    assert memory_baselines(agent, corpus_items) == expected
     per_variant = len(forget) + sum(len(split_items(corpus_items, s))
                                     for s in ("forget_holdout", "retain"))
     variants = list(dict.fromkeys(map(id, searched)))

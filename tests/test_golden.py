@@ -7,9 +7,9 @@ bytes on purpose updates the constants and says so in CHANGES.md.
 Its reference seed and the hash of the reference drawn from it depend on
 numpy's RNG alone, so those are pinned.
 
-Each size is a ``(seed, n_topics)`` pair. Every command gets the same
-two-key ``--config`` file, so the store-bound ones read the store's
-snapshot with that file layered over it.
+Each size is a ``(seed, n_topics)`` pair. Every command but ``audit-verify``,
+which reads no config, gets the same two-key ``--config`` file, so the
+store-bound ones read the store's snapshot with that file layered over it.
 """
 
 import hashlib
@@ -159,9 +159,9 @@ def test_unlearned_store_file_names(unlearned):
     assert paths_in(unlearned) == UNLEARNED_FILES
 
 
-def test_audit_verify_output_bytes(size, unlearned, run_cfg, capsys):
+def test_audit_verify_output_bytes(size, unlearned, capsys):
     capsys.readouterr()
-    assert main(["audit-verify", "--store", str(unlearned), *run_cfg]) == 0
+    assert main(["audit-verify", "--store", str(unlearned)]) == 0
     assert capsys.readouterr().out == (
         '{"command":"audit-verify","first_bad_index":null,"ok":true,'
         f'"records":{UNLEARNED_AUDIT_RECORDS[size]}}}\n')
@@ -185,9 +185,11 @@ def test_query_output_bytes(size, store, run_cfg, capsys):
     assert sha256(capsys.readouterr().out.encode("utf-8")) == QUERY_SHA256[size]
 
 
-def test_eval_memory_rows(size, store, run_cfg, tmp_path, capsys):
+# Each arm is populated from the corpus, so after the unlearn none is measured on top of its prune.
+@pytest.mark.parametrize("state", ["store", "unlearned"])
+def test_eval_memory_rows(size, state, run_cfg, tmp_path, capsys, request):
     copy = tmp_path / "store"
-    shutil.copytree(store, copy)
+    shutil.copytree(request.getfixturevalue(state), copy)
     capsys.readouterr()
     assert main(["eval", "--store", str(copy), *run_cfg]) == 0
     rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
