@@ -32,8 +32,9 @@ class AuditOp(str, enum.Enum):
     TRAIN = "train"
 
 
-def content_digest(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+def content_digest(text: str) -> bytes:
+    """The raw sha256 of ``text``. Digests are raw bytes in memory; a file or JSON holds their hex."""
+    return hashlib.sha256(text.encode("utf-8")).digest()
 
 
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
@@ -216,13 +217,14 @@ class Blocklist:
     A forget blocks its Active targets and takes them out of the index, so
     the blocked ids are the index's episodic tombstones, and ``generation``
     is the index generation: a rebuild purges every tombstone, so its
-    compaction drops every id. Digests outlive compaction, so rewrites of
-    forgotten text are rejected without storing the text. No file holds a
-    blocklist: a store's load takes the ids from the index, each digest from
-    the forgotten node that keeps it and the generation from the audit log.
+    compaction drops every id. Digests (32 raw bytes each) outlive
+    compaction, so rewrites of forgotten text are rejected without storing
+    the text. No file holds a blocklist: a store's load takes the ids from
+    the index, each digest from the forgotten node that keeps it and the
+    generation from the audit log.
     """
 
-    def __init__(self, ids: Iterable[int] = (), digests: Iterable[str] = (), generation: int = 0):
+    def __init__(self, ids: Iterable[int] = (), digests: Iterable[bytes] = (), generation: int = 0):
         self._ids: set = set(ids)
         self.generation = generation
         self.digests: set = set(digests)
@@ -239,27 +241,15 @@ class Blocklist:
     def entries(self) -> list:
         return sorted(self._ids)
 
-    def block(self, targets: Iterable[int], audit: AuditLog, digests: Iterable[str] = ()) -> int:
-        """Add targets to the blocked set. The audit record is appended first."""
+    def block(self, targets: Iterable[int], audit: AuditLog, digests: Iterable[bytes] = ()) -> int:
+        """Add targets and their content digests. The audit record is appended first."""
         targets = sorted(set(targets))
-        digests = list(digests)
         audit.append(AuditOp.BLOCK, {"ids": targets, "index_generation": self.generation})
-        # Undo exactly what this call may change, so no copy of the whole set is needed.
-        added_ids = set(targets) - self._ids
-        added_digests = set(digests) - self.digests
-        try:
-            self._apply(targets, digests)
-        except Exception:
-            self._ids -= added_ids
-            self.digests -= added_digests
-            raise
+        self.digests.update(digests)
+        self._ids.update(targets)
         return len(self._ids)
 
-    def _apply(self, targets, digests) -> None:
-        self._ids.update(targets)
-        self.digests.update(digests)
-
-    def has_digest(self, digest: str) -> bool:
+    def has_digest(self, digest: bytes) -> bool:
         return digest in self.digests
 
     def compact(self, index_generation: int, audit: AuditLog) -> None:
@@ -270,5 +260,5 @@ class Blocklist:
         self.generation = index_generation
 
     def to_lines(self) -> list:
-        """One ``{"digest"}`` line per blocked digest, sorted: the digests in a comparable form."""
-        return [canonical_json({"digest": d}) for d in sorted(self.digests)]
+        """One ``{"digest"}`` line per blocked digest, in hex, sorted (hex order is byte order)."""
+        return [canonical_json({"digest": d.hex()}) for d in sorted(self.digests)]

@@ -109,13 +109,15 @@ def cmd_store(args) -> int:
     items = parse_lines(corpus_mod.corpus_from_lines, (args.corpus, None))
     store_dir.mkdir(parents=True, exist_ok=True)
     with store_lock(store_dir):
-        store = MemoryStore(settings=cfg)
-        prov = corpus_mod.populate_store(store, items)
         model = ModelState.init(cfg.feature_dim, cfg.hidden_dim, len(corpus_mod.CHOICES),
                                 seed=cfg.seed, ref_seed=cfg.seed + 7919)
         trained = to_dataset(split_items(items, "forget") + split_items(items, "retain"),
                              cfg.feature_dim)
         pretrain(trained, model, cfg.pretrain_config())
+        train_acc = model_accuracy(model, trained)
+        del trained  # the feature matrix is gone before the store is built
+        store = MemoryStore(settings=cfg)
+        prov = corpus_mod.populate_store(store, items)
         store.save(store_dir)
         save_model(store_dir, model)
         write_lines(store_dir / "corpus.jsonl", None, corpus_mod.corpus_lines(items))
@@ -124,7 +126,7 @@ def cmd_store(args) -> int:
     _emit({
         "command": "store",
         "nodes": len(store.graph.nodes),
-        "train_acc": model_accuracy(model, trained),
+        "train_acc": train_acc,
     })
     return 0
 
@@ -254,9 +256,11 @@ def cmd_eval(args) -> int:
     with store_lock(store_dir):
         agent, items, _ = _load_store_context(store_dir, cfg)
         rows = [_parameter_row(agent.model, items, cfg.feature_dim)]
+        # The baseline arms run before the first search of the loaded store, so its index
+        # rows are not built while theirs are.
+        baselines = [record_of(report) for report in memory_baselines(agent, items)]
         mem = memory_accuracy(agent, split_items(items, "forget"), split_items(items, "retain"))
-        rows.append({"method": "memory_grounded", **mem})
-        rows.extend(record_of(report) for report in memory_baselines(agent, items))
+        rows += [{"method": "memory_grounded", **mem}, *baselines]
         lines = _write_metrics(store_dir, "eval.jsonl", rows)
     for line in lines:
         sys.stdout.write(line + "\n")

@@ -18,9 +18,9 @@ import enum
 import json
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, get_type_hints
 
-from .audit import AuditOp, canonical_json, content_digest, from_record, is_digest, record_of
+from .audit import AuditOp, canonical_json, content_digest, is_digest, json_record, record_of
 
 
 class Layer(str, enum.Enum):
@@ -63,8 +63,12 @@ class MemoryNode:
     content: str
     parents: tuple  # ascending ids; () for an episodic node
     status: Status
-    blocked_digest: str = ""  # sha256 of the content a forget deleted; "" unless Deleted and episodic
+    blocked_digest: bytes = b""  # raw sha256 of what a forget deleted; b"" unless Deleted and episodic
     removed_in: int = -1  # the index generation in which a forget took it out; -1 while Active
+
+
+# A node's stored record: the blocked digest is hex on disk, raw bytes in memory.
+_NODE_RECORD = {**get_type_hints(MemoryNode), "blocked_digest": str}
 
 
 @dataclass(frozen=True)
@@ -142,7 +146,7 @@ class MemoryGraph:
             self.audit.append(AuditOp.WRITE, {
                 "id": node.id,
                 "layer": layer.value,
-                "content_digest": content_digest(content),
+                "content_digest": content_digest(content).hex(),
                 "parents": node.parents,
             })
         self._link(node)
@@ -298,7 +302,8 @@ class MemoryGraph:
 
     def node_lines(self) -> list:
         """One line per node, by id: line ``i`` is node ``i``."""
-        return [canonical_json(record_of(node)) for node in self.nodes.values()]
+        return [canonical_json({**record_of(node), "blocked_digest": node.blocked_digest.hex()})
+                for node in self.nodes.values()]
 
     def edge_lines(self) -> list:
         """One ``{"child","parent"}`` line per derivation edge, by child, then parent."""
@@ -315,7 +320,7 @@ class MemoryGraph:
         ``audit``, if given, holds one WRITE record per node."""
         graph = cls(audit=audit)
         for line in node_lines:
-            node = from_record(MemoryNode, json.loads(line))
+            node = MemoryNode(*json_record(json.loads(line), _NODE_RECORD))
             graph._check_next(node)
             if node.status is Status.DELETED and node.content:
                 raise ValueError(f"deleted node {node.id} keeps its content")
@@ -326,6 +331,7 @@ class MemoryGraph:
                 expected = "a sha256 digest" if forgotten else "empty"
                 raise ValueError(f"{node.status.value} {node.layer.value} node {node.id}: "
                                  f"blocked digest {node.blocked_digest!r:.70} is not {expected}")
+            node.blocked_digest = bytes.fromhex(node.blocked_digest)
             active = node.status is Status.ACTIVE
             if not (node.removed_in == -1 if active else 0 <= node.removed_in <= generation):
                 expected = "-1" if active else f"between 0 and the index generation {generation}"

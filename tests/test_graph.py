@@ -287,15 +287,21 @@ class TestPersistence:
         reloaded.check_consistency()
 
     def test_deleted_target_keeps_the_digest_of_its_content(self):
-        """Given the digests its caller blocked, a prune keeps those very strings."""
+        """Given the digests its caller blocked, a prune keeps those very objects, raw in
+        memory and hex in the node's line."""
         g, m1, s1 = make_chain()
         m2 = g.add_memory(Layer.EPISODIC, "episode two")
         blocked = content_digest("episode two")
         g.prune(ForgetRequest.of("r1", [m1]), g.dependency_closure([m1]), always_blocked)
         g.prune(ForgetRequest.of("r2", [m2]), set(), always_blocked, digests={m2: blocked})
-        assert [g.node(i).blocked_digest for i in (m1, s1)] == [content_digest("episode one"), ""]
+        assert [g.node(i).blocked_digest for i in (m1, s1)] == [content_digest("episode one"), b""]
         assert g.node(m2).blocked_digest is blocked
-        assert MemoryGraph.from_lines(g.node_lines()).node_lines() == g.node_lines()
+        assert [json.loads(line)["blocked_digest"] for line in g.node_lines()[m1:m2 + 1]] == [
+            content_digest("episode one").hex(), "", blocked.hex()]
+        reloaded = MemoryGraph.from_lines(g.node_lines())
+        assert [reloaded.node(i).blocked_digest for i in (m1, s1, m2)] == [
+            content_digest("episode one"), b"", blocked]
+        assert reloaded.node_lines() == g.node_lines()
 
     def test_removed_nodes_keep_the_generation_they_left(self):
         g = MemoryGraph()

@@ -1,4 +1,6 @@
 import functools
+import gc
+import hashlib
 import json
 import tempfile
 import tracemalloc
@@ -12,6 +14,7 @@ from memscrub.corpus import CHOICES, generate_corpus, populate_store
 from memscrub.graph import ForgetRequest, Layer, Status
 from memscrub.store import (
     MODEL_HEADER,
+    BlockedContentError,
     MemoryStore,
     RetrievalSettings,
     load_model,
@@ -227,3 +230,47 @@ def test_repeated_request_blocks_nothing_and_rebuilds_nothing():
     report = store.forget(ForgetRequest.of("r1", [3]))
     assert (report.blocklist_size, report.rebuilt, report.index_generation) == (1, False, 1)
     assert store.blocklist.entries() == [3]
+
+
+def test_a_forgotten_node_and_the_blocklist_hold_one_raw_digest(tmp_path):
+    """After a forget, and again after a reload, each forgotten episodic node keeps its
+    content's 32 raw sha256 bytes, the very object the blocklist holds; ``nodes.jsonl``
+    holds its hex, and a rewrite of the forgotten text is still rejected."""
+    store = MemoryStore(RetrievalSettings(embed_dim=16))
+    episodic = sorted(populate_store(store, small_corpus()).node_to_item)
+    texts = {i: store.content(i) for i in episodic[:4]}
+    store.forget(ForgetRequest.of("r4", texts))
+    store.save(tmp_path)
+    records = [json.loads(line) for line in (tmp_path / "nodes.jsonl").read_text().splitlines()[1:]]
+    for each in (store, MemoryStore.load(tmp_path, settings=store.settings)):
+        assert len(each.blocklist.digests) == len(texts)
+        for i, text in texts.items():
+            digest = each.graph.nodes[i].blocked_digest
+            assert type(digest) is bytes and digest == hashlib.sha256(text.encode("utf-8")).digest()
+            assert any(held is digest for held in each.blocklist.digests)
+            assert records[i]["blocked_digest"] == digest.hex()
+            with pytest.raises(BlockedContentError):
+                each.write(Layer.EPISODIC, text)
+
+
+def test_loaded_store_takes_under_375_bytes_per_forgotten_record(tmp_path):
+    """A store of 2 000 forgotten episodic records (one request, so a rebuild leaves no
+    tombstone) loads into ~352 B per record under ``tracemalloc``, each blocked digest held
+    once as 32 raw bytes; as a 64-character hex string it took ~400 B."""
+    store = MemoryStore(RetrievalSettings(embed_dim=16))
+    ids = [store.write(Layer.EPISODIC, f"forgotten record {i}") for i in range(2_000)]
+    assert store.forget(ForgetRequest.of("all", ids)).rebuilt
+    store.save(tmp_path)
+    del store
+    MemoryStore.load(tmp_path, settings=RetrievalSettings(embed_dim=16))  # fills one-time caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        loaded = MemoryStore.load(tmp_path, settings=RetrievalSettings(embed_dim=16))
+        gc.collect()
+        resident = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert len(loaded.blocklist.digests) == 2_000
+    assert resident < 375 * 2_000
