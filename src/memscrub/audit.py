@@ -14,7 +14,9 @@ import functools
 import hashlib
 import json
 import re
+from bisect import bisect_left, insort
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable, Optional, get_type_hints
 
 ZERO_HASH = "0" * 64
@@ -212,22 +214,27 @@ class AuditLog:
 
 
 class Blocklist:
-    """Set of blocked node ids with O(1) membership, plus blocked content digests.
+    """Blocked node ids (a set, O(1) membership) and blocked content digests (a sorted list).
 
     A forget blocks its Active targets and takes them out of the index, so
     the blocked ids are the index's episodic tombstones, and ``generation``
     is the index generation: a rebuild purges every tombstone, so its
     compaction drops every id. Digests (32 raw bytes each) outlive
     compaction, so rewrites of forgotten text are rejected without storing
-    the text. No file holds a blocklist: a store's load takes the ids from
-    the index, each digest from the forgotten node that keeps it and the
-    generation from the audit log.
+    the text. They are one ascending list, each digest once, with an
+    O(log n) bisect lookup: a list holds one 8-byte reference per digest,
+    where a set's hash table, grown 4× at a time, holds 2 to 8 16-byte
+    slots per digest. An insert shifts the references above it. No file holds a
+    blocklist: a store's load takes the ids from the index, each digest
+    from the forgotten node that keeps it and the generation from the
+    audit log.
     """
 
     def __init__(self, ids: Iterable[int] = (), digests: Iterable[bytes] = (), generation: int = 0):
         self._ids: set = set(ids)
         self.generation = generation
-        self.digests: set = set(digests)
+        # Sorted, then each run of equal digests (forgotten twins of one text) kept once.
+        self.digests: list = [digest for digest, _ in groupby(sorted(digests))]
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -245,12 +252,15 @@ class Blocklist:
         """Add targets and their content digests. The audit record is appended first."""
         targets = sorted(set(targets))
         audit.append(AuditOp.BLOCK, {"ids": targets, "index_generation": self.generation})
-        self.digests.update(digests)
+        for digest in digests:
+            if not self.has_digest(digest):
+                insort(self.digests, digest)
         self._ids.update(targets)
         return len(self._ids)
 
     def has_digest(self, digest: bytes) -> bool:
-        return digest in self.digests
+        at = bisect_left(self.digests, digest)
+        return at < len(self.digests) and self.digests[at] == digest
 
     def compact(self, index_generation: int, audit: AuditLog) -> None:
         """Drop every id once a rebuild took the index to ``index_generation``."""
@@ -261,4 +271,4 @@ class Blocklist:
 
     def to_lines(self) -> list:
         """One ``{"digest"}`` line per blocked digest, in hex, sorted (hex order is byte order)."""
-        return [canonical_json({"digest": d.hex()}) for d in sorted(self.digests)]
+        return [canonical_json({"digest": d.hex()}) for d in self.digests]

@@ -332,6 +332,25 @@ class TestBlocklist:
         blocklist.compact(1, log)
         assert blocklist.has_digest(content_digest("abc"))
 
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(data=st.data())
+    def test_digests_are_one_ascending_list_each_once(self, data):
+        pool = [content_digest(f"record {i}") for i in range(8)]
+        blocklist, log, drawn = Blocklist(), AuditLog(), []
+        for _ in range(data.draw(st.integers(0, 8))):
+            batch = data.draw(st.lists(st.sampled_from(pool), max_size=4))
+            blocklist.block([len(drawn)], log, digests=batch)
+            drawn += batch
+            held = blocklist.digests
+            assert all(a < b for a, b in zip(held, held[1:]))
+        model = set(drawn)
+        assert blocklist.digests == sorted(model)
+        for digest in pool + [content_digest("never drawn")]:
+            assert blocklist.has_digest(digest) == (digest in model)
+        reloaded = Blocklist(digests=data.draw(st.permutations(drawn)))
+        assert reloaded.digests == blocklist.digests
+        assert reloaded.to_lines() == blocklist.to_lines()
+
     def test_round_trip(self):
         # No file holds a blocklist: a store's loader builds it from its episodic tombstones,
         # the digests its forgotten nodes keep and the log's REBUILD count.

@@ -150,7 +150,7 @@ def check_forgotten(store, rebuilt, digests):
     forgotten = {i: node.blocked_digest for i, node in store.graph.nodes.items()
                  if node.status is Status.DELETED and node.layer is Layer.EPISODIC}
     assert forgotten == {i: digests[i] for i in forgotten}
-    assert store.blocklist.digests == set(forgotten.values())
+    assert store.blocklist.digests == sorted(set(forgotten.values()))
     assert store.index.generation == store.blocklist.generation == store.audit.count(AuditOp.REBUILD)
     if rebuilt:
         assert store.index.to_lines() == [] and len(store.blocklist) == 0
@@ -253,10 +253,32 @@ def test_a_forgotten_node_and_the_blocklist_hold_one_raw_digest(tmp_path):
                 each.write(Layer.EPISODIC, text)
 
 
-def test_loaded_store_takes_under_375_bytes_per_forgotten_record(tmp_path):
+@pytest.mark.parametrize("split", ["one request", "two requests"])
+def test_forgotten_twins_share_one_blocked_digest(tmp_path, split):
+    """Two records of one text, forgotten together or one after the other, keep equal
+    digests, and the blocklist holds that digest once, in process and after a reload."""
+    store = MemoryStore(RetrievalSettings(embed_dim=16))
+    text = "the same text, written twice"
+    digest = content_digest(text)
+    twins = [store.write(Layer.EPISODIC, text) for _ in range(2)]
+    batches = [twins] if split == "one request" else [[t] for t in twins]
+    for n, batch in enumerate(batches):
+        store.forget(ForgetRequest.of(f"r{n}", batch))
+    store.save(tmp_path)
+    for each in (store, MemoryStore.load(tmp_path, settings=store.settings)):
+        assert [each.graph.nodes[t].blocked_digest for t in twins] == [digest, digest]
+        assert each.blocklist.digests == [digest]
+        assert each.blocklist.to_lines() == [canonical_json({"digest": digest.hex()})]
+        with pytest.raises(BlockedContentError):
+            each.write(Layer.EPISODIC, text)
+
+
+def test_loaded_store_takes_under_320_bytes_per_forgotten_record(tmp_path):
     """A store of 2 000 forgotten episodic records (one request, so a rebuild leaves no
-    tombstone) loads into ~352 B per record under ``tracemalloc``, each blocked digest held
-    once as 32 raw bytes; as a 64-character hex string it took ~400 B."""
+    tombstone) loads into ~294 B per record under ``tracemalloc``: each blocked digest is
+    held once as 32 raw bytes, and the blocklist holds one 8-byte reference to it in a
+    sorted list. It took ~351 B when the blocklist was a set, and ~400 B when each digest
+    was a 64-character hex string."""
     store = MemoryStore(RetrievalSettings(embed_dim=16))
     ids = [store.write(Layer.EPISODIC, f"forgotten record {i}") for i in range(2_000)]
     assert store.forget(ForgetRequest.of("all", ids)).rebuilt
@@ -273,4 +295,4 @@ def test_loaded_store_takes_under_375_bytes_per_forgotten_record(tmp_path):
     finally:
         tracemalloc.stop()
     assert len(loaded.blocklist.digests) == 2_000
-    assert resident < 375 * 2_000
+    assert resident < 320 * 2_000
