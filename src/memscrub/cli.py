@@ -107,6 +107,9 @@ def cmd_store(args) -> int:
     cfg = _resolve_config(args)
     store_dir = Path(args.store)
     items = parse_lines(corpus_mod.corpus_from_lines, (args.corpus, None))
+    for split in corpus_mod.SPLITS:  # eval scores all four, pretrain and unlearn two
+        if not split_items(items, split):
+            raise ValueError(f"{args.corpus}: split {split!r} holds no item")
     store_dir.mkdir(parents=True, exist_ok=True)
     with store_lock(store_dir):
         model = ModelState.init(cfg.feature_dim, cfg.hidden_dim, len(corpus_mod.CHOICES),

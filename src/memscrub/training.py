@@ -51,6 +51,8 @@ class UnlearnConfig:
             raise TrainingError("epochs and lr must be >= 0")
         if self.batch_size < 1:
             raise TrainingError("batch_size must be >= 1")
+        if self.seed < 0:
+            raise TrainingError("seed must be >= 0")
 
     def h_min_for(self, n_classes: int) -> float:
         if self.h_min is not None:
@@ -330,18 +332,17 @@ def _loss_and_flat_grads(batch: LabeledBatch, state: ModelState, cfg: UnlearnCon
 
     Layer 1 runs on the active columns only (those nonzero in some retain
     or forget row), so the ``w1`` view holds just their rows. The gathered
-    products equal the dense ones bit for bit, except for a one-row part,
-    which numpy multiplies by gemv: its forward pass stays dense.
+    products equal the dense ones up to rounding: a BLAS kernel may sum a
+    shorter product in another order.
     """
     if len(batch) == 0:
         raise TrainingError("empty batch")
 
-    params = state.params
     used = np.logical_or.reduce(batch.retain_x, axis=0)
     if batch.n_forget:
         used |= np.logical_or.reduce(batch.forget_x, axis=0)
     cols = used.nonzero()[0]
-    active = {**params, "w1": params["w1"].take(cols, axis=0)}
+    active = {**state.params, "w1": state.params["w1"].take(cols, axis=0)}
     T = cfg.temperature
     ce_part = 0.0
     kl_part = 0.0
@@ -354,7 +355,7 @@ def _loss_and_flat_grads(batch: LabeledBatch, state: ModelState, cfg: UnlearnCon
     if batch.n_retain:
         n = batch.n_retain
         x = batch.retain_x.take(cols, axis=1)
-        hidden, p = _forward(params, batch.retain_x) if n == 1 else _forward(active, x)
+        hidden, p = _forward(active, x)
         with np.errstate(over="ignore", invalid="ignore"):
             _softmax_in_place(p)  # at T = 1, whose division is exact and so skipped
             rows, y = np.arange(n), batch.retain_y
@@ -366,7 +367,7 @@ def _loss_and_flat_grads(batch: LabeledBatch, state: ModelState, cfg: UnlearnCon
     if batch.n_forget:
         n = batch.n_forget
         x = batch.forget_x.take(cols, axis=1)
-        hidden, p = _forward(params, batch.forget_x) if n == 1 else _forward(active, x)
+        hidden, p = _forward(active, x)
         p /= T
         q = (_forget_targets(state, batch.forget_x, cfg) if batch.forget_targets is None
              else batch.forget_targets)
@@ -456,11 +457,8 @@ def train_unlearn(retain: Dataset, forget: Dataset, state: ModelState,
     if len(retain) == 0:
         raise TrainingError("retain set must be nonempty")
     rng = np.random.default_rng(cfg.seed)
-    no_forget = np.zeros((0, retain.x.shape[1]))
-    # The reference is frozen, so its targets are computed once. A one-row
-    # part (or set) keeps its own: numpy multiplies a single row by gemv,
-    # which rounds differently from the rows of a larger product.
-    targets = _forget_targets(state, forget.x, cfg) if len(forget) > 1 else None
+    # The reference is frozen, so its targets are computed once.
+    targets = _forget_targets(state, forget.x, cfg)
     history = []
     half = max(1, cfg.batch_size // 2)
     for epoch in range(cfg.epochs):
@@ -468,20 +466,14 @@ def train_unlearn(retain: Dataset, forget: Dataset, state: ModelState,
         # The forget draw paired with retain position i, cycling the forget order.
         forget_cycle = (
             rng.permutation(len(forget))[np.arange(len(retain)) % len(forget)]
-            if len(forget) else None
+            if len(forget) else np.zeros(0, dtype=int)
         )
         snapshot = {k: v.copy() for k, v in state.params.items()}
         diverged = False
         for start in range(0, len(retain), half):
-            idx = order[start:start + half]
-            if forget_cycle is None:
-                forget_x, forget_q = no_forget, None
-            else:
-                fidx = forget_cycle[start:start + half]
-                forget_x = forget.x[fidx]
-                forget_q = targets[fidx] if targets is not None and len(fidx) > 1 else None
-            step = grad_step(LabeledBatch(retain.x[idx], retain.y[idx], forget_x, forget_q),
-                             state, cfg)
+            idx, fidx = order[start:start + half], forget_cycle[start:start + half]
+            step = grad_step(LabeledBatch(retain.x[idx], retain.y[idx], forget.x[fidx],
+                                          targets[fidx]), state, cfg)
             if step.aborted:
                 state.params = snapshot
                 diverged = True

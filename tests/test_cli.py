@@ -890,6 +890,19 @@ class TestDamagedStore:
         assert capsys.readouterr().err.startswith(f"error: {corpus}: malformed file: ")
         assert not (tmp_path / "store").exists()
 
+    @pytest.mark.parametrize("split", ["forget", "forget_holdout", "retain", "test"])
+    def test_store_rejects_corpus_with_an_empty_split(self, pipeline, tmp_path, capsys, split):
+        """An empty trained split once failed `store` after it made a lock-only directory;
+        an empty scored split let `store` pass and failed `eval`."""
+        source, _ = pipeline
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(line + "\n" for line in source.read_text().splitlines()
+                                  if json.loads(line)["split"] != split))
+        store = tmp_path / "store"
+        assert main(["store", "--corpus", str(corpus), "--store", str(store)]) == 1
+        assert capsys.readouterr() == ("", f"error: {corpus}: split {split!r} holds no item\n")
+        assert not store.exists()
+
 
 @pytest.fixture(scope="module")
 def unlearned(tmp_path_factory):
@@ -1176,6 +1189,8 @@ class TestConfig:
         ("lr = inf", "lr must be finite"),
         ("lambda_f = nan", "lambda_f must be finite"),
         ("temperature = inf", "temperature must be finite"),
+        # numpy once refused it, naming no key, after `store` had made a lock-only directory.
+        ("seed = -1", "seed must be >= 0"),
     ])
     def test_bad_training_key_stops_every_command_before_it_writes(
             self, pipeline, tmp_path, capsys, line, message):
@@ -1243,6 +1258,17 @@ class TestConfig:
         assert main(["gen-corpus", "--out", str(out), "--config", str(path)]) == 1
         assert capsys.readouterr() == ("", f"error: {path}:3: config key 'seed' is set twice\n")
         assert not out.exists()
+
+    def test_negative_seed_flag_stops_every_command_before_it_writes(
+            self, pipeline, tmp_path, capsys):
+        corpus, _ = pipeline
+        out, store = tmp_path / "corpus.jsonl", tmp_path / "store"
+        for argv in (["gen-corpus", "--out", str(out)],
+                     ["store", "--corpus", str(corpus), "--store", str(store)],
+                     ["run-loop"]):
+            assert main(argv + ["--seed", "-1"]) == 1
+            assert capsys.readouterr() == ("", "error: seed must be >= 0\n")
+        assert not out.exists() and not store.exists()
 
     def test_negative_epochs_flag_rejected(self):
         with pytest.raises(ValueError, match="epochs"):
