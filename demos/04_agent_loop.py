@@ -7,20 +7,20 @@ skipping the parameter phase lets the still-confident model regenerate
 the deleted fact straight back into memory.
 """
 
-from memscrub import AgentState, ForgetRequest, MemoryStore, ModelState, UnlearnConfig
-from memscrub import backflow_probe, pretrain, run_protocol, verify_lines
+from memscrub import AgentState, ForgetRequest, MemoryStore, UnlearnConfig
+from memscrub import backflow_probe, run_protocol, verify_lines
+from memscrub.config import RunConfig, build_model
 from memscrub.corpus import generate_corpus, populate_store, split_items, to_dataset
 
-DIM = 256
+CFG = RunConfig()  # the defaults, seed 0
+DIM = CFG.feature_dim
 
 
 def build_agent(items):
     store = MemoryStore()
     prov = populate_store(store, items)
-    model = ModelState.init(DIM, 64, 4, seed=0)
     trained = to_dataset(split_items(items, "forget") + split_items(items, "retain"), DIM)
-    pretrain(trained, model, UnlearnConfig(lambda_f=0.0, temperature=1.0,
-                                           lr=0.5, epochs=120, seed=0))
+    model = build_model(CFG, trained)  # the model `memscrub store` builds
     return AgentState(store=store, model=model, feature_dim=DIM), prov
 
 

@@ -20,7 +20,6 @@ from .training import (
     ModelState,
     UnlearnConfig,
     grad_step,
-    loss_weight,
     maybe_entropy_fallback,
     pretrain,
     temperature_softmax,
@@ -35,7 +34,7 @@ __all__ = [
     "HashingEmbedder", "HybridIndex", "HybridQuery", "ScoredHit",
     "MemoryStore", "RetrievalSettings",
     "Dataset", "LabeledBatch", "ModelState", "UnlearnConfig",
-    "grad_step", "loss_weight", "maybe_entropy_fallback", "pretrain",
+    "grad_step", "maybe_entropy_fallback", "pretrain",
     "temperature_softmax", "train_unlearn",
     "MIAResult", "memory_accuracy", "memory_baselines", "mia", "run_agent_loop",
 ]

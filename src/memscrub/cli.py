@@ -18,10 +18,9 @@ from pathlib import Path
 
 from . import corpus as corpus_mod
 from .audit import canonical_json, json_record, record_of, verify_lines
-from .config import RunConfig, load_config, save_config_snapshot
+from .config import RunConfig, build_model, load_config, save_config_snapshot
 from .corpus import Provenance, split_items, to_dataset
 from .evaluation import (
-    LoopScenario,
     memory_accuracy,
     memory_baselines,
     mia,
@@ -41,7 +40,7 @@ from .store import (
     store_lock,
     write_lines,
 )
-from .training import ModelState, model_accuracy, pretrain, train_unlearn
+from .training import ModelState, model_accuracy, train_unlearn
 
 # `train_unlearn` is re-exported, no longer called here: perfbench's tracer test
 # checks that patching it reaches this module too.
@@ -112,11 +111,9 @@ def cmd_store(args) -> int:
             raise ValueError(f"{args.corpus}: split {split!r} holds no item")
     store_dir.mkdir(parents=True, exist_ok=True)
     with store_lock(store_dir):
-        model = ModelState.init(cfg.feature_dim, cfg.hidden_dim, len(corpus_mod.CHOICES),
-                                seed=cfg.seed, ref_seed=cfg.seed + 7919)
         trained = to_dataset(split_items(items, "forget") + split_items(items, "retain"),
                              cfg.feature_dim)
-        pretrain(trained, model, cfg.pretrain_config())
+        model = build_model(cfg, trained)
         train_acc = model_accuracy(model, trained)
         del trained  # the feature matrix is gone before the store is built
         store = MemoryStore(settings=cfg)
@@ -273,12 +270,7 @@ def cmd_eval(args) -> int:
 def cmd_run_loop(args) -> int:
     cfg = _resolve_config(args)
     items = _generate_corpus(cfg)
-    store = MemoryStore(settings=cfg)
-    scenario = LoopScenario(
-        forget_items=split_items(items, "forget"),
-        retain_items=split_items(items, "retain"),
-    )
-    timeline = run_agent_loop(store, scenario)
+    timeline = run_agent_loop(MemoryStore(settings=cfg), items)
     for stage in timeline.stages:
         _emit(record_of(stage))
     _emit({

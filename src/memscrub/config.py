@@ -26,7 +26,7 @@ from typing import Optional
 from .audit import record_of
 from .corpus import CHOICES, forget_topic_count
 from .store import CONFIG_HEADER, RetrievalSettings, write_lines
-from .training import TrainingError, UnlearnConfig
+from .training import Dataset, ModelState, TrainingError, UnlearnConfig, pretrain
 
 
 @dataclass
@@ -80,6 +80,16 @@ class RunConfig(UnlearnConfig, RetrievalSettings):
             batch_size=self.batch_size,
             seed=self.seed,
         )
+
+
+def build_model(cfg: RunConfig, trained: Dataset) -> ModelState:
+    """The model ``memscrub store`` builds: drawn from ``cfg.seed``, its frozen reference
+    from ``cfg.seed + 7919``, then pretrained on ``trained`` (the forget and retain
+    splits; the retain split alone gives the exact-unlearning reference)."""
+    model = ModelState.init(cfg.feature_dim, cfg.hidden_dim, len(CHOICES),
+                            seed=cfg.seed, ref_seed=cfg.seed + 7919)
+    pretrain(trained, model, cfg.pretrain_config())
+    return model
 
 
 _KEYS = tuple(f.name for f in fields(RunConfig))  # in config.cfg order

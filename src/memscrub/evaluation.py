@@ -104,12 +104,6 @@ def _item_loss(store: MemoryStore, item: QAItem, hits) -> float:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class LoopScenario:
-    forget_items: list
-    retain_items: list
-
-
-@dataclass
 class StageReport:
     stage: str
     label: str
@@ -122,10 +116,6 @@ class LoopTimeline:
     stages: list = field(default_factory=list)
     summary_updates: int = 0
     cleanup_ratio: float = 0.0
-
-    def hit_rates(self, split: str) -> list:
-        key = f"{split}_hit_rate"
-        return [getattr(s, key) for s in self.stages if getattr(s, key) is not None]
 
 
 def _hit_rate(store: MemoryStore, prov: Provenance, items) -> float:
@@ -146,13 +136,14 @@ def _hit_rate(store: MemoryStore, prov: Provenance, items) -> float:
     return hits / len(items)
 
 
-def run_agent_loop(store: MemoryStore, scenario: LoopScenario) -> LoopTimeline:
-    """Store, query, delete, probe; T4-T6 share one measurement, as nothing writes after T4."""
+def run_agent_loop(store: MemoryStore, items) -> LoopTimeline:
+    """Store ``items``, query, delete the forget split, probe; T4-T6 share one
+    measurement, as nothing writes after T4."""
     timeline = LoopTimeline()
-    stored = scenario.forget_items + scenario.retain_items
+    forget_items, retain_items = split_items(items, "forget"), split_items(items, "retain")
 
-    # T1-T2: store the QA pairs plus derived artifacts.
-    prov = populate_store(store, stored)
+    # T1-T2: store the QA pairs (the forget and retain splits) plus derived artifacts.
+    prov = populate_store(store, items)
     timeline.summary_updates = sum(
         1 for i in store.graph.active_view()
         if store.graph.nodes[i].layer is Layer.SEMANTIC
@@ -160,8 +151,8 @@ def run_agent_loop(store: MemoryStore, scenario: LoopScenario) -> LoopTimeline:
     timeline.stages += [StageReport("T1", "store"), StageReport("T2", "store")]
 
     def measure(*stages) -> None:
-        forget = _hit_rate(store, prov, scenario.forget_items)
-        retain = _hit_rate(store, prov, scenario.retain_items)
+        forget = _hit_rate(store, prov, forget_items)
+        retain = _hit_rate(store, prov, retain_items)
         timeline.stages.extend(StageReport(stage, label, forget, retain) for stage, label in stages)
 
     # T3: query both sets.
@@ -170,7 +161,7 @@ def run_agent_loop(store: MemoryStore, scenario: LoopScenario) -> LoopTimeline:
     # T4: deletion request over the forget items. Targets are never in their
     # closure, so every node removed inside it is a zero-ref removal. T5-T6
     # probe the state T4 left.
-    targets = [prov.item_to_node[it.item_id] for it in scenario.forget_items]
+    targets = [prov.item_to_node[it.item_id] for it in forget_items]
     report = store.forget(ForgetRequest.of("loop-delete", targets))
     if report.closure_size:
         timeline.cleanup_ratio = report.prune.zero_ref_removed / report.closure_size

@@ -93,16 +93,12 @@ def run_protocol(agent: AgentState, request: ForgetRequest, retain: Dataset,
     store = agent.store
     memory_report = store.forget(request)
 
-    forget_x = []
-    forget_y = []
-    for _, content in memory_report.captured:
-        forget_x.append(featurize(question_of(content), agent.feature_dim))
+    n = len(memory_report.captured)
+    forget = Dataset(x=np.zeros((n, agent.feature_dim)), y=np.zeros(n, dtype=int))
+    for i, (_, content) in enumerate(memory_report.captured):
+        forget.x[i] = featurize(question_of(content), agent.feature_dim)
         idx = answer_idx_of(content)
-        forget_y.append(idx if idx is not None else -1)
-    if forget_x:
-        forget = Dataset(x=np.stack(forget_x), y=np.array(forget_y, dtype=int))
-    else:
-        forget = Dataset(x=np.zeros((0, agent.feature_dim)), y=np.zeros(0, dtype=int))
+        forget.y[i] = idx if idx is not None else -1
     memory_report.captured = []  # ephemeral buffer wiped before training
 
     history = train_unlearn(retain, forget, agent.model, cfg)

@@ -314,10 +314,6 @@ def _forget_targets(state: ModelState, forget_x: np.ndarray, cfg: UnlearnConfig)
     return maybe_entropy_fallback(p_ref, cfg)
 
 
-def loss_weight(batch: LabeledBatch, state: ModelState, cfg: UnlearnConfig) -> LossReport:
-    return _loss_and_flat_grads(batch, state, cfg)[0]
-
-
 def loss_and_grads(batch: LabeledBatch, state: ModelState, cfg: UnlearnConfig):
     """Loss report and full-shape gradients by parameter."""
     report, _, grads, cols, _ = _loss_and_flat_grads(batch, state, cfg)

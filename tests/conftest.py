@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from memscrub.audit import ZERO_HASH, _record_hash, canonical_json
-from memscrub.corpus import CHOICES, generate_corpus, populate_store, split_items, to_dataset
+from memscrub.config import RunConfig, build_model
+from memscrub.corpus import generate_corpus, populate_store, split_items, to_dataset
 from memscrub.store import MemoryStore, RetrievalSettings
-from memscrub.training import ModelState, UnlearnConfig, pretrain
 
 FEATURE_DIM = 256
-HIDDEN_DIM = 64
 
 
 def build_random_dag(rng, n_nodes=60, episodic_fraction=0.4):
@@ -81,12 +80,9 @@ def corpus_items():
 
 @pytest.fixture(scope="session")
 def pretrained_model(corpus_items):
-    model = ModelState.init(FEATURE_DIM, HIDDEN_DIM, len(CHOICES), seed=0, ref_seed=7919)
+    """The seed-0 model ``memscrub store`` builds: pretrained on the forget and retain splits."""
     trained = split_items(corpus_items, "forget") + split_items(corpus_items, "retain")
-    cfg = UnlearnConfig(lambda_f=0.0, temperature=1.0, lr=0.5, epochs=120,
-                        batch_size=16, seed=0)
-    pretrain(to_dataset(trained, FEATURE_DIM), model, cfg)
-    return model
+    return build_model(RunConfig(), to_dataset(trained, FEATURE_DIM))
 
 
 @pytest.fixture()

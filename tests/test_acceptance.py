@@ -17,7 +17,6 @@ from memscrub.audit import AuditLog, AuditOp, verify_lines
 from memscrub.cli import main as cli_main
 from memscrub.corpus import populate_store, split_items, to_dataset
 from memscrub.evaluation import (
-    LoopScenario,
     memory_baselines,
     memory_item_losses,
     mia,
@@ -34,7 +33,6 @@ from memscrub.training import (
     ModelState,
     UnlearnConfig,
     loss_and_grads,
-    loss_weight,
     mean_forget_entropy,
     model_accuracy,
     train_unlearn,
@@ -173,9 +171,9 @@ def test_05_gradient_correctness():
             for idx in rng.choice(flat.size, size=min(2, flat.size), replace=False):
                 orig = flat[idx]
                 flat[idx] = orig + h
-                lp = loss_weight(batch, state, cfg).total
+                lp = loss_and_grads(batch, state, cfg)[0].total
                 flat[idx] = orig - h
-                lm = loss_weight(batch, state, cfg).total
+                lm = loss_and_grads(batch, state, cfg)[0].total
                 flat[idx] = orig
                 numeric = (lp - lm) / (2 * h)
                 analytic = grads[key].reshape(-1)[idx]
@@ -188,7 +186,7 @@ def test_05_gradient_correctness():
     state.params = {k: v.copy() for k, v in state.ref_params.items()}
     batch = LabeledBatch.of(forget_x=rng.normal(size=(4, 5)), n_features=5)
     cfg = UnlearnConfig(entropy_fallback=False)
-    assert loss_weight(batch, state, cfg).kl_part == pytest.approx(0.0, abs=1e-12)
+    assert loss_and_grads(batch, state, cfg)[0].kl_part == pytest.approx(0.0, abs=1e-12)
 
 
 def test_06_unlearning_direction(corpus_items, pretrained_model):
@@ -241,16 +239,11 @@ def test_07_mia_oracle(corpus_items, pretrained_model):
 
 def test_08_agent_loop_shape(corpus_items):
     """Forget hit rate 100% before deletion and 0% after; retain 100%; cleanup < 1."""
-    store = MemoryStore()
-    scenario = LoopScenario(
-        forget_items=split_items(corpus_items, "forget"),
-        retain_items=split_items(corpus_items, "retain"),
-    )
-    timeline = run_agent_loop(store, scenario)
-    forget_rates = timeline.hit_rates("forget")
-    assert forget_rates[0] == 1.0
-    assert all(r == 0.0 for r in forget_rates[1:])
-    assert all(r == 1.0 for r in timeline.hit_rates("retain"))
+    timeline = run_agent_loop(MemoryStore(), corpus_items)
+    measured = timeline.stages[2:]  # T3 before the deletion, T4-T6 after it
+    assert measured[0].forget_hit_rate == 1.0
+    assert all(s.forget_hit_rate == 0.0 for s in measured[1:])
+    assert all(s.retain_hit_rate == 1.0 for s in measured)
     # Shared-dependency scenario: reflections are tombstoned, not removed,
     # so physical cleanup of the closure stays below 1.
     assert 0.0 < timeline.cleanup_ratio < 1.0

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from memscrub.corpus import QAItem, populate_store, split_items, to_dataset
 from memscrub.evaluation import (
-    LoopScenario,
     MethodReport,
     _naive_delete,
     accuracy,
@@ -155,19 +154,14 @@ def test_item_loss_matches_the_topic_as_a_token():
 
 class TestAgentLoop:
     def test_timeline_shape(self, corpus_items):
-        store = MemoryStore()
-        scenario = LoopScenario(
-            forget_items=split_items(corpus_items, "forget"),
-            retain_items=split_items(corpus_items, "retain"),
-        )
-        timeline = run_agent_loop(store, scenario)
+        timeline = run_agent_loop(MemoryStore(), corpus_items)
         assert [s.stage for s in timeline.stages] == ["T1", "T2", "T3", "T4", "T5", "T6"]
-        forget_rates = timeline.hit_rates("forget")
-        retain_rates = timeline.hit_rates("retain")
-        # Full recall before deletion, zero after, retain untouched throughout.
-        assert forget_rates[0] == 1.0
-        assert all(r == 0.0 for r in forget_rates[1:])
-        assert all(r == 1.0 for r in retain_rates)
+        forget_rates = [s.forget_hit_rate for s in timeline.stages]
+        retain_rates = [s.retain_hit_rate for s in timeline.stages]
+        # Storing measures nothing; full recall before deletion, zero after, retain
+        # untouched throughout.
+        assert forget_rates == [None, None, 1.0, 0.0, 0.0, 0.0]
+        assert retain_rates == [None, None, 1.0, 1.0, 1.0, 1.0]
         assert 0.0 < timeline.cleanup_ratio <= 1.0
 
 

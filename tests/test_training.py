@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from memscrub import training
-from memscrub.corpus import generate_corpus, split_items, to_dataset
+from memscrub.corpus import split_items, to_dataset
 from memscrub.training import (
     PARAM_KEYS,
     Dataset,
@@ -18,7 +18,6 @@ from memscrub.training import (
     entropy,
     grad_step,
     loss_and_grads,
-    loss_weight,
     maybe_entropy_fallback,
     mean_forget_entropy,
     model_accuracy,
@@ -110,7 +109,7 @@ class TestLossWeight:
         cfg = UnlearnConfig(lambda_f=1.5, temperature=2.0, entropy_fallback=False)
         batch = LabeledBatch.of(forget_x=np.random.default_rng(0).normal(size=(4, 6)),
                                 n_features=6)
-        report = loss_weight(batch, state, cfg)
+        report = loss_and_grads(batch, state, cfg)[0]
         assert report.kl_part == pytest.approx(0.0, abs=1e-12)
         assert report.total == pytest.approx(0.0, abs=1e-12)
 
@@ -132,7 +131,7 @@ class TestLossWeight:
         rng = np.random.default_rng(3)
         batch = LabeledBatch.of(rng.normal(size=(3, 6)), rng.integers(0, 3, 3),
                                 rng.normal(size=(2, 6)), n_features=6)
-        report = loss_weight(batch, state, cfg)
+        report = loss_and_grads(batch, state, cfg)[0]
         residual = report.total - (report.ce_part + 1.5 * 2.0 ** 2 * report.kl_part)
         assert abs(residual) < 1e-12
 
@@ -142,11 +141,11 @@ class TestLossWeight:
         for trial in range(30):
             state = tiny_state(seed=trial)
             batch = LabeledBatch.of(forget_x=rng.normal(size=(3, 6)), n_features=6)
-            assert loss_weight(batch, state, cfg).kl_part >= 0.0
+            assert loss_and_grads(batch, state, cfg)[0].kl_part >= 0.0
 
     def test_empty_batch_rejected(self):
         with pytest.raises(TrainingError):
-            loss_weight(LabeledBatch.of(n_features=6), tiny_state(), UnlearnConfig())
+            loss_and_grads(LabeledBatch.of(n_features=6), tiny_state(), UnlearnConfig())
 
 
 class TestGradStep:
@@ -272,9 +271,9 @@ class TestFiniteDifferences:
                 for idx in rng.choice(flat.size, size=min(3, flat.size), replace=False):
                     orig = flat[idx]
                     flat[idx] = orig + h
-                    lp = loss_weight(batch, state, cfg).total
+                    lp = loss_and_grads(batch, state, cfg)[0].total
                     flat[idx] = orig - h
-                    lm = loss_weight(batch, state, cfg).total
+                    lm = loss_and_grads(batch, state, cfg)[0].total
                     flat[idx] = orig
                     numeric = (lp - lm) / (2 * h)
                     analytic = grads[key].reshape(-1)[idx]
@@ -283,22 +282,11 @@ class TestFiniteDifferences:
 
 
 @pytest.fixture(scope="module")
-def task():
-    items = generate_corpus(seed=0)
-    dim = 256
-    data = {
-        "forget": to_dataset(split_items(items, "forget"), dim),
-        "retain": to_dataset(split_items(items, "retain"), dim),
-        "test": to_dataset(split_items(items, "test"), dim),
-    }
-    model = ModelState.init(dim, 64, 4, seed=0, ref_seed=7919)
-    cfg = UnlearnConfig(lambda_f=0.0, temperature=1.0, lr=0.5, epochs=120, seed=0)
-    trained = Dataset(
-        x=np.vstack([data["forget"].x, data["retain"].x]),
-        y=np.concatenate([data["forget"].y, data["retain"].y]),
-    )
-    pretrain(trained, model, cfg)
-    return data, model
+def task(corpus_items, pretrained_model):
+    """The seed-0 splits as datasets, and the model ``memscrub store`` builds from them."""
+    data = {split: to_dataset(split_items(corpus_items, split), 256)
+            for split in ("forget", "retain", "test")}
+    return data, pretrained_model
 
 
 def poison_step(monkeypatch, at):
@@ -348,7 +336,7 @@ class TestTrainUnlearn:
         state.params = {k: v.copy() for k, v in state.ref_params.items()}
         cfg = UnlearnConfig(entropy_fallback=False)
         batch = LabeledBatch.of(forget_x=np.ones((1, 6)), n_features=6)
-        assert loss_weight(batch, state, cfg).kl_part == pytest.approx(0.0, abs=1e-12)
+        assert loss_and_grads(batch, state, cfg)[0].kl_part == pytest.approx(0.0, abs=1e-12)
 
     def test_reference_frozen_through_training(self, task):
         data, model = task
