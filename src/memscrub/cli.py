@@ -1,10 +1,12 @@
 """Command-line front end covering the full lifecycle.
 
-Subcommands: gen-corpus, store, query, unlearn, probe, audit-verify,
-eval, run-loop. All output is machine-parseable line-delimited
-JSON; exit status is nonzero on error or tamper detection. The store's own
-files, every header and the lock belong to ``memscrub.store``; this module
-names ``corpus.jsonl``, ``provenance.jsonl`` and ``metrics/``.
+Subcommands: gen-corpus, store, query, unlearn, probe, audit-verify, eval,
+run-loop. Output is line-delimited JSON; an error, OS errors included, is one
+``error:`` line and exit 1, and a detected tamper exits 1 too. A command takes
+a config-key flag only if it can change what the command prints or writes, so
+another is a usage error (exit 2); a ``--config`` file may still set any key.
+The store's own files, every header and the lock belong to ``memscrub.store``;
+this module names ``corpus.jsonl``, ``provenance.jsonl`` and ``metrics/``.
 """
 
 from __future__ import annotations
@@ -286,48 +288,50 @@ def cmd_run_loop(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="memscrub")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", type=Path, default=None,
-                        help="flat key=value config file")
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--epochs", type=int, default=None)
-    common.add_argument("--lambda-f", dest="lambda_f", type=float, default=None)
-    common.add_argument("--temperature", type=float, default=None)
-    common.add_argument("--tau", type=int, default=None)
+    # Nested parents: each command takes the smallest whose flags can change its output.
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", type=Path, help="flat key=value config file")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[config])
+    seeded.add_argument("--seed", type=int)
+    training = argparse.ArgumentParser(add_help=False, parents=[seeded])
+    training.add_argument("--epochs", type=int)
+    training.add_argument("--lambda-f", dest="lambda_f", type=float)
+    training.add_argument("--temperature", type=float)
+    training.add_argument("--tau", type=int)
 
     store_arg = argparse.ArgumentParser(add_help=False)
     store_arg.add_argument("--store", type=Path, required=True)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-corpus", parents=[common])
+    p = sub.add_parser("gen-corpus", parents=[seeded])
     p.add_argument("--out", type=Path, required=True)
     p.set_defaults(func=cmd_gen_corpus)
 
-    p = sub.add_parser("store", parents=[common, store_arg])
+    p = sub.add_parser("store", parents=[training, store_arg])
     p.add_argument("--corpus", type=Path, required=True)
     p.set_defaults(func=cmd_store)
 
-    p = sub.add_parser("query", parents=[common, store_arg])
+    p = sub.add_parser("query", parents=[config, store_arg])
     p.add_argument("--text", required=True)
-    p.add_argument("--top-k", dest="top_k", type=int, default=None)
+    p.add_argument("--top-k", dest="top_k", type=int)
     p.set_defaults(func=cmd_query)
 
-    p = sub.add_parser("unlearn", parents=[common, store_arg])
+    p = sub.add_parser("unlearn", parents=[training, store_arg])
     p.add_argument("--request", type=Path, required=True)
     p.set_defaults(func=cmd_unlearn)
 
-    p = sub.add_parser("probe", parents=[common, store_arg])
+    p = sub.add_parser("probe", parents=[config, store_arg])
     p.add_argument("--id", type=int, required=True)
     p.set_defaults(func=cmd_probe)
 
     p = sub.add_parser("audit-verify", parents=[store_arg])  # reads no config
     p.set_defaults(func=cmd_audit_verify)
 
-    p = sub.add_parser("eval", parents=[common, store_arg])
+    p = sub.add_parser("eval", parents=[config, store_arg])
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("run-loop", parents=[common])
+    p = sub.add_parser("run-loop", parents=[seeded])
     p.set_defaults(func=cmd_run_loop)
 
     return parser
@@ -339,11 +343,11 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # so a reader that is gone shows here, not at exit
         return code
-    except (ValueError, FileNotFoundError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
     except BrokenPipeError:  # the rest of the buffer goes to /dev/null, so the exit is quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except (ValueError, OSError) as exc:  # after BrokenPipeError, which is an OSError
+        sys.stderr.write(f"error: {exc}\n")
         return 1
 
 

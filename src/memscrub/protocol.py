@@ -143,22 +143,17 @@ def backflow_probe(agent: AgentState, question: str, answer_text: str) -> ProbeR
         return ProbeResult(reexposed=True, channel=Channel.MEMORY)
 
     p = agent.parametric_distribution(question)
-    confidence = float(np.max(p))
-    written_node = None
-    regenerated = False
-    if confidence > agent.confidence_threshold:
-        regenerated = True
-        recalled = CHOICES[int(np.argmax(p))]
-        written_node = agent.store.write(
-            Layer.EPISODIC, f"recalled during interaction {question} answer {recalled}"
-        )
+    if float(np.max(p)) <= agent.confidence_threshold:  # nothing written, nothing new to find
+        return ProbeResult(reexposed=False, channel=Channel.NONE)
+    recalled = CHOICES[int(np.argmax(p))]
+    written_node = agent.store.write(
+        Layer.EPISODIC, f"recalled during interaction {question} answer {recalled}"
+    )
 
     exposing = _exposing_hits(agent, question, answer_text)
-    if exposing:
-        channel = Channel.PARAMETER if written_node in exposing else Channel.MEMORY
-        return ProbeResult(reexposed=True, channel=channel,
-                           regenerated=regenerated, written_node=written_node)
-    return ProbeResult(reexposed=False, channel=Channel.NONE, regenerated=regenerated,
+    channel = (Channel.NONE if not exposing
+               else Channel.PARAMETER if written_node in exposing else Channel.MEMORY)
+    return ProbeResult(reexposed=bool(exposing), channel=channel, regenerated=True,
                        written_node=written_node)
 
 

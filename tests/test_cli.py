@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import errno
 import fcntl
 import gc
 import io
@@ -9,6 +11,7 @@ import signal
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -1030,6 +1033,105 @@ class TestRunLoop:
         assert code == 0
         assert [r.get("stage") for r in rows[:6]] == ["T1", "T2", "T3", "T4", "T5", "T6"]
         assert "cleanup_ratio" in rows[-1]
+
+
+# The config-key flags each command takes; a --config file may still set any key.
+COMMAND_FLAGS = {
+    "gen-corpus": ["--config", "--seed"],
+    "store": ["--config", "--seed", "--epochs", "--lambda-f", "--temperature", "--tau"],
+    "query": ["--config", "--top-k"],
+    "unlearn": ["--config", "--seed", "--epochs", "--lambda-f", "--temperature", "--tau"],
+    "probe": ["--config"],
+    "audit-verify": [],
+    "eval": ["--config"],
+    "run-loop": ["--config", "--seed"],
+}
+CONFIG_FLAG_VALUES = {"--seed": "1", "--epochs": "1", "--lambda-f": "1.0",
+                      "--temperature": "2.0", "--tau": "5"}
+# Each (command, flag) pair a command does not take: the flag cannot change its output.
+DROPPED_FLAGS = [(command, flag) for command, flags in COMMAND_FLAGS.items()
+                 if command != "audit-verify"  # its own test refuses every flag
+                 for flag in CONFIG_FLAG_VALUES if flag not in flags]
+# The options a command reads itself; every other option is a config key.
+COMMAND_ARGUMENTS = {"config", "store", "out", "corpus", "text", "request", "id", "help"}
+
+
+def subparsers() -> dict:
+    parser = cli.build_parser()
+    return next(action.choices for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+
+def files_under(directory) -> dict:
+    return {str(p.relative_to(directory)): p.read_bytes() if p.is_file() else None
+            for p in sorted(Path(directory).rglob("*"))}
+
+
+class TestCommandFlags:
+    def test_each_command_takes_the_config_flags_in_its_table_row(self):
+        keys = {"--config", "--top-k", *CONFIG_FLAG_VALUES}
+        taken = {name: [s for a in p._actions for s in a.option_strings if s in keys]
+                 for name, p in subparsers().items()}
+        assert taken == COMMAND_FLAGS
+
+    def test_every_option_is_read(self):
+        """An option whose dest is neither a config key nor the command's own argument is
+        read by nothing: ``_resolve_config`` reads only ``RunConfig``'s field names."""
+        keys = {f.name for f in fields(RunConfig)}
+        for name, p in subparsers().items():
+            for action in p._actions:
+                assert action.dest in keys | COMMAND_ARGUMENTS, (name, action.dest)
+
+    @pytest.mark.parametrize("command, flag", DROPPED_FLAGS,
+                             ids=[f"{c}{f}" for c, f in DROPPED_FLAGS])
+    def test_dropped_flag_is_a_usage_error(self, pipeline, tmp_path, capsys, command, flag):
+        """A flag that cannot change what the command does is refused, not silently ignored."""
+        _, store = pipeline
+        copy = tmp_path / "store"
+        shutil.copytree(store, copy)
+        argv = {"gen-corpus": ["--out", str(tmp_path / "corpus.jsonl")],
+                "query": ["--store", str(copy), "--text", "what remedy"],
+                "probe": ["--store", str(copy), "--id", "0"],
+                "eval": ["--store", str(copy)],
+                "run-loop": []}[command]
+        before = files_under(tmp_path)
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main([command, *argv, flag, CONFIG_FLAG_VALUES[flag]])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"unrecognized arguments: {flag}" in err
+        assert files_under(tmp_path) == before
+
+
+class TestOSError:
+    """An OS error is one ``error:`` line and exit 1, not a traceback, and creates nothing."""
+
+    @staticmethod
+    def check(capsys, tmp_path, argv, code, path):
+        before = files_under(tmp_path)
+        assert main(argv) == 1
+        message = f"[Errno {code}] {os.strerror(code)}: '{path}'"
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert files_under(tmp_path) == before
+
+    def test_corpus_out_that_is_a_directory(self, tmp_path, capsys):
+        out = tmp_path / "corpus.jsonl"
+        out.mkdir()
+        self.check(capsys, tmp_path, ["gen-corpus", "--out", str(out)], errno.EISDIR, out)
+
+    def test_store_that_is_a_file(self, pipeline, tmp_path, capsys):
+        corpus, _ = pipeline
+        store = tmp_path / "store"
+        store.write_text("not a directory\n")
+        self.check(capsys, tmp_path, ["store", "--corpus", str(corpus), "--store", str(store)],
+                   errno.EEXIST, store)
+
+    def test_config_that_is_a_directory(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.mkdir()
+        argv = ["gen-corpus", "--out", str(tmp_path / "corpus.jsonl"), "--config", str(config)]
+        self.check(capsys, tmp_path, argv, errno.EISDIR, config)
 
 
 class TestConfig:

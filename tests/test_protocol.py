@@ -227,6 +227,23 @@ class TestBackflowProbe:
         assert result.channel is Channel.PARAMETER
         assert result.written_node is not None
 
+    @pytest.mark.parametrize("threshold, searches", [(1.0, 1), (0.0, 2)])
+    def test_store_is_searched_again_only_after_a_write(self, fresh_agent, monkeypatch,
+                                                        threshold, searches):
+        """A model that is not confident writes nothing, so the store is searched once."""
+        agent, items, prov = fresh_agent
+        agent.store.forget(ForgetRequest.of("req-1", forget_targets(prov, items)))
+        agent.confidence_threshold = threshold
+        calls = []
+        search = MemoryStore.search
+        monkeypatch.setattr(MemoryStore, "search",
+                            lambda store, text: calls.append(text) or search(store, text))
+        item = split_items(items, "forget")[0]
+        result = backflow_probe(agent, item.question, item.answer_text)
+        assert calls == [item.question] * searches
+        assert result.regenerated is (searches == 2)
+        assert result.reexposed is (searches == 2)
+
     def test_full_protocol_blocks_backflow(self, fresh_agent):
         agent, items, prov = fresh_agent
         retain = to_dataset(split_items(items, "retain"), agent.feature_dim)
