@@ -275,10 +275,9 @@ def cmd_run_loop(args) -> int:
     timeline = run_agent_loop(MemoryStore(settings=cfg), items)
     for stage in timeline.stages:
         _emit(record_of(stage))
-    _emit({
-        "summary_updates": timeline.summary_updates,
-        "cleanup_ratio": timeline.cleanup_ratio,
-    })
+    summary = record_of(timeline)
+    del summary["stages"]
+    _emit(summary)
     return 0
 
 
@@ -304,41 +303,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-corpus", parents=[seeded])
+    def command(name, func, *parents):
+        p = sub.add_parser(name, parents=list(parents))
+        p.set_defaults(func=func, parser=p)  # main reports a leftover flag with p's usage
+        return p
+
+    p = command("gen-corpus", cmd_gen_corpus, seeded)
     p.add_argument("--out", type=Path, required=True)
-    p.set_defaults(func=cmd_gen_corpus)
-
-    p = sub.add_parser("store", parents=[training, store_arg])
+    p = command("store", cmd_store, training, store_arg)
     p.add_argument("--corpus", type=Path, required=True)
-    p.set_defaults(func=cmd_store)
-
-    p = sub.add_parser("query", parents=[config, store_arg])
+    p = command("query", cmd_query, config, store_arg)
     p.add_argument("--text", required=True)
     p.add_argument("--top-k", dest="top_k", type=int)
-    p.set_defaults(func=cmd_query)
-
-    p = sub.add_parser("unlearn", parents=[training, store_arg])
+    p = command("unlearn", cmd_unlearn, training, store_arg)
     p.add_argument("--request", type=Path, required=True)
-    p.set_defaults(func=cmd_unlearn)
-
-    p = sub.add_parser("probe", parents=[config, store_arg])
+    p = command("probe", cmd_probe, config, store_arg)
     p.add_argument("--id", type=int, required=True)
-    p.set_defaults(func=cmd_probe)
-
-    p = sub.add_parser("audit-verify", parents=[store_arg])  # reads no config
-    p.set_defaults(func=cmd_audit_verify)
-
-    p = sub.add_parser("eval", parents=[config, store_arg])
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("run-loop", parents=[seeded])
-    p.set_defaults(func=cmd_run_loop)
-
+    command("audit-verify", cmd_audit_verify, store_arg)  # reads no config
+    command("eval", cmd_eval, config, store_arg)
+    command("run-loop", cmd_run_loop, seeded)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         code = args.func(args)
         sys.stdout.flush()  # so a reader that is gone shows here, not at exit

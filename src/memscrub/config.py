@@ -68,8 +68,7 @@ class RunConfig(UnlearnConfig, RetrievalSettings):
             raise ValueError("confidence_threshold must lie in [0, 1]")
 
     def retrieval_settings(self) -> RetrievalSettings:
-        return RetrievalSettings(**{f.name: getattr(self, f.name)
-                                    for f in fields(RetrievalSettings)})
+        return self  # kept for perfbench/workloads.py; a RunConfig is its RetrievalSettings
 
     def pretrain_config(self) -> UnlearnConfig:
         return UnlearnConfig(

@@ -200,9 +200,9 @@ class MemoryGraph:
         return sum(self.nodes[p].status is Status.ACTIVE for p in self.node(node_id).parents)
 
     def active_view(self) -> Iterator[int]:
-        """Ids of Active nodes, ascending. Outdated and Deleted are excluded."""
-        for node_id in sorted(self.nodes):
-            if self.nodes[node_id].status is Status.ACTIVE:
+        """Ids of Active nodes, ascending (node i is the i-th entry). Outdated and Deleted are excluded."""
+        for node_id, node in self.nodes.items():
+            if node.status is Status.ACTIVE:
                 yield node_id
 
     def _reach(self, starts: Iterable[int], edges: Callable[[int], Iterable[int]]) -> set:

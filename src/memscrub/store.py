@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .audit import AuditLog, AuditOp, Blocklist, content_digest
+from .audit import AuditLog, AuditOp, Blocklist, content_digest, record_of
 from .corpus import CHOICES
 from .graph import (
     ForgetRequest,
@@ -192,15 +192,9 @@ class MemoryPhaseReport:
     captured: list = field(default_factory=list)  # (node_id, content) of live targets, ephemeral
 
     def to_record(self) -> dict:
-        return {
-            "request_id": self.request_id,
-            "prune": self.prune.counts(),
-            "closure_size": self.closure_size,
-            "blocklist_size": self.blocklist_size,
-            "rebuilt": self.rebuilt,
-            "index_generation": self.index_generation,
-            "audit_head": self.audit_head,
-        }
+        record = {**record_of(self), "prune": self.prune.counts()}
+        del record["captured"]  # ephemeral
+        return record
 
 
 class MemoryStore:

@@ -283,6 +283,7 @@ class TestAuditVerify:
         assert exc.value.code == 2
         out, err = capsys.readouterr()
         assert out == "" and f"unrecognized arguments: {flag[0]}" in err
+        assert err.startswith("usage: memscrub audit-verify [-h] --store STORE\n")
 
     def test_tampered_log_fails(self, pipeline, tmp_path, capsys):
         _, store = pipeline
@@ -1101,6 +1102,9 @@ class TestCommandFlags:
         assert exc.value.code == 2
         out, err = capsys.readouterr()
         assert out == "" and f"unrecognized arguments: {flag}" in err
+        # Shown with the command's own usage, which lists the flags it does take.
+        assert err.startswith(f"usage: memscrub {command} ")
+        assert f"memscrub {command}: error: unrecognized arguments: {flag}" in err
         assert files_under(tmp_path) == before
 
 

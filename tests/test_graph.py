@@ -271,6 +271,22 @@ class TestActiveView:
         g.node(r1).status = Status.OUTDATED
         assert list(g.active_view()) == [m1]
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_nodes_are_held_in_id_order(self, data):
+        """``active_view`` walks ``nodes`` as they were inserted, so node i must be the
+        i-th entry after writes, after a prune and after a save/load round trip."""
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        g, _, episodic = build_random_dag(rng, n_nodes=data.draw(st.integers(1, 40)))
+        assert list(g.nodes) == list(range(len(g.nodes)))
+        targets = data.draw(st.lists(st.sampled_from(episodic), max_size=4, unique=True))
+        g.prune(ForgetRequest.of("r", targets), g.dependency_closure(targets), always_blocked)
+        assert list(g.nodes) == list(range(len(g.nodes)))
+        reloaded = MemoryGraph.from_lines(g.node_lines())
+        assert list(reloaded.nodes) == list(range(len(g.nodes)))
+        assert list(reloaded.active_view()) == [
+            i for i in range(len(g.nodes)) if g.node(i).status is Status.ACTIVE]
+
 
 class TestPersistence:
     def test_round_trip_preserves_counts_and_statuses(self):
