@@ -7,11 +7,12 @@ retain accuracy, and forget-set entropy move epoch by epoch, next to a
 lambda_f=0 control that only sees the retain loss.
 """
 
-from memscrub import ModelState, UnlearnConfig, pretrain, train_unlearn
+from memscrub import UnlearnConfig, train_unlearn
+from memscrub.config import RunConfig, build_model
 from memscrub.corpus import generate_corpus, split_items, to_dataset
 from memscrub.training import mean_forget_entropy, model_accuracy
 
-DIM = 256
+DIM = RunConfig().feature_dim
 
 
 def main():
@@ -21,9 +22,7 @@ def main():
     test = to_dataset(split_items(items, "test"), DIM)
     trained = to_dataset(split_items(items, "forget") + split_items(items, "retain"), DIM)
 
-    model = ModelState.init(DIM, 64, 4, seed=0)
-    pretrain(trained, model, UnlearnConfig(lambda_f=0.0, temperature=1.0,
-                                           lr=0.5, epochs=120, seed=0))
+    model = build_model(RunConfig(), trained)  # seeds 0 and 7919, 120 pretrain epochs at lr 0.5
     print(f"pretrained: forget={model_accuracy(model, forget):.3f} "
           f"retain={model_accuracy(model, retain):.3f} "
           f"test={model_accuracy(model, test):.3f} "

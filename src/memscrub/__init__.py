@@ -12,8 +12,8 @@ from .graph import (
     Status,
 )
 from .protocol import AgentState, Channel, backflow_probe, run_protocol
-from .retrieval import HashingEmbedder, HybridIndex, HybridQuery, ScoredHit
-from .store import MemoryStore, RetrievalSettings
+from .retrieval import HashingEmbedder, HybridIndex, RetrievalSettings, ScoredHit
+from .store import MemoryStore
 from .training import (
     Dataset,
     LabeledBatch,
@@ -31,8 +31,8 @@ __all__ = [
     "AuditLog", "AuditOp", "AuditRecord", "Blocklist", "verify_lines",
     "ForgetRequest", "Layer", "MemoryGraph", "MemoryNode", "PruneReport", "Status",
     "AgentState", "Channel", "backflow_probe", "run_protocol",
-    "HashingEmbedder", "HybridIndex", "HybridQuery", "ScoredHit",
-    "MemoryStore", "RetrievalSettings",
+    "HashingEmbedder", "HybridIndex", "RetrievalSettings", "ScoredHit",
+    "MemoryStore",
     "Dataset", "LabeledBatch", "ModelState", "UnlearnConfig",
     "grad_step", "maybe_entropy_fallback", "pretrain",
     "temperature_softmax", "train_unlearn",

@@ -144,19 +144,14 @@ def question_of(content: str) -> str:
     return content[:pos] if pos >= 0 else content
 
 
-def answer_idx_of(content: str):
-    pos = content.rfind(ANSWER_MARKER)
-    if pos < 0:
-        return None
-    word = content[pos + len(ANSWER_MARKER):].strip()
-    return CHOICES.index(word) if word in CHOICES else None
-
-
 def choice_in(content: str):
-    """Choice a memory names: its answer marker, else the first choice token."""
-    idx = answer_idx_of(content)
-    if idx is not None:
-        return idx
+    """The choice a memory record carries, or None; the only answer reader. The word
+    after its last answer marker if that is a choice, else its first choice in ``CHOICES``."""
+    pos = content.rfind(ANSWER_MARKER)
+    if pos >= 0:
+        word = content[pos + len(ANSWER_MARKER):].strip()
+        if word in CHOICES:
+            return CHOICES.index(word)
     tokens = tokenize(content)
     for i, choice in enumerate(CHOICES):
         if choice in tokens:

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .corpus import QAItem, Provenance, populate_store, split_items
+from .corpus import QAItem, Provenance, choice_in, populate_store, split_items
 from .graph import DERIVED_LAYERS, ForgetRequest, Layer, Status
 from .protocol import AgentState
 from .retrieval import tokenize
@@ -93,8 +93,8 @@ def _item_loss(store: MemoryStore, item: QAItem, hits) -> float:
     """``item``'s loss given ``hits``, the store's search hits for its question."""
     best = 1.0
     for hit in hits:
-        tokens = tokenize(store.content(hit.node_id))
-        if item.topic in tokens and item.answer_text in tokens:
+        content = store.content(hit.node_id)
+        if item.topic in tokenize(content) and choice_in(content) == item.answer_idx:
             best = min(best, 1.0 - hit.combined)
     return best
 
@@ -125,9 +125,7 @@ def _hit_rate(store: MemoryStore, prov: Provenance, items) -> float:
     ancestors_of = functools.cache(store.graph.episodic_ancestors)  # search leaves the graph as is
     hits = 0
     for item in items:
-        origin = prov.item_to_node.get(item.item_id)
-        if origin is None:
-            continue
+        origin = prov.item_to_node[item.item_id]
         for hit in store.search(item.question):
             node_id = hit.node_id
             if node_id == origin or origin in ancestors_of(node_id):
@@ -202,8 +200,7 @@ def _naive_delete(store: MemoryStore, targets) -> None:
         node = store.graph.nodes[t]
         node.status = Status.DELETED
         node.content = ""
-        if t in store.index:
-            store.index.remove(t)
+        store.index.remove(t)
 
 
 def memory_baselines(agent: AgentState, items) -> list:

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .audit import AuditOp
-from .corpus import CHOICES, answer_idx_of, choice_in, featurize, question_of
+from .corpus import ANSWER_MARKER, CHOICES, choice_in, featurize, question_of
 from .graph import ForgetRequest, Layer
 from .retrieval import tokenize
 from .store import MemoryPhaseReport, MemoryStore
@@ -97,7 +97,7 @@ def run_protocol(agent: AgentState, request: ForgetRequest, retain: Dataset,
     forget = Dataset(x=np.zeros((n, agent.feature_dim)), y=np.zeros(n, dtype=int))
     for i, (_, content) in enumerate(memory_report.captured):
         forget.x[i] = featurize(question_of(content), agent.feature_dim)
-        idx = answer_idx_of(content)
+        idx = choice_in(content)
         forget.y[i] = idx if idx is not None else -1
     memory_report.captured = []  # ephemeral buffer wiped before training
 
@@ -147,7 +147,7 @@ def backflow_probe(agent: AgentState, question: str, answer_text: str) -> ProbeR
         return ProbeResult(reexposed=False, channel=Channel.NONE)
     recalled = CHOICES[int(np.argmax(p))]
     written_node = agent.store.write(
-        Layer.EPISODIC, f"recalled during interaction {question} answer {recalled}"
+        Layer.EPISODIC, f"recalled during interaction {question}{ANSWER_MARKER}{recalled}"
     )
 
     exposing = _exposing_hits(agent, question, answer_text)
@@ -158,11 +158,11 @@ def backflow_probe(agent: AgentState, question: str, answer_text: str) -> ProbeR
 
 
 def _exposing_hits(agent: AgentState, question: str, answer_text: str) -> set:
-    hits = agent.store.search(question)
+    answer_idx = CHOICES.index(answer_text)
     exposing = set()
-    for hit in hits:
+    for hit in agent.store.search(question):
         content = agent.store.content(hit.node_id)
-        if answer_text in tokenize(content) and _mentions_question(content, question):
+        if choice_in(content) == answer_idx and _mentions_question(content, question):
             exposing.add(hit.node_id)
     return exposing
 

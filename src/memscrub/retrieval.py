@@ -1,10 +1,10 @@
-"""Hybrid dense+keyword retrieval with blocklist enforcement.
+"""Hybrid dense+keyword retrieval through a caller's boundary filter.
 
 A text's vector is the sum of its tokens' ±1 sign vectors, each read from
 the token's ``shake_256`` digest, so every vector is a small integer
 vector. Every live entry is scored exactly (cosine similarity fused with
 token overlap by one weight), and the ranking is walked in order through
-the boundary filter (blocklist and node status) until top-k entries pass.
+the caller's ``allowed`` filter (a store's: blocklist, status) until top-k pass.
 
 The index keeps the integer vectors as float32 rows of zero-filled blocks
 of ``BLOCK_ROWS`` rows, with a row -> id array, a row -> norm array, and
@@ -117,16 +117,23 @@ def _norm(counts: np.ndarray) -> float:
 
 
 @dataclass
-class HybridQuery:
-    text: str
+class RetrievalSettings:
+    """The memory pathway's config keys: search, rebuild and default-embedder settings."""
+
     top_k: int = 5
     w_kw: float = 0.3  # keyword weight; the semantic score weighs 1 - w_kw
+    tau: int = 100
+    embed_dim: int = 256
 
-    def __post_init__(self):
+    def __post_init__(self):  # so a bad config fails when it is read
         if self.top_k < 1:
             raise ValueError("top_k must be >= 1")
         if not 0.0 <= self.w_kw <= 1.0:
             raise ValueError("w_kw must lie in [0, 1]")
+        if self.tau < 0:
+            raise ValueError("tau must be >= 0")
+        if self.embed_dim < 1:
+            raise ValueError("embed_dim must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -155,9 +162,9 @@ class HybridIndex:
     written.
     """
 
-    def __init__(self, embedder: HashingEmbedder, tau: int):
+    def __init__(self, embedder: HashingEmbedder, settings: RetrievalSettings):
         self.embedder = embedder
-        self.tau = tau
+        self.settings = settings  # top_k and w_kw for each search, tau for each rebuild
         self.generation = 0
         self._blocks: list = []  # (BLOCK_ROWS, dim) float32 arrays of token counts, grown by a search
         self._ids = np.zeros(0, dtype=np.int64)  # row -> id
@@ -181,10 +188,7 @@ class HybridIndex:
         return sorted(self._tombstones)
 
     def insert(self, node_id: int, text: str) -> None:
-        old = self._row_of.get(node_id)
-        if old is not None:
-            self._live[old] = False
-            self._pending.pop(old, None)
+        """Add ``node_id``, an id the index has never held, with its ``text``."""
         if self._free:
             row = self._free.pop()
         else:
@@ -197,7 +201,6 @@ class HybridIndex:
         self._ids[row] = node_id
         self._live[row] = True
         self._row_of[node_id] = row
-        self._tombstones.discard(node_id)
 
     def remove(self, node_id: int) -> None:
         """Take the entry out of the live set; its id stays a tombstone until purged."""
@@ -263,14 +266,14 @@ class HybridIndex:
         self._tombstones.clear()
         self.generation += 1
 
-    def search(self, query: HybridQuery, allowed: Callable[[int], bool]) -> list:
-        """Top-k allowed hits by combined score, ties broken by ascending id.
+    def search(self, text: str, allowed: Callable[[int], bool]) -> list:
+        """Top-k allowed hits for ``text`` by combined score, ties broken by ascending id.
 
         Every pending row is written first (``_flush``). A row's semantic
         score is ``(row · q) / (‖row‖ · ‖q‖)`` for the query's counts
         ``q``, each norm a float64 taken from the exact squared sum. The
         float32 dot product sums integers, each partial sum at most
-        ``embed_dim · n_tokens(text) · n_tokens(query)`` in magnitude, so
+        ``embed_dim · n_tokens(entry) · n_tokens(text)`` in magnitude, so
         while that bound is below 2**24 the dot is exact and the same in
         any summation order.
 
@@ -282,9 +285,9 @@ class HybridIndex:
         if not self._row_of:
             return []
         self._flush()
-        qcounts = self.embedder.embed(query.text)
+        qcounts = self.embedder.embed(text)
         qrow = qcounts.astype(np.float32)
-        qtokens = set(tokenize(query.text))
+        qtokens = set(tokenize(text))
         dots = np.empty(len(self._live), dtype=np.float32)
         for start, block in zip(range(0, len(dots), BLOCK_ROWS), self._blocks):
             np.matmul(block, qrow, out=dots[start:start + BLOCK_ROWS])
@@ -296,12 +299,13 @@ class HybridIndex:
                 kw[np.frombuffer(rows, dtype=np.int64)] += 1.0
         if qtokens:
             kw /= len(qtokens)
-        combined = (1.0 - query.w_kw) * sem + query.w_kw * kw  # 1.0 - 0.3 is 0.7 exactly
+        w_kw = self.settings.w_kw
+        combined = (1.0 - w_kw) * sem + w_kw * kw  # 1.0 - 0.3 is 0.7 exactly
         live = np.flatnonzero(self._live)
         ranked = live[np.lexsort((self._ids[live], -combined[live]))]
         accepted = (row for row in ranked if allowed(int(self._ids[row])))
         return [ScoredHit(int(self._ids[row]), float(sem[row]), float(kw[row]), float(combined[row]))
-                for row in itertools.islice(accepted, query.top_k)]
+                for row in itertools.islice(accepted, self.settings.top_k)]
 
     def maybe_rebuild(self, blocklist: Blocklist, audit: AuditLog) -> RebuildResult:
         """Purge the tombstones when |B| strictly exceeds tau, then compact the blocklist.
@@ -312,7 +316,7 @@ class HybridIndex:
         this purge runs in a store, after its REBUILD record, so the log's
         REBUILD count is the generation.
         """
-        if len(blocklist) <= self.tau:
+        if len(blocklist) <= self.settings.tau:
             return RebuildResult(rebuilt=False)
         audit.append(AuditOp.REBUILD, {
             "generation": self.generation + 1,
@@ -332,11 +336,11 @@ class HybridIndex:
         return [canonical_json({"id": node_id}) for node_id in self.tombstones()]
 
     @classmethod
-    def restore(cls, embedder: HashingEmbedder, tau: int, generation: int,
+    def restore(cls, embedder: HashingEmbedder, settings: RetrievalSettings, generation: int,
                 live: Iterable[tuple], tombstones: Iterable[int]) -> "HybridIndex":
         """The index at ``generation`` over ``live``, the (id, content) of every live
         entry, with ``tombstones`` removed since its last purge."""
-        index = cls(embedder, tau=tau)
+        index = cls(embedder, settings)
         index.generation = generation
         for node_id, content in live:
             index.insert(node_id, content)

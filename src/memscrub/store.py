@@ -37,7 +37,7 @@ from .graph import (
     PruneReport,
     Status,
 )
-from .retrieval import HashingEmbedder, HybridIndex, HybridQuery
+from .retrieval import HashingEmbedder, HybridIndex, RetrievalSettings
 from .training import ModelState
 
 # The files MemoryStore.save writes, with their version headers, in the order
@@ -163,24 +163,6 @@ class BlockedContentError(ValueError):
 
 
 @dataclass
-class RetrievalSettings:
-    top_k: int = 5
-    w_kw: float = 0.3
-    tau: int = 100
-    embed_dim: int = 256
-
-    def __post_init__(self):
-        self.query("")  # HybridQuery checks the keys, so a bad config fails when it is read
-        if self.tau < 0:
-            raise ValueError("tau must be >= 0")
-        if self.embed_dim < 1:
-            raise ValueError("embed_dim must be >= 1")
-
-    def query(self, text: str) -> HybridQuery:
-        return HybridQuery(text, self.top_k, self.w_kw)
-
-
-@dataclass
 class MemoryPhaseReport:
     request_id: str
     prune: PruneReport
@@ -204,7 +186,7 @@ class MemoryStore:
         self.graph = MemoryGraph(audit=self.audit)
         self.blocklist = Blocklist()
         self.embedder = embedder or HashingEmbedder(self.settings.embed_dim)
-        self.index = HybridIndex(self.embedder, tau=self.settings.tau)
+        self.index = HybridIndex(self.embedder, self.settings)
 
     # ------------------------------------------------------------------
     # Write / read boundary
@@ -225,7 +207,7 @@ class MemoryStore:
         return node is not None and node.status is Status.ACTIVE
 
     def search(self, text: str) -> list:
-        return self.index.search(self.settings.query(text), allowed=self._allowed)
+        return self.index.search(text, allowed=self._allowed)
 
     def content(self, node_id: int) -> str:
         return self.graph.node(node_id).content
@@ -300,7 +282,7 @@ class MemoryStore:
         store.graph = parse_lines(lambda lines: MemoryGraph.from_lines(
             lines, audit=store.audit, generation=generation), nodes)
         store.index = HybridIndex.restore(
-            store.embedder, tau=store.settings.tau, generation=generation,
+            store.embedder, store.settings, generation=generation,
             live=((i, store.graph.nodes[i].content) for i in store.graph.active_view()),
             tombstones=(i for i, node in store.graph.nodes.items() if node.removed_in == generation))
         # An episodic tombstone names a Deleted node; only such a node keeps a blocked digest.

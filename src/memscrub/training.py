@@ -289,16 +289,13 @@ def entropy(p: np.ndarray) -> np.ndarray:
 def maybe_entropy_fallback(p_ref: np.ndarray, cfg: UnlearnConfig) -> np.ndarray:
     """Uniform target when the reference is too confident (strictly below h_min)."""
     p_ref = np.asarray(p_ref, dtype=float)
-    single = p_ref.ndim == 1
-    rows = np.atleast_2d(p_ref)
-    n_classes = rows.shape[-1]
     if not cfg.entropy_fallback:
         return p_ref
-    h_min = cfg.h_min_for(n_classes)
-    low = entropy(rows) < h_min
-    out = rows.copy()
+    n_classes = p_ref.shape[-1]
+    low = entropy(p_ref) < cfg.h_min_for(n_classes)  # one row gives a 0-d mask: all or nothing
+    out = p_ref.copy()
     out[low] = 1.0 / n_classes
-    return out[0] if single else out
+    return out
 
 
 @dataclass

@@ -26,7 +26,7 @@ from memscrub.evaluation import (
 )
 from memscrub.graph import ForgetRequest, Layer, MemoryGraph, Status
 from memscrub.protocol import AgentState, Channel, backflow_probe, run_protocol
-from memscrub.retrieval import HashingEmbedder, HybridIndex, HybridQuery
+from memscrub.retrieval import HashingEmbedder, HybridIndex
 from memscrub.store import MemoryStore, RetrievalSettings
 from memscrub.training import (
     LabeledBatch,
@@ -284,7 +284,7 @@ def test_10_rebuild_semantics():
     def build(n_blocked):
         from memscrub.audit import Blocklist
 
-        index = HybridIndex(HashingEmbedder(64), tau=100)
+        index = HybridIndex(HashingEmbedder(64), RetrievalSettings())
         for i in range(400):
             index.insert(i, " ".join(rng.choice(words, size=3)))
         blocklist, log = Blocklist(), AuditLog()
@@ -298,12 +298,12 @@ def test_10_rebuild_semantics():
     index, blocklist, log = build(101)
     queries = [" ".join(rng.choice(words, size=2)) for _ in range(50)]
     allowed = lambda i: not blocklist.is_blocked(i)
-    before = [[h.node_id for h in index.search(HybridQuery(q), allowed)] for q in queries]
+    before = [[h.node_id for h in index.search(q, allowed)] for q in queries]
     for i in blocklist.entries():  # a forget takes what it blocks out of the index
         index.remove(i)
     assert index.maybe_rebuild(blocklist, log).rebuilt
     assert index.generation == 1
-    after = [[h.node_id for h in index.search(HybridQuery(q), allowed)] for q in queries]
+    after = [[h.node_id for h in index.search(q, allowed)] for q in queries]
     assert before == after
 
 

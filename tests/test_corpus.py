@@ -8,7 +8,7 @@ from memscrub.corpus import (
     SPLITS,
     Provenance,
     QAItem,
-    answer_idx_of,
+    choice_in,
     corpus_from_lines,
     corpus_lines,
     episodic_content,
@@ -116,10 +116,10 @@ class TestContentCodec:
         item = corpus_items[0]
         content = episodic_content(item)
         assert question_of(content) == item.question
-        assert answer_idx_of(content) == item.answer_idx
+        assert choice_in(content) == item.answer_idx
 
     def test_answer_idx_absent(self):
-        assert answer_idx_of("no marker here") is None
+        assert choice_in("no marker here") is None
 
 
 class TestPopulateStore:

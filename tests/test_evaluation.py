@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from memscrub.corpus import QAItem, populate_store, split_items, to_dataset
+from memscrub.corpus import (CHOICES, QAItem, episodic_content, populate_store, split_items,
+                             to_dataset)
 from memscrub.evaluation import (
     MethodReport,
     _naive_delete,
@@ -150,6 +151,35 @@ def test_item_loss_matches_the_topic_as_a_token():
     store.write(Layer.EPISODIC, "what remedy suits topic1000 presentation answer alder")
     item = QAItem("topic100-i00", "forget", "topic100", "what remedy suits topic100 presentation", 0)
     assert memory_item_losses(store, [item]).tolist() == [1.0]
+
+
+def test_item_loss_reads_the_best_hit_carrying_its_topic_and_answer(corpus_items):
+    """A forget-holdout item scores ``1 - combined`` of its best hit among its topic's
+    answer-bearing records (episodic records, summary, KG entity; not the reflection),
+    and 1.0 once that topic's episodic records are forgotten."""
+    store = MemoryStore()
+    prov = populate_store(store, corpus_items)
+    topic = split_items(corpus_items, "forget")[0].topic
+    episodic = {prov.item_to_node[it.item_id] for it in split_items(corpus_items, "forget")
+                if it.topic == topic}
+    bearing = episodic | {i for i in store.graph.active_view()
+                          if store.graph.nodes[i].layer in (Layer.SEMANTIC, Layer.KG_ENTITY)
+                          and store.graph.episodic_ancestors(i) == episodic}
+    assert len(bearing) == len(episodic) + 2
+    holdout = [it for it in split_items(corpus_items, "forget_holdout") if it.topic == topic]
+    for item in holdout:
+        best = min(1.0 - h.combined for h in store.search(item.question) if h.node_id in bearing)
+        assert best < 1.0
+        assert memory_item_losses(store, [item]).tolist() == [best]
+    store.forget(ForgetRequest.of("forget-topic", sorted(episodic)))
+    assert memory_item_losses(store, holdout).tolist() == [1.0] * len(holdout)
+    # A record of the question with another answer exposes nothing; with its own, it does.
+    item = holdout[0]
+    store.write(Layer.EPISODIC, episodic_content(
+        replace(item, answer_idx=(item.answer_idx + 1) % len(CHOICES))))
+    assert memory_item_losses(store, [item]).tolist() == [1.0]
+    store.write(Layer.EPISODIC, episodic_content(item))
+    assert memory_item_losses(store, [item]).tolist()[0] < 1.0
 
 
 class TestAgentLoop:

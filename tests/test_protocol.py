@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from memscrub.audit import AuditLog, AuditOp, AuditRecord, payload_digest, verify_lines
-from memscrub.corpus import split_items, to_dataset
+from memscrub.config import RunConfig, build_model
+from memscrub.corpus import (CHOICES, choice_in, generate_corpus, populate_store, split_items,
+                             to_dataset)
 from memscrub.graph import ForgetRequest, GraphError, Layer, Status
 from memscrub.protocol import AgentState, Channel, _exposing_hits, backflow_probe, run_protocol
-from memscrub.retrieval import HybridIndex
+from memscrub.retrieval import HybridIndex, tokenize
 from memscrub.store import BlockedContentError, MemoryStore, RetrievalSettings
 from memscrub.training import UnlearnConfig
 
@@ -263,3 +265,38 @@ class TestBackflowProbe:
         ans = agent.answer(item.question)
         assert ans.source == "memory"
         assert ans.answer_idx == item.answer_idx
+
+
+@pytest.mark.parametrize("seed, n_topics", [(0, 12), (1, 48)])
+def test_every_written_record_names_at_most_one_choice(seed, n_topics):
+    """Every record ``populate_store`` writes and every probe write-back holds at most
+    one choice token, which ``choice_in`` reads, so reading a record's answer with
+    ``choice_in`` or by looking for the true answer's token agree; and each episodic
+    record carries its item's answer."""
+    cfg = RunConfig(seed=seed, n_topics=n_topics)
+    items = generate_corpus(seed=seed, n_topics=n_topics)
+    store = MemoryStore(settings=cfg)
+    prov = populate_store(store, items)
+
+    def check(node_ids) -> None:
+        for node_id in node_ids:
+            content = store.content(node_id)
+            named = [token for token in tokenize(content) if token in CHOICES]
+            assert len(named) <= 1
+            assert choice_in(content) == (CHOICES.index(named[0]) if named else None)
+
+    check(store.graph.nodes)
+    forget = split_items(items, "forget")
+    stored = forget + split_items(items, "retain")
+    for item in stored:
+        assert choice_in(store.content(prov.item_to_node[item.item_id])) == item.answer_idx
+
+    # Memory forgets, the model keeps its answers: the probes write back.
+    agent = AgentState(store=store, model=build_model(cfg, to_dataset(stored, cfg.feature_dim)),
+                       feature_dim=cfg.feature_dim, confidence_threshold=cfg.confidence_threshold)
+    store.forget(ForgetRequest.of("forget", [prov.item_to_node[it.item_id] for it in forget]))
+    written = [backflow_probe(agent, it.question, it.answer_text).written_node
+               for _ in range(2) for it in forget]
+    written = [node_id for node_id in written if node_id is not None]
+    assert written
+    check(written)

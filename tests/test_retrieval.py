@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,10 +23,10 @@ from memscrub.retrieval import (
     FLUSH_ROWS,
     HashingEmbedder,
     HybridIndex,
-    HybridQuery,
+    RetrievalSettings,
     tokenize,
 )
-from memscrub.store import MemoryStore, RetrievalSettings
+from memscrub.store import MemoryStore
 from memscrub.training import UnlearnConfig
 
 from conftest import live_ids
@@ -43,26 +44,36 @@ def keyword_score(query_tokens, doc_tokens) -> float:
     return len(qset & set(doc_tokens)) / len(qset)
 
 
-def oracle_search(docs, query, allowed, dim):
+def oracle_search(docs, text, allowed, dim, settings=RetrievalSettings()):
     """Scalar reference for ``HybridIndex.search`` over ``docs`` (live id -> text):
     one integer dot product over the norms and one set overlap per entry, then a
     ``(-combined, id)`` sort, filtered whole by ``allowed``."""
-    qcounts = reference_embed(query.text, dim)
-    qtokens = tokenize(query.text)
+    qcounts = reference_embed(text, dim)
+    qtokens = tokenize(text)
     scored = []
     for node_id, text in docs.items():
         counts = reference_embed(text, dim)
         dot = sum(q * c for q, c in zip(qcounts, counts))
         sem = dot / (reference_norm(counts) * reference_norm(qcounts))
         kw = keyword_score(qtokens, tokenize(text))
-        scored.append((node_id, sem, kw, (1.0 - query.w_kw) * sem + query.w_kw * kw))
+        scored.append((node_id, sem, kw, (1.0 - settings.w_kw) * sem + settings.w_kw * kw))
     scored.sort(key=lambda h: (-h[3], h[0]))
-    return [h for h in scored if allowed(h[0])][: query.top_k]
+    return [h for h in scored if allowed(h[0])][: settings.top_k]
+
+
+def full_ranking(index, text, allowed=allow_all):
+    """``index.search`` with ``top_k`` the index's size: every allowed live entry, ranked."""
+    settings = index.settings
+    index.settings = replace(settings, top_k=len(index))
+    try:
+        return index.search(text, allowed)
+    finally:
+        index.settings = settings
 
 
 @pytest.fixture()
 def index():
-    return HybridIndex(HashingEmbedder(64), tau=100)
+    return HybridIndex(HashingEmbedder(64), RetrievalSettings())
 
 
 class CountingEmbedder(HashingEmbedder):
@@ -99,7 +110,7 @@ class TestEmbedder:
 
     def test_self_cosine_is_one(self, index):
         index.insert(0, "some text here")
-        (hit,) = index.search(HybridQuery("some text here", top_k=1), allow_all)
+        (hit,) = index.search("some text here", allow_all)
         assert abs(hit.sem_score - 1.0) < 1e-9
 
     def test_all_zero_sum_takes_the_degenerate_signs(self):
@@ -144,20 +155,20 @@ class TestIndexMembership:
     def test_insert_remove_search(self, index):
         index.insert(1, "hello world")
         index.remove(1)
-        assert index.search(HybridQuery("hello world", top_k=5), allow_all) == []
+        assert index.search("hello world", allow_all) == []
 
     def test_remove_unknown_id(self, index):
         with pytest.raises(UnknownNodeError):
             index.remove(42)
 
     def test_empty_index_returns_empty(self, index):
-        assert index.search(HybridQuery("anything"), allow_all) == []
+        assert index.search("anything", allow_all) == []
 
     def test_removed_entry_keeps_only_its_id(self, index):
         for i in range(3):
             index.insert(i, f"doc {i}")
         assert index._blocks == [] and index._postings == {}  # an unsearched index holds neither
-        query = HybridQuery("doc 1", top_k=3)
+        query = "doc 1"
         index.search(query, allow_all)
         written = {"doc": [0, 1, 2], "0": [0], "1": [1], "2": [2]}
         assert len(index._blocks) == 1 and postings_of(index) == written
@@ -203,7 +214,7 @@ class TestIndexMembership:
         index.insert(2 * n, "doc lake")
         assert index._row_of[2 * n] == n and len(index._live) == n + BLOCK_ROWS
         assert index._blocks == []  # no search yet
-        index.search(HybridQuery("lake"), allow_all)
+        index.search("lake", allow_all)
         assert len(index._blocks) == 4
 
 
@@ -217,13 +228,13 @@ class TestPersistence:
         embedder = CountingEmbedder(64)
         embedded = embedder.embedded
         live = [(i, contents[i]) for i in live_ids(index)]
-        reloaded = HybridIndex.restore(embedder, tau=100, generation=3, live=live,
+        reloaded = HybridIndex.restore(embedder, RetrievalSettings(), generation=3, live=live,
                                        tombstones=index.tombstones())
         assert embedded == []  # load embeds nothing; the first search embeds the live entries
-        reloaded.search(HybridQuery("lake"), allow_all)
+        reloaded.search("lake", allow_all)
         assert sorted(embedded) == [contents[i] for i in (0, 2, 3, 5)] + ["lake"]
         del embedded[:]
-        reloaded.search(HybridQuery("lake"), allow_all)
+        reloaded.search("lake", allow_all)
         assert embedded == ["lake"]  # the query alone
         assert reloaded.tombstones() == [1, 4] and reloaded.generation == 3
         assert live_ids(reloaded) == live_ids(index)
@@ -233,12 +244,13 @@ class TestPersistence:
         """A restored index appends the same REBUILD and COMPACT records as the index it
         was restored from, and leaves the same entries at the same generation."""
         contents = {i: f"doc {i} river" for i in range(6)}
-        index = HybridIndex(HashingEmbedder(64), tau=1)
+        index = HybridIndex(HashingEmbedder(64), RetrievalSettings(tau=1))
         for i, text in contents.items():
             index.insert(i, text)
         for i in (1, 4):
             index.remove(i)
-        restored = HybridIndex.restore(HashingEmbedder(64), tau=1, generation=index.generation,
+        restored = HybridIndex.restore(HashingEmbedder(64), RetrievalSettings(tau=1),
+                                       generation=index.generation,
                                        live=[(i, contents[i]) for i in live_ids(index)],
                                        tombstones=index.tombstones())
         logs = []
@@ -250,7 +262,7 @@ class TestPersistence:
         assert logs[0] == logs[1]
         assert restored.tombstones() == [] and restored.generation == index.generation == 1
         assert live_ids(restored) == live_ids(index) == [0, 2, 3, 5]
-        query = HybridQuery("doc river")
+        query = "doc river"
         assert restored.search(query, allow_all) == index.search(query, allow_all)
 
 
@@ -259,10 +271,11 @@ class TestCopyAndPurge:
         for i in range(6):
             index.insert(i, f"doc {i} river")
         index.remove(2)
+        index.settings = RetrievalSettings(top_k=8)
         clone = copy.deepcopy(index)
         assert clone.to_lines() == index.to_lines()
         assert live_ids(clone) == live_ids(index)
-        query = HybridQuery("doc 9 river", top_k=8)
+        query = "doc 9 river"
         before = index.search(query, allow_all)
         assert clone.search(query, allow_all) == before
 
@@ -305,7 +318,7 @@ class TestCopyAndPurge:
         assert len(index) == 4
         assert index.to_lines() == []  # no tombstone left
         assert index.generation == generation + 1
-        hits = index.search(HybridQuery("doc river", top_k=8), allow_all)
+        hits = index.search("doc river", allow_all)
         assert sorted(h.node_id for h in hits) == [0, 4, 6, 7]
 
 
@@ -314,7 +327,7 @@ class TestSearch:
         # Construct sem=1/kw=0 vs sem=0/kw=1 by querying with matching text.
         index.insert(1, "alpha beta")
         index.insert(2, "gamma delta")
-        query = HybridQuery("alpha beta", top_k=2)
+        query = "alpha beta"
         hits = {h.node_id: h for h in index.search(query, allow_all)}
         a = hits[1]
         assert a.sem_score == pytest.approx(1.0)
@@ -327,7 +340,7 @@ class TestSearch:
     def test_combined_recomputable(self, index):
         for i in range(10):
             index.insert(i, f"document number {i} about things")
-        for hit in index.search(HybridQuery("document about things"), allow_all):
+        for hit in index.search("document about things", allow_all):
             assert abs(hit.combined - (0.7 * hit.sem_score + 0.3 * hit.kw_score)) < 1e-12
 
     def test_blocked_best_match_yields_second_best(self, index):
@@ -335,10 +348,11 @@ class TestSearch:
             index.insert(i, f"note {i} filler text")
         index.insert(10, "exact query match wording")
         index.insert(11, "query match wording almost exact too")
-        query = HybridQuery("exact query match wording", top_k=1)
+        query = "exact query match wording"
         # Linear-scan oracle over every document.
-        full = index.search(HybridQuery("exact query match wording", top_k=12), allow_all)
+        full = full_ranking(index, query)
         best, second = full[0].node_id, full[1].node_id
+        index.settings = RetrievalSettings(top_k=1)
         hits = index.search(query, lambda i: i != best)
         assert [h.node_id for h in hits] == [second]
 
@@ -346,8 +360,8 @@ class TestSearch:
         """``allowed`` sees the ranking in order, up to the ``top_k``-th row it accepts."""
         for i in range(40):
             index.insert(i, f"note {i} river" + " bank" * (i % 4))
-        query = HybridQuery("river bank", top_k=5)
-        full = index.search(HybridQuery("river bank", top_k=40), allow_all)
+        query = "river bank"
+        full = full_ranking(index, query)
         ranking = [h.node_id for h in full]
         blocked, seen = set(ranking[:12]), []
 
@@ -366,10 +380,10 @@ class TestSearch:
         for i in range(30):
             text = " ".join(rng.choice(words, size=4))
             index.insert(i, text)
-        query = HybridQuery("ache chill sore", top_k=5)
+        query = "ache chill sore"
         hits = index.search(query, allow_all)
         scored = sorted(
-            index.search(HybridQuery("ache chill sore", top_k=30), allow_all),
+            full_ranking(index, query),
             key=lambda h: (-h.combined, h.node_id),
         )
         assert [h.node_id for h in hits] == [h.node_id for h in scored[:5]]
@@ -377,7 +391,7 @@ class TestSearch:
     def test_one_matmul_over_a_query_stack_matches_search(self):
         """Within the exactness bound, one matmul of each block against a stack of query
         counts gives every query the ``sem`` bits ``search`` gives it alone."""
-        index = HybridIndex(HashingEmbedder(256), tau=100)
+        index = HybridIndex(HashingEmbedder(256), RetrievalSettings())
         rng = np.random.default_rng(3)
         words = ["fever", "cough", "alder", "remedy", "topic001", "bark", "tea", "rash"]
         for i in range(3 * BLOCK_ROWS + 5):
@@ -385,14 +399,14 @@ class TestSearch:
             index.insert(i, " ".join(tokens))
         queries = ["fever cough", "alder remedy tea", "topic001", "note7 bark rash fever",
                    "nothing in common", "cough " * 8]
-        index.search(HybridQuery(queries[0]), allow_all)  # writes the rows a search reads
+        index.search(queries[0], allow_all)  # writes the rows a search reads
         counts = [index.embedder.embed(text) for text in queries]
         stack = np.stack(counts).astype(np.float32)
         norms = np.array([reference_norm(c.tolist()) for c in counts])
         sem = np.concatenate([np.matmul(block, stack.T) for block in index._blocks])
         sem = sem / (index._norms[:, None] * norms)
         for j, text in enumerate(queries):
-            hits = index.search(HybridQuery(text, top_k=len(index)), allow_all)
+            hits = full_ranking(index, text)
             assert len(hits) == len(index)
             assert [h.sem_score.hex() for h in hits] == [
                 float(sem[index._row_of[h.node_id], j]).hex() for h in hits]
@@ -400,7 +414,7 @@ class TestSearch:
     def test_ties_broken_by_ascending_id(self, index):
         index.insert(4, "same words")
         index.insert(2, "same words")
-        hits = index.search(HybridQuery("same words", top_k=2), allow_all)
+        hits = index.search("same words", allow_all)
         assert [h.node_id for h in hits] == [2, 4]
 
 
@@ -408,11 +422,11 @@ class TestQueryValidation:
     @pytest.mark.parametrize("w_kw", [-0.3, 1.3, float("nan")])
     def test_keyword_weight_in_unit_interval(self, w_kw):
         with pytest.raises(ValueError, match="w_kw must lie in"):
-            HybridQuery("x", w_kw=w_kw)
+            RetrievalSettings(w_kw=w_kw)
 
     def test_top_k_positive(self):
         with pytest.raises(ValueError):
-            HybridQuery("x", top_k=0)
+            RetrievalSettings(top_k=0)
 
 
 class TestRebuild:
@@ -422,14 +436,14 @@ class TestRebuild:
         return blocklist, log
 
     def test_at_threshold_no_rebuild(self, index):
-        index.tau = 100
+        index.settings.tau = 100
         blocklist, log = self._blocked(100)
         result = index.maybe_rebuild(blocklist, log)
         assert not result.rebuilt
         assert index.generation == 0
 
     def test_above_threshold_rebuilds(self, index):
-        index.tau = 100
+        index.settings.tau = 100
         for i in range(150):
             index.insert(i, f"doc {i}")
         blocklist, log = self._blocked(101)
@@ -454,14 +468,14 @@ class TestRebuild:
 
         queries = [" ".join(rng.choice(words, size=2)) for _ in range(50)]
         before = [
-            [h.node_id for h in index.search(HybridQuery(q), lambda i: not blocklist.is_blocked(i))]
+            [h.node_id for h in index.search(q, lambda i: not blocklist.is_blocked(i))]
             for q in queries
         ]
         result = index.maybe_rebuild(blocklist, log)
         assert result.rebuilt
         assert len(index) == 1000 - 101
         after = [
-            [h.node_id for h in index.search(HybridQuery(q), lambda i: not blocklist.is_blocked(i))]
+            [h.node_id for h in index.search(q, lambda i: not blocklist.is_blocked(i))]
             for q in queries
         ]
         assert before == after
@@ -474,7 +488,7 @@ class TestRebuild:
             index.remove(i)
         blocklist, log = self._blocked(3)
         blocklist.block([8], log)
-        index.tau = 3
+        index.settings.tau = 3
         index.maybe_rebuild(blocklist, log)
         rebuild = AuditRecord.from_line(log.to_lines()[-2])
         # 10 entries: the 7 tombstones are purged and 3 stay live.
@@ -490,10 +504,10 @@ class TestRebuild:
     query=st.text(alphabet="abcd ", min_size=1, max_size=8),
 )
 def test_blocked_ids_never_returned(docs, blocked, query):
-    index = HybridIndex(HashingEmbedder(32), tau=100)
+    index = HybridIndex(HashingEmbedder(32), RetrievalSettings(top_k=3))
     for i, doc in enumerate(docs):
         index.insert(i, doc)
-    hits = index.search(HybridQuery(query, top_k=3), lambda i: i not in blocked)
+    hits = index.search(query, lambda i: i not in blocked)
     assert not {h.node_id for h in hits} & blocked
 
 
@@ -503,13 +517,13 @@ def test_store_blocked_behind_its_back_still_returns_top_k():
     store = MemoryStore()
     corpus.populate_store(store, corpus.generate_corpus(seed=0, n_topics=12))
     text = "what remedy eases a fever"
-    ranking = store.index.search(HybridQuery(text, top_k=len(store.index)), allow_all)
+    ranking = full_ranking(store.index, text)
     blocked = [h.node_id for h in ranking[:12]]
     store.blocklist.block(blocked, store.audit)
     hits = store.search(text)
     docs = {i: store.content(i) for i in store.graph.active_view()}
-    expected = oracle_search(docs, store.settings.query(text), lambda i: i not in blocked,
-                             store.settings.embed_dim)
+    expected = oracle_search(docs, text, lambda i: i not in blocked, store.settings.embed_dim,
+                             store.settings)
     assert len(hits) == store.settings.top_k == 5
     assert [(h.node_id, h.sem_score, h.kw_score, h.combined) for h in hits] == expected
     assert [h.node_id for h in hits] == [h.node_id for h in ranking[12:17]]
@@ -594,10 +608,10 @@ class TestEmbedMany:
         assert many.dtype == np.int64 and many.shape == (len(texts), dim)
         for text, row in zip(texts, many):
             assert row.tolist() == embedder.embed(text).tolist() == reference_embed(text, dim)
-        index = HybridIndex(embedder, tau=100)
+        index = HybridIndex(embedder, RetrievalSettings())
         for i, text in enumerate(texts):
             index.insert(i, text)
-        index.search(HybridQuery("fever"), allow_all)
+        index.search("fever", allow_all)
         assert index._pending == {}
         for i, text in enumerate(texts):
             row = index._row_of[i]
@@ -664,20 +678,20 @@ class TestDeferredEmbedding:
                 return super().embed_many(texts)
 
         docs = {i: f"doc {i} river" + " bank" * (i % 3) for i in range(3 * FLUSH_ROWS + 5)}
-        index = HybridIndex(FailsOnce(64), tau=100)
+        index = HybridIndex(FailsOnce(64), RetrievalSettings(top_k=8))
         for i, text in docs.items():
             index.insert(i, text)
-        query = HybridQuery("doc 7 river bank", top_k=8)
+        query = "doc 7 river bank"
         with pytest.raises(RuntimeError, match="embedding failed"):
             index.search(query, allow_all)
         assert len(index._pending) == len(docs) - FLUSH_ROWS
-        fresh = HybridIndex(HashingEmbedder(64), tau=100)
+        fresh = HybridIndex(HashingEmbedder(64), index.settings)
         for i, text in docs.items():
             fresh.insert(i, text)
         hits, bits = index.search(query, allow_all), TestScalarOracle._bits
         assert bits(hits) == bits(fresh.search(query, allow_all))
         assert [(h.node_id, h.sem_score, h.kw_score, h.combined) for h in hits] == \
-            oracle_search(docs, query, allow_all, 64)
+            oracle_search(docs, query, allow_all, 64, index.settings)
 
     def test_flush_heap_peak_stays_small(self):
         """Rows are embedded a chunk at a time, with no list of all pending rows."""
@@ -724,7 +738,7 @@ class TestScalarOracle:
 
     def _check(self, prefill, seed, ops):
         dim = 32
-        index = HybridIndex(HashingEmbedder(dim), tau=100)
+        index = HybridIndex(HashingEmbedder(dim), RetrievalSettings())
         docs = {}
         choices = np.random.default_rng(seed).integers(len(_POOL), size=prefill).tolist()
         for node_id, choice in enumerate(choices):
@@ -733,8 +747,9 @@ class TestScalarOracle:
         left = []  # each side a copy left behind, with its results at that moment
         for op in ops:
             if op[0] == "insert":
-                index.insert(op[1], _POOL[op[2]])  # re-inserts a live id too
-                docs[op[1]] = _POOL[op[2]]
+                if op[1] not in docs:  # an index never re-inserts a live id
+                    index.insert(op[1], _POOL[op[2]])
+                    docs[op[1]] = _POOL[op[2]]
             elif op[0] == "remove":
                 if op[1] in docs:
                     index.remove(op[1])
@@ -748,7 +763,7 @@ class TestScalarOracle:
                     del docs[node_id]
                 index.purge()
             elif op[0] == "search":
-                query = HybridQuery(_QUERIES[op[1]], top_k=5)
+                query = _QUERIES[op[1]]
                 hits = index.search(query, allow_all)
                 assert [(h.node_id, h.sem_score, h.kw_score, h.combined) for h in hits] == \
                     oracle_search(docs, query, allow_all, dim)
@@ -759,22 +774,21 @@ class TestScalarOracle:
                 left.append((kept, self._results(kept)))
                 docs = dict(docs)
         assert live_ids(index) == sorted(docs)
-        fresh = HybridIndex(HashingEmbedder(dim), tau=100)  # the survivors, rows in id order
+        fresh = HybridIndex(HashingEmbedder(dim), RetrievalSettings())  # the survivors, rows in id order
         for node_id in sorted(docs):
             fresh.insert(node_id, docs[node_id])
 
         for text in _QUERIES:
             for allowed in (allow_all, lambda i: i % 3 != 0):
-                query = HybridQuery(text, top_k=5)
-                hits = index.search(query, allowed)
-                assert self._bits(hits) == self._bits(fresh.search(query, allowed))
-                expected = oracle_search(docs, query, allowed, dim)
+                hits = index.search(text, allowed)
+                assert self._bits(hits) == self._bits(fresh.search(text, allowed))
+                expected = oracle_search(docs, text, allowed, dim)
                 assert [h.node_id for h in hits] == [e[0] for e in expected]
                 for hit, (_, sem, kw, combined) in zip(hits, expected):
                     assert (hit.sem_score, hit.kw_score, hit.combined) == (sem, kw, combined)
 
             if docs:
-                ranked = index.search(HybridQuery(text, top_k=len(docs)), allow_all)
+                ranked = full_ranking(index, text)
                 by_text = {}
                 for hit in ranked:
                     by_text.setdefault(docs[hit.node_id], []).append(hit)
@@ -793,4 +807,4 @@ class TestScalarOracle:
 
     @staticmethod
     def _results(index):
-        return [index.search(HybridQuery(text, top_k=5), allow_all) for text in _QUERIES]
+        return [index.search(text, allow_all) for text in _QUERIES]
