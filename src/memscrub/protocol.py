@@ -17,7 +17,7 @@ import numpy as np
 
 from .audit import AuditOp
 from .corpus import ANSWER_MARKER, CHOICES, choice_in, featurize, question_of
-from .graph import ForgetRequest, Layer
+from .graph import ForgetRequest, Layer, Status
 from .retrieval import tokenize
 from .store import MemoryPhaseReport, MemoryStore
 from .training import (
@@ -59,9 +59,8 @@ class AgentState:
             hits = self.store.search(question)
         hit_ids = [h.node_id for h in hits]
         for node_id in hit_ids:
-            content = self.store.content(node_id)
-            idx = choice_in(content)
-            if idx is not None and _mentions_question(content, question):
+            idx = _recalled(self.store.content(node_id), question)
+            if idx is not None:
                 return AgentAnswer(answer_idx=idx, source="memory", hit_ids=hit_ids)
         p = self.parametric_distribution(question)
         return AgentAnswer(answer_idx=int(np.argmax(p)), source="parametric", hit_ids=hit_ids)
@@ -86,20 +85,19 @@ def run_protocol(agent: AgentState, request: ForgetRequest, retain: Dataset,
                  cfg: UnlearnConfig) -> ProtocolReport:
     """Memory phase first, then mixed-batch parameter unlearning.
 
-    Forget queries for the parameter phase are captured from the targeted
-    episodic records before deletion into an ephemeral buffer, featurized,
-    and wiped; their plaintext is never logged.
+    The parameter phase's forget rows are featurized from the request's
+    Active episodic records, read through ``forget_target`` as the memory
+    phase reads them, before it deletes their text; no plaintext is logged.
     """
     store = agent.store
-    memory_report = store.forget(request)
-
-    n = len(memory_report.captured)
-    forget = Dataset(x=np.zeros((n, agent.feature_dim)), y=np.zeros(n, dtype=int))
-    for i, (_, content) in enumerate(memory_report.captured):
-        forget.x[i] = featurize(question_of(content), agent.feature_dim)
-        idx = choice_in(content)
+    active = [node for node in map(store.graph.forget_target, sorted(request.targets))
+              if node.status is Status.ACTIVE]
+    forget = Dataset(x=np.zeros((len(active), agent.feature_dim)), y=np.zeros(len(active), dtype=int))
+    for i, node in enumerate(active):
+        forget.x[i] = featurize(question_of(node.content), agent.feature_dim)
+        idx = choice_in(node.content)
         forget.y[i] = idx if idx is not None else -1
-    memory_report.captured = []  # ephemeral buffer wiped before training
+    memory_report = store.forget(request)
 
     history = train_unlearn(retain, forget, agent.model, cfg)
     store.audit.append(AuditOp.TRAIN, {
@@ -136,7 +134,8 @@ def backflow_probe(agent: AgentState, question: str, answer_text: str) -> ProbeR
     that is a memory-channel exposure. Otherwise, a confidently-recalling
     model simulates parametric residue: the regenerated answer is written
     back through the normal write path (a paraphrase, so its digest is
-    fresh), and the follow-up retrieval shows the Parameter->Memory loop.
+    fresh). A write changes no other entry's score or verdict, so a follow-up
+    hit that exposes the fact is the write-back: the Parameter->Memory loop.
     """
     exposing = _exposing_hits(agent, question, answer_text)
     if exposing:
@@ -151,25 +150,22 @@ def backflow_probe(agent: AgentState, question: str, answer_text: str) -> ProbeR
     )
 
     exposing = _exposing_hits(agent, question, answer_text)
-    channel = (Channel.NONE if not exposing
-               else Channel.PARAMETER if written_node in exposing else Channel.MEMORY)
-    return ProbeResult(reexposed=bool(exposing), channel=channel, regenerated=True,
-                       written_node=written_node)
+    return ProbeResult(reexposed=bool(exposing),
+                       channel=Channel.PARAMETER if exposing else Channel.NONE,
+                       regenerated=True, written_node=written_node)
 
 
 def _exposing_hits(agent: AgentState, question: str, answer_text: str) -> set:
     answer_idx = CHOICES.index(answer_text)
-    exposing = set()
-    for hit in agent.store.search(question):
-        content = agent.store.content(hit.node_id)
-        if choice_in(content) == answer_idx and _mentions_question(content, question):
-            exposing.add(hit.node_id)
-    return exposing
+    return {hit.node_id for hit in agent.store.search(question)
+            if _recalled(agent.store.content(hit.node_id), question) == answer_idx}
 
 
-def _mentions_question(content: str, question: str) -> bool:
+def _recalled(content: str, question: str) -> Optional[int]:
+    """``choice_in(content)`` if ``content`` holds a strict majority of the question's tokens,
+    else None: stock phrasing every question shares does not tie a record to this one."""
+    idx = choice_in(content)
+    if idx is None:
+        return None
     qtokens = set(tokenize(question))
-    ctokens = set(tokenize(content))
-    # Strict majority: stock phrasing shared by every question is not
-    # enough to tie a hit to this particular question.
-    return 2 * len(qtokens & ctokens) > len(qtokens)
+    return idx if 2 * len(qtokens & set(tokenize(content))) > len(qtokens) else None

@@ -24,7 +24,7 @@ import copy
 import fcntl
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -171,12 +171,9 @@ class MemoryPhaseReport:
     rebuilt: bool
     index_generation: int
     audit_head: str
-    captured: list = field(default_factory=list)  # (node_id, content) of live targets, ephemeral
 
     def to_record(self) -> dict:
-        record = {**record_of(self), "prune": self.prune.counts()}
-        del record["captured"]  # ephemeral
-        return record
+        return {**record_of(self), "prune": self.prune.counts()}
 
 
 class MemoryStore:
@@ -225,13 +222,12 @@ class MemoryStore:
         nothing and leaves graph, index and generation unchanged.
         """
         targets = sorted(request.targets)
-        captured = []
+        digests = {}
         for t in targets:
             node = self.graph.forget_target(t)  # rejects the request before its BLOCK record
             if node.status is Status.ACTIVE:
-                captured.append((t, node.content))
+                digests[t] = content_digest(node.content)
 
-        digests = {t: content_digest(content) for t, content in captured}
         self.blocklist.block(digests.keys(), self.audit, digests=digests.values())
         closure = self.graph.dependency_closure(targets)
         report = self.graph.prune(request, closure, self.blocklist.is_blocked, digests,
@@ -257,7 +253,6 @@ class MemoryStore:
             rebuilt=rebuild.rebuilt,
             index_generation=self.index.generation,
             audit_head=self.audit.head_hash(),
-            captured=captured,
         )
 
     # ------------------------------------------------------------------

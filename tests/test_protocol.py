@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from memscrub.audit import AuditLog, AuditOp, AuditRecord, payload_digest, verify_lines
+from memscrub.audit import (AuditLog, AuditOp, AuditRecord, payload_digest, record_of,
+                            verify_lines)
 from memscrub.config import RunConfig, build_model
 from memscrub.corpus import (CHOICES, choice_in, generate_corpus, populate_store, split_items,
                              to_dataset)
@@ -18,6 +21,20 @@ FAST_CFG = UnlearnConfig(lambda_f=1.5, temperature=2.0, lr=0.5, epochs=30, seed=
 
 def forget_targets(prov, items):
     return sorted(prov.item_to_node[it.item_id] for it in split_items(items, "forget"))
+
+
+def strings_in(value) -> list:
+    """Every string at any depth of ``value``: a dataclass is read through
+    ``record_of``, a dict by its keys and values, a list or tuple by its items."""
+    if dataclasses.is_dataclass(value):
+        value = record_of(value)
+    if isinstance(value, str):
+        return [value]
+    if isinstance(value, dict):
+        return [s for pair in value.items() for part in pair for s in strings_in(part)]
+    if isinstance(value, (list, tuple, set, frozenset)):
+        return [s for part in value for s in strings_in(part)]
+    return []
 
 
 class TestAgentAnswers:
@@ -182,12 +199,23 @@ class TestProtocolOrdering:
         assert last.op is AuditOp.DELETE
         assert last.payload_digest == payload_digest({"request_id": "req-f", "ids": [m1, s1, r1]})
 
-    def test_ephemeral_buffer_wiped(self, fresh_agent):
+    @pytest.mark.parametrize("phase", ["forget", "run_protocol"])
+    def test_report_holds_no_forgotten_text(self, fresh_agent, phase):
         agent, items, prov = fresh_agent
-        retain = to_dataset(split_items(items, "retain"), agent.feature_dim)
-        report = run_protocol(agent, ForgetRequest.of("req-1", forget_targets(prov, items)),
-                              retain, FAST_CFG)
-        assert report.memory.captured == []
+        forget = split_items(items, "forget")
+        topic = [it for it in forget if it.topic == forget[0].topic]
+        request = ForgetRequest.of("req-1", [prov.item_to_node[it.item_id] for it in topic])
+        if phase == "forget":
+            report = agent.store.forget(request)
+            prune = report.prune
+        else:
+            retain = to_dataset(split_items(items, "retain"), agent.feature_dim)
+            report = run_protocol(agent, request, retain, FAST_CFG)
+            prune = report.memory.prune
+        assert prune.targets_deleted == len(topic) == 6
+        strings = strings_in(report) + [repr(prune)]
+        for item in topic:
+            assert not [s for s in strings if item.question in s]
 
     def test_no_plaintext_in_audit(self, fresh_agent):
         agent, items, prov = fresh_agent
@@ -300,3 +328,34 @@ def test_every_written_record_names_at_most_one_choice(seed, n_topics):
     written = [node_id for node_id in written if node_id is not None]
     assert written
     check(written)
+
+
+@pytest.mark.parametrize("seed, n_topics", [(0, 12), (1, 48)])
+def test_a_probe_write_back_is_the_only_hit_that_can_expose(seed, n_topics):
+    """In the memory-only arm of ``test_backflow.py``, a probe writes back only when
+    no hit exposes the fact. The write changes no other entry's score or verdict, so
+    the hits after it are the hits before it with the write-back ranked in, and only
+    the write-back can expose the fact: the probe's parameter channel."""
+    cfg = RunConfig(seed=seed, n_topics=n_topics)
+    items = generate_corpus(seed=seed, n_topics=n_topics)
+    store = MemoryStore(settings=cfg)
+    prov = populate_store(store, items)
+    forget = split_items(items, "forget")
+    trained = to_dataset(forget + split_items(items, "retain"), cfg.feature_dim)
+    agent = AgentState(store=store, model=build_model(cfg, trained), feature_dim=cfg.feature_dim,
+                       confidence_threshold=cfg.confidence_threshold)
+    store.forget(ForgetRequest.of("backflow", [prov.item_to_node[it.item_id] for it in forget]))
+
+    exposed = 0
+    for _ in range(2):
+        for item in forget:
+            before = [h.node_id for h in store.search(item.question)]
+            written = backflow_probe(agent, item.question, item.answer_text).written_node
+            if written is None:
+                continue
+            after = [h.node_id for h in store.search(item.question)]
+            assert [i for i in after if i != written] == before[:len(after) - (written in after)]
+            exposing = _exposing_hits(agent, item.question, item.answer_text)
+            assert exposing <= {written}
+            exposed += bool(exposing)
+    assert exposed
