@@ -5,8 +5,9 @@ run-loop. Output is line-delimited JSON; an error, OS errors included, is one
 ``error:`` line and exit 1, and a detected tamper exits 1 too. A command takes
 a config-key flag only if it can change what the command prints or writes, so
 another is a usage error (exit 2); a ``--config`` file may still set any key.
-The store's own files, every header and the lock belong to ``memscrub.store``;
-this module names ``corpus.jsonl``, ``provenance.jsonl`` and ``metrics/``.
+``memscrub.store`` names every file of a store directory and reads and writes
+each one; this module names none. The commands that write a store (``store``,
+``unlearn``, ``probe``, ``eval``) hold its lock.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 from . import corpus as corpus_mod
 from .audit import canonical_json, json_record, record_of, verify_lines
 from .config import RunConfig, build_model, load_config, save_config_snapshot
-from .corpus import Provenance, split_items, to_dataset
+from .corpus import split_items, to_dataset
 from .evaluation import (
     memory_accuracy,
     memory_baselines,
@@ -32,15 +33,16 @@ from .evaluation import (
 from .graph import ForgetRequest
 from .protocol import AgentState, backflow_probe, run_protocol
 from .store import (
-    FILE_HEADERS,
-    PROVENANCE_HEADER,
     MemoryStore,
-    existing_store_dir,
+    audit_file,
+    load_corpus,
     load_model,
     parse_lines,
+    save_corpus,
     save_model,
     store_lock,
     write_lines,
+    write_metrics,
 )
 from .training import ModelState, model_accuracy, train_unlearn
 
@@ -66,22 +68,9 @@ def _resolve_config(args) -> RunConfig:
 
 def _load_store_context(store_dir: Path, cfg: RunConfig):
     store = MemoryStore.load(store_dir, settings=cfg)
-    model = load_model(store_dir, cfg.feature_dim)
-    items = parse_lines(corpus_mod.corpus_from_lines, (store_dir / "corpus.jsonl", None))
-    prov = parse_lines(lambda lines: Provenance.from_lines(lines).checked(store.graph, items),
-                       (store_dir / "provenance.jsonl", PROVENANCE_HEADER))
-    agent = AgentState(store=store, model=model, feature_dim=cfg.feature_dim,
-                       confidence_threshold=cfg.confidence_threshold)
-    return agent, items, prov
-
-
-def _write_metrics(store_dir: Path, name: str, records) -> list:
-    """Write ``records`` as ``metrics/<name>`` in the store; returns the JSON lines."""
-    lines = [canonical_json(r) for r in records]
-    metrics_dir = store_dir / "metrics"
-    metrics_dir.mkdir(exist_ok=True)
-    write_lines(metrics_dir / name, None, lines)
-    return lines
+    agent = AgentState(store=store, model=load_model(store_dir, cfg.feature_dim),
+                       feature_dim=cfg.feature_dim, confidence_threshold=cfg.confidence_threshold)
+    return (agent, *load_corpus(store_dir, store.graph))  # items, provenance
 
 
 def _generate_corpus(cfg: RunConfig) -> list:
@@ -122,8 +111,7 @@ def cmd_store(args) -> int:
         prov = corpus_mod.populate_store(store, items)
         store.save(store_dir)
         save_model(store_dir, model)
-        write_lines(store_dir / "corpus.jsonl", None, corpus_mod.corpus_lines(items))
-        write_lines(store_dir / "provenance.jsonl", PROVENANCE_HEADER, prov.to_lines())
+        save_corpus(store_dir, items, prov)
         save_config_snapshot(store_dir, cfg)
     _emit({
         "command": "store",
@@ -173,26 +161,24 @@ def cmd_unlearn(args) -> int:
         report = run_protocol(agent, request, retain, cfg)
         agent.store.save(store_dir)
         save_model(store_dir, agent.model)
-        _write_metrics(store_dir, f"unlearn_{request.request_id}.jsonl", report.training)
+        write_metrics(store_dir, f"unlearn_{request.request_id}", report.training)
     _emit({"command": "unlearn", **report.to_record()})
     return 0
 
 
 def cmd_probe(args) -> int:
     cfg = _resolve_config(args)
-    agent, items, prov = _load_store_context(Path(args.store), cfg)
-    item_id = prov.node_to_item.get(args.id)
-    item = next((it for it in items if it.item_id == item_id), None)
-    if item is None:
-        raise ValueError(f"node {args.id} does not map to a corpus item")
-    result = backflow_probe(agent, item.question, item.answer_text)
-    _emit({
-        "command": "probe",
-        "id": args.id,
-        "reexposed": result.reexposed,
-        "channel": result.channel.value,
-        "regenerated": result.regenerated,
-    })
+    store_dir = Path(args.store)
+    with store_lock(store_dir):
+        agent, items, prov = _load_store_context(store_dir, cfg)
+        item_id = prov.node_to_item.get(args.id)
+        item = next((it for it in items if it.item_id == item_id), None)
+        if item is None:
+            raise ValueError(f"node {args.id} does not map to a corpus item")
+        result = backflow_probe(agent, item.question, item.answer_text)
+        if result.written_node is not None:  # the write-back lands, for a later command to find
+            agent.store.save(store_dir)
+    _emit({"command": "probe", "id": args.id, **record_of(result)})
     return 0
 
 
@@ -221,9 +207,9 @@ def cmd_audit_verify(args) -> int:
         lines = _CountedLines(lines)
         return verify_lines(lines), len(lines)
 
-    path = existing_store_dir(args.store) / "audit.jsonl"
+    audit = audit_file(args.store)  # a missing store is an error, not a bad header
     try:
-        result, records = parse_lines(verify, (path, FILE_HEADERS["audit.jsonl"]))
+        result, records = parse_lines(verify, audit)
     except ValueError:  # a wrong header, or a byte anywhere that is not UTF-8
         _emit({"command": "audit-verify", "ok": False, "first_bad_index": 0,
                "reason": "bad header"})
@@ -263,7 +249,7 @@ def cmd_eval(args) -> int:
         baselines = [record_of(report) for report in memory_baselines(agent, items)]
         mem = memory_accuracy(agent, split_items(items, "forget"), split_items(items, "retain"))
         rows += [{"method": "memory_grounded", **mem}, *baselines]
-        lines = _write_metrics(store_dir, "eval.jsonl", rows)
+        lines = write_metrics(store_dir, "eval", rows)
     for line in lines:
         sys.stdout.write(line + "\n")
     return 0

@@ -3,8 +3,8 @@
 The config keys are the fields of ``RetrievalSettings`` (memory pathway)
 and ``UnlearnConfig`` (parameter pathway), declared once there, plus the
 model, corpus and agent keys declared here. Every command layers its
-config: the defaults, then the named store's ``config.cfg`` snapshot if
-it exists, then the ``--config`` file, then command-line flags. The file
+config: the defaults, then the named store's config snapshot if it
+exists, then the ``--config`` file, then command-line flags. The file
 may set any subset of the keys; with a snapshot, the two together must
 set every key, so a cut snapshot cannot load a default. Only ``store``
 writes the snapshot: on a store, ``feature_dim`` must match the stored
@@ -25,13 +25,13 @@ from typing import Optional
 
 from .audit import record_of
 from .corpus import CHOICES, forget_topic_count
-from .store import CONFIG_HEADER, RetrievalSettings, write_lines
+from .store import CONFIG_HEADER, RetrievalSettings, config_snapshot, write_lines
 from .training import Dataset, ModelState, TrainingError, UnlearnConfig, pretrain
 
 
 @dataclass
 class RunConfig(UnlearnConfig, RetrievalSettings):
-    # Fields: RetrievalSettings', UnlearnConfig's, then model / corpus / agent (config.cfg order)
+    # Fields: RetrievalSettings', UnlearnConfig's, then model / corpus / agent (snapshot order)
     feature_dim: int = 256
     hidden_dim: int = 64
     pretrain_epochs: int = 120
@@ -91,7 +91,7 @@ def build_model(cfg: RunConfig, trained: Dataset) -> ModelState:
     return model
 
 
-_KEYS = tuple(f.name for f in fields(RunConfig))  # in config.cfg order
+_KEYS = tuple(f.name for f in fields(RunConfig))  # in snapshot order
 _BOOLEANS = dict.fromkeys(("true", "1", "yes", "on"), True) | dict.fromkeys(("false", "0", "no", "off"), False)
 _EXPECTED = {bool: "a boolean", int: "an integer", float: "a number"}
 
@@ -131,7 +131,7 @@ def _read_config(path) -> dict:
 def load_config(path=None, overrides: Optional[dict] = None, store_dir=None) -> RunConfig:
     """Build a RunConfig from the defaults, then ``store_dir``'s snapshot if it has one,
     then the file at ``path``, then flag ``overrides``."""
-    snapshot = None if store_dir is None else Path(store_dir) / "config.cfg"
+    snapshot = None if store_dir is None else config_snapshot(store_dir)
     has_snapshot = snapshot is not None and snapshot.exists()
     values = _read_config(snapshot) if has_snapshot else {}
     if path is not None:
@@ -143,7 +143,7 @@ def load_config(path=None, overrides: Optional[dict] = None, store_dir=None) -> 
 
 
 def save_config_snapshot(store_dir, cfg: RunConfig) -> None:
-    """Write every key of ``cfg`` to ``store_dir/config.cfg`` in load_config's format."""
+    """Write every key of ``cfg`` to ``store_dir``'s snapshot in load_config's format."""
     lines = [f"{key} = {'none' if value is None else value}"
              for key, value in record_of(cfg).items()]
-    write_lines(Path(store_dir) / "config.cfg", CONFIG_HEADER, lines)
+    write_lines(config_snapshot(store_dir), CONFIG_HEADER, lines)

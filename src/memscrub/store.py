@@ -4,8 +4,9 @@ The store owns the retrieval boundary (blocklist and status filtering)
 and the memory half of the unlearning protocol: block, closure prune,
 vector removal, threshold-triggered rebuild, archive record.
 
-This module also owns the store-directory layout: the line-delimited
-files and their version headers, the model file and the lock. Reload
+This module also owns the store directory: it names every file there,
+reads and writes each (the config snapshot for ``memscrub.config``) and
+holds the lock; a file is replaced whole, through a temp sibling. Reload
 reproduces statuses, reference counts (derived from each node's parents,
 not stored) and search behavior exactly: the nodes file alone says which
 nodes exist, what each derives from, which are live, which content
@@ -24,12 +25,13 @@ import copy
 import fcntl
 import itertools
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .audit import AuditLog, AuditOp, Blocklist, content_digest, record_of
-from .corpus import CHOICES
+from .audit import AuditLog, AuditOp, Blocklist, canonical_json, content_digest, record_of
+from .corpus import CHOICES, Provenance, corpus_from_lines, corpus_lines
 from .graph import (
     ForgetRequest,
     Layer,
@@ -51,6 +53,24 @@ PROVENANCE_HEADER = "memscrub-provenance v1"
 CONFIG_HEADER = "# memscrub config v1"
 
 
+@contextlib.contextmanager
+def _replacing(path):
+    """A text file, the temp sibling ``.<name>.tmp``, that replaces ``path`` when the block ends;
+    on any error it is deleted and ``path`` kept, and an OS error on it names ``path`` instead."""
+    path = Path(path)
+    temp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(temp, "w", encoding="utf-8") as f:
+            yield f
+        os.replace(temp, path)
+    except OSError as exc:
+        if exc.filename == str(temp):
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
+        raise
+    finally:
+        temp.unlink(missing_ok=True)
+
+
 def write_lines(path: Path, header, lines) -> None:
     """Write ``lines`` newline-terminated, after ``header`` unless it is None.
 
@@ -58,7 +78,7 @@ def write_lines(path: Path, header, lines) -> None:
     the file is one bare newline.
     """
     body = itertools.chain([header] if header else [], lines)
-    with open(path, "w", encoding="utf-8") as f:
+    with _replacing(path) as f:
         f.write(next(body, "") + "\n")
         f.writelines(line + "\n" for line in body)
 
@@ -109,7 +129,7 @@ def save_model(store_dir: Path, model: ModelState) -> None:
     The record goes to the open file one parameter row at a time, so no
     string holds a whole matrix.
     """
-    with open(Path(store_dir) / "model.jsonl", "w", encoding="utf-8") as f:
+    with _replacing(Path(store_dir) / "model.jsonl") as f:
         f.write(MODEL_HEADER + "\n")
         f.writelines(model.record_pieces())
         f.write("\n")
@@ -139,6 +159,37 @@ def existing_store_dir(store_dir) -> Path:
     if not Path(store_dir).is_dir():
         raise ValueError(f"{store_dir}: no such store directory")
     return Path(store_dir)
+
+
+def save_corpus(store_dir: Path, items, prov: Provenance) -> None:
+    """Write the store's copy of the corpus ``items`` and their ``prov``enance."""
+    write_lines(store_dir / "corpus.jsonl", None, corpus_lines(items))
+    write_lines(store_dir / "provenance.jsonl", PROVENANCE_HEADER, prov.to_lines())
+
+
+def load_corpus(store_dir: Path, graph: MemoryGraph):
+    """The store's corpus items and their provenance, checked against ``graph``."""
+    items = parse_lines(corpus_from_lines, (store_dir / "corpus.jsonl", None))
+    return items, parse_lines(lambda lines: Provenance.from_lines(lines).checked(graph, items),
+                              (store_dir / "provenance.jsonl", PROVENANCE_HEADER))
+
+
+def write_metrics(store_dir: Path, name: str, records) -> list:
+    """Write ``records`` as the store's ``metrics/<name>.jsonl``; returns the JSON lines."""
+    lines = [canonical_json(r) for r in records]
+    (store_dir / "metrics").mkdir(exist_ok=True)
+    write_lines(store_dir / "metrics" / f"{name}.jsonl", None, lines)
+    return lines
+
+
+def audit_file(store_dir):
+    """The ``(path, header)`` of the audit log of the existing store ``store_dir``."""
+    return existing_store_dir(store_dir) / "audit.jsonl", FILE_HEADERS["audit.jsonl"]
+
+
+def config_snapshot(store_dir) -> Path:
+    """The path of the store's config snapshot, which ``memscrub.config`` reads and writes."""
+    return Path(store_dir) / "config.cfg"
 
 
 @contextlib.contextmanager

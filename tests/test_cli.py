@@ -21,6 +21,7 @@ from memscrub import cli
 from memscrub.audit import AuditLog, AuditOp, canonical_json
 from memscrub.cli import main
 from memscrub.config import RunConfig, load_config
+from memscrub.corpus import CHOICES
 from memscrub.graph import Layer
 from memscrub.store import FILE_HEADERS, MODEL_HEADER, MemoryStore, load_model, write_lines
 
@@ -1026,6 +1027,65 @@ class TestUnlearnPipeline:
         assert code == 0
         assert len(capsys.readouterr().out.splitlines()) == 5
         assert peak <= 2_100_000
+
+
+class TestProbe:
+    """``probe`` holds the store lock as ``unlearn`` does, and its write-back lands."""
+
+    @pytest.fixture
+    def forgotten(self, pipeline, tmp_path):
+        """The seed-0 store after its first forget topic (episodic ids 0-5) went through the
+        memory phase alone (``--epochs 0``), so the model still recalls its answers."""
+        _, source = pipeline
+        store = tmp_path / "store"
+        shutil.copytree(source, store)
+        request = tmp_path / "request.json"
+        request.write_text(json.dumps({"request_id": "topic0", "targets": list(range(6))}))
+        assert main(["unlearn", "--store", str(store), "--request", str(request),
+                     "--epochs", "0"]) == 0
+        return store
+
+    def test_write_back_is_found_by_a_later_command(self, forgotten, capsys):
+        items, prov = load_context(forgotten)
+        item = next(it for it in items if prov.get(it["item_id"]) == 0)
+        capsys.readouterr()
+        _, (before,) = run_cli(capsys, "audit-verify", "--store", str(forgotten))
+        code, (probe,) = run_cli(capsys, "probe", "--store", str(forgotten), "--id", "0")
+        assert code == 0 and probe["regenerated"] is True
+        written = probe["written_node"]
+        assert isinstance(written, int)
+        # The write-back names the forgotten answer, which is why the probe reports it.
+        _, hits = run_cli(capsys, "query", "--store", str(forgotten), "--text", item["question"])
+        assert [h["content"] for h in hits if h["id"] == written] == [
+            f"recalled during interaction {item['question']} answer {CHOICES[item['answer_idx']]}"]
+        _, (after,) = run_cli(capsys, "audit-verify", "--store", str(forgotten))
+        assert after["ok"] is True and after["records"] == before["records"] + 1
+        # A second probe finds the first one's write-back in memory and writes nothing.
+        _, (again,) = run_cli(capsys, "probe", "--store", str(forgotten), "--id", "0")
+        assert (again["channel"], again["regenerated"], again["written_node"]) == (
+            "memory", False, None)
+
+    def test_probe_that_writes_nothing_changes_no_file(self, forgotten, capsys):
+        """A retain item is still in memory: a memory-channel exposure, nothing written."""
+        _, prov = load_context(forgotten)
+        before = files_under(forgotten)
+        code, (probe,) = run_cli(capsys, "probe", "--store", str(forgotten),
+                                 "--id", str(prov["topic001-i00"]))
+        assert code == 0
+        assert (probe["channel"], probe["written_node"]) == ("memory", None)
+        assert files_under(forgotten) == before
+
+    @pytest.mark.parametrize("command", ["probe", "unlearn"])
+    def test_locked_store_refuses_probe_as_unlearn(self, forgotten, tmp_path, command):
+        request = tmp_path / "request2.json"
+        request.write_text(json.dumps({"request_id": "r2", "targets": [12]}))
+        argv = {"probe": ["--id", "0"], "unlearn": ["--request", str(request)]}[command]
+        before = files_under(forgotten)
+        with open(forgotten / "lock", "a") as f:
+            fcntl.flock(f, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            with pytest.raises(SystemExit, match="is locked by another process"):
+                main([command, "--store", str(forgotten), *argv])
+        assert files_under(forgotten) == before
 
 
 class TestRunLoop:

@@ -1,7 +1,8 @@
 """Source checks: every name a module-level import binds is used, no module
 holds an ``assert`` statement, no public code is without a caller, no
-module reads another's private names, every config key is read, and only
-the config module names a store's config snapshot.
+module reads another's private names, every config key is read, only the
+store module names a store file, and only the config module besides it uses
+the config snapshot.
 
 No linter is a dependency, so this stands in for the rules a deletion
 most often breaks: an import left behind by the code that used it, a
@@ -163,9 +164,37 @@ def test_every_config_key_is_read():
     assert not unread, f"config keys no code reads: {unread}"
 
 
-def test_only_the_config_module_names_the_snapshot():
-    """Every command builds its config in ``memscrub.config``, which alone reads and
-    writes a store's ``config.cfg``."""
-    naming = sorted(path.name for path in SRC.glob("*.py")
-                    if "config.cfg" in path.read_text(encoding="utf-8"))
-    assert naming == ["config.py"]
+STORE_FILES = ("nodes.jsonl", "audit.jsonl", "model.jsonl", "corpus.jsonl", "provenance.jsonl",
+               "config.cfg")
+STORE_DIR_ENTRIES = ("metrics", "lock")  # also parts of ordinary words, so only literals count
+
+
+def spelled_store_files(path) -> list:
+    """The store files ``path`` spells: a file name anywhere in its text, comments and
+    docstrings included, or a string literal with a ``metrics`` or ``lock`` path part."""
+    text = path.read_text(encoding="utf-8")
+    spelled = {name for name in STORE_FILES if name in text}
+    for node in ast.walk(ast.parse(text, filename=str(path))):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            spelled |= set(STORE_DIR_ENTRIES) & set(re.split(r"[/\\]", node.value))
+    return sorted(spelled)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_store_module_names_a_store_file(path):
+    """``memscrub.store`` names every file of a store directory and reads and writes each;
+    another module that needs one calls it."""
+    expected = sorted(STORE_FILES + STORE_DIR_ENTRIES) if path.name == "store.py" else []
+    assert spelled_store_files(path) == expected
+
+
+def test_only_the_config_module_uses_the_snapshot():
+    """Every command builds its config in ``memscrub.config``, the one module besides
+    ``memscrub.store`` that reads the snapshot's path or header, by name or attribute."""
+    def uses(path):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        read = {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+                if isinstance(node, (ast.Name, ast.Attribute))}
+        return bool({"config_snapshot", "CONFIG_HEADER"} & (read | imported_names(tree).keys()))
+
+    assert sorted(path.name for path in SRC.glob("*.py") if uses(path)) == ["config.py", "store.py"]

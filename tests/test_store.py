@@ -1,7 +1,9 @@
+import errno
 import functools
 import gc
 import hashlib
 import json
+import os
 import tempfile
 import tracemalloc
 
@@ -58,6 +60,63 @@ def test_write_lines_bytes_equal_joined_text(tmp_path, header, lines):
     write_lines(path, header, iter(lines))
     body = ([header] if header else []) + lines
     assert path.read_bytes() == ("\n".join(body) + "\n").encode("utf-8")
+
+
+class WriterFault(Exception):
+    """Raised by a writer part-way through a file."""
+
+
+def failing_after(pieces, n, fault):
+    yield from pieces[:n]
+    raise fault
+
+
+FAULTS = [WriterFault(), OSError(errno.ENOSPC, "No space left on device")]
+
+
+@pytest.mark.parametrize("old", [b"h\nold\n", None], ids=["replaced", "new"])
+@pytest.mark.parametrize("fault", FAULTS, ids=["exception", "oserror"])
+def test_a_failed_write_leaves_the_old_bytes_and_no_stray_file(tmp_path, old, fault):
+    """Some 60 KB reach the temp file before the writer raises; ``path`` keeps its bytes
+    (or stays absent), the temp is gone, and the error is the writer's own."""
+    path = tmp_path / "f.jsonl"
+    if old is not None:
+        path.write_bytes(old)
+    with pytest.raises(type(fault)) as exc:
+        write_lines(path, "h", failing_after(["x" * 11] * 10_000, 5_000, fault))
+    assert exc.value is fault
+    assert [p.name for p in tmp_path.iterdir()] == ([] if old is None else ["f.jsonl"])
+    if old is not None:
+        assert path.read_bytes() == old
+
+
+@pytest.mark.parametrize("name, code", [
+    ("f.jsonl", errno.EISDIR),  # os.replace cannot move the temp over this directory
+    ("missing/f.jsonl", errno.ENOENT),  # open cannot create the temp
+], ids=["path-is-a-directory", "no-parent-directory"])
+def test_an_os_error_names_the_file_not_the_temp(tmp_path, name, code):
+    path = tmp_path / name
+    if code == errno.EISDIR:
+        path.mkdir()
+    before = sorted(p.name for p in tmp_path.iterdir())
+    with pytest.raises(OSError) as exc:
+        write_lines(path, "h", ["a"])
+    assert str(exc.value) == f"[Errno {code}] {os.strerror(code)}: '{path}'"
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("fault", FAULTS, ids=["exception", "oserror"])
+def test_a_failed_model_save_leaves_the_old_model(tmp_path, fault):
+    cfg = RunConfig()
+    save_model(tmp_path, ModelState.init(cfg.feature_dim, cfg.hidden_dim, len(CHOICES), seed=1))
+    before = (tmp_path / "model.jsonl").read_bytes()
+    model = ModelState.init(cfg.feature_dim, cfg.hidden_dim, len(CHOICES), seed=2)
+    pieces = list(model.record_pieces())
+    model.record_pieces = lambda: failing_after(pieces, len(pieces) // 2, fault)
+    with pytest.raises(type(fault)):
+        save_model(tmp_path, model)
+    assert [p.name for p in tmp_path.iterdir()] == ["model.jsonl"]
+    assert (tmp_path / "model.jsonl").read_bytes() == before
 
 
 def test_non_utf8_file_is_a_value_error_naming_it(tmp_path):
