@@ -20,8 +20,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .audit import canonical_json, from_record, json_record, record_of
-from .graph import Layer
+from .audit import canonical_json, content_digest, from_record, json_record, record_of
+from .graph import Layer, Status
 from .retrieval import token_seed, tokenize
 from .training import Dataset
 
@@ -189,16 +189,23 @@ class Provenance:
         return prov
 
     def checked(self, graph, items: Iterable[QAItem]) -> "Provenance":
-        """Itself, if it maps the stored ``items`` one to one onto episodic nodes of ``graph``."""
+        """Itself, if it maps the stored ``items`` one to one onto episodic nodes of
+        ``graph``, each holding its item's record: as its content while Active, and
+        as its blocked digest, the record's sha256, once forgotten."""
         for node_id in self.node_to_item:
             node = graph.nodes.get(node_id)
             if node is None or node.layer is not Layer.EPISODIC:
                 raise ValueError(f"node_id {node_id} names no episodic node")
-        stored = {it.item_id for it in items if it.split in STORED_SPLITS}
-        item_id = min(stored ^ self.item_to_node.keys(), default=None)  # the first unmatched
+        stored = {it.item_id: it for it in items if it.split in STORED_SPLITS}
+        item_id = min(stored.keys() ^ self.item_to_node.keys(), default=None)  # the first unmatched
         if item_id is not None:
             state = "has no record" if item_id in stored else "names no stored corpus item"
             raise ValueError(f"item_id {item_id!r} {state}")
+        for item_id, node_id in self.item_to_node.items():
+            node, record = graph.nodes[node_id], episodic_content(stored[item_id])
+            if (node.content != record if node.status is Status.ACTIVE
+                    else node.blocked_digest != content_digest(record)):
+                raise ValueError(f"node_id {node_id} does not hold the record of item_id {item_id!r}")
         return self
 
 

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .corpus import QAItem, Provenance, choice_in, populate_store, split_items
-from .graph import DERIVED_LAYERS, ForgetRequest, Layer, Status
+from .graph import DERIVED_LAYERS, ForgetRequest, Layer
 from .protocol import AgentState
 from .retrieval import tokenize
 from .store import MemoryStore
@@ -198,8 +198,7 @@ def _naive_delete(store: MemoryStore, targets) -> None:
     # Removes target entries only: no blocklist, no closure, no audit ordering.
     for t in targets:
         node = store.graph.nodes[t]
-        node.status = Status.DELETED
-        node.content = ""
+        node.content, node.removed_in = "", store.index.generation
         store.index.remove(t)
 
 

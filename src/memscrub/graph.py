@@ -62,9 +62,15 @@ class MemoryNode:
     layer: Layer
     content: str
     parents: tuple  # ascending ids; () for an episodic node
-    status: Status
     blocked_digest: bytes = b""  # raw sha256 of what a forget deleted; b"" unless Deleted and episodic
     removed_in: int = -1  # the index generation in which a forget took it out; -1 while Active
+
+    @property
+    def status(self) -> Status:
+        """Active until a forget removes the node; then Outdated if it is a reflection, else Deleted."""
+        if self.removed_in == -1:
+            return Status.ACTIVE
+        return Status.OUTDATED if self.layer is Layer.REFLECTION else Status.DELETED
 
 
 # A node's stored record: the blocked digest is hex on disk, raw bytes in memory.
@@ -132,8 +138,7 @@ class MemoryGraph:
     # ------------------------------------------------------------------
 
     def add_memory(self, layer: Layer, content: str, parents: Iterable[int] = ()) -> int:
-        node = MemoryNode(len(self.nodes), layer, content, tuple(sorted({int(p) for p in parents})),
-                          Status.ACTIVE)
+        node = MemoryNode(len(self.nodes), layer, content, tuple(sorted({int(p) for p in parents})))
         for pid in node.parents:
             parent = self.nodes.get(pid)
             if parent is None:
@@ -276,10 +281,9 @@ class MemoryGraph:
             node = self.nodes[node_id]
             if node.layer is Layer.EPISODIC:  # a target: no episodic node is derived
                 node.blocked_digest = digests[node_id] if digests else content_digest(node.content)
-            node.status, node.content, node.removed_in = Status.DELETED, "", generation
+            node.content, node.removed_in = "", generation
         for node_id in outdated:
-            node = self.nodes[node_id]
-            node.status, node.removed_in = Status.OUTDATED, generation
+            self.nodes[node_id].removed_in = generation
         return report
 
     # ------------------------------------------------------------------
@@ -313,30 +317,26 @@ class MemoryGraph:
     @classmethod
     def from_lines(cls, node_lines: Iterable[str], audit=None, generation: int = 0) -> "MemoryGraph":
         """The graph saved as ``node_lines`` at index ``generation``; ValueError unless
-        every node passes ``add_memory``'s structural rules in turn, each status is
-        one a prune leaves, a node has a blocked digest exactly when a prune deleted
-        it as a target and a ``removed_in`` in [0, ``generation``] exactly when it is
-        not Active (-1 if it is), the whole passes ``check_consistency`` and
-        ``audit``, if given, holds one WRITE record per node."""
+        every node passes ``add_memory``'s structural rules in turn, has a
+        ``removed_in`` in [-1, ``generation``], keeps no content once Deleted and
+        has a blocked digest exactly when a prune deleted it as a target, the whole
+        passes ``check_consistency`` and ``audit``, if given, holds one WRITE
+        record per node."""
         graph = cls(audit=audit)
         for line in node_lines:
             node = MemoryNode(*json_record(json.loads(line), _NODE_RECORD))
             graph._check_next(node)
+            if not -1 <= node.removed_in <= generation:
+                raise ValueError(f"node {node.id}: removed_in {node.removed_in} is not between -1 "
+                                 f"and the index generation {generation}")
             if node.status is Status.DELETED and node.content:
                 raise ValueError(f"deleted node {node.id} keeps its content")
-            if node.status is Status.OUTDATED and node.layer is not Layer.REFLECTION:
-                raise ValueError(f"{node.layer.value} node {node.id} is outdated; only reflections go stale")
             forgotten = node.status is Status.DELETED and node.layer is Layer.EPISODIC
             if not (is_digest(node.blocked_digest) if forgotten else node.blocked_digest == ""):
                 expected = "a sha256 digest" if forgotten else "empty"
                 raise ValueError(f"{node.status.value} {node.layer.value} node {node.id}: "
                                  f"blocked digest {node.blocked_digest!r:.70} is not {expected}")
             node.blocked_digest = bytes.fromhex(node.blocked_digest)
-            active = node.status is Status.ACTIVE
-            if not (node.removed_in == -1 if active else 0 <= node.removed_in <= generation):
-                expected = "-1" if active else f"between 0 and the index generation {generation}"
-                raise ValueError(f"{node.status.value} node {node.id}: "
-                                 f"removed_in {node.removed_in} is not {expected}")
             graph._link(node)
         graph.check_consistency()
         if audit is not None and audit.count(AuditOp.WRITE) != len(graph.nodes):

@@ -7,15 +7,15 @@ vector removal, threshold-triggered rebuild, archive record.
 This module also owns the store directory: it names every file there,
 reads and writes each (the config snapshot for ``memscrub.config``) and
 holds the lock; a file is replaced whole, through a temp sibling. Reload
-reproduces statuses, reference counts (derived from each node's parents,
-not stored) and search behavior exactly: the nodes file alone says which
-nodes exist, what each derives from, which are live, which content
-digests are blocked and in which index generation a forget removed each
-node; the audit log's REBUILD count is the current generation, and the
-nodes removed in it are the tombstones, whose episodic ids are the
-blocked ids. Load checks each file against the code that writes it: the
-nodes file through ``add_memory``'s own structural rules, then the
-graph's ``check_consistency`` and the audit log's WRITE count.
+reproduces statuses and reference counts (derived, not stored) and
+search behavior exactly: the nodes file alone says which nodes exist,
+what each derives from, which are live, which content digests are
+blocked and in which index generation a forget removed each node; the
+audit log's REBUILD count is the current generation, and the nodes
+removed in it are the tombstones, whose episodic ids are the blocked
+ids. Load checks each file against the code that writes it: the nodes
+file through ``add_memory``'s own structural rules, then the graph's
+``check_consistency`` and the audit log's WRITE count.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .training import ModelState
 # The files MemoryStore.save writes, with their version headers, in the order
 # MemoryStore.load unpacks them; load derives the index and the blocklist from them.
 FILE_HEADERS = {
-    "nodes.jsonl": "memscrub-nodes v6",
+    "nodes.jsonl": "memscrub-nodes v7",
     "audit.jsonl": "memscrub-audit v2",
 }
 MODEL_HEADER = "memscrub-model v2"

@@ -500,6 +500,33 @@ class TestDamagedStore:
         assert err.startswith(f"error: {path}: malformed file: ") and reason in err
         assert not (copy / "metrics").exists()
 
+    # Provenance lines 1 and 2 map topic000-i00 and topic000-i01 to episodic nodes 0 and 1:
+    # Active in the `pipeline` store, forgotten in `forgot_six`. Swapped, each item names a
+    # node whose content (or, once forgotten, whose blocked digest) is the other item's.
+    @pytest.mark.parametrize("state", ["pipeline", "forgot_six"])
+    @pytest.mark.parametrize("command", [["unlearn", "--request"], ["probe", "--id", "0"], ["eval"]],
+                             ids=["unlearn", "probe", "eval"])
+    def test_provenance_is_bound_to_its_nodes(self, request, tmp_path, capsys, state, command):
+        source = request.getfixturevalue(state)
+        copy = tmp_path / "store"
+        shutil.copytree(source[1] if state == "pipeline" else source, copy)
+        path = copy / "provenance.jsonl"
+        lines = path.read_text().splitlines()
+        assert [json.loads(line) for line in lines[1:3]] == [
+            {"item_id": "topic000-i00", "node_id": 0}, {"item_id": "topic000-i01", "node_id": 1}]
+        lines[1:3] = [with_fields(lines[1], node_id=1), with_fields(lines[2], node_id=0)]
+        path.write_text("\n".join(lines) + "\n")
+        if command[-1] == "--request":
+            (tmp_path / "request.json").write_text(json.dumps({"request_id": "r", "targets": [2]}))
+            command = [*command, str(tmp_path / "request.json")]
+        before = {p.name: p.read_bytes() for p in copy.iterdir() if p.is_file()}
+        code = main([*command, "--store", str(copy)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == (f"error: {path}: malformed file: ValueError(\"node_id 1 does not hold the "
+                       "record of item_id 'topic000-i00'\")\n")
+        assert {p.name: p.read_bytes() for p in copy.iterdir() if p.is_file()} == before
+
     @pytest.mark.parametrize("name, damage", [
         pytest.param("audit.jsonl", lambda lines: lines[:3] + [flip_field(lines[3])] + lines[4:],
                      id="audit.jsonl-flipped-digest"),
@@ -543,8 +570,8 @@ class TestDamagedStore:
             path.write_text("\n".join(lines[:at] + [json.dumps(dict(reversed(json.loads(line).items())))
                                                      for line in lines[at:]]) + "\n")
         assert (copy / "nodes.jsonl").read_text().splitlines()[7] == (
-            '{"status": "deleted", "removed_in": 0, "parents": [0, 1, 2, 3, 4, 5], "layer": "semantic", '
-            '"id": 6, "content": "", "blocked_digest": ""}')
+            '{"removed_in": 0, "parents": [0, 1, 2, 3, 4, 5], "layer": "semantic", "id": 6, '
+            '"content": "", "blocked_digest": ""}')
         MemoryStore.load(copy).save(tmp_path / "resaved")
         for name in FILE_HEADERS:
             assert (tmp_path / "resaved" / name).read_bytes() == (store / name).read_bytes(), name
@@ -673,11 +700,13 @@ class TestDamagedStore:
         # episodic one, node 6 the Deleted summary on parents 0-5 (its edge 0 -> 6 the one each
         # edge case damages), node 8 an Outdated reflection, node 27 an Active episodic node,
         # node 33 the Active summary that is KG entity 34's only parent and the last node (107)
-        # an Active reflection. A node has a blocked digest exactly when it is a Deleted
-        # episodic node, a forget's target; the digest is 64 lowercase hex characters.
+        # an Active reflection. A node's status follows from its `removed_in` and its layer,
+        # so a record that stores one is malformed, even when it is right. A node has a blocked
+        # digest exactly when it is a Deleted episodic node, a forget's target; the digest is
+        # 64 lowercase hex characters.
         pytest.param("nodes.jsonl", 1, set_to(content="restored"), id="deleted-node-with-content"),
-        pytest.param("nodes.jsonl", 28, set_to(status="outdated"), id="outdated-episodic-node"),
-        pytest.param("nodes.jsonl", 34, set_to(status="deleted", content=""),
+        pytest.param("nodes.jsonl", 28, set_to(status="active"), id="node-with-status"),
+        pytest.param("nodes.jsonl", 34, set_to(removed_in=0, content=""),
                      id="summary-deleted-under-entity"),
         pytest.param("nodes.jsonl", 35, set_to(parents=[0]), id="entity-on-deleted-parent"),
         pytest.param("nodes.jsonl", 7, set_to(parents=[1, 2, 3, 4, 5, 6]), id="self-edge"),
@@ -712,19 +741,25 @@ class TestDamagedStore:
 
     # Line i + 1 is node i: node 0 is a Deleted target, node 8 an Outdated reflection and
     # node 27 an Active episodic node. A node's `removed_in` is the index generation in which
-    # a forget took it out: a JSON int, -1 exactly while the node is Active, and never above
-    # the log's REBUILD count, 0 here since the store never rebuilt. None drops the key.
-    @pytest.mark.parametrize("line, value", [
-        pytest.param(1, "0", id="string"),
-        pytest.param(1, False, id="bool"),
-        pytest.param(1, 0.0, id="float"),
-        pytest.param(28, 0, id="active-node-removed"),
-        pytest.param(1, -1, id="deleted-node-never-removed"),
-        pytest.param(9, -1, id="outdated-reflection-never-removed"),
-        pytest.param(1, 1, id="removed-after-the-last-rebuild"),
-        pytest.param(1, None, id="missing"),
+    # a forget took it out: a JSON int, -1 while the node is Active, and never above the
+    # log's REBUILD count, 0 here since the store never rebuilt. It alone says whether a
+    # node is Active, so a wrong one leaves a node whose other fields or whose children no
+    # prune leaves. None drops the key.
+    @pytest.mark.parametrize("line, value, reason", [
+        pytest.param(1, "0", "removed_in '0' is not a JSON int", id="string"),
+        pytest.param(1, False, "removed_in False is not a JSON int", id="bool"),
+        pytest.param(1, 0.0, "removed_in 0.0 is not a JSON int", id="float"),
+        pytest.param(28, 0, "deleted node 27 keeps its content", id="active-node-removed"),
+        pytest.param(1, -1, "active episodic node 0: blocked digest", id="deleted-node-never-removed"),
+        pytest.param(9, -1, "active derived node 8 has no active parent",
+                     id="outdated-reflection-never-removed"),
+        pytest.param(1, 1, "node 0: removed_in 1 is not between -1 and the index generation 0",
+                     id="removed-after-the-last-rebuild"),
+        pytest.param(28, -2, "node 27: removed_in -2 is not between -1 and the index generation 0",
+                     id="below-minus-one"),
+        pytest.param(1, None, "not a JSON object with exactly the keys", id="missing"),
     ])
-    def test_bad_removed_in_is_malformed(self, unlearned, tmp_path, capsys, line, value):
+    def test_bad_removed_in_is_malformed(self, unlearned, tmp_path, capsys, line, value, reason):
         store, _, _ = unlearned
         copy = tmp_path / "store"
         shutil.copytree(store, copy)
@@ -737,7 +772,7 @@ class TestDamagedStore:
         code = main(["query", "--store", str(copy), "--text", "what remedy"])
         err = capsys.readouterr().err
         assert code == 1
-        assert err.startswith(f"error: {path}: malformed file: ") and "removed_in" in err
+        assert err.startswith(f"error: {path}: malformed file: ") and reason in err
 
     # Line i + 1 is node i; two notes make nodes 108 and 109, which have no children.
     @pytest.mark.parametrize("damage, reason", [

@@ -171,6 +171,8 @@ class TestPopulateStore:
         (lambda lines: lines[:-1] + [with_node(lines[-1], 6)], "node_id 6 names no episodic node"),
         (lambda lines: lines + ['{"item_id":"topic000-h00","node_id":9999}'],
          "node_id 9999 names no episodic node"),
+        (lambda lines: [with_node(lines[0], 1), with_node(lines[1], 0)] + lines[2:],
+         "node_id 1 does not hold the record of item_id 'topic000-i00'"),
     ])
     def test_provenance_checked_against_graph_and_corpus(self, corpus_items, damage, reason):
         store = MemoryStore()

@@ -25,21 +25,21 @@ from memscrub.store import load_model
 SIZES = [(0, 12), (1, 48), (3, 120)]
 STORE_SHA256 = {
     (0, 12): {
-        "nodes.jsonl": "c71fc823273afab49a8cfd60f09580b09e00ba96cdc37d9b2e6eee4059e69e61",
+        "nodes.jsonl": "16bd93a196cca80e79e967254332ca3f2166ac932089486e75b9a3e4946413ae",
         "audit.jsonl": "ebda3a5b7d465cc6a0931575c86fbeb779789d07c64317c8ed4e4bf4dd881e14",
         "provenance.jsonl": "0eb948406a47411faa63d11e46755a4841cc27e11197f8082b23bdef7ec8db00",
         "corpus.jsonl": "820bd9aa9ef41d5e12382f1c508cd4ff569cfe19d491f4e08e8f5c2410972ecf",
         "config.cfg": "2130e603f090af2d33718f7459b13ef9fc5d0f51a731c7ca7b5f56c9c489d4a5",
     },
     (1, 48): {
-        "nodes.jsonl": "700191c60a0aab7946ca49311309a3bdfad16f57851fa09afc784b68850a0a2f",
+        "nodes.jsonl": "1632071c5658fcc251260eb49b86fe143c33f8f7a47eb92f5c5b7d87c45069d7",
         "audit.jsonl": "a89e57c3b1f51fac5d50e847d34acc45e12abf947c50334019e6a1805029a6cf",
         "provenance.jsonl": "b9b5d0cf0eeebfde0f52f543a80acbb9d3bedd87cd3a5fc6d303107bdca71568",
         "corpus.jsonl": "91ac5e75dde7fae1bd9870b689be59e0bed9f52f77b6c88c449c273e36df572c",
         "config.cfg": "9c3d2c4237b44814ee5995b4d38924871e668f00e31175b11fe94db8a02094bd",
     },
     (3, 120): {
-        "nodes.jsonl": "ea0a58a9b2ffccab2d81bb617f0254568df092b21be8e1442a7c8eb6c7aba8d3",
+        "nodes.jsonl": "5e1b268416ea4dff7e1ff0709c07800db0b00c35078f451ffa7cf02ec45b77d0",
         "audit.jsonl": "b866ceb9d89ee0745d2e509d7c56a66bff23e1595e5a82e8358a257e94b49200",
         "provenance.jsonl": "bc6941b82023bbf7014517785632d98fe2ccc309dbd4ba71c47b866ce50fcd99",
         "corpus.jsonl": "876c2005285dbc924a36f5a9de072fc279ce2c0552aa2001a4c997870e07bb9c",
@@ -51,9 +51,9 @@ STORE_NAMES = sorted(STORE_SHA256[SIZES[0]])
 # topic, and its items are written first). audit.jsonl is pinned without its last line,
 # the TRAIN record, which carries a training result; the other files keep their bytes.
 UNLEARNED_NODES_SHA256 = {
-    (0, 12): "8741a04bc5fcf0be45a63ec17705bc155c19387070190bc3cb473196dbf0cf12",
-    (1, 48): "1ffbde2f8518befb52db42792958868457625d0499edbb788a5e0563904ff0ca",
-    (3, 120): "531d9224c79917d7d1fa27bd8c1537d3089f89d71faa0641a92b2a46866cd21e",
+    (0, 12): "172e22166b41e9801dd5a333be1f030f227ab6abd35a91c272b46078f0eb63ad",
+    (1, 48): "a3854e52656a6cdffc7a02626c491b99a95724c940c4c986d6069919d10a64bf",
+    (3, 120): "708abe9ee632bf6b1ba857eadc73fe946bf0af2899b45671a38a5b98d9ac0607",
 }
 UNLEARNED_AUDIT_BEFORE_TRAIN_SHA256 = {
     (0, 12): "54802cb021aa190b3bad5a0908a76493115a2189b9ab0b80c9268d7a5bb2d700",

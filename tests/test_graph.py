@@ -35,7 +35,7 @@ def random_pruned_graph(data):
 
 def replays(lines) -> bool:
     """Whether ``add_memory``, called on each node record in turn, writes exactly those
-    records, and their statuses then pass ``check_consistency``. Every parent is Active
+    records, and their removals then pass ``check_consistency``. Every parent is Active
     when its child is written, as it was when the child was first written."""
     g = MemoryGraph()
     try:
@@ -44,7 +44,7 @@ def replays(lines) -> bool:
             if canonical_json(node.parents) != canonical_json(record["parents"]):
                 return False  # add_memory sorts, dedupes and casts to int what it is given
         for record in map(json.loads, lines):
-            g.node(record["id"]).status = Status(record["status"])
+            g.node(record["id"]).removed_in = record["removed_in"]
         g.check_consistency()
     except GraphError:
         return False
@@ -102,8 +102,9 @@ class TestAddMemory:
 
     def test_deleted_parent_rejected(self):
         g, m1, s1 = make_chain()
-        g.node(m1).status = Status.DELETED
-        with pytest.raises(EdgeViolationError):
+        g.prune(ForgetRequest.of("r", [m1]), g.dependency_closure([m1]), always_blocked)
+        assert g.node(m1).status is Status.DELETED
+        with pytest.raises(EdgeViolationError, match=f"parent {m1} is deleted, not active"):
             g.add_memory(Layer.SEMANTIC, "late", [m1])
 
     def test_episodic_cannot_have_parents(self):
@@ -268,7 +269,8 @@ class TestActiveView:
         g = MemoryGraph()
         m1 = g.add_memory(Layer.EPISODIC, "m1")
         r1 = g.add_memory(Layer.REFLECTION, "refl", [m1])
-        g.node(r1).status = Status.OUTDATED
+        g.node(r1).removed_in = 0  # removed, so a reflection is Outdated
+        assert g.node(r1).status is Status.OUTDATED
         assert list(g.active_view()) == [m1]
 
     @settings(max_examples=40, deadline=None)
@@ -327,9 +329,17 @@ class TestPersistence:
         g.prune(ForgetRequest.of("r", [m1]), g.dependency_closure([m1]), always_blocked, generation=2)
         assert [g.node(i).removed_in for i in (m1, m2, r1, s1)] == [2, -1, 2, 2]
         assert MemoryGraph.from_lines(g.node_lines(), generation=2).node_lines() == g.node_lines()
-        with pytest.raises(ValueError, match=f"deleted node {m1}: removed_in 2 is not between 0 and "
+        with pytest.raises(ValueError, match=f"node {m1}: removed_in 2 is not between -1 and "
                                              "the index generation 1"):
             MemoryGraph.from_lines(g.node_lines(), generation=1)
+
+    @pytest.mark.parametrize("removed_in", [-2, 3])
+    def test_removed_in_outside_minus_one_to_the_generation_does_not_load(self, removed_in):
+        g, m1, s1 = make_chain()
+        g.node(s1).removed_in = removed_in
+        with pytest.raises(ValueError, match=f"node {s1}: removed_in {removed_in} is not between -1 "
+                                             "and the index generation 2"):
+            MemoryGraph.from_lines(g.node_lines(), generation=2)
 
     def test_a_later_prune_keeps_the_generation_a_node_left(self):
         """A prune stamps only the nodes it takes out; a node removed earlier keeps its generation."""
@@ -346,26 +356,31 @@ class TestPersistence:
 
     def test_active_derived_node_without_active_parent_does_not_load(self):
         g, m1, s1 = make_chain()
-        g.node(m1).status = Status.DELETED  # a node edit that no prune makes
+        g.node(m1).removed_in = 0  # a node edit that no prune makes: s1 keeps no Active parent
         g.node(m1).content = ""
         g.node(m1).blocked_digest = content_digest("episode one")
-        g.node(m1).removed_in = 0
         with pytest.raises(GraphError, match=f"active derived node {s1} has no active parent"):
             g.check_consistency()
         with pytest.raises(GraphError, match=f"active derived node {s1} has no active parent"):
             MemoryGraph.from_lines(g.node_lines())
 
     @pytest.mark.parametrize("layer", list(Layer))
-    def test_only_a_reflection_loads_outdated(self, layer):
+    def test_a_removed_node_is_outdated_only_as_a_reflection(self, layer):
+        """Once removed, a reflection is Outdated and a node of any other layer Deleted,
+        in memory and after a load; the nodes file holds no status."""
         g = MemoryGraph()
         m1 = g.add_memory(Layer.EPISODIC, "m1")
         node = g.node(m1 if layer is Layer.EPISODIC else g.add_memory(layer, "d", [m1]))
-        node.status, node.removed_in = Status.OUTDATED, 0  # a prune outdates reflections only
-        if layer is Layer.REFLECTION:
-            assert MemoryGraph.from_lines(g.node_lines()).node_lines() == g.node_lines()
-        else:
-            with pytest.raises(ValueError, match=f"{layer.value} node {node.id} is outdated"):
-                MemoryGraph.from_lines(g.node_lines())
+        assert node.status is Status.ACTIVE
+        node.removed_in = 0
+        if layer is not Layer.REFLECTION:
+            node.content = ""  # as a prune deletes it
+        if layer is Layer.EPISODIC:
+            node.blocked_digest = content_digest("m1")
+        expected = Status.OUTDATED if layer is Layer.REFLECTION else Status.DELETED
+        assert node.status is expected
+        assert all("status" not in json.loads(line) for line in g.node_lines())
+        assert MemoryGraph.from_lines(g.node_lines()).node(node.id).status is expected
 
     def test_adjacency_only_for_nodes_with_edges(self):
         g = MemoryGraph()

@@ -272,6 +272,32 @@ def test_reload_tombstones_only_the_nodes_removed_since_the_last_rebuild(tmp_pat
     assert episodic[0] not in loaded.index.tombstones() and episodic[2] in loaded.index.tombstones()
 
 
+def test_each_status_follows_the_removal_and_the_layer(tmp_path):
+    """On a (1, 48) store whose forgets cross tau, the nodes a prune removes are Deleted and
+    those it outdates, reflections only, Outdated; every other node stays Active. The nodes
+    file stores no status, and a load derives the same ones."""
+    store = MemoryStore(RetrievalSettings(tau=4, embed_dim=16))
+    episodic = sorted(populate_store(store, generate_corpus(seed=1, n_topics=48)).node_to_item)
+    expected = dict.fromkeys(store.graph.nodes, Status.ACTIVE)
+    rebuilt = []
+    for r, targets in enumerate([episodic[:3], episodic[3:9], episodic[48:50], episodic[100:106],
+                                 episodic[200:202]]):
+        report = store.forget(ForgetRequest.of(f"r{r}", targets))
+        rebuilt.append(report.rebuilt)
+        expected.update(dict.fromkeys(report.prune.removed_ids, Status.DELETED))
+        expected.update(dict.fromkeys(report.prune.outdated_ids, Status.OUTDATED))
+    assert rebuilt == [False, True, False, True, False]
+    nodes = store.graph.nodes
+    assert {(status, nodes[i].layer is Layer.REFLECTION) for i, status in expected.items()
+            if status is not Status.ACTIVE} == {(Status.DELETED, False), (Status.OUTDATED, True)}
+    assert {i: node.status for i, node in nodes.items()} == expected
+    store.save(tmp_path)
+    assert not any("status" in json.loads(line)
+                   for line in (tmp_path / "nodes.jsonl").read_text().splitlines()[1:])
+    loaded = MemoryStore.load(tmp_path, settings=store.settings)
+    assert {i: node.status for i, node in loaded.graph.nodes.items()} == expected
+
+
 def test_repeated_request_blocks_nothing_and_rebuilds_nothing():
     """A repeat of a processed request appends a BLOCK of no id, PRUNE and ARCHIVE only,
     so it neither rebuilds the index nor moves its generation."""
